@@ -19,11 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import is_prime, poly_divmod, poly_gcd, poly_trim
+from .ffield import (is_prime, poly_divmod, poly_gcd, poly_mul, poly_sub,
+                     poly_trim)
 from .projgeom import HomogeneousForm
 from .p1sections import binary_section_report, radical_fp
-from .zetas import (affine_counts, local_zeta_inverse, primes_up_to,
-                    projective_counts)
+from .zetas import local_zeta_inverse, primes_up_to, projective_counts
 from . import sampling
 
 
@@ -222,14 +222,8 @@ def dedekind_p_maximal(f: MonicPoly, p: int, disc: int | None = None) -> bool:
     fbar = poly_trim([c % p for c in fle])
     gbar = radical_fp(fbar, p)
     hbar = poly_divmod(fbar, gbar, p)[0]
-    g_lift = list(gbar)
-    h_lift = list(hbar)
-    gh = [0] * (len(g_lift) + len(h_lift) - 1)
-    for i, cg in enumerate(g_lift):
-        for j, ch in enumerate(h_lift):
-            gh[i + j] += cg * ch
-    diff = [a - b for a, b in zip(gh + [0] * (len(fle) - len(gh)),
-                                  fle + [0] * (len(gh) - len(fle)))]
+    p2 = p * p
+    diff = poly_sub(poly_mul(gbar, hbar, p2), [c % p2 for c in fle], p2)
     if any(c % p for c in diff):
         raise InternalCheckError("g*h != f mod p in Dedekind's criterion")
     f1bar = poly_trim([(c // p) % p for c in diff])
@@ -292,8 +286,7 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
 
 
 def _fiber_reference(n: int, p: int, r: int, s: int):
-    table = projective_counts(p, n, r) if n >= 1 else affine_counts(p, 1, r)
-    return local_zeta_inverse(table, s, r, n)
+    return local_zeta_inverse(projective_counts(p, n, r), s, r, n)
 
 
 def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
@@ -305,13 +298,16 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     <= r on any fiber p <= prime_bound; reference value is the product
     of truncated local inverse zeta values at s = n + 2 (arithmetic) or
     s = n + 1 (residue-field classification), with the sum of the local
-    tail bounds as reference error.  Only n = 1 is wired to the fast
-    polynomial path; higher n runs the generic pointwise classifier.
+    tail bounds as reference error.  n = 1 runs the P^1 gcd path
+    (``binary_section_report``); n > 1 runs the batched
+    ``FiberClassifier.census``.
     """
     from .fiberlab import DensityEstimate, FiberClassifier
     from .projgeom import ProjectiveScheme
     from math import comb
 
+    if n < 1:
+        raise ValueError("need a projective dimension n >= 1")
     if samples < 1:
         raise ValueError("need at least one sample")
     if classification not in ("arithmetic", "fiber"):
@@ -384,7 +380,7 @@ def euler_product_reference(trial_bound: int) -> tuple[Fraction, Fraction]:
 
 
 def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
-                   fiber_cap: int = 7, cross_check: bool = True):
+                   fiber_cap: int = 7):
     """Sample monic degree-d polynomials uniformly from the height ball
     H(f) <= R and measure the density of maximal orders.
 
@@ -424,7 +420,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                 hits += 1
                 if not verdict.unconditional:
                     conditional += 1
-            if cross_check and disc != 0:
+            if disc != 0:
                 hom = (1,) + f.a
                 for p in check_primes:
                     geo_ok = binary_section_report(hom, d, p, d).arith_singular == 0

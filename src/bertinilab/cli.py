@@ -207,8 +207,10 @@ def _csv_payload(results: dict) -> str:
     return buf.getvalue()
 
 
-def render_report(args, results: dict, duration: float) -> tuple[str, str]:
-    """(payload text, full report text) for the chosen format."""
+def render_report(args, results: dict, duration: float) -> str:
+    """The report text that ``main`` writes, in the chosen format."""
+    if args.format == "csv":
+        return _csv_payload(results)
     report = {
         "tool": "bertinilab",
         "version": __version__,
@@ -216,14 +218,9 @@ def render_report(args, results: dict, duration: float) -> tuple[str, str]:
         "config": _config_echo(args),
         "prng": sampling.PRNG_NAME,
         "results": results,
+        "duration_s": round(duration, 3),
     }
-    if args.format == "csv":
-        payload = _csv_payload(results)
-        return payload, payload
-    payload = json.dumps(report, sort_keys=True, default=_json_default)
-    report["duration_s"] = round(duration, 3)
-    full = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-    return payload, full
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default)
 
 
 def _json_default(value):
@@ -252,7 +249,7 @@ def main(argv=None) -> int:
     except (InternalCheckError, InconsistentTable) as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _, full = render_report(args, results, time.monotonic() - start)
+    full = render_report(args, results, time.monotonic() - start)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(full)

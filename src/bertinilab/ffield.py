@@ -56,16 +56,6 @@ def poly_trim(a):
     return a
 
 
-def poly_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return poly_trim(out)
-
-
 def poly_sub(a, b, m):
     n = max(len(a), len(b))
     out = [0] * n
@@ -129,13 +119,6 @@ def poly_powmod(base, k, mod, p):
         base = poly_mod(poly_mul(base, base, p), mod, p)
         k >>= 1
     return result
-
-
-def poly_eval(a, x, m):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def poly_derivative(a, m):
@@ -504,21 +487,26 @@ class GaloisRing:
 
 
 # ----------------------------------------------------------------------
-# Linear algebra: rank over a field, exact kernel counting over Z/p^2.
+# Linear algebra: Gauss-Jordan over a field, exact kernel counting over Z/p^2.
 
 
-def matrix_rank(rows, field: GF) -> int:
-    """Rank of a matrix with entries encoded in the given field."""
+def row_reduce(rows, ncols: int, field: GF):
+    """Reduced row echelon form of a matrix over a finite field.
+
+    Returns (pivot_rows, pivot_cols): the nonzero rows of the reduced
+    form, each with a 1 at its pivot column and zeros in every other
+    pivot column, and the pivot columns in increasing order.  The
+    reduced form is unique, so callers may read solutions and kernel
+    vectors straight off it.  The input is not modified.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    pivot_cols = []
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    for col in range(ncols):
+        if rank == len(rows):
+            break
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = field.inv(rows[rank][col])
@@ -528,9 +516,49 @@ def matrix_rank(rows, field: GF) -> int:
                 factor = rows[i][col]
                 rows[i] = [field.sub(c, field.mul(factor, d))
                            for c, d in zip(rows[i], rows[rank])]
+        pivot_cols.append(col)
         rank += 1
-        col += 1
-    return rank
+    return rows[:rank], pivot_cols
+
+
+def matrix_rank(rows, field: GF) -> int:
+    """Rank of a matrix with entries encoded in the given field."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(row_reduce(rows, len(rows[0]), field)[1])
+
+
+def kernel_basis(rows, ncols: int, field: GF):
+    """Basis of the kernel of a matrix over a finite field, one vector per
+    non-pivot column (that coordinate 1, the other free ones 0)."""
+    pivot_rows, pivot_cols = row_reduce(rows, ncols, field)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(pivot_rows, pivot_cols):
+            v[pc] = field.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def solve_linear(rows, rhs, ncols: int, field: GF):
+    """One solution of rows * x = rhs over a finite field, free coordinates 0.
+
+    Raises ValueError when the system is inconsistent, i.e. when the
+    right-hand side column of the augmented matrix holds a pivot.
+    """
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivot_rows, pivot_cols = row_reduce(aug, ncols + 1, field)
+    if ncols in pivot_cols:
+        raise ValueError("inconsistent linear system")
+    x = [0] * ncols
+    for row, col in zip(pivot_rows, pivot_cols):
+        x[col] = row[-1]
+    return x
 
 
 def kernel_size_mod_p2(rows, ncols: int, p: int) -> int:

@@ -28,7 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .ffield import GF, GaloisRing, matrix_rank, kernel_size_mod_p2
+from .ffield import (GF, GaloisRing, kernel_size_mod_p2, matrix_rank,
+                     solve_linear)
 from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
                        SchemeFiber, monomial_basis)
 from .zetas import PointCountTable, local_zeta_inverse, projective_counts
@@ -70,33 +71,6 @@ def _rering(form, p):
     return HomogeneousForm(form.n, form.d, form.coeffs, p * p)
 
 
-def _solve_linear(rows, rhs, fld: GF):
-    """One solution of rows * x = rhs over a finite field (must exist)."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = fld.inv(aug[rank][col])
-        aug[rank] = [fld.mul(inv, c) for c in aug[rank]]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [fld.sub(c, fld.mul(f, d)) for c, d in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(all(c == 0 for c in row[:-1]) and row[-1] != 0 for row in aug):
-        raise ValueError("inconsistent linear system")
-    x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][-1]
-    return x
-
-
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
                  conjugate: int = 0, perturbation=None):
     """Chart-normalized lift of x into GR(p^2, deg x), landed on the scheme.
@@ -120,7 +94,7 @@ def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
         for g in fiber.scheme.defining_forms:
             v = g.reduce(ring.p2).eval_gr(ring, lift)
             rhs.append(fld.neg(ring.divide_by_p(v)))
-        delta = _solve_linear(jac, rhs, fld)
+        delta = solve_linear(jac, rhs, len(tangent_cols), fld)
         for j, col in enumerate(tangent_cols):
             lift[col] = ring.add(lift[col], ring.mul_int(ring.lift(delta[j]), fiber.p))
     if perturbation is not None:
@@ -157,12 +131,6 @@ def classify_point(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber,
                    **kwargs) -> str:
     """Arithmetic classification of x on div(section): off / regular / singular."""
     return classify_point_detail(section, x, fiber, **kwargs)[0]
-
-
-def is_rescued(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber) -> bool:
-    """True when the fiber divisor is singular at x but the section is regular."""
-    arith, fib = classify_point_detail(section, x, fiber)
-    return fib == SINGULAR and arith == REGULAR
 
 
 # ----------------------------------------------------------------------
@@ -426,7 +394,7 @@ class FiberClassifier:
         return any_arith, any_fiber, rescued_points
 
 
-def _enumerate_rows(total, h, p2, start, stop):
+def _enumerate_rows(h, p2, start, stop):
     idx = np.arange(start, stop, dtype=np.int64)
     rows = np.empty((stop - start, h), dtype=np.int64)
     for k in range(h):
@@ -453,7 +421,7 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     rescued = 0
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        rows = _enumerate_rows(total, cls.h, cls.p2, start, stop)
+        rows = _enumerate_rows(cls.h, cls.p2, start, stop)
         any_arith, any_fiber, resc = cls.census(rows)
         hits_arith += int((~any_arith).sum())
         hits_fiber += int((~any_fiber).sum())
@@ -528,7 +496,7 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
     hits = 0
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        rows = _enumerate_rows(total, h, p, start, stop)
+        rows = _enumerate_rows(h, p, start, stop)
         prods = rows @ cols % p
         hits += int((~prods.any(axis=1)).sum())
     certificate = restriction_surjectivity(fiber, [x], d, mode="fiber")

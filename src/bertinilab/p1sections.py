@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
-                     poly_powmod, poly_trim)
+                     poly_mul, poly_powmod, poly_sub, poly_trim)
 from .zetas import closed_point_counts, projective_counts
 
 
@@ -54,18 +54,8 @@ def radical_fp(f, p: int):
     if len(rest) > 1:
         # rest is a p-th power holding the factors with multiplicity p | e
         z = [rest[i] for i in range(0, len(rest), p)]
-        tail = radical_fp(z, p)
-        return poly_trim([c % p for c in _mul(sep, tail, p)])
+        return poly_mul(sep, radical_fp(z, p), p)
     return sep
-
-
-def _mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return out
 
 
 def distinct_degree_split(v, p: int, r: int):
@@ -80,19 +70,12 @@ def distinct_degree_split(v, p: int, r: int):
         if len(v) - 1 < k:
             break
         t = poly_powmod(t, p, v, p)
-        diff = poly_trim([(c1 - c2) % p for c1, c2
-                          in _pad(t, [0, 1])])
-        hk = poly_gcd(v, diff, p)
+        hk = poly_gcd(v, poly_sub(t, [0, 1], p), p)
         if len(hk) > 1:
             out.append((k, hk))
             v = poly_divmod(v, hk, p)[0]
             t = poly_mod(t, v, p) if len(v) > 1 else [0]
     return out
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .ffield import GF, GaloisRing
+from .ffield import GF, GaloisRing, kernel_basis, matrix_rank
 
 POINT_SCAN_BUDGET = 10 ** 8
 
@@ -322,7 +322,6 @@ class SchemeFiber:
 
     def is_smooth_at(self, x: ClosedPoint, chart: int | None = None) -> bool:
         """Jacobian check that the fiber itself is smooth of dimension m at x."""
-        from .ffield import matrix_rank
         chart = x.chart() if chart is None else chart
         coords = self._scaled_coords(x.field, x.rep, chart)
         rows = self.jacobian_rows(self.forms, x.field, coords, chart)
@@ -333,7 +332,7 @@ class SchemeFiber:
         chart = x.chart() if chart is None else chart
         coords = self._scaled_coords(x.field, x.rep, chart)
         rows = self.jacobian_rows(self.forms, x.field, coords, chart)
-        basis = _kernel_basis(rows, self.n, x.field)
+        basis = kernel_basis(rows, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
                              f"at {x.rep}; declared dimension {self.m}")
@@ -358,7 +357,6 @@ class SchemeFiber:
 
         Returns one of 'NotOnDivisor', 'SmoothPoint', 'SingularPoint'.
         """
-        from .ffield import matrix_rank
         field = x.field
         coords = x.orbit[conjugate]
         if sigma.eval_gf(field, coords) != 0:
@@ -384,35 +382,6 @@ def _tuples(q, k):
     for head in range(q):
         for tail in _tuples(q, k - 1):
             yield (head,) + tail
-
-
-def _kernel_basis(rows, ncols, field: GF):
-    """Basis of the kernel of a matrix over a finite field."""
-    rows = [list(r) for r in rows if any(r)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(c, field.mul(f, d)) for c, d in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[i][fc])
-        basis.append(v)
-    return basis
 
 
 # ----------------------------------------------------------------------

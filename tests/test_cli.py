@@ -68,18 +68,18 @@ def test_reproducible_payloads(scheme_files):
             "--d", "10", "--r", "2", "--mode", "mc", "--samples", "500",
             "--seed", "31"]
     args1, res1 = invoke(argv)
-    payload1, _ = render_report(args1, res1, 1.23)
+    report1 = json.loads(render_report(args1, res1, 1.23))
     args2, res2 = invoke(argv)
-    payload2, _ = render_report(args2, res2, 9.87)   # different wall clock
-    assert payload1 == payload2
+    report2 = json.loads(render_report(args2, res2, 9.87))   # different wall clock
+    assert report1.pop("duration_s") != report2.pop("duration_s")
+    assert report1 == report2
 
 
 def test_config_echo_roundtrip(scheme_files):
     argv = ["multi-fiber", "--d", "4", "--B", "100", "--prime-bound", "2",
             "--r", "2", "--samples", "200", "--seed", "7"]
     args, results = invoke(argv)
-    _, full = render_report(args, results, 0.0)
-    echo = json.loads(full)["config"]
+    echo = json.loads(render_report(args, results, 0.0))["config"]
     rebuilt = []
     for key, value in sorted(echo.items()):
         rebuilt += [f"--{key.replace('_', '-')}", str(value)]
@@ -99,6 +99,8 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2",
                  "--s", "1", "--r", "3"]) == EXIT_CONFIG
     assert main(["zeta", "--bogus-flag"]) == EXIT_CONFIG
+    assert main(["multi-fiber", "--n", "0", "--d", "4", "--B", "100",
+                 "--prime-bound", "2", "--r", "2", "--samples", "200"]) == EXIT_CONFIG
     # enumeration budget
     assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "5",
                  "--d", "9", "--r", "1"]) == EXIT_BUDGET

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from bertinilab.ffield import (GF, GaloisRing, find_irreducible, is_prime,
-                               image_size_mod_p2, kernel_size_mod_p2,
-                               matrix_rank, poly_is_irreducible, poly_mul,
-                               poly_mod)
+                               image_size_mod_p2, kernel_basis,
+                               kernel_size_mod_p2, matrix_rank,
+                               poly_is_irreducible, poly_mul, poly_mod,
+                               solve_linear)
 
 
 def brute_force_irreducible(f, p):
@@ -156,6 +157,44 @@ def test_matrix_rank_extension_field():
     T = F4.encode([0, 1])
     assert matrix_rank([[T, 1], [F4.mul(T, T), T]], F4) == 1
     assert matrix_rank([[T, 1], [1, T]], F4) == 2
+
+
+def _mat_vec(M, v, F):
+    out = []
+    for row in M:
+        acc = 0
+        for a, x in zip(row, v):
+            acc = F.add(acc, F.mul(a, x))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_row_reduce_engine_against_brute_force(p, e):
+    """kernel_basis, matrix_rank and solve_linear against enumeration of F^ncols."""
+    F = GF(p, e)
+    rng = random.Random(100 * p + e)
+    for _ in range(40):
+        nrows = rng.randint(0, 4)
+        ncols = rng.randint(1, 3)
+        M = [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]
+        basis = kernel_basis(M, ncols, F)
+        zero = [0] * nrows
+        assert all(_mat_vec(M, v, F) == zero for v in basis)
+        vectors = list(itertools.product(range(F.q), repeat=ncols))
+        images = [_mat_vec(M, v, F) for v in vectors]
+        assert sum(img == zero for img in images) == F.q ** len(basis)
+        if nrows:
+            assert len(basis) == ncols - matrix_rank(M, F)
+        # a reachable right-hand side is solved exactly
+        rhs = rng.choice(images)
+        assert _mat_vec(M, solve_linear(M, rhs, ncols, F), F) == rhs
+        # an unreachable one is refused
+        missing = [b for b in itertools.product(range(F.q), repeat=nrows)
+                   if list(b) not in images]
+        if missing:
+            with pytest.raises(ValueError):
+                solve_linear(M, list(rng.choice(missing)), ncols, F)
 
 
 def test_kernel_size_examples():
