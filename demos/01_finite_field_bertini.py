@@ -15,9 +15,9 @@ probability 2^(-2 deg x).
 
 from fractions import Fraction
 
-from bertinilab.p1sections import squarefree_binary_census
 from bertinilab.projgeom import ProjectiveScheme
-from bertinilab.fiberlab import restriction_surjectivity, small_degree_product
+from bertinilab.fiberlab import (restriction_surjectivity, small_degree_product,
+                                 squarefree_binary_census)
 
 scheme = ProjectiveScheme(1, 1, name="P1")
 fiber = scheme.fiber(2)

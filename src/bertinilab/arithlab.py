@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import (is_prime, poly_divmod, poly_gcd, poly_mul, poly_sub,
-                     poly_trim)
+from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
+                     poly_mul, poly_sub, poly_trim)
 from .projgeom import HomogeneousForm
 from .p1sections import binary_section_report, radical_fp
 from .zetas import local_zeta_inverse, primes_up_to, projective_counts
@@ -237,7 +237,8 @@ class MaximalityVerdict:
 
     kind is one of 'maximal_up_to', 'not_maximal_at', 'degenerate'.
     ``unconditional`` means the discriminant was fully accounted for
-    (cofactor 1 or certifiably squarefree), so the verdict holds at
+    (cofactor 1, or a prime cofactor below ``MR_DETERMINISTIC_BOUND``
+    where ``is_prime`` is a proof), so the verdict holds at
     every prime, not only below the trial bound.
     """
 
@@ -275,7 +276,7 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
             if power >= 2 and not dedekind_p_maximal(f, p, disc=disc):
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
                                          unconditional=True)
-    unconditional = c == 1 or is_prime(c)
+    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and is_prime(c))
     note = (f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}")
     return MaximalityVerdict("maximal_up_to", trial_bound,
                              unconditional=unconditional, checked_primes=note)
@@ -321,7 +322,10 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     classifiers = None
     if n > 1:
         scheme = ProjectiveScheme(n, n)
-        classifiers = {p: FiberClassifier(scheme.fiber(p), d, r) for p in primes}
+        classifiers = {}
+        for p in primes:
+            fiber = scheme.fiber(p)
+            classifiers[p] = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
 
     hits = 0
     singular_by_prime = {p: 0 for p in primes}

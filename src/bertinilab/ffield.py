@@ -20,10 +20,17 @@ FIELD_SIZE_CAP = 1 << 24
 TABLE_SIZE_CAP = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES
+# (399165290221 * 798330580441).
+MR_DETERMINISTIC_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3.3 * 10^24."""
+    """Miller-Rabin to the bases 2..37.
+
+    Deterministic for n < MR_DETERMINISTIC_BOUND; above it a True is only
+    a strong probable prime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -139,58 +146,11 @@ def _prime_factors(n):
     return out
 
 
-def _gf2_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a and a.bit_length() - 1 >= dm:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _gf2_mulmod(a: int, b: int, m: int) -> int:
-    top = 1 << (m.bit_length() - 1)
-    acc = 0
-    a = _gf2_mod(a, m)
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= m
-    return acc
-
-
-def _gf2_powmod(base: int, k: int, m: int) -> int:
-    acc = _gf2_mod(1, m)
-    base = _gf2_mod(base, m)
-    while k:
-        if k & 1:
-            acc = _gf2_mulmod(acc, base, m)
-        base = _gf2_mulmod(base, base, m)
-        k >>= 1
-    return acc
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
 def poly_is_irreducible(f, p) -> bool:
     """Rabin irreducibility test for a monic polynomial over Z/p."""
     e = len(f) - 1
-    if e <= 0:
-        return False
-    if p == 2:
-        fi = sum(c << i for i, c in enumerate(f))
-        if _gf2_powmod(2, 2 ** e, fi) != _gf2_mod(2, fi):
-            return False
-        for ell in _prime_factors(e):
-            xr = _gf2_powmod(2, 2 ** (e // ell), fi)
-            if _gf2_gcd(xr ^ _gf2_mod(2, fi), fi) != 1:
-                return False
-        return True
+    if e <= 1:
+        return e == 1       # below, x must already be reduced mod f
     x = [0, 1]
     xq = poly_powmod(x, p ** e, f, p)
     if poly_sub(xq, x, p):

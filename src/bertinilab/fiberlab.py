@@ -31,7 +31,7 @@ import numpy as np
 from .ffield import (GF, GaloisRing, kernel_size_mod_p2, matrix_rank,
                      solve_linear)
 from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
-                       SchemeFiber, monomial_basis)
+                       ProjectiveScheme, SchemeFiber, monomial_basis)
 from .zetas import PointCountTable, local_zeta_inverse, projective_counts
 from . import sampling
 
@@ -353,17 +353,25 @@ class DensityEstimate:
 
 
 class FiberClassifier:
-    """Vectorized classification of many sections at all points of degree <= r."""
+    """Vectorized classification of many sections at the given closed points.
 
-    def __init__(self, fiber: SchemeFiber, d: int, r: int):
+    Callers pass ``fiber.closed_points_up_to(r)`` for a degree-<= r census
+    or ``[x]`` for a single point.  Rows are coefficient vectors mod p^2;
+    ``any_fiber`` depends only on the rows mod p, so a census of forms
+    over F_p passes their digit lifts.
+    """
+
+    def __init__(self, fiber: SchemeFiber, d: int, points):
         self.fiber = fiber
         self.d = d
-        self.r = r
         self.p = fiber.p
         self.p2 = fiber.p ** 2
         self.h = comb(fiber.n + d, fiber.n)
-        self.points = fiber.closed_points_up_to(r)
-        self.jets = [_PointJet(fiber, x, d) for x in self.points]
+        if self.h * (self.p2 - 1) ** 2 >= 1 << 63:
+            raise BudgetExceeded(f"int64 census of {self.h} coefficients mod "
+                                 f"{self.p2} could overflow")
+        self.points = points
+        self.jets = [_PointJet(fiber, x, d) for x in points]
 
     def census(self, rows: np.ndarray):
         """Classify each coefficient row (mod p^2) at every point.
@@ -378,7 +386,7 @@ class FiberClassifier:
         rescued_points = 0
         rows_p = rows % self.p
         for jet in self.jets:
-            vals_p = rows_p @ (jet.value_p % self.p) % self.p
+            vals_p = rows_p @ jet.value_p % self.p
             on_div = ~vals_p.any(axis=1)
             idx = np.nonzero(on_div)[0]
             if idx.size == 0:
@@ -394,12 +402,44 @@ class FiberClassifier:
         return any_arith, any_fiber, rescued_points
 
 
-def _enumerate_rows(h, p2, start, stop):
+def _enumerate_rows(h, modulus, start, stop):
     idx = np.arange(start, stop, dtype=np.int64)
     rows = np.empty((stop - start, h), dtype=np.int64)
     for k in range(h):
-        rows[:, k] = idx // (p2 ** k) % p2
+        rows[:, k] = idx // (modulus ** k) % modulus
     return rows
+
+
+def _census_size(h: int, modulus: int) -> int:
+    """Number of coefficient vectors mod ``modulus``, within the budget."""
+    total = modulus ** h
+    if total > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"{total} sections exceed the exhaustive budget")
+    return total
+
+
+def _exhaustive_census(cls: FiberClassifier, modulus: int):
+    """Census of every coefficient vector mod ``modulus`` (p or p^2).
+
+    Returns the number of sections with no arithmetically singular point,
+    the number with no fiber-singular point, and the rescued point count.
+    """
+    total = modulus ** cls.h
+    hits_arith = 0
+    hits_fiber = 0
+    rescued = 0
+    for start in range(0, total, _CHUNK):
+        rows = _enumerate_rows(cls.h, modulus, start, min(start + _CHUNK, total))
+        any_arith, any_fiber, resc = cls.census(rows)
+        hits_arith += int((~any_arith).sum())
+        hits_fiber += int((~any_fiber).sum())
+        rescued += resc
+    return hits_arith, hits_fiber, rescued
+
+
+def _check_count(count: str):
+    if count not in ("arithmetic", "fiber"):
+        raise ValueError(f"unknown count {count!r}")
 
 
 def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
@@ -411,23 +451,12 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     exactly when the computed jet map is surjective.  ``count="fiber"``
     censuses the residue-field singularity of the reductions instead.
     """
+    _check_count(count)
     fiber = scheme.fiber(p)
-    cls = FiberClassifier(fiber, d, r)
-    total = cls.p2 ** cls.h
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded(f"{total} sections exceed the exhaustive budget")
-    hits_arith = 0
-    hits_fiber = 0
-    rescued = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        rows = _enumerate_rows(cls.h, cls.p2, start, stop)
-        any_arith, any_fiber, resc = cls.census(rows)
-        hits_arith += int((~any_arith).sum())
-        hits_fiber += int((~any_fiber).sum())
-        rescued += resc
-    cert_mode = "arithmetic" if count == "arithmetic" else "fiber"
-    certificate = restriction_surjectivity(fiber, cls.points, d, mode=cert_mode)
+    total = _census_size(comb(fiber.n + d, fiber.n), p * p)
+    cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
+    hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
+    certificate = restriction_surjectivity(fiber, cls.points, d, mode=count)
     if count == "arithmetic":
         hits, reference = hits_arith, small_degree_product(fiber, r, "arithmetic")
     else:
@@ -454,10 +483,11 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     truncated local inverse zeta value with its tail bound.  Identical
     seed and configuration give bit-identical results.
     """
+    _check_count(count)
     if samples < 100:
         raise ValueError("need at least 100 samples")
     fiber = scheme.fiber(p)
-    cls = FiberClassifier(fiber, d, r)
+    cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits = 0
     rescued = 0
     for i, size in enumerate(sampling.chunk_sizes(samples)):
@@ -487,18 +517,9 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
     fiber-mode surjectivity certificate this equals p^{-(m+1) deg x}.
     """
     p = fiber.p
-    h = comb(fiber.n + d, fiber.n)
-    total = p ** h
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded(f"{total} forms exceed the exhaustive budget")
-    jet = _PointJet(fiber, x, d)
-    cols = np.concatenate([jet.value_p, jet.tangent], axis=1) % p
-    hits = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        rows = _enumerate_rows(h, p, start, stop)
-        prods = rows @ cols % p
-        hits += int((~prods.any(axis=1)).sum())
+    total = _census_size(comb(fiber.n + d, fiber.n), p)
+    _, smooth, _ = _exhaustive_census(FiberClassifier(fiber, d, [x]), p)
+    hits = total - smooth
     certificate = restriction_surjectivity(fiber, [x], d, mode="fiber")
     expected = Fraction(1, p ** ((fiber.m + 1) * x.degree))
     return DensityEstimate(
@@ -507,3 +528,17 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
         extras={"certificate": certificate,
                 "certified_equal": certificate.surjective
                 and Fraction(hits, total) == expected})
+
+
+def squarefree_binary_census(p: int, d: int):
+    """Exact count of degree-d binary forms over F_p with squarefree divisor.
+
+    A repeated factor of a nonzero form has degree <= d/2, so the census
+    runs at the points of P^1 of degree <= max(1, d // 2); the zero form
+    is singular at every rational point.  Returns (hits, p^(d+1)).
+    """
+    total = _census_size(d + 1, p)
+    fiber = ProjectiveScheme(1, 1).fiber(p)
+    cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(max(1, d // 2)))
+    _, hits, _ = _exhaustive_census(cls, p)
+    return hits, total

@@ -15,7 +15,9 @@ Grouping the repeated irreducible factors by degree (distinct-degree
 splitting of the radical) answers "is any point of degree <= r singular"
 with gcd computations only, never factoring into individual points; the
 counts deg/k per degree k recover the number of affected points.  This
-is what makes 10^5-sample experiments over several fibers cheap.
+is what makes 10^5-sample experiments over several fibers cheap.  It
+serves the per-sample path of ``multi-fiber`` on P^1 and the ``bsw``
+cross-check; exhaustive counts run through ``fiberlab.FiberClassifier``.
 """
 
 from __future__ import annotations
@@ -154,40 +156,3 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         if a0 % p2 == 0:
             arith_ct += 1
     return FiberReport(p, r, fiber_ct, arith_ct)
-
-
-def binary_form_squarefree(coeffs, d: int, p: int) -> bool:
-    """Is the divisor of the binary form smooth (squarefree) over F_p?"""
-    fbar = affine_poly(coeffs, d, p)
-    if not fbar:
-        return False                      # the zero section
-    if d - (len(fbar) - 1) >= 2:
-        return False                      # infinity with multiplicity >= 2
-    if len(fbar) == 1:
-        return True                       # constant chart polynomial: only infinity
-    deriv = poly_derivative(fbar, p)
-    if not deriv:
-        return False                      # a p-th power
-    return len(poly_gcd(fbar, deriv, p)) == 1
-
-
-def squarefree_binary_census(p: int, d: int):
-    """Exact count of degree-d binary forms over F_p with squarefree divisor."""
-    total = p ** (d + 1)
-    if total > (1 << 26):
-        raise ValueError("census too large")
-    hits = 0
-    coeffs = [0] * (d + 1)
-    while True:
-        if binary_form_squarefree(coeffs, d, p):
-            hits += 1
-        i = 0
-        while i <= d:
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        if i > d:
-            break
-    return hits, total

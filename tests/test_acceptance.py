@@ -36,8 +36,9 @@ from bertinilab.fiberlab import (SectionModP2, classify_point_detail,
                                  medium_degree_tail_bound,
                                  restriction_surjectivity,
                                  singular_at_point_proportion,
-                                 small_degree_product)
-from bertinilab.p1sections import binary_section_report, squarefree_binary_census
+                                 small_degree_product,
+                                 squarefree_binary_census)
+from bertinilab.p1sections import binary_section_report
 from bertinilab.projgeom import parse_form, rational_closed_point
 from bertinilab.zetas import (c0_estimate, local_zeta_inverse, primes_up_to,
                               projective_counts, projective_zeta_inverse_exact,

@@ -17,6 +17,7 @@ from bertinilab.arithlab import (IntegerSection, MonicPoly,
                                  height_value, homogenize_monic,
                                  maximality_scan, multi_fiber_experiment,
                                  quadratic_field_census, restrict_mod)
+from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
 from bertinilab.projgeom import parse_form
 
@@ -117,6 +118,21 @@ def test_maximality_scan():
     # raising the bound past 1009 resolves it: the order is not maximal there
     v4 = maximality_scan(f, 1100)
     assert v4.kind == "not_maximal_at" and v4.p == 1009
+
+
+def test_maximality_scan_prime_cofactor_bound():
+    """A prime cofactor makes the verdict unconditional only where the
+    Miller-Rabin bases are a proof of primality."""
+    f = MonicPoly((-1, -1))        # only read when a prime square divides disc
+    below = sympy.prevprime(MR_DETERMINISTIC_BOUND)
+    above = sympy.nextprime(MR_DETERMINISTIC_BOUND)
+    v = maximality_scan(f, 100, disc=below)
+    assert v.kind == "maximal_up_to" and v.unconditional
+    v = maximality_scan(f, 100, disc=above)
+    assert v.kind == "maximal_up_to" and not v.unconditional
+    # the bound itself is a composite that every base passes
+    v = maximality_scan(f, 100, disc=MR_DETERMINISTIC_BOUND)
+    assert v.kind == "maximal_up_to" and not v.unconditional
 
 
 def test_geometric_oracle_equivalence():
@@ -261,7 +277,9 @@ def test_multi_fiber_generic_engine_matches_fast_path():
     from bertinilab.fiberlab import FiberClassifier
     from bertinilab.projgeom import ProjectiveScheme
     scheme = ProjectiveScheme(1, 1)
-    classifiers = {p: FiberClassifier(scheme.fiber(p), 5, 2) for p in (2, 3)}
+    fibers = {p: scheme.fiber(p) for p in (2, 3)}
+    classifiers = {p: FiberClassifier(fib, 5, fib.closed_points_up_to(2))
+                   for p, fib in fibers.items()}
     hits = 0
     for i, size in enumerate(sampling.chunk_sizes(2000)):
         if size == 0:

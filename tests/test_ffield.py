@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+import sympy
 
-from bertinilab.ffield import (GF, GaloisRing, find_irreducible, is_prime,
+from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
+                               find_irreducible, is_prime,
                                image_size_mod_p2, kernel_basis,
                                kernel_size_mod_p2, matrix_rank,
                                poly_is_irreducible, poly_mul, poly_mod,
@@ -56,6 +58,16 @@ def test_rabin_test_agrees_with_brute_force():
         e = rng.randint(2, 4)
         f = [rng.randrange(p) for _ in range(e)] + [1]
         assert poly_is_irreducible(f, p) == brute_force_irreducible(f, p)
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 4), (5, 3)])
+def test_rabin_test_matches_sympy_exhaustively(p, max_degree):
+    t = sympy.symbols("t")
+    for e in range(1, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=e):
+            f = list(tail) + [1]
+            expected = sympy.Poly(list(reversed(f)), t, modulus=p).is_irreducible
+            assert poly_is_irreducible(f, p) == expected, (f, p)
 
 
 def test_frobenius_examples():
@@ -229,6 +241,10 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
+    # the bound is psi_12, a composite that passes every base: below it
+    # is_prime is a proof, at and above it only a probable-prime test
+    assert MR_DETERMINISTIC_BOUND == 399165290221 * 798330580441
+    assert is_prime(MR_DETERMINISTIC_BOUND)
 
 
 def test_poly_mul_mod_consistency():

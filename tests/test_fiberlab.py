@@ -3,18 +3,22 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bertinilab import fiberlab
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
-                                 ProjectiveScheme, parse_form,
+                                 ProjectiveScheme, SchemeFiber, parse_form,
                                  rational_closed_point)
-from bertinilab.fiberlab import (SectionModP2, classify_point,
-                                 classify_point_detail,
+from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
+                                 classify_point, classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
                                  medium_degree_tail_bound,
                                  restriction_surjectivity,
                                  singular_at_point_proportion,
-                                 small_degree_product)
+                                 small_degree_product,
+                                 squarefree_binary_census)
 
 
 def closed_point(scheme_fiber, rep, r=1):
@@ -255,3 +259,87 @@ def test_section_mod_p2_validation():
     assert sec.form.modulus == 9
     with pytest.raises(ValueError):
         SectionModP2(parse_form("X^2+Y^2", 1, modulus=10), 3)
+
+
+def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
+    fib = p2.fiber(2)
+    x = closed_point(fib, (0, 0, 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated points or built jets over budget")
+
+    monkeypatch.setattr(SchemeFiber, "closed_points_up_to", refuse)
+    monkeypatch.setattr(fiberlab, "_PointJet", refuse)
+    with pytest.raises(BudgetExceeded):
+        fiber_density_exhaustive(p1, 5, 9, 1)
+    with pytest.raises(BudgetExceeded):
+        singular_at_point_proportion(fib, x, 9)
+    with pytest.raises(BudgetExceeded):
+        squarefree_binary_census(2, 26)
+
+
+def test_census_int64_guard(p1):
+    """h * (p^2 - 1)^2 must stay below 2^63 for the int64 matmuls."""
+    fib = p1.fiber(9973)
+    assert 1001 * (9973 ** 2 - 1) ** 2 >= 1 << 63
+    with pytest.raises(BudgetExceeded):
+        FiberClassifier(fib, 1000, [])
+    assert 901 * (9973 ** 2 - 1) ** 2 < 1 << 63
+    assert FiberClassifier(fib, 900, []).h == 901
+
+
+def test_unknown_count_rejected(p1):
+    with pytest.raises(ValueError):
+        fiber_density_exhaustive(p1, 2, 4, 1, count="residue")
+    with pytest.raises(ValueError):
+        fiber_density_mc(p1, 2, 4, 1, 100, seed=0, count="residue")
+
+
+# X^2+Y^2+Z^2 is a double line mod 2, so the conic is checked at odd p
+_AGREEMENT_PRIMES = {"P2": (2, 3), "conic": (3, 5)}
+_classifiers = {}
+
+
+def _classifier(scheme, name, p, d):
+    if (name, p, d) not in _classifiers:
+        fib = scheme.fiber(p)
+        _classifiers[name, p, d] = FiberClassifier(fib, d,
+                                                   fib.closed_points_up_to(2))
+    return _classifiers[name, p, d]
+
+
+@st.composite
+def _census_case(draw):
+    name = draw(st.sampled_from(sorted(_AGREEMENT_PRIMES)))
+    p = draw(st.sampled_from(_AGREEMENT_PRIMES[name]))
+    d = draw(st.integers(1, 3))
+    h = (d + 1) * (d + 2) // 2
+    row = st.lists(st.integers(0, p * p - 1), min_size=h, max_size=h)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    # sections p * tau put every fiber point on the divisor: rescue cases
+    if draw(st.booleans()):
+        rows = [[c * p % (p * p) for c in r] for r in rows]
+    return name, p, d, rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_census_case())
+def test_census_matches_pointwise_definition(p2, conic, case):
+    """census against classify_point_detail at every closed point of
+    degree <= 2 of P^2 and of a smooth conic, where the scheme lift and
+    value_p2 matter."""
+    name, p, d, rows = case
+    cls = _classifier({"P2": p2, "conic": conic}[name], name, p, d)
+    batch = np.array(rows, dtype=np.int64)
+    any_arith, any_fiber, rescued = cls.census(batch)
+    total_rescued = 0
+    for j, coeffs in enumerate(rows):
+        sec = SectionModP2(HomogeneousForm(2, d, tuple(coeffs), p * p), p)
+        verdicts = [classify_point_detail(sec, x, cls.fiber) for x in cls.points]
+        row_rescued = sum(f == "SingularPoint" and a != "SingularPoint"
+                          for a, f in verdicts)
+        assert any_arith[j] == any(a == "SingularPoint" for a, _ in verdicts)
+        assert any_fiber[j] == any(f == "SingularPoint" for _, f in verdicts)
+        assert cls.census(batch[j:j + 1])[2] == row_rescued
+        total_rescued += row_rescued
+    assert rescued == total_rescued

@@ -1,17 +1,19 @@
-"""The polynomial fast path for sections on fibers of the projective line."""
+"""The polynomial fast path for sections on fibers of the projective line,
+and the squarefree census of binary forms against sympy and brute force."""
 
 import itertools
 import random
 
+import numpy as np
 import sympy
 
 from bertinilab.ffield import poly_trim
-from bertinilab.p1sections import (binary_form_squarefree,
-                                   binary_section_report,
-                                   distinct_degree_split, radical_fp,
-                                   squarefree_binary_census)
+from bertinilab.p1sections import (binary_section_report,
+                                   distinct_degree_split, radical_fp)
 from bertinilab.projgeom import HomogeneousForm
-from bertinilab.fiberlab import SectionModP2, classify_point_detail
+from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
+                                 classify_point_detail,
+                                 squarefree_binary_census)
 
 x = sympy.symbols("x")
 
@@ -87,13 +89,21 @@ def test_report_degenerate_sections(p1):
     assert rep3.arith_singular == 2 and rep3.fiber_singular == 3
 
 
-def test_squarefree_predicate_matches_sympy():
+def test_squarefree_predicate_matches_sympy(p1):
+    """Per-row ``any_fiber`` of the census at the points of degree <= d/2
+    (the squarefree census's point set) is "not squarefree"."""
     rng = random.Random(23)
+    classifiers = {}
     for _ in range(300):
         p = rng.choice([2, 3, 5])
         d = rng.randint(1, 6)
         coeffs = tuple(rng.randrange(p) for _ in range(d + 1))
-        got = binary_form_squarefree(coeffs, d, p)
+        if (p, d) not in classifiers:
+            fib = p1.fiber(p)
+            classifiers[p, d] = FiberClassifier(
+                fib, d, fib.closed_points_up_to(max(1, d // 2)))
+        _, any_fiber, _ = classifiers[p, d].census(np.array([coeffs]))
+        got = not any_fiber[0]
         # oracle: factor the binary form as X^a * Y^b * (affine part)
         fa = poly_trim([coeffs[d - i] % p for i in range(d + 1)])
         if not fa:
