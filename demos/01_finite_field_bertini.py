@@ -16,7 +16,7 @@ probability 2^(-2 deg x).
 from fractions import Fraction
 
 from bertinilab.projgeom import ProjectiveScheme
-from bertinilab.fiberlab import (restriction_surjectivity, small_degree_product,
+from bertinilab.fiberlab import (FiberClassifier, reference_truncation,
                                  squarefree_binary_census)
 
 scheme = ProjectiveScheme(1, 1, name="P1")
@@ -31,12 +31,12 @@ print(f"  target 1/zeta(2) of the line over F_2: {3 / 8}")
 
 print("\ncertified jet surjectivity (3 rational points, 1-jets need 6 dims):")
 for d in range(3, 8):
-    cert = restriction_surjectivity(fiber, fiber.closed_points_up_to(1), d,
-                                    mode="fiber")
+    cert = FiberClassifier(fiber, d, fiber.closed_points_up_to(1)).certificate(
+        "fiber")
     print(f"  d={d}: source dim {cert.source_dim}, target dim "
           f"{cert.target_dim}, surjective: {cert.surjective}")
 
 print("\ntruncated products over points of degree <= r (exponent m+1 = 2):")
 for r in range(0, 5):
-    print(f"  r={r}: {small_degree_product(fiber, r, 'finite-field')} "
-          f"= {float(small_degree_product(fiber, r, 'finite-field')):.6f}")
+    value = reference_truncation(fiber, r, "fiber").value
+    print(f"  r={r}: {value} = {float(value):.6f}")

@@ -12,7 +12,7 @@ from .zetas import (PointCountTable, closed_point_counts, c0_estimate,  # noqa: 
                     local_zeta_inverse, global_zeta_inverse,
                     verify_section_bounds, projective_counts)
 from .fiberlab import (SectionModP2, classify_point, classify_point_detail,  # noqa: F401
-                       small_degree_product, restriction_surjectivity,
+                       reference_truncation, FiberClassifier,
                        fiber_density_exhaustive, fiber_density_mc,
                        singular_at_point_proportion, medium_degree_tail_bound,
                        DensityEstimate)

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 
 from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
                      poly_mul, poly_sub, poly_trim)
-from .projgeom import HomogeneousForm
+from .fiberlab import DensityEstimate, FiberClassifier, reference_truncation
+from .projgeom import HomogeneousForm, ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
-from .zetas import local_zeta_inverse, primes_up_to, projective_counts
+from .zetas import primes_up_to
 from . import sampling
 
 
@@ -286,10 +288,6 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
 # Multi-fiber density experiment.
 
 
-def _fiber_reference(n: int, p: int, r: int, s: int):
-    return local_zeta_inverse(projective_counts(p, n, r), s, r, n)
-
-
 def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
                            samples: int, seed: int, n: int = 1,
                            classification: str = "arithmetic"):
@@ -297,43 +295,31 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
 
     Measures the proportion of sections with no singular point of degree
     <= r on any fiber p <= prime_bound; reference value is the product
-    of truncated local inverse zeta values at s = n + 2 (arithmetic) or
-    s = n + 1 (residue-field classification), with the sum of the local
-    tail bounds as reference error.  n = 1 runs the P^1 gcd path
-    (``binary_section_report``); n > 1 runs the batched
-    ``FiberClassifier.census``.
+    of the fibers' ``reference_truncation`` values in the reading
+    ``classification``, with the sum of their tail bounds as reference
+    error.  n = 1 runs the P^1 gcd path (``binary_section_report``);
+    n > 1 runs the batched ``FiberClassifier.census``.
     """
-    from .fiberlab import DensityEstimate, FiberClassifier
-    from .projgeom import ProjectiveScheme
-    from math import comb
-
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if classification not in ("arithmetic", "fiber"):
-        raise ValueError(f"unknown classification {classification!r}")
     primes = primes_up_to(prime_bound)
     for p in primes:
         if p * p > 2 * B + 1:
             raise ValueError(f"box [-{B},{B}] does not cover the residues mod {p}^2")
     h = comb(n + d, n)
-    s = n + 2 if classification == "arithmetic" else n + 1
-    classifiers = None
-    if n > 1:
-        scheme = ProjectiveScheme(n, n)
-        classifiers = {}
-        for p in primes:
-            fiber = scheme.fiber(p)
-            classifiers[p] = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
+    scheme = ProjectiveScheme(n, n)
+    fibers = [scheme.fiber(p) for p in primes]
+    references = [reference_truncation(fib, r, classification) for fib in fibers]
+    streams = sampling.chunks(seed, samples)
+    classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))
+                   for fib in fibers} if n > 1 else {}
 
     hits = 0
     singular_by_prime = {p: 0 for p in primes}
     rescued = 0
-    for i, size in enumerate(sampling.chunk_sizes(samples)):
-        if size == 0:
-            continue
-        rng = sampling.substream(seed, i)
+    for rng, size in streams:
         rows = sampling.uniform_box(rng, size, h, B)
         good = np.ones(size, dtype=bool)
         for p in primes:
@@ -354,17 +340,10 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
             good &= ~bad
         hits += int(good.sum())
 
-    mean = hits / samples
-    reference = Fraction(1)
-    ref_error = Fraction(0)
-    for p in primes:
-        t = _fiber_reference(n, p, r, s)
-        reference *= t.value
-        ref_error += t.error_bound
-    return DensityEstimate(
-        mode="montecarlo", value=mean, mean=mean, samples=samples, seed=seed,
-        ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
-        reference_value=reference, reference_error=ref_error,
+    return DensityEstimate.monte_carlo(
+        hits, samples, seed,
+        prod((t.value for t in references), start=Fraction(1)),
+        sum((t.error_bound for t in references), Fraction(0)),
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
                 "singular_by_prime": singular_by_prime,
@@ -394,8 +373,6 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     pushed through the geometric classifier on the fibers p <= fiber_cap
     and the two routes are required to agree exactly.
     """
-    from .fiberlab import DensityEstimate
-
     if d < 2:
         raise ValueError("need degree >= 2")
     if samples < 1:
@@ -407,10 +384,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     degenerate = 0
     not_maximal_at = {}
     conditional = 0
-    for i, size in enumerate(sampling.chunk_sizes(samples)):
-        if size == 0:
-            continue
-        rng = sampling.substream(seed, i)
+    for rng, size in sampling.chunks(seed, samples):
         for a in sampling.uniform_height_ball(rng, size, bounds):
             f = MonicPoly(tuple(int(c) for c in a))
             disc = discriminant(f)
@@ -433,12 +407,9 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                         raise InternalCheckError(
                             f"Dedekind and the mod-p^2 classifier disagree at "
                             f"p={p} for {f}")
-    mean = hits / samples
     reference, tail = euler_product_reference(trial_bound)
-    return DensityEstimate(
-        mode="montecarlo", value=mean, mean=mean, samples=samples, seed=seed,
-        ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
-        reference_value=reference, reference_error=tail,
+    return DensityEstimate.monte_carlo(
+        hits, samples, seed, reference, tail,
         extras={"d": d, "R": R, "trial_bound": trial_bound,
                 "degenerate": degenerate, "conditional_verdicts": conditional,
                 "not_maximal_at": not_maximal_at,
@@ -453,8 +424,6 @@ def quadratic_field_census(R: int):
     3R certifies every verdict; reports the exact proportion and its gap
     to 1/zeta(2) (the finite-R bias of the limit statement).
     """
-    from .fiberlab import DensityEstimate
-
     trial = 3 * R
     primes = primes_up_to(trial)
     hits = 0

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -23,12 +24,13 @@ from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
                        equidistribution_audit, multi_fiber_experiment)
 from .fiberlab import (SectionModP2, classify_point_detail,
-                       fiber_density_exhaustive, fiber_density_mc)
+                       fiber_density_exhaustive, fiber_density_mc,
+                       fiber_point_table)
 from .projgeom import (BudgetExceeded, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (InconsistentTable, default_truncation_depth,
-                    local_zeta_inverse, verify_section_bounds)
-from .fiberlab import fiber_point_table
+from .zetas import (InconsistentTable, closed_point_counts,
+                    default_truncation_depth, local_zeta_inverse,
+                    truncation_exponent, verify_section_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,6 +40,8 @@ EXIT_INTERNAL = 4
 # default zeta truncation: largest e with p^e below this cap.  Deeper
 # truncations (pass --r) are exact rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
+# the longest integer a report may print, in decimal digits
+DIGIT_CAP = 2_000_000
 
 
 class ConfigError(Exception):
@@ -126,9 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path):
     try:
-        return load_scheme(path)
+        return load_scheme(path)[0]
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scheme file {path}: {exc}") from exc
+
+
+def _check_digits(table, s: int, r: int):
+    """Refuse a truncation whose denominator p^(sum s e a_e) passes DIGIT_CAP."""
+    exponent = truncation_exponent(closed_point_counts(table), s, r)
+    if exponent * math.log10(table.p) >= DIGIT_CAP:
+        raise BudgetExceeded(f"the truncation's denominator {table.p}^{exponent} "
+                             f"has more than {DIGIT_CAP} digits")
 
 
 def _config_echo(args) -> dict:
@@ -139,16 +151,16 @@ def _config_echo(args) -> dict:
 def run(args) -> dict:
     sub = args.subcommand
     if sub == "zeta":
-        scheme, p_fixed = _load(args.scheme)
-        p = args.p if args.p else p_fixed
-        fiber = scheme.fiber(p)
+        scheme = _load(args.scheme)
+        fiber = scheme.fiber(args.p)
         r = args.r if args.r is not None else \
-            default_truncation_depth(p, DEFAULT_DEPTH_CAP)
+            default_truncation_depth(args.p, DEFAULT_DEPTH_CAP)
         table = fiber_point_table(fiber, r)
+        _check_digits(table, args.s, r)
         trunc = local_zeta_inverse(table, args.s, r, fiber.m)
         return trunc.as_report()
     if sub == "fiber-density":
-        scheme, _ = _load(args.scheme)
+        scheme = _load(args.scheme)
         if args.mode == "exhaustive":
             est = fiber_density_exhaustive(scheme, args.p, args.d, args.r,
                                            count=args.count)
@@ -166,7 +178,7 @@ def run(args) -> dict:
                              fiber_cap=args.fiber_cap)
         return est.as_report()
     if sub == "classify":
-        scheme, p_fixed = _load(args.scheme)
+        scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
         section = SectionModP2(
             parse_form(args.section, scheme.n, modulus=args.p ** 2), args.p)
@@ -230,7 +242,7 @@ def _json_default(value):
 
 
 def main(argv=None) -> int:
-    sys.set_int_max_str_digits(2_000_000)   # deep exact truncations are long
+    sys.set_int_max_str_digits(DIGIT_CAP)   # deep exact truncations are long
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,9 @@ which is what separates the mod-p^2 theory from the finite-field one.
 Densities of sections avoiding singular points are measured exactly (by
 exhaustive enumeration) or by seeded Monte Carlo, against truncated
 inverse zeta references, and the exact product formula is asserted only
-under a computed jet-surjectivity certificate.
+under a computed jet-surjectivity certificate.  Every density is read in
+one of two ways: "arithmetic" (sections mod p^2, singular in the sense
+above) or "fiber" (the reductions over F_p, singular on the fiber).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .ffield import (GF, GaloisRing, kernel_size_mod_p2, matrix_rank,
                      solve_linear)
 from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
                        ProjectiveScheme, SchemeFiber, monomial_basis)
-from .zetas import PointCountTable, local_zeta_inverse, projective_counts
+from .zetas import (PointCountTable, ZetaTruncation, local_zeta_inverse,
+                    projective_counts)
 from . import sampling
 
 NOT_ON_DIVISOR = "NotOnDivisor"
@@ -144,40 +147,38 @@ def fiber_point_table(fiber: SchemeFiber, e_max: int) -> PointCountTable:
     return PointCountTable(fiber.p, tuple(fiber.point_counts(e_max)))
 
 
-def small_degree_product(fiber: SchemeFiber, r: int, mode: str = "arithmetic",
-                         s: int | None = None) -> Fraction:
-    """prod over closed points of degree <= r of (1 - p^{-s deg x}).
+def _reading_exponent(m: int, reading: str) -> int:
+    """The zeta exponent s of a reading on a fiber of dimension m.
 
-    The exponent is s = m + 2 in arithmetic mode (sections mod p^2 on a
-    model of absolute dimension m + 2 - 1) and s = m + 1 in finite-field
-    mode (sections over F_p); an explicit s overrides the mode.
+    s = m + 2 for the arithmetic reading (sections mod p^2: the paper's
+    zeta(1 + dim) on a model of absolute dimension m + 1) and s = m + 1
+    for the fiber reading (sections over F_p, Poonen's finite-field
+    Bertini theorem).
     """
-    if s is None:
-        if mode == "arithmetic":
-            s = fiber.m + 2
-        elif mode == "finite-field":
-            s = fiber.m + 1
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    if r == 0:
-        return Fraction(1)
-    table = fiber_point_table(fiber, r)
-    return local_zeta_inverse(table, s, r, fiber.m).value
+    if reading == "arithmetic":
+        return m + 2
+    if reading == "fiber":
+        return m + 1
+    raise ValueError(f"unknown reading {reading!r}")
+
+
+def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTruncation:
+    """prod over closed points of degree <= r of (1 - p^{-s deg x}), with its
+    tail bound: the reference of every density in the given reading."""
+    return local_zeta_inverse(fiber_point_table(fiber, r),
+                              _reading_exponent(fiber.m, reading), r, fiber.m)
 
 
 def medium_degree_tail_bound(c0: Fraction, p: int, r: int,
-                             mode: str = "arithmetic") -> Fraction:
+                             reading: str = "arithmetic") -> Fraction:
     """Tolerance band for points of degree beyond the truncation.
 
-    Arithmetic mode: 2 c0 p^{-2(r+1)}; finite-field mode: 2 c0 p^{-r}.
+    Arithmetic reading: 2 c0 p^{-2(r+1)}; fiber reading: 2 c0 p^{-r}.
     """
     if c0 < 0:
         raise ValueError("c0 must be nonnegative")
-    if mode == "arithmetic":
-        return 2 * c0 * Fraction(1, p ** (2 * (r + 1)))
-    if mode == "finite-field":
-        return 2 * c0 * Fraction(1, p ** r)
-    raise ValueError(f"unknown mode {mode!r}")
+    arithmetic = _reading_exponent(0, reading) == 2     # s - m: 2 or 1
+    return 2 * c0 * Fraction(1, p ** (2 * (r + 1) if arithmetic else r))
 
 
 # ----------------------------------------------------------------------
@@ -262,56 +263,6 @@ class _PointJet:
         self.tangent = tg
 
 
-def _check_distinct(points):
-    reps = [(x.degree, x.rep) for x in points]
-    if len(set(reps)) != len(reps):
-        raise ValueError("points must be pairwise distinct closed points")
-
-
-def restriction_surjectivity(fiber: SchemeFiber, points, d: int,
-                             mode: str = "arithmetic") -> SurjectivityCertificate:
-    """Certificate that degree-d forms surject onto the first-order jets.
-
-    Fiber mode restricts sections over F_p to the infinitesimal
-    neighborhoods inside the fiber ((m+1) deg x target length per point);
-    arithmetic mode restricts sections over Z/p^2 ((m+2) deg x, counted
-    as p-length, per point).  Surjectivity is what turns the singularity
-    events at the listed points into exact independent probabilities.
-    """
-    _check_distinct(points)
-    p = fiber.p
-    h = comb(fiber.n + d, fiber.n)
-    jets = [_PointJet(fiber, x, d) for x in points]
-    if mode == "fiber":
-        rows = []
-        for j in jets:
-            for k in range(j.e):
-                rows.append([int(c) for c in j.value_p[:, k]])
-            for k in range(j.tangent.shape[1]):
-                rows.append([int(c) for c in j.tangent[:, k]])
-        target_dim = sum((j.m + 1) * j.e for j in jets)
-        fld = GF(p)
-        rank = matrix_rank(rows, fld)
-        return SurjectivityCertificate("fiber", rank == target_dim, h,
-                                       target_dim, rank=rank)
-    if mode == "arithmetic":
-        rows = []
-        for j in jets:
-            for k in range(j.e):
-                rows.append([int(c) for c in j.value_p2[:, k]])
-            for k in range(j.tangent.shape[1]):
-                rows.append([int(c) * p for c in j.tangent[:, k]])
-        target_size = 1
-        for j in jets:
-            target_size *= p ** ((j.m + 2) * j.e)
-        kernel = kernel_size_mod_p2(rows, h, p)
-        image = (p * p) ** h // kernel
-        return SurjectivityCertificate("arithmetic", image == target_size, h,
-                                       sum((j.m + 2) * j.e for j in jets),
-                                       image_size=image, target_size=target_size)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 # ----------------------------------------------------------------------
 # Density estimates.
 
@@ -331,6 +282,18 @@ class DensityEstimate:
     reference_value: Fraction | None = None
     reference_error: Fraction | None = None
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def monte_carlo(cls, hits: int, samples: int, seed: int,
+                    reference_value: Fraction, reference_error: Fraction,
+                    extras: dict) -> "DensityEstimate":
+        """Mean hits / samples with its 99 percent normal halfwidth."""
+        mean = hits / samples
+        return cls(mode="montecarlo", value=mean, mean=mean, samples=samples,
+                   seed=seed,
+                   ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
+                   reference_value=reference_value,
+                   reference_error=reference_error, extras=extras)
 
     def as_report(self):
         doc = {"mode": self.mode}
@@ -356,9 +319,10 @@ class FiberClassifier:
     """Vectorized classification of many sections at the given closed points.
 
     Callers pass ``fiber.closed_points_up_to(r)`` for a degree-<= r census
-    or ``[x]`` for a single point.  Rows are coefficient vectors mod p^2;
-    ``any_fiber`` depends only on the rows mod p, so a census of forms
-    over F_p passes their digit lifts.
+    or ``[x]`` for a single point; the points must be pairwise distinct.
+    Rows are coefficient vectors mod p^2; ``any_fiber`` depends only on
+    the rows mod p, so a census of forms over F_p passes their digit lifts.
+    The jets built here also give the surjectivity ``certificate``.
     """
 
     def __init__(self, fiber: SchemeFiber, d: int, points):
@@ -370,8 +334,40 @@ class FiberClassifier:
         if self.h * (self.p2 - 1) ** 2 >= 1 << 63:
             raise BudgetExceeded(f"int64 census of {self.h} coefficients mod "
                                  f"{self.p2} could overflow")
+        reps = [(x.degree, x.rep) for x in points]
+        if len(set(reps)) != len(reps):
+            raise ValueError("points must be pairwise distinct closed points")
         self.points = points
         self.jets = [_PointJet(fiber, x, d) for x in points]
+
+    def certificate(self, reading: str) -> SurjectivityCertificate:
+        """Certificate that degree-d forms surject onto the first-order jets
+        at the classifier's points.
+
+        The fiber reading restricts sections over F_p to the infinitesimal
+        neighborhoods inside the fiber ((m+1) deg x target length per
+        point); the arithmetic reading restricts sections over Z/p^2
+        ((m+2) deg x, counted as p-length, per point).  Surjectivity is
+        what turns the singularity events at the points into exact
+        independent probabilities.
+        """
+        target_dim = _reading_exponent(self.fiber.m, reading) * \
+            sum(j.e for j in self.jets)
+        fiber_reading = reading == "fiber"
+        rows = []
+        for j in self.jets:
+            values = j.value_p if fiber_reading else j.value_p2
+            tangent = j.tangent if fiber_reading else self.p * j.tangent
+            rows += np.hstack([values, tangent]).T.tolist()
+        if fiber_reading:
+            rank = matrix_rank(rows, GF(self.p))
+            return SurjectivityCertificate("fiber", rank == target_dim, self.h,
+                                           target_dim, rank=rank)
+        image = self.p2 ** self.h // kernel_size_mod_p2(rows, self.h, self.p)
+        target_size = self.p ** target_dim
+        return SurjectivityCertificate("arithmetic", image == target_size, self.h,
+                                       target_dim, image_size=image,
+                                       target_size=target_size)
 
     def census(self, rows: np.ndarray):
         """Classify each coefficient row (mod p^2) at every point.
@@ -437,30 +433,23 @@ def _exhaustive_census(cls: FiberClassifier, modulus: int):
     return hits_arith, hits_fiber, rescued
 
 
-def _check_count(count: str):
-    if count not in ("arithmetic", "fiber"):
-        raise ValueError(f"unknown count {count!r}")
-
-
 def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
                              count: str = "arithmetic") -> DensityEstimate:
     """Exact census of sections mod p^2 with no singular point of degree <= r.
 
-    The reference is the truncated product with arithmetic exponent
-    m + 2; equality with the census is asserted (flag ``certified_equal``)
-    exactly when the computed jet map is surjective.  ``count="fiber"``
-    censuses the residue-field singularity of the reductions instead.
+    The reference is the truncated product of the reading ``count``
+    (``reference_truncation``); equality with the census is asserted
+    (flag ``certified_equal``) exactly when the computed jet map is
+    surjective.  ``count="fiber"`` censuses the residue-field singularity
+    of the reductions instead.
     """
-    _check_count(count)
     fiber = scheme.fiber(p)
     total = _census_size(comb(fiber.n + d, fiber.n), p * p)
+    reference = reference_truncation(fiber, r, count).value
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
-    certificate = restriction_surjectivity(fiber, cls.points, d, mode=count)
-    if count == "arithmetic":
-        hits, reference = hits_arith, small_degree_product(fiber, r, "arithmetic")
-    else:
-        hits, reference = hits_fiber, small_degree_product(fiber, r, "finite-field")
+    certificate = cls.certificate(count)
+    hits = hits_arith if count == "arithmetic" else hits_fiber
     value = Fraction(hits, total)
     return DensityEstimate(
         mode="exact", value=value, hits=hits, total=total,
@@ -483,29 +472,21 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     truncated local inverse zeta value with its tail bound.  Identical
     seed and configuration give bit-identical results.
     """
-    _check_count(count)
     if samples < 100:
         raise ValueError("need at least 100 samples")
     fiber = scheme.fiber(p)
+    reference = reference_truncation(fiber, r, count)
+    streams = sampling.chunks(seed, samples)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits = 0
     rescued = 0
-    for i, size in enumerate(sampling.chunk_sizes(samples)):
-        if size == 0:
-            continue
-        rng = sampling.substream(seed, i)
+    for rng, size in streams:
         rows = sampling.uniform_residues(rng, size, cls.h, cls.p2)
         any_arith, any_fiber, resc = cls.census(rows)
         hits += int((~(any_arith if count == "arithmetic" else any_fiber)).sum())
         rescued += resc
-    mean = hits / samples
-    table = fiber_point_table(fiber, r)
-    s = fiber.m + 2 if count == "arithmetic" else fiber.m + 1
-    trunc = local_zeta_inverse(table, s, r, fiber.m)
-    return DensityEstimate(
-        mode="montecarlo", value=mean, mean=mean, samples=samples, seed=seed,
-        ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
-        reference_value=trunc.value, reference_error=trunc.error_bound,
+    return DensityEstimate.monte_carlo(
+        hits, samples, seed, reference.value, reference.error_bound,
         extras={"rescued_points": rescued, "count": count, "p": p, "d": d, "r": r})
 
 
@@ -513,15 +494,17 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
                                  d: int) -> DensityEstimate:
     """Exact proportion of degree-d forms over F_p whose divisor is singular at x.
 
-    Exhaustive over all p^h coefficient vectors; under a single-point
-    fiber-mode surjectivity certificate this equals p^{-(m+1) deg x}.
+    Exhaustive over all p^h coefficient vectors; under the single-point
+    fiber-reading surjectivity certificate this equals p^{-(m+1) deg x},
+    one over p to the certificate's target dimension.
     """
     p = fiber.p
     total = _census_size(comb(fiber.n + d, fiber.n), p)
-    _, smooth, _ = _exhaustive_census(FiberClassifier(fiber, d, [x]), p)
+    cls = FiberClassifier(fiber, d, [x])
+    _, smooth, _ = _exhaustive_census(cls, p)
     hits = total - smooth
-    certificate = restriction_surjectivity(fiber, [x], d, mode="fiber")
-    expected = Fraction(1, p ** ((fiber.m + 1) * x.degree))
+    certificate = cls.certificate("fiber")
+    expected = Fraction(1, p ** certificate.target_dim)
     return DensityEstimate(
         mode="exact", value=Fraction(hits, total), hits=hits, total=total,
         reference_value=expected, reference_error=Fraction(0),

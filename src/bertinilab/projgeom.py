@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .ffield import GF, GaloisRing, kernel_basis, matrix_rank
@@ -29,6 +30,11 @@ class BudgetExceeded(Exception):
 
 def monomial_basis(n: int, d: int) -> list[tuple[int, ...]]:
     """Exponent vectors of degree d in n+1 variables, graded-lex, X_0 highest."""
+    return list(_basis(n, d))
+
+
+@lru_cache(maxsize=None)
+def _basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     out = []
@@ -41,7 +47,7 @@ def monomial_basis(n: int, d: int) -> list[tuple[int, ...]]:
             rec(prefix + (k,), remaining - k, slots - 1)
 
     rec((), d, n + 1)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class HomogeneousForm:
     @staticmethod
     def from_monomials(n, d, terms, modulus=None):
         """Build a form from (exponent-vector, coefficient) pairs."""
-        basis = monomial_basis(n, d)
+        basis = _basis(n, d)
         index = {exps: i for i, exps in enumerate(basis)}
         coeffs = [0] * len(basis)
         for exps, c in terms:
@@ -80,7 +86,7 @@ class HomogeneousForm:
 
     @property
     def basis(self):
-        return monomial_basis(self.n, self.d)
+        return _basis(self.n, self.d)
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

@@ -16,12 +16,23 @@ NUM_CHUNKS = 64
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1), index]))
+    """The Philox stream keyed by the exact 64-bit pair (seed, index)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunk_sizes(total: int, chunks: int = NUM_CHUNKS) -> list:
-    base, extra = divmod(total, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
+def chunks(seed: int, samples: int) -> list:
+    """(generator, size) for every non-empty chunk of ``samples``, in chunk order.
+
+    The first ``samples % NUM_CHUNKS`` chunks take one sample more than
+    the rest.  Chunk i draws from ``substream(seed, i)``; the seed is
+    checked here, before any sampling work starts.
+    """
+    base, extra = divmod(samples, NUM_CHUNKS)
+    sizes = (base + (i < extra) for i in range(NUM_CHUNKS))
+    return [(substream(seed, i), size) for i, size in enumerate(sizes) if size]
 
 
 def uniform_residues(rng: np.random.Generator, nrows: int, ncols: int,

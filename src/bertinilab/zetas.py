@@ -133,6 +133,11 @@ class ZetaTruncation:
         }
 
 
+def truncation_exponent(a: tuple, s: int, r: int) -> int:
+    """sum_{e <= r} s e a_e: the truncation's value has denominator p^this."""
+    return s * sum(e * a[e - 1] for e in range(1, r + 1))
+
+
 def local_zeta_inverse(table: PointCountTable, s: int, r: int,
                        fiber_dim: int) -> ZetaTruncation:
     """prod_{e <= r} (1 - p^{-se})^{a_e}, the degree-truncated local 1/zeta.
@@ -156,11 +161,9 @@ def local_zeta_inverse(table: PointCountTable, s: int, r: int,
     # so accumulate integers and skip Fraction's per-step renormalization,
     # whose gcd dominates everything at deep truncations
     num = 1
-    exponent = 0
     for e in range(1, r + 1):
         num *= (p ** (s * e) - 1) ** a[e - 1]
-        exponent += s * e * a[e - 1]
-    value = _reduced_fraction(num, p, exponent)
+    value = _reduced_fraction(num, p, truncation_exponent(a, s, r))
     c0 = c0_estimate(table, fiber_dim + 1)
     bound = 4 * c0 * Fraction(1, p ** (delta * (r + 1)))
     return ZetaTruncation(p, s, r, value, bound, a[:r])

@@ -31,12 +31,12 @@ from bertinilab.arithlab import (MonicPoly, bsw_experiment, dedekind_p_maximal,
                                  discriminant, equidistribution_audit,
                                  euler_product_reference,
                                  multi_fiber_experiment)
-from bertinilab.fiberlab import (SectionModP2, classify_point_detail,
+from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
+                                 classify_point_detail,
                                  fiber_density_exhaustive,
                                  medium_degree_tail_bound,
-                                 restriction_surjectivity,
+                                 reference_truncation,
                                  singular_at_point_proportion,
-                                 small_degree_product,
                                  squarefree_binary_census)
 from bertinilab.p1sections import binary_section_report
 from bertinilab.projgeom import parse_form, rational_closed_point
@@ -82,7 +82,7 @@ def test_criterion_01_certified_arithmetic_product(p1):
     est = fiber_density_exhaustive(p1, 2, 5, 1)
     elapsed = time.monotonic() - start
     ok = (est.value == Fraction(343, 512)
-          and est.value == small_degree_product(p1.fiber(2), 1, "arithmetic")
+          and est.value == reference_truncation(p1.fiber(2), 1, "arithmetic").value
           and est.extras["certified_equal"] and elapsed < 1.0)
     report(1, ok, f"certified d=5 census = {est.value} = exact product "
                   f"[{elapsed:.2f}s]")
@@ -93,7 +93,7 @@ def test_criterion_01_residue_field_value(p1):
     """The 27/64 target is realized by the certified residue-field census."""
     est = fiber_density_exhaustive(p1, 2, 5, 1, count="fiber")
     ok = (est.value == Fraction(27, 64)
-          and est.value == small_degree_product(p1.fiber(2), 1, "finite-field")
+          and est.value == reference_truncation(p1.fiber(2), 1, "fiber").value
           and est.extras["certified_equal"])
     # and the honest uncertified d=4 values, pinned
     est4 = fiber_density_exhaustive(p1, 2, 4, 1)
@@ -144,11 +144,11 @@ def test_criterion_03_squarefree_density_band(p1):
         rd = 0
         for r in range(1, d):
             pts = fib.closed_points_up_to(r)
-            if restriction_surjectivity(fib, pts, d, mode="fiber").surjective:
+            if FiberClassifier(fib, d, pts).certificate("fiber").surjective:
                 rd = r
             else:
                 break
-        band = medium_degree_tail_bound(c0, 2, rd, mode="finite-field")
+        band = medium_degree_tail_bound(c0, 2, rd, reading="fiber")
         hits, total = squarefree_binary_census(2, d)
         density = Fraction(hits, total)
         rows.append((d, density, rd, band))

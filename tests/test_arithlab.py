@@ -270,6 +270,28 @@ def test_multi_fiber_determinism_and_reference():
         a.ci_halfwidth + float(a.reference_error) + 0.02
 
 
+@pytest.mark.parametrize("prime_bound, r", [(7, 5), (2, 14)])
+def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, prime_bound, r):
+    """On P^1 the reference comes from projective_counts, with no point
+    scan, even where a scan of F_{p^r}-points would pass the budget."""
+    from bertinilab.projgeom import SchemeFiber
+    from bertinilab.zetas import local_zeta_inverse, primes_up_to, projective_counts
+
+    def no_scan(self, e=1):
+        raise AssertionError("rational_points called on P^1")
+    monkeypatch.setattr(SchemeFiber, "rational_points", no_scan)
+    for reading, s in (("arithmetic", 3), ("fiber", 2)):
+        est = multi_fiber_experiment(8, 10 ** 4, prime_bound, r, 64, seed=3,
+                                     classification=reading)
+        refs = [local_zeta_inverse(projective_counts(p, 1, r), s, r, 1)
+                for p in primes_up_to(prime_bound)]
+        value = Fraction(1)
+        for t in refs:
+            value *= t.value
+        assert est.reference_value == value
+        assert est.reference_error == sum(t.error_bound for t in refs)
+
+
 def test_multi_fiber_generic_engine_matches_fast_path():
     fast = multi_fiber_experiment(5, 3000, 3, 2, 2000, seed=91, n=1)
     # the generic pointwise engine on the same seed must agree exactly
@@ -281,10 +303,7 @@ def test_multi_fiber_generic_engine_matches_fast_path():
     classifiers = {p: FiberClassifier(fib, 5, fib.closed_points_up_to(2))
                    for p, fib in fibers.items()}
     hits = 0
-    for i, size in enumerate(sampling.chunk_sizes(2000)):
-        if size == 0:
-            continue
-        rng = sampling.substream(91, i)
+    for rng, size in sampling.chunks(91, 2000):
         rows = sampling.uniform_box(rng, size, 6, 3000)
         good = np.ones(size, dtype=bool)
         for p in (2, 3):
@@ -292,6 +311,38 @@ def test_multi_fiber_generic_engine_matches_fast_path():
             good &= ~any_arith
         hits += int(good.sum())
     assert hits / 2000 == fast.mean
+
+
+@pytest.mark.parametrize("classification", ["arithmetic", "fiber"])
+def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
+    """n > 1 runs FiberClassifier.census; check it row by row against
+    classify_point_detail at every rational point of P^2 mod 2 and 3."""
+    from bertinilab import sampling
+    from bertinilab.fiberlab import SectionModP2, classify_point_detail
+    from bertinilab.projgeom import HomogeneousForm
+    est = multi_fiber_experiment(2, 50, 3, 1, 300, seed=17, n=2,
+                                 classification=classification)
+    points = {p: (p2.fiber(p), p2.fiber(p).closed_points_up_to(1)) for p in (2, 3)}
+    singular_by_prime = {2: 0, 3: 0}
+    rescued = 0
+    hits = 0
+    for rng, size in sampling.chunks(17, 300):
+        for row in sampling.uniform_box(rng, size, 6, 50).tolist():
+            good = True
+            for p, (fib, pts) in points.items():
+                sec = SectionModP2(HomogeneousForm(2, 2, tuple(row), p * p), p)
+                verdicts = [classify_point_detail(sec, x, fib) for x in pts]
+                rescued += sum(f == "SingularPoint" and a != "SingularPoint"
+                               for a, f in verdicts)
+                index = 0 if classification == "arithmetic" else 1
+                if any(v[index] == "SingularPoint" for v in verdicts):
+                    singular_by_prime[p] += 1
+                    good = False
+            hits += good
+    assert est.extras["singular_by_prime"] == singular_by_prime
+    assert est.extras["rescued_points"] == rescued
+    assert est.mean == hits / 300
+    assert min(singular_by_prime.values()) > 0 and rescued > 0
 
 
 def test_quadratic_census_smoke():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bertinilab import fiberlab
+from bertinilab.arithlab import multi_fiber_experiment
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
                                  ProjectiveScheme, SchemeFiber, parse_form,
                                  rational_closed_point)
@@ -15,10 +16,10 @@ from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
                                  classify_point, classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
                                  medium_degree_tail_bound,
-                                 restriction_surjectivity,
+                                 reference_truncation,
                                  singular_at_point_proportion,
-                                 small_degree_product,
                                  squarefree_binary_census)
+from bertinilab.zetas import local_zeta_inverse, projective_counts
 
 
 def closed_point(scheme_fiber, rep, r=1):
@@ -143,14 +144,21 @@ def test_consistency_with_fiber_test(p1):
     assert census.extras["rescued_points"] > 0
 
 
-def test_small_degree_product_examples(p1):
+def test_reference_truncation_examples(p1, p2):
     fib = p1.fiber(2)
-    assert small_degree_product(fib, 1, "arithmetic") == Fraction(343, 512)
-    assert small_degree_product(fib, 1, "finite-field") == Fraction(27, 64)
-    assert small_degree_product(fib, 2, "finite-field") == Fraction(405, 1024)
-    assert small_degree_product(fib, 0) == 1
+    assert reference_truncation(fib, 1, "arithmetic").value == Fraction(343, 512)
+    assert reference_truncation(fib, 1, "fiber").value == Fraction(27, 64)
+    assert reference_truncation(fib, 2, "fiber").value == Fraction(405, 1024)
+    assert reference_truncation(fib, 0, "arithmetic").value == 1
     with pytest.raises(ValueError):
-        small_degree_product(fib, 1, "nonsense")
+        reference_truncation(fib, 1, "nonsense")
+    with pytest.raises(ValueError):
+        reference_truncation(fib, 1, "finite-field")
+    # exponent m + 2 (arithmetic) or m + 1 (fiber), with the tail bound
+    fib2 = p2.fiber(3)
+    for reading, s in (("arithmetic", 4), ("fiber", 3)):
+        t = reference_truncation(fib2, 2, reading)
+        assert t == local_zeta_inverse(projective_counts(3, 2, 2), s, 2, 2)
 
 
 def test_medium_degree_tail_bound_examples():
@@ -159,27 +167,35 @@ def test_medium_degree_tail_bound_examples():
         assert medium_degree_tail_bound(Fraction(3, 2), 2, r + 1) == \
             medium_degree_tail_bound(Fraction(3, 2), 2, r) / 4
     assert medium_degree_tail_bound(Fraction(0), 5, 2) == 0
-    assert medium_degree_tail_bound(Fraction(3, 2), 2, 3, "finite-field") == \
+    assert medium_degree_tail_bound(Fraction(3, 2), 2, 3, "fiber") == \
         Fraction(3, 8)
+    with pytest.raises(ValueError):
+        medium_degree_tail_bound(Fraction(3, 2), 2, 3, "finite-field")
+
+
+def certificate(fiber, points, d, reading):
+    return FiberClassifier(fiber, d, points).certificate(reading)
 
 
 def test_surjectivity_certificates(p1, p2):
     fib = p1.fiber(2)
     pts = fib.closed_points_up_to(1)
     # dimension count alone rules out d <= 4 (source 5 < target 6)
-    assert not restriction_surjectivity(fib, pts, 2, mode="fiber").surjective
-    assert not restriction_surjectivity(fib, pts, 4, mode="fiber").surjective
-    assert restriction_surjectivity(fib, pts, 5, mode="fiber").surjective
-    assert restriction_surjectivity(fib, pts, 7, mode="fiber").surjective
-    assert not restriction_surjectivity(fib, pts, 4, mode="arithmetic").surjective
-    cert5 = restriction_surjectivity(fib, pts, 5, mode="arithmetic")
+    assert not certificate(fib, pts, 2, "fiber").surjective
+    assert not certificate(fib, pts, 4, "fiber").surjective
+    assert certificate(fib, pts, 5, "fiber").surjective
+    assert certificate(fib, pts, 7, "fiber").surjective
+    assert not certificate(fib, pts, 4, "arithmetic").surjective
+    cert5 = certificate(fib, pts, 5, "arithmetic")
     assert cert5.surjective and cert5.image_size == cert5.target_size == 512
     # a single rational point with linear forms on P^2
     fib2 = p2.fiber(2)
     x = closed_point(fib2, (0, 0, 1))
-    assert restriction_surjectivity(fib2, [x], 1, mode="fiber").surjective
+    assert certificate(fib2, [x], 1, "fiber").surjective
     with pytest.raises(ValueError):
-        restriction_surjectivity(fib, [pts[0], pts[0]], 5)
+        FiberClassifier(fib, 5, [pts[0], pts[0]])
+    with pytest.raises(ValueError):
+        certificate(fib, pts, 5, "residue")
 
 
 def test_exhaustive_census_uncertified_d4(p1):
@@ -212,7 +228,7 @@ def test_exhaustive_census_r0_and_budget(p1):
 def test_exhaustive_census_p3(p1):
     est = fiber_density_exhaustive(p1, 3, 3, 1)
     # certificate: source dim 4 over Z/9 against 4 rational points
-    expected = small_degree_product(p1.fiber(3), 1, "arithmetic")
+    expected = reference_truncation(p1.fiber(3), 1, "arithmetic").value
     if est.extras["certificate"].surjective:
         assert est.value == expected
     else:
@@ -249,7 +265,7 @@ def test_singular_at_point_matches_kernel_count(p1):
     for x in fib.closed_points_up_to(2):
         for d in (2, 3):
             est = singular_at_point_proportion(fib, x, d)
-            cert = restriction_surjectivity(fib, [x], d, mode="fiber")
+            cert = certificate(fib, [x], d, "fiber")
             assert est.value == Fraction(1, 3 ** cert.rank)
 
 
@@ -293,6 +309,30 @@ def test_unknown_count_rejected(p1):
         fiber_density_exhaustive(p1, 2, 4, 1, count="residue")
     with pytest.raises(ValueError):
         fiber_density_mc(p1, 2, 4, 1, 100, seed=0, count="residue")
+    with pytest.raises(ValueError):
+        multi_fiber_experiment(4, 100, 3, 1, 100, seed=0,
+                               classification="residue")
+
+
+def test_one_jet_build_per_point(p1, monkeypatch):
+    """The census and the certificate share the classifier's jets."""
+    built = []
+
+    class CountingJet(fiberlab._PointJet):
+        def __init__(self, fiber, x, d):
+            built.append(x.rep)
+            super().__init__(fiber, x, d)
+
+    monkeypatch.setattr(fiberlab, "_PointJet", CountingJet)
+    fib = p1.fiber(2)
+    points = fib.closed_points_up_to(2)
+    assert len(points) == 4
+    est = fiber_density_exhaustive(p1, 2, 5, 2)
+    assert sorted(built) == sorted(x.rep for x in points)
+    assert est.extras["certificate"].target_dim == 3 * 5
+    built.clear()
+    singular_at_point_proportion(fib, points[0], 3)
+    assert built == [points[0].rep]
 
 
 # X^2+Y^2+Z^2 is a double line mod 2, so the conic is checked at odd p

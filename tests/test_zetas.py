@@ -11,7 +11,8 @@ from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               global_zeta_inverse, local_zeta_inverse, mobius,
                               primes_up_to, projective_counts,
                               projective_zeta_inverse_exact,
-                              reconstruct_counts, verify_section_bounds)
+                              reconstruct_counts, truncation_exponent,
+                              verify_section_bounds)
 
 
 def test_mobius():
@@ -52,6 +53,12 @@ def test_local_zeta_inverse_examples():
     assert local_zeta_inverse(table, 2, 2, 1).value == Fraction(405, 1024)
     assert local_zeta_inverse(table, 2, 0, 1).value == 1
     assert local_zeta_inverse(table, 3, 1, 1).value == Fraction(343, 512)
+    a = closed_point_counts(table)
+    for s, r in ((2, 2), (3, 5), (2, 12)):        # 1024 = 2^(2(1*3 + 2*1))
+        assert truncation_exponent(a, s, r) == sum(s * e * a[e - 1]
+                                                   for e in range(1, r + 1))
+        assert local_zeta_inverse(table, s, r, 1).value.denominator == \
+            2 ** truncation_exponent(a, s, r)
     with pytest.raises(ValueError):
         local_zeta_inverse(table, 2, 13, 1)       # r beyond the table
     with pytest.raises(ValueError):
