@@ -250,10 +250,6 @@ class MaximalityVerdict:
     unconditional: bool = False
     checked_primes: str = ""
 
-    @property
-    def is_maximal_outcome(self):
-        return self.kind == "maximal_up_to"
-
     def as_report(self):
         return dict(self.__dict__)
 

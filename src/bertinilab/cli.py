@@ -24,12 +24,10 @@ from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
                        equidistribution_audit, multi_fiber_experiment)
 from .fiberlab import (SectionModP2, classify_point_detail,
-                       fiber_density_exhaustive, fiber_density_mc,
-                       fiber_point_table)
+                       fiber_density_exhaustive, fiber_density_mc)
 from .projgeom import (BudgetExceeded, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (InconsistentTable, closed_point_counts,
-                    default_truncation_depth, local_zeta_inverse,
+from .zetas import (InconsistentTable, closed_point_counts, local_zeta_inverse,
                     truncation_exponent, verify_section_bounds)
 
 EXIT_OK = 0
@@ -37,8 +35,10 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-# default zeta truncation: largest e with p^e below this cap.  Deeper
-# truncations (pass --r) are exact rationals with very long integers.
+# default zeta truncation: the deepest r with p^(r max(m, 1)) below this
+# cap (about this many points at the top degree) whose point table the
+# fiber's scan check admits.  Deeper truncations (pass --r) are exact
+# rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
 # the longest integer a report may print, in decimal digits
 DIGIT_CAP = 2_000_000
@@ -135,6 +135,15 @@ def _load(path):
         raise ConfigError(f"cannot read scheme file {path}: {exc}") from exc
 
 
+def _default_depth(fiber) -> int:
+    """The depth of ``bertini zeta`` without --r (see DEFAULT_DEPTH_CAP); at least 1."""
+    r = 1
+    while (fiber.p ** ((r + 1) * max(fiber.m, 1)) <= DEFAULT_DEPTH_CAP
+           and fiber.table_fits(r + 1)):
+        r += 1
+    return r
+
+
 def _check_digits(table, s: int, r: int):
     """Refuse a truncation whose denominator p^(sum s e a_e) passes DIGIT_CAP."""
     exponent = truncation_exponent(closed_point_counts(table), s, r)
@@ -153,9 +162,8 @@ def run(args) -> dict:
     if sub == "zeta":
         scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
-        r = args.r if args.r is not None else \
-            default_truncation_depth(args.p, DEFAULT_DEPTH_CAP)
-        table = fiber_point_table(fiber, r)
+        r = args.r if args.r is not None else _default_depth(fiber)
+        table = fiber.point_table(r)
         _check_digits(table, args.s, r)
         trunc = local_zeta_inverse(table, args.s, r, fiber.m)
         return trunc.as_report()

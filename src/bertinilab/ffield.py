@@ -7,17 +7,19 @@ modulo the defining polynomial) is stored as the base-p integer
 same scheme with base p^2 digits.  Encodings are dense, hashable and
 cheap to compare, which keeps exhaustive desk-scale scans fast.
 
-Fields with at most 2^16 elements get exp/log tables (multiplication by
-table lookup); larger fields, capped at 2^24 elements, fall back to
-polynomial arithmetic.
+Prime fields compute with Python integers mod p and are capped at 2^24
+elements.  Extension fields are capped at 2^16 elements and always get
+exp/log and Frobenius tables: polynomial arithmetic on the encodings
+only builds those tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-FIELD_SIZE_CAP = 1 << 24
-TABLE_SIZE_CAP = 1 << 16
+FIELD_SIZE_CAP = 1 << 24      # prime fields
+TABLE_SIZE_CAP = 1 << 16      # extension fields, all with tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the least strong pseudoprime to all of _MR_BASES
@@ -132,6 +134,13 @@ def poly_derivative(a, m):
     return poly_trim([i * c % m for i, c in enumerate(a)][1:])
 
 
+def _check_field_size(p: int, e: int):
+    """Refuse GF(p^e) beyond its cap: FIELD_SIZE_CAP for e = 1, else TABLE_SIZE_CAP."""
+    cap = FIELD_SIZE_CAP if e == 1 else TABLE_SIZE_CAP
+    if p ** e > cap:
+        raise ValueError(f"field size {p}^{e} exceeds the 2^{cap.bit_length() - 1} cap")
+
+
 def _prime_factors(n):
     out = []
     d = 2
@@ -174,30 +183,14 @@ def find_irreducible(p: int, e: int) -> tuple:
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError("degree must be >= 1")
-    if p ** e > FIELD_SIZE_CAP:
-        raise ValueError(f"field size {p}^{e} exceeds the 2^24 cap")
+    _check_field_size(p, e)
     if e == 1:
         return (0, 1)
-
-    def step(tup):
-        # increment (c_0,...,c_{e-1}) in lexicographic order, skipping
-        # c_0 = 0 (T divides those, so none is irreducible for e >= 2)
-        lst = list(tup)
-        i = e - 1
-        while i >= 0:
-            lst[i] += 1
-            if lst[i] < p:
-                return tuple(lst)
-            lst[i] = 1 if i == 0 else 0
-            i -= 1
-        return None
-
-    tup = (1,) + (0,) * (e - 1)
-    while tup is not None:
+    # c_0 = 0 is skipped: T divides those, so none is irreducible for e >= 2
+    for tup in product(range(1, p), *[range(p)] * (e - 1)):
         f = list(tup) + [1]
         if poly_is_irreducible(f, p):
             return tuple(f)
-        tup = step(tup)
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -212,25 +205,19 @@ class GF:
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > FIELD_SIZE_CAP:
-            raise ValueError(f"field size {p}^{e} exceeds the 2^24 cap")
+        _check_field_size(p, e)
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p ** e
         self.modulus = tuple(modulus) if modulus is not None else find_irreducible(p, e)
         if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
         if e > 1 and not poly_is_irreducible(list(self.modulus), p):
             raise ValueError("modulus is reducible")
-        self._log = None
-        self._exp = None
-        self._frob = None
-        self._mod_int = None
-        if p == 2 and e > 1:
-            # bit encoding doubles as the GF(2)[T] representation
-            self._mod_int = sum(c << i for i, c in enumerate(self.modulus))
-        if e > 1 and q <= TABLE_SIZE_CAP:
+        if e > 1:
+            # for p = 2 the bit encoding doubles as the GF(2)[T] representation
+            self._mod_int = (sum(c << i for i, c in enumerate(self.modulus))
+                             if p == 2 else None)
             self._build_tables()
 
     # -- encoding helpers
@@ -252,6 +239,7 @@ class GF:
         return range(self.q)
 
     def _mul_poly(self, a: int, b: int) -> int:
+        """Product by polynomial arithmetic; used only to build the tables."""
         if self._mod_int is not None:
             # carry-less multiplication and reduction on the bit encoding
             acc = 0
@@ -320,37 +308,31 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.e == 1:
             return pow(a, -1, self.p)
-        if self._log is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_poly(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(a), -k)
         if self.e == 1:
             return pow(a, k, self.p)
-        if self._log is not None and a != 0:
-            return self._exp[self._log[a] * k % (self.q - 1)]
-        return self._pow_poly(a, k)
+        if a == 0:
+            return 0 if k else 1
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def frobenius(self, a: int) -> int:
         """The field automorphism x -> x^p."""
         if self.e == 1:
             return a
-        if self._frob is not None:
-            return self._frob[a]
-        return self._pow_poly(a, self.p)
+        return self._frob[a]
 
     def embed_prime(self, c: int) -> int:
         """Image of c in Z/p under the canonical inclusion into GF(p^e)."""
@@ -439,7 +421,6 @@ class GaloisRing:
         return self.field.encode(c // self.p for c in a)
 
     def elements(self):
-        from itertools import product
         return product(range(self.p2), repeat=self.e)
 
     def __repr__(self):

@@ -30,12 +30,11 @@ from math import comb
 
 import numpy as np
 
-from .ffield import (GF, GaloisRing, kernel_size_mod_p2, matrix_rank,
+from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
                      solve_linear)
 from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
                        ProjectiveScheme, SchemeFiber, monomial_basis)
-from .zetas import (PointCountTable, ZetaTruncation, local_zeta_inverse,
-                    projective_counts)
+from .zetas import ZetaTruncation, local_zeta_inverse
 from . import sampling
 
 NOT_ON_DIVISOR = "NotOnDivisor"
@@ -140,13 +139,6 @@ def classify_point(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber,
 # Truncated products, tail bounds.
 
 
-def fiber_point_table(fiber: SchemeFiber, e_max: int) -> PointCountTable:
-    """Point counts of the fiber; closed form for P^n, scans otherwise."""
-    if not fiber.forms:
-        return projective_counts(fiber.p, fiber.n, e_max)
-    return PointCountTable(fiber.p, tuple(fiber.point_counts(e_max)))
-
-
 def _reading_exponent(m: int, reading: str) -> int:
     """The zeta exponent s of a reading on a fiber of dimension m.
 
@@ -165,7 +157,7 @@ def _reading_exponent(m: int, reading: str) -> int:
 def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTruncation:
     """prod over closed points of degree <= r of (1 - p^{-s deg x}), with its
     tail bound: the reference of every density in the given reading."""
-    return local_zeta_inverse(fiber_point_table(fiber, r),
+    return local_zeta_inverse(fiber.point_table(r),
                               _reading_exponent(fiber.m, reading), r, fiber.m)
 
 
@@ -363,7 +355,7 @@ class FiberClassifier:
             rank = matrix_rank(rows, GF(self.p))
             return SurjectivityCertificate("fiber", rank == target_dim, self.h,
                                            target_dim, rank=rank)
-        image = self.p2 ** self.h // kernel_size_mod_p2(rows, self.h, self.p)
+        image = image_size_mod_p2(rows, self.h, self.p)
         target_size = self.p ** target_dim
         return SurjectivityCertificate("arithmetic", image == target_size, self.h,
                                        target_dim, image_size=image,

@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 
-from .ffield import GF, GaloisRing, kernel_basis, matrix_rank
+from .ffield import GF, GaloisRing, is_prime, kernel_basis, matrix_rank
+from .zetas import PointCountTable, projective_counts
 
 POINT_SCAN_BUDGET = 10 ** 8
 
@@ -244,7 +246,6 @@ class SchemeFiber:
     """The reduction of a projective scheme modulo a prime p."""
 
     def __init__(self, scheme: ProjectiveScheme, p: int):
-        from .ffield import is_prime
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.scheme = scheme
@@ -260,35 +261,51 @@ class SchemeFiber:
             self._fields[e] = GF(self.p, e)
         return self._fields[e]
 
-    # -- enumeration
+    # -- enumeration and its size check
+
+    def scan_fits(self, r: int) -> bool:
+        """Whether the chart scans of X(F_{p^e}) for every e <= r fit
+        POINT_SCAN_BUDGET: the largest, at e = r, is sized q^(n+1), q = p^r.
+
+        For n >= 1 this keeps every scanned field at <= 10^4 elements.
+        """
+        return self.p ** (r * (self.n + 1)) <= POINT_SCAN_BUDGET
+
+    def _check_scan(self, r: int):
+        if not self.scan_fits(r):
+            raise BudgetExceeded(f"scan of ~{self.p ** r}^{self.n + 1} tuples refused")
+
+    def table_fits(self, e_max: int) -> bool:
+        """Whether ``point_table(e_max)`` passes the scan check (P^n scans nothing)."""
+        return not self.forms or self.scan_fits(e_max)
+
+    def point_table(self, e_max: int) -> PointCountTable:
+        """#X(F_{p^e}) for e <= e_max: the closed form on P^n, scans otherwise."""
+        if not self.forms:
+            return projective_counts(self.p, self.n, e_max)
+        self._check_scan(e_max)
+        return PointCountTable(self.p, tuple(len(self.rational_points(e))
+                                             for e in range(1, e_max + 1)))
 
     def rational_points(self, e: int = 1) -> list[tuple]:
         """All normalized points of X(F_{p^e}), by brute-force chart scan."""
         if e in self._points_cache:
             return self._points_cache[e]
-        q = self.p ** e
-        if q ** (self.n + 1) > POINT_SCAN_BUDGET:
-            raise BudgetExceeded(f"scan of ~{q}^{self.n + 1} tuples refused")
+        self._check_scan(e)
         field = self.extension(e)
         points = []
         for lead in range(self.n + 1):
             prefix = (0,) * lead + (1,)
-            free = self.n - lead
-            for tail in _tuples(q, free):
+            for tail in product(range(field.q), repeat=self.n - lead):
                 pt = prefix + tail
                 if all(f.eval_gf(field, pt) == 0 for f in self.forms):
                     points.append(pt)
         self._points_cache[e] = points
         return points
 
-    def point_counts(self, e_max: int) -> list[int]:
-        return [len(self.rational_points(e)) for e in range(1, e_max + 1)]
-
     def closed_points_up_to(self, r: int) -> list[ClosedPoint]:
         """Every closed point of degree <= r, each Frobenius orbit once."""
-        import math
-        if r * math.log2(self.p) > 24:
-            raise BudgetExceeded(f"closed points to degree {r} over F_{self.p} refused")
+        self._check_scan(r)
         out = []
         for e in range(1, r + 1):
             field = self.extension(e)
@@ -326,13 +343,6 @@ class SchemeFiber:
             rows.append([f.partial(j).eval_gf(field, coords) for j in cols])
         return rows
 
-    def is_smooth_at(self, x: ClosedPoint, chart: int | None = None) -> bool:
-        """Jacobian check that the fiber itself is smooth of dimension m at x."""
-        chart = x.chart() if chart is None else chart
-        coords = self._scaled_coords(x.field, x.rep, chart)
-        rows = self.jacobian_rows(self.forms, x.field, coords, chart)
-        return matrix_rank(rows, x.field) == self.n - self.m
-
     def tangent_basis(self, x: ClosedPoint, chart: int | None = None):
         """A basis of the tangent space of the fiber at x, in chart coordinates."""
         chart = x.chart() if chart is None else chart
@@ -352,9 +362,7 @@ class SchemeFiber:
         """
         points = self.closed_points_up_to(r)
         for x in points:
-            if not self.is_smooth_at(x):
-                raise ValueError(f"{self} is not smooth of dimension {self.m} "
-                                 f"at {x.rep}")
+            self.tangent_basis(x)       # raises unless the kernel has dimension m
         return len(points)
 
     def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint,
@@ -379,15 +387,6 @@ class SchemeFiber:
 
     def __repr__(self):
         return f"{self.scheme.name} mod {self.p}"
-
-
-def _tuples(q, k):
-    if k == 0:
-        yield ()
-        return
-    for head in range(q):
-        for tail in _tuples(q, k - 1):
-            yield (head,) + tail
 
 
 # ----------------------------------------------------------------------

@@ -215,16 +215,6 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
     return GlobalZetaTruncation(s, prime_bound, value, local_error, tail, tuple(locals_))
 
 
-def default_truncation_depth(p: int, cap: int = 1 << 20) -> int:
-    """Largest e with p^e <= cap; the default per-prime truncation depth."""
-    e = 0
-    q = 1
-    while q * p <= cap:
-        q *= p
-        e += 1
-    return max(e, 1)
-
-
 def primes_up_to(n: int) -> list:
     if n < 2:
         return []

@@ -12,13 +12,15 @@ from bertinilab.zetas import local_zeta_inverse, projective_counts
 
 
 @pytest.fixture(scope="module")
-def scheme_files(tmp_path_factory):
+def scheme_files(tmp_path_factory, conic):
     root = tmp_path_factory.mktemp("schemes")
     p1 = root / "p1z.json"
     p2 = root / "p2z.json"
+    conic_file = root / "conic.json"
     save_scheme(p1, ProjectiveScheme(1, 1, name="P1_Z"))
     save_scheme(p2, ProjectiveScheme(2, 2, name="P2_Z"))
-    return {"p1": str(p1), "p2": str(p2)}
+    save_scheme(conic_file, conic)
+    return {"p1": str(p1), "p2": str(p2), "conic": str(conic_file)}
 
 
 def invoke(argv):
@@ -35,6 +37,18 @@ def test_zeta_subcommand_value(scheme_files):
     assert results["a_e"] == [3, 1, 2, 3]
     assert Fraction(results["error_bound_num"], results["error_bound_den"]) == \
         expected.error_bound
+
+
+@pytest.mark.parametrize("name, m, depths", [("conic", 1, (8, 5, 3, 3, 2)),
+                                             ("p2", 2, (6, 3, 2, 2, 1))])
+def test_zeta_default_depth(scheme_files, name, m, depths):
+    """Without --r, zeta runs at the deepest r with p^(r max(m, 1)) <= 2^12
+    whose point table passes the scan check; s cycles through m+1..m+3."""
+    for i, (p, r) in enumerate(zip((2, 3, 5, 7, 11), depths)):
+        s = m + 1 + i % 3
+        _, results = invoke(["zeta", "--scheme", scheme_files[name],
+                             "--p", str(p), "--s", str(s)])
+        assert (results["s"], results["r"], len(results["a_e"])) == (s, r, r)
 
 
 def test_classify_subcommand(scheme_files):

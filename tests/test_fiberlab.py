@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bertinilab import fiberlab
 from bertinilab.arithlab import multi_fiber_experiment
@@ -335,41 +335,45 @@ def test_one_jet_build_per_point(p1, monkeypatch):
     assert built == [points[0].rep]
 
 
-# X^2+Y^2+Z^2 is a double line mod 2, so the conic is checked at odd p
-_AGREEMENT_PRIMES = {"P2": (2, 3), "conic": (3, 5)}
+# (scheme, p, r): the closed points of degree <= r are checked.
+# X^2+Y^2+Z^2 is a double line mod 2, so the conic is checked at odd p.
+_AGREEMENT_CASES = (("P2", 2, 2), ("P2", 3, 2), ("conic", 3, 2), ("conic", 5, 2),
+                    ("P2", 2, 3), ("conic", 3, 3))
 _classifiers = {}
 
 
-def _classifier(scheme, name, p, d):
-    if (name, p, d) not in _classifiers:
+def _classifier(scheme, name, p, r, d):
+    if (name, p, r, d) not in _classifiers:
         fib = scheme.fiber(p)
-        _classifiers[name, p, d] = FiberClassifier(fib, d,
-                                                   fib.closed_points_up_to(2))
-    return _classifiers[name, p, d]
+        _classifiers[name, p, r, d] = FiberClassifier(fib, d,
+                                                      fib.closed_points_up_to(r))
+    return _classifiers[name, p, r, d]
 
 
 @st.composite
 def _census_case(draw):
-    name = draw(st.sampled_from(sorted(_AGREEMENT_PRIMES)))
-    p = draw(st.sampled_from(_AGREEMENT_PRIMES[name]))
+    name, p, r = draw(st.sampled_from(_AGREEMENT_CASES))
     d = draw(st.integers(1, 3))
     h = (d + 1) * (d + 2) // 2
     row = st.lists(st.integers(0, p * p - 1), min_size=h, max_size=h)
     rows = draw(st.lists(row, min_size=1, max_size=4))
     # sections p * tau put every fiber point on the divisor: rescue cases
     if draw(st.booleans()):
-        rows = [[c * p % (p * p) for c in r] for r in rows]
-    return name, p, d, rows
+        rows = [[c * p % (p * p) for c in row] for row in rows]
+    return name, p, r, d, rows
 
 
 @settings(max_examples=30, deadline=None)
-@given(_census_case())
+@given(case=_census_case())
+@example(case=("P2", 2, 3, 2, [[2, 0, 2, 0, 0, 2], [1, 3, 0, 2, 1, 0]]))
+@example(case=("conic", 3, 3, 3, [[3 * (k % 3) for k in range(10)],
+                                  [k % 9 for k in range(10)]]))
 def test_census_matches_pointwise_definition(p2, conic, case):
     """census against classify_point_detail at every closed point of
     degree <= 2 of P^2 and of a smooth conic, where the scheme lift and
-    value_p2 matter."""
-    name, p, d, rows = case
-    cls = _classifier({"P2": p2, "conic": conic}[name], name, p, d)
+    value_p2 matter, and of degree <= 3 on P^2 mod 2 and the conic mod 3."""
+    name, p, r, d, rows = case
+    cls = _classifier({"P2": p2, "conic": conic}[name], name, p, r, d)
     batch = np.array(rows, dtype=np.int64)
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0

@@ -188,12 +188,30 @@ def test_validate_smooth(conic):
         bad_dim.fiber(3).validate_smooth(1)
 
 
-def test_scan_budget():
+def test_scan_budget(monkeypatch, p1, conic):
+    """One size check, q^(n+1) <= 10^8 at q = p^r, guards every scan; it
+    runs before a field of any degree is built."""
     big = ProjectiveScheme(3, 3)
     with pytest.raises(BudgetExceeded):
         big.fiber(251).rational_points(2)
     with pytest.raises(BudgetExceeded):
         ProjectiveScheme(1, 1).fiber(2).closed_points_up_to(30)
+    fib = p1.fiber(2)
+    assert fib.scan_fits(13) and not fib.scan_fits(14)     # 2^26, 2^28
+    assert conic.fiber(3).table_fits(5) and not conic.fiber(3).table_fits(6)
+    assert p1.fiber(4099).table_fits(100)          # the closed form scans nothing
+
+    def no_field(self, p, e=1, modulus=None):
+        raise AssertionError(f"GF({p}, {e}) built")
+
+    monkeypatch.setattr(GF, "__init__", no_field)
+    with pytest.raises(BudgetExceeded):
+        fib.closed_points_up_to(14)
+    with pytest.raises(BudgetExceeded):
+        fib.rational_points(14)
+    with pytest.raises(BudgetExceeded):
+        conic.fiber(3).point_table(6)
+    assert fib.point_table(14).counts[-1] == 2 ** 14 + 1
 
 
 def test_parse_form_errors_and_roundtrip():

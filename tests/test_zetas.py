@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from bertinilab import zetas
+from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               PointCountTable, affine_counts,
                               affine_zeta_inverse_exact, c0_estimate,
-                              closed_point_counts, default_truncation_depth,
-                              global_zeta_inverse, local_zeta_inverse, mobius,
+                              closed_point_counts, global_zeta_inverse,
+                              local_zeta_inverse, mobius,
                               primes_up_to, projective_counts,
                               projective_zeta_inverse_exact,
                               reconstruct_counts, truncation_exponent,
@@ -120,18 +122,44 @@ def test_affine_euler_product_value():
     assert abs(float(value) - 0.60800) < 5e-5
     # consistency with truncated affine tables at desk depth
     tables = {p: affine_counts(p, 1, 4) for p in primes_up_to(50)}
-    g = global_zeta_inverse(tables, 3, 50, {p: min(4, default_truncation_depth(p, 1 << 10))
-                                            for p in primes_up_to(50)}, 1)
+    depths = {p: max(e for e in range(1, 5) if p ** e <= 1 << 10)
+              for p in primes_up_to(50)}
+    g = global_zeta_inverse(tables, 3, 50, depths, 1)
     exact50 = Fraction(1)
     for p in primes_up_to(50):
         exact50 *= affine_zeta_inverse_exact(p, 1, 3)
     assert abs(g.value - exact50) <= g.local_error
 
 
-def test_default_truncation_depth():
-    assert default_truncation_depth(2, 1 << 20) == 20
-    assert default_truncation_depth(997, 1 << 20) == 2
-    assert default_truncation_depth(1 << 19, 1 << 20) == 1
+def test_default_truncation_depth(p1):
+    """On P^1 the default depth of ``bertini zeta`` is the largest e >= 1
+    with p^e <= 2^12: its table is a closed form, so the scan check never
+    binds there."""
+    for p in (2, 3, 5, 7, 11, 13, 61, 4093, 4099):
+        expected = max([e for e in range(1, 13) if p ** e <= 1 << 12], default=1)
+        assert _default_depth(p1.fiber(p)) == expected, p
+
+
+def test_reduced_fraction_fallback(monkeypatch):
+    """Without Fraction's private _normalize switch the full gcd runs and
+    gives the same value."""
+    table = projective_counts(2, 1, 12)
+    expected = local_zeta_inverse(table, 2, 12, 1).value
+    refused = []
+
+    class NoNormalizeFraction(Fraction):
+        def __new__(cls, numerator=0, denominator=None, **kwargs):
+            if kwargs:
+                refused.append(kwargs)
+                raise TypeError("unexpected keyword argument '_normalize'")
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(zetas, "Fraction", NoNormalizeFraction)
+    value = local_zeta_inverse(table, 2, 12, 1).value
+    assert refused == [{"_normalize": False}]
+    assert value == expected
+    assert value.denominator == expected.denominator == \
+        2 ** truncation_exponent(closed_point_counts(table), 2, 12)
 
 
 def test_verify_bounds_spot_values():
