@@ -307,6 +307,9 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     h = comb(n + d, n)
     scheme = ProjectiveScheme(n, n)
     fibers = [scheme.fiber(p) for p in primes]
+    if n > 1:
+        for fib in fibers:
+            fib.check_ring_cap(r)
     references = [reference_truncation(fib, r, classification) for fib in fibers]
     streams = sampling.chunks(seed, samples)
     classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))

@@ -3,8 +3,9 @@
 Field elements are encoded as plain Python integers: the element
 ``c_0 + c_1*w + ... + c_{e-1}*w^{e-1}`` of GF(p^e) (``w`` the class of T
 modulo the defining polynomial) is stored as the base-p integer
-``c_0 + c_1*p + ... + c_{e-1}*p^{e-1}``.  Galois ring elements use the
-same scheme with base p^2 digits.  Encodings are dense, hashable and
+``c_0 + c_1*p + ... + c_{e-1}*p^{e-1}``.  Galois ring elements of
+GR(p^2, e) are tuples ``(c_0, ..., c_{e-1})`` of digits in [0, p^2), the
+coefficients of w^0 .. w^{e-1}.  Encodings are dense, hashable and
 cheap to compare, which keeps exhaustive desk-scale scans fast.
 
 Prime fields compute with Python integers mod p and are capped at 2^24
@@ -334,10 +335,6 @@ class GF:
             return a
         return self._frob[a]
 
-    def embed_prime(self, c: int) -> int:
-        """Image of c in Z/p under the canonical inclusion into GF(p^e)."""
-        return c % self.p
-
     def __repr__(self):
         return f"GF({self.p}^{self.e})"
 
@@ -428,7 +425,7 @@ class GaloisRing:
 
 
 # ----------------------------------------------------------------------
-# Linear algebra: Gauss-Jordan over a field, exact kernel counting over Z/p^2.
+# Linear algebra: Gauss-Jordan over a field, image sizes over Z/p^2.
 
 
 def row_reduce(rows, ncols: int, field: GF):
@@ -502,51 +499,19 @@ def solve_linear(rows, rhs, ncols: int, field: GF):
     return x
 
 
-def kernel_size_mod_p2(rows, ncols: int, p: int) -> int:
-    """Exact number of solutions of Mx = 0 over Z/p^2.
-
-    Reduction to a Smith-like diagonal with unit pivots first, then
-    pivots divisible by p; row operations preserve the kernel and the
-    (unimodular) column operations reparametrize it bijectively.
-    """
-    p2 = p * p
-    rows = [[c % p2 for c in r] for r in rows if any(c % p2 for c in r)]
-    unit_pivots = 0
-    p_pivots = 0
-    while rows:
-        pos = next(((i, j) for i, r in enumerate(rows)
-                    for j in range(len(r)) if r[j] % p != 0), None)
-        if pos is None:
-            break
-        i, j = pos
-        rows[0], rows[i] = rows[i], rows[0]
-        inv = pow(rows[0][j], -1, p2)
-        rows[0] = [c * inv % p2 for c in rows[0]]
-        head = rows[0]
-        reduced = []
-        for r in rows[1:]:
-            f = r[j]
-            if f:
-                r = [(c - f * d) % p2 for c, d in zip(r, head)]
-            r[j] = 0  # column cleared by the implicit column operation
-            if any(r):
-                reduced.append(r)
-        for r in reduced:
-            del r[j]
-        rows = reduced
-        unit_pivots += 1
-        ncols -= 1
-    # remaining entries all divisible by p: M = p * M', kernel condition
-    # becomes M' x = 0 over Z/p, each independent row a pivot p
-    if rows:
-        fp_rows = [[(c // p) % p for c in r] for r in rows]
-        field = GF(p)
-        p_pivots = matrix_rank(fp_rows, field)
-    free = ncols - p_pivots
-    return (p ** p_pivots) * (p2 ** free)
-
-
 def image_size_mod_p2(rows, ncols: int, p: int) -> int:
-    """Size of the image of x -> Mx over Z/p^2 (domain size / kernel size)."""
+    """Size of the image of x -> Mx over Z/p^2, from two ranks over F_p.
+
+    Let K be a kernel basis of Mbar = M mod p, digits in [0, p); then
+    M K = p C mod p^2.  A vector x0 + p x1 solves Mx = 0 exactly when
+    x0 = K a mod p with C a in the image of Mbar, so
+    |im M| = p^(rank Mbar + rank [Mbar | C]), both ranks over F_p.
+    """
+    field = GF(p)
     p2 = p * p
-    return p2 ** ncols // kernel_size_mod_p2(rows, ncols, p)
+    reduced = [[c % p for c in r] for r in rows]
+    kernel = kernel_basis(reduced, ncols, field)
+    augmented = [red + [sum(c * v for c, v in zip(r, vec)) % p2 // p
+                        for vec in kernel]
+                 for r, red in zip(rows, reduced)]
+    return p ** (ncols - len(kernel) + matrix_rank(augmented, field))

@@ -55,8 +55,7 @@ class SectionModP2:
 
     def __post_init__(self):
         if self.form.modulus != self.p ** 2:
-            object.__setattr__(self, "form", self.form.reduce(self.p ** 2)
-                               if self.form.modulus is None else _rering(self.form, self.p))
+            object.__setattr__(self, "form", self.form.reduce(self.p ** 2))
 
     @property
     def d(self):
@@ -64,13 +63,6 @@ class SectionModP2:
 
     def reduction(self) -> HomogeneousForm:
         return HomogeneousForm(self.form.n, self.form.d, self.form.coeffs, self.p)
-
-
-def _rering(form, p):
-    if form.modulus % (p * p) != 0:
-        raise ValueError(f"coefficients mod {form.modulus} do not determine "
-                         f"a section mod {p * p}")
-    return HomogeneousForm(form.n, form.d, form.coeffs, p * p)
 
 
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
@@ -191,66 +183,52 @@ class SurjectivityCertificate:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-class _PointJet:
-    """Per-point evaluation data for all degree-d monomials.
+def _monomial_values(ring: GaloisRing, point, basis, d: int) -> np.ndarray:
+    """h x e digits of every monomial of ``basis`` (degree d) at a ring point."""
+    powers = []
+    for c in point:
+        row = [ring.one()]
+        for _ in range(d):
+            row.append(ring.mul(row[-1], c))
+        powers.append(row)
+    out = np.zeros((len(basis), ring.e), dtype=np.int64)
+    for k, exps in enumerate(basis):
+        v = ring.one()
+        for i, ex in enumerate(exps):
+            v = ring.mul(v, powers[i][ex])
+        out[k] = v
+    return out
 
-    value_p: h x e digits of the monomial values over the residue field;
-    value_p2: h x e digits of the values at the scheme lift, mod p^2;
-    tangent: h x (m*e) digits of the tangential derivatives mod p.
+
+class _PointJet:
+    """Per-point evaluation data for all degree-d monomials, read off the
+    Galois ring at the scheme lift x~ of x.
+
+    value_p2: h x e digits of the values at x~, mod p^2;
+    value_p: the same digits mod p, the values over the residue field;
+    tangent: h x (m*e) digits of the tangential derivatives mod p, one
+    block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
     """
 
     def __init__(self, fiber: SchemeFiber, x: ClosedPoint, d: int):
-        fld = x.field
-        e = x.degree
         p = fiber.p
         chart = x.chart()
         basis = monomial_basis(fiber.n, d)
         tangent = fiber.tangent_basis(x)             # rejects singular fiber points
         ring, lift = lifted_point(fiber, x, chart=chart)
-        cols = [j for j in range(fiber.n + 1) if j != chart]
-        # powers of the coordinates, in the field and in the ring
-        fpow = [[1] for _ in range(fiber.n + 1)]
-        rpow = [[ring.one()] for _ in range(fiber.n + 1)]
-        for i in range(fiber.n + 1):
-            for _ in range(d):
-                fpow[i].append(fld.mul(fpow[i][-1], x.rep[i]))
-                rpow[i].append(ring.mul(rpow[i][-1], lift[i]))
-        vp = np.zeros((len(basis), e), dtype=np.int64)
-        v2 = np.zeros((len(basis), e), dtype=np.int64)
+        e = x.degree
+        v2 = _monomial_values(ring, lift, basis, d)
         tg = np.zeros((len(basis), len(tangent) * e), dtype=np.int64)
-        for k, exps in enumerate(basis):
-            val = 1
-            for i, ex in enumerate(exps):
-                val = fld.mul(val, fpow[i][ex])
-            vp[k] = fld.decode(val)
-            rv = ring.one()
-            for i, ex in enumerate(exps):
-                rv = ring.mul(rv, rpow[i][ex])
-            v2[k] = rv
-            # gradient of the monomial at the point, chart coordinates
-            grad = []
-            for j in cols:
-                if exps[j] == 0:
-                    grad.append(0)
-                    continue
-                dv = fld.embed_prime(exps[j])
-                if dv == 0:
-                    grad.append(0)
-                    continue
-                dv = fld.mul(dv, fpow[j][exps[j] - 1])
-                for i, ex in enumerate(exps):
-                    if i != j:
-                        dv = fld.mul(dv, fpow[i][ex])
-                grad.append(dv)
-            for t, vec in enumerate(tangent):
-                acc = 0
-                for j, vj in enumerate(vec):
-                    acc = fld.add(acc, fld.mul(vj, grad[j]))
-                tg[k, t * e:(t + 1) * e] = fld.decode(acc)
+        for t, vec in enumerate(tangent):
+            shift = list(vec)
+            shift.insert(chart, 0)                  # tangent vectors skip the chart
+            _, moved = lifted_point(fiber, x, chart=chart, perturbation=shift)
+            tg[:, t * e:(t + 1) * e] = \
+                (_monomial_values(ring, moved, basis, d) - v2) % ring.p2 // p
         self.x = x
         self.e = e
         self.m = len(tangent)
-        self.value_p = vp
+        self.value_p = v2 % p
         self.value_p2 = v2
         self.tangent = tg
 
@@ -437,6 +415,7 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     """
     fiber = scheme.fiber(p)
     total = _census_size(comb(fiber.n + d, fiber.n), p * p)
+    fiber.check_ring_cap(r)
     reference = reference_truncation(fiber, r, count).value
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
@@ -467,6 +446,7 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     if samples < 100:
         raise ValueError("need at least 100 samples")
     fiber = scheme.fiber(p)
+    fiber.check_ring_cap(r)
     reference = reference_truncation(fiber, r, count)
     streams = sampling.chunks(seed, samples)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))

@@ -20,7 +20,8 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .ffield import GF, GaloisRing, is_prime, kernel_basis, matrix_rank
+from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
+                     matrix_rank)
 from .zetas import PointCountTable, projective_counts
 
 POINT_SCAN_BUDGET = 10 ** 8
@@ -274,6 +275,18 @@ class SchemeFiber:
     def _check_scan(self, r: int):
         if not self.scan_fits(r):
             raise BudgetExceeded(f"scan of ~{self.p ** r}^{self.n + 1} tuples refused")
+
+    def check_ring_cap(self, r: int):
+        """Refuse a census at the points of degree <= r whose largest lift
+        ring GR(p^2, r) passes FIELD_SIZE_CAP: p^(2r) <= 2^24.
+
+        Census callers run it before enumerating any point, so the refusal
+        is a budget (exit 3); GaloisRing keeps its ValueError for direct
+        callers.
+        """
+        if self.p ** (2 * r) > FIELD_SIZE_CAP:
+            raise BudgetExceeded(f"ring size {self.p}^{2 * r} exceeds the "
+                                 f"2^{FIELD_SIZE_CAP.bit_length() - 1} cap")
 
     def table_fits(self, e_max: int) -> bool:
         """Whether ``point_table(e_max)`` passes the scan check (P^n scans nothing)."""

@@ -120,9 +120,12 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "2",
                  "--d", "4", "--r", "1", "--mode", "mc", "--samples", "100",
                  "--seed", "-1"]) == EXIT_CONFIG
-    # enumeration budget, and a truncation too long to print
+    # enumeration budget, the lift-ring cap, and a truncation too long to print
     assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "5",
                  "--d", "9", "--r", "1"]) == EXIT_BUDGET
+    assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "2",
+                 "--d", "3", "--r", "13", "--mode", "mc",
+                 "--samples", "100"]) == EXIT_BUDGET
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "3", "--s", "3",
                  "--r", "13"]) == EXIT_BUDGET
     capsys.readouterr()

@@ -8,8 +8,7 @@ import sympy
 
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
-                               image_size_mod_p2, kernel_basis,
-                               kernel_size_mod_p2, matrix_rank,
+                               image_size_mod_p2, kernel_basis, matrix_rank,
                                poly_is_irreducible, poly_mul, poly_mod,
                                solve_linear)
 
@@ -213,12 +212,27 @@ def test_row_reduce_engine_against_brute_force(p, e):
 
 
 def test_kernel_size_examples():
-    assert kernel_size_mod_p2([[0]], 1, 2) == 4
-    assert kernel_size_mod_p2([[2]], 1, 2) == 2          # solutions {0, 2}
-    # unit entries pin the coordinates completely: 2 is invertible mod 9
-    assert kernel_size_mod_p2([[1, 0], [0, 2]], 2, 3) == 1
-    # the p-divisible pivot analogue over Z/9
-    assert kernel_size_mod_p2([[1, 0], [0, 3]], 2, 3) == 3
+    """|im M| * |ker M| = p^(2h) over Z/p^2, kernels counted by hand."""
+    cases = [
+        ([[0]], 1, 2, 4),
+        ([[2]], 1, 2, 2),                   # solutions {0, 2}
+        # unit entries pin the coordinates completely: 2 is invertible mod 9
+        ([[1, 0], [0, 2]], 2, 3, 1),
+        # the p-divisible pivot analogue over Z/9
+        ([[1, 0], [0, 3]], 2, 3, 3),
+        # mostly p-divisible: the kernel vector (1, 1) of M mod 2 carries
+        # C = (1, 1), outside the image of M mod 2; solutions y in {0, 2}, x = -y
+        ([[1, 1], [0, 2]], 2, 2, 2),
+        # p = 5 with M = 0 mod 5: the carry C = (1 2; 0 1) has rank 2
+        ([[5, 10], [0, 5]], 2, 5, 25),
+    ]
+    for M, h, p, kernel in cases:
+        assert image_size_mod_p2(M, h, p) * kernel == p ** (2 * h), (M, p)
+
+
+def _brute_kernel(M, h, p2):
+    return sum(1 for v in itertools.product(range(p2), repeat=h)
+               if all(sum(a * b for a, b in zip(row, v)) % p2 == 0 for row in M))
 
 
 def test_kernel_size_against_brute_force():
@@ -230,13 +244,20 @@ def test_kernel_size_against_brute_force():
         k = rng.randint(1, 3)
         h = rng.randint(1, 3)
         M = [[rng.randrange(p2) for _ in range(h)] for _ in range(k)]
-        brute = sum(
-            1 for v in itertools.product(range(p2), repeat=h)
-            if all(sum(M[i][j] * v[j] for j in range(h)) % p2 == 0
-                   for i in range(k)))
-        assert kernel_size_mod_p2(M, h, p) == brute, (M, p)
-        assert kernel_size_mod_p2(M, h, p) * image_size_mod_p2(M, h, p) == p2 ** h
+        assert image_size_mod_p2(M, h, p) * _brute_kernel(M, h, p2) == p2 ** h, (M, p)
         cases += 1
+    # rows mostly divisible by p, where the carry C decides the count, and
+    # p = 5 (two columns, so 625 vectors per brute-force count)
+    rng = random.Random(41)
+    for p, max_h, count in ((2, 3, 300), (3, 3, 300), (5, 2, 300)):
+        p2 = p * p
+        for _ in range(count):
+            k = rng.randint(1, 3)
+            h = rng.randint(1, max_h)
+            M = [[rng.randrange(p2) if rng.random() < 0.2 else p * rng.randrange(p)
+                  for _ in range(h)] for _ in range(k)]
+            assert image_size_mod_p2(M, h, p) * _brute_kernel(M, h, p2) == \
+                p2 ** h, (M, p)
 
 
 def test_is_prime():

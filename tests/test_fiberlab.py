@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bertinilab import fiberlab
+from bertinilab.ffield import GaloisRing
 from bertinilab.arithlab import multi_fiber_experiment
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
-                                 ProjectiveScheme, SchemeFiber, parse_form,
-                                 rational_closed_point)
+                                 ProjectiveScheme, SchemeFiber, monomial_basis,
+                                 parse_form, rational_closed_point)
 from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
                                  classify_point, classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
+                                 lifted_point,
                                  medium_degree_tail_bound,
                                  reference_truncation,
                                  singular_at_point_proportion,
@@ -275,6 +277,13 @@ def test_section_mod_p2_validation():
     assert sec.form.modulus == 9
     with pytest.raises(ValueError):
         SectionModP2(parse_form("X^2+Y^2", 1, modulus=10), 3)
+    # an integer form is reduced, a form mod 8 refines to mod 4 at p = 2,
+    # and a form mod 6 does not determine a section mod 4
+    assert SectionModP2(parse_form("10*X^2-Y^2", 1), 3).form.coeffs == (1, 0, 8)
+    sec8 = SectionModP2(parse_form("7*X^2+5*X*Y", 1, modulus=8), 2)
+    assert (sec8.form.modulus, sec8.form.coeffs) == (4, (3, 1, 0))
+    with pytest.raises(ValueError):
+        SectionModP2(parse_form("X^2+Y^2", 1, modulus=6), 2)
 
 
 def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
@@ -292,6 +301,25 @@ def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
         singular_at_point_proportion(fib, x, 9)
     with pytest.raises(BudgetExceeded):
         squarefree_binary_census(2, 26)
+
+
+def test_ring_cap_refused_before_points(p1, p2, monkeypatch):
+    """A census whose lift ring GR(p^2, r) passes 2^24 is a budget refusal,
+    raised before any point is enumerated or ring built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated points or built a ring over the cap")
+
+    p1.fiber(2).check_ring_cap(12)                  # 2^24 is within the cap
+    with pytest.raises(ValueError):
+        GaloisRing(2, 13)                           # direct callers: ValueError
+    monkeypatch.setattr(SchemeFiber, "rational_points", refuse)
+    monkeypatch.setattr(GaloisRing, "__init__", refuse)
+    with pytest.raises(BudgetExceeded):
+        fiber_density_exhaustive(p1, 2, 1, 13)
+    with pytest.raises(BudgetExceeded):
+        fiber_density_mc(p1, 2, 3, 13, 100, seed=0)
+    with pytest.raises(BudgetExceeded):
+        multi_fiber_experiment(1, 2, 2, 13, 100, seed=0, n=2)
 
 
 def test_census_int64_guard(p1):
@@ -335,10 +363,38 @@ def test_one_jet_build_per_point(p1, monkeypatch):
     assert built == [points[0].rep]
 
 
+@pytest.mark.parametrize("name, p", [("P1", 2), ("P1", 3), ("P2", 2),
+                                     ("conic", 3), ("conic", 5)])
+def test_jets_match_form_evaluation(p1, p2, conic, name, p):
+    """Every _PointJet array against HomogeneousForm on each monomial, at
+    every closed point of degree <= 3: value_p by eval_gf at x.rep,
+    value_p2 by eval_gr at the scheme lift, each tangent block by
+    sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
+    fib = {"P1": p1, "P2": p2, "conic": conic}[name].fiber(p)
+    for x in fib.closed_points_up_to(3):
+        fld = x.field
+        ring, lift = lifted_point(fib, x)
+        cols = [j for j in range(fib.n + 1) if j != x.chart()]
+        tangent = fib.tangent_basis(x)
+        for d in (1, 2, 3):
+            jet = fiberlab._PointJet(fib, x, d)
+            assert jet.tangent.shape == (jet.value_p.shape[0], len(tangent) * x.degree)
+            for k, exps in enumerate(monomial_basis(fib.n, d)):
+                mono = HomogeneousForm.from_monomials(fib.n, d, [(exps, 1)])
+                assert list(jet.value_p[k]) == fld.decode(mono.eval_gf(fld, x.rep))
+                assert tuple(jet.value_p2[k]) == mono.eval_gr(ring, lift)
+                for t, vec in enumerate(tangent):
+                    acc = 0
+                    for j, tj in zip(cols, vec):
+                        acc = fld.add(acc, fld.mul(tj, mono.partial(j).eval_gf(fld, x.rep)))
+                    block = jet.tangent[k, t * x.degree:(t + 1) * x.degree]
+                    assert list(block) == fld.decode(acc)
+
+
 # (scheme, p, r): the closed points of degree <= r are checked.
 # X^2+Y^2+Z^2 is a double line mod 2, so the conic is checked at odd p.
 _AGREEMENT_CASES = (("P2", 2, 2), ("P2", 3, 2), ("conic", 3, 2), ("conic", 5, 2),
-                    ("P2", 2, 3), ("conic", 3, 3))
+                    ("P2", 2, 3), ("conic", 3, 3), ("P2", 2, 4), ("conic", 3, 4))
 _classifiers = {}
 
 
@@ -368,10 +424,14 @@ def _census_case(draw):
 @example(case=("P2", 2, 3, 2, [[2, 0, 2, 0, 0, 2], [1, 3, 0, 2, 1, 0]]))
 @example(case=("conic", 3, 3, 3, [[3 * (k % 3) for k in range(10)],
                                   [k % 9 for k in range(10)]]))
+@example(case=("P2", 2, 4, 3, [[2 * (k % 2) for k in range(10)],
+                               [(3 * k + 1) % 4 for k in range(10)]]))
+@example(case=("conic", 3, 4, 2, [[3, 0, 6, 3, 0, 3], [1, 7, 0, 4, 2, 8]]))
 def test_census_matches_pointwise_definition(p2, conic, case):
     """census against classify_point_detail at every closed point of
     degree <= 2 of P^2 and of a smooth conic, where the scheme lift and
-    value_p2 matter, and of degree <= 3 on P^2 mod 2 and the conic mod 3."""
+    value_p2 matter, and of degree <= 3 and <= 4 on P^2 mod 2 and the
+    conic mod 3."""
     name, p, r, d, rows = case
     cls = _classifier({"P2": p2, "conic": conic}[name], name, p, r, d)
     batch = np.array(rows, dtype=np.int64)
