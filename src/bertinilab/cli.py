@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -40,8 +42,13 @@ EXIT_INTERNAL = 4
 # fiber's scan check admits.  Deeper truncations (pass --r) are exact
 # rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
-# the longest integer a report may print, in decimal digits
+# the longest integer a report may print, in decimal digits.  Integers
+# longer than LONG_INT_BITS are printed through decimal (_int_text), which
+# sys.set_int_max_str_digits does not limit, so _check_digits is the guard.
 DIGIT_CAP = 2_000_000
+LONG_INT_BITS = 1 << 15
+# _int_text converts pieces of at most this many bits with plain Decimal(n)
+_LEAF_BITS = 3000
 
 
 class ConfigError(Exception):
@@ -205,11 +212,46 @@ def run(args) -> dict:
     raise ConfigError(f"unknown subcommand {sub!r}")   # pragma: no cover
 
 
+def _int_text(n: int) -> str:
+    """``str(n)`` in subquadratic time.
+
+    Python 3.11's ``int.__str__`` is quadratic, libmpdec's multiplication
+    is not.  This is the method of CPython 3.12's
+    ``_pylong.int_to_decimal_string``: split |n| by bit length into pieces
+    of at most _LEAF_BITS bits, convert each with ``Decimal`` and rebuild
+    hi * 2^w + lo exactly (Inexact is trapped), with the powers of 2
+    cached for the call.
+    """
+    pow2 = {}
+
+    def two_to(w):
+        if w not in pow2:
+            half = w >> 1
+            pow2[w] = (decimal.Decimal(1 << w) if w <= _LEAF_BITS
+                       else two_to(half) * two_to(w - half))
+        return pow2[w]
+
+    def convert(m, w):
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(hi, w - half) * two_to(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), abs(n).bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def _csv_payload(results: dict) -> str:
     flat = {}
     for key, value in results.items():
         if isinstance(value, Fraction):
-            flat[key] = f"{value.numerator}/{value.denominator}"
+            flat[key] = f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
         elif isinstance(value, dict):
             flat[key] = json.dumps(value, sort_keys=True)
         elif isinstance(value, list):
@@ -219,7 +261,8 @@ def _csv_payload(results: dict) -> str:
     num_den = [k[:-4] for k in list(flat) if k.endswith("_num")]
     for stem in num_den:
         if f"{stem}_den" in flat:
-            flat[stem] = f"{flat.pop(stem + '_num')}/{flat.pop(stem + '_den')}"
+            num, den = flat.pop(stem + "_num"), flat.pop(stem + "_den")
+            flat[stem] = f"{_int_text(num)}/{_int_text(den)}"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted(flat))
     writer.writeheader()
@@ -227,26 +270,42 @@ def _csv_payload(results: dict) -> str:
     return buf.getvalue()
 
 
+# json.dumps writes the placeholder of _spliced, a NUL and then i, as this
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _spliced(value, texts: list):
+    """``value`` ready for json.dumps: each Fraction becomes {"num", "den"}
+    and each integer longer than LONG_INT_BITS a placeholder string, a NUL
+    and then i, where texts[i] (appended here) is its decimal text."""
+    if isinstance(value, Fraction):
+        value = {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, dict):
+        return {k: _spliced(v, texts) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spliced(v, texts) for v in value]
+    if type(value) is int and value.bit_length() > LONG_INT_BITS:
+        texts.append(_int_text(value))
+        return f"\0{len(texts) - 1}"
+    return value
+
+
 def render_report(args, results: dict, duration: float) -> str:
     """The report text that ``main`` writes, in the chosen format."""
     if args.format == "csv":
         return _csv_payload(results)
+    texts = []
     report = {
         "tool": "bertinilab",
         "version": __version__,
         "subcommand": args.subcommand,
         "config": _config_echo(args),
         "prng": sampling.PRNG_NAME,
-        "results": results,
+        "results": _spliced(results, texts),
         "duration_s": round(duration, 3),
     }
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    raise TypeError(f"cannot serialize {value!r}")
+    text = json.dumps(report, sort_keys=True, indent=2)
+    return _PLACEHOLDER.sub(lambda m: texts[int(m.group(1))], text)
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, log, exp, zeta as mp_zeta
 
+from .ffield import is_prime
+
 
 class InconsistentTable(Exception):
     """Point counts that cannot come from a scheme (Mobius inversion fails)."""
@@ -296,8 +298,11 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
 
     The working precision is far beyond the gap of every inequality on
     the grid (the tightest gaps sit around 2^-80; the default precision
-    leaves 80 guard bits).  Violations are report content, not exceptions.
+    leaves 80 guard bits).  Violations are report content, not exceptions;
+    an empty p_list or one with a non-prime entry is a ValueError.
     """
+    if not p_list or not all(is_prime(p) for p in p_list):
+        raise ValueError(f"p_list must be a nonempty list of primes, got {list(p_list)}")
     report = BoundReport()
     old_prec = mp.prec
     mp.prec = precision_bits

@@ -1,10 +1,15 @@
 """Command-line interface: dispatch, reports, exit taxonomy, reproducibility."""
 
 import json
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bertinilab import cli
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, build_parser,
                             main, render_report, run)
 from bertinilab.projgeom import ProjectiveScheme, save_scheme
@@ -128,7 +133,83 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
                  "--samples", "100"]) == EXIT_BUDGET
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "3", "--s", "3",
                  "--r", "13"]) == EXIT_BUDGET
+    # verify-bounds certifies primes only
+    for p_list in ("6", "4,1", ""):
+        assert main(["verify-bounds", f"--p-list={p_list}", "--e-max", "2",
+                     "--r-max", "2", "--dims", "1"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_digit_cap_is_checked_before_computing(scheme_files, monkeypatch, capsys):
+    """Long integers are printed through decimal, which ignores
+    sys.set_int_max_str_digits: DIGIT_CAP is the only guard on report size."""
+    def refuse(*args):
+        raise AssertionError("the truncation was computed")
+    monkeypatch.setattr(cli, "local_zeta_inverse", refuse)
+    assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
+                 "--r", "21"]) == EXIT_BUDGET
+    assert "2000000 digits" in capsys.readouterr().err
+    fiber = cli._load(scheme_files["p1"]).fiber(2)
+    cli._check_digits(fiber.point_table(20), 3, 20)     # about 1.89e6 digits
+
+
+@contextmanager
+def unlimited_int_text():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_int_text_edge_integers():
+    """0, +-1, and 2^k, 2^k - 1, 10^k, 10^k +- 1 around the leaf size and
+    the splice threshold, with both signs."""
+    edges = {0, 1}
+    for bits in (cli._LEAF_BITS, cli.LONG_INT_BITS):
+        k10 = int(bits * 0.30103)         # 10^k10 has about `bits` bits
+        for k in range(-2, 3):
+            edges |= {2 ** (bits + k), 2 ** (bits + k) - 1}
+            edges |= {10 ** (k10 + k) + d for d in (-1, 0, 1)}
+    with unlimited_int_text():
+        for n in sorted(edges | {-n for n in edges}):
+            assert cli._int_text(n) == str(n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(1, 332_000), seed=st.integers(0, 2 ** 32),
+       sign=st.sampled_from((1, -1)))
+def test_int_text_equals_str(bits, seed, sign):
+    """Random integers of up to about 10^5 digits."""
+    n = sign * random.Random(seed).getrandbits(bits)
+    with unlimited_int_text():
+        assert cli._int_text(n) == str(n)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_long_integers_render_as_plain_str(scheme_files, tmp_path, monkeypatch, fmt):
+    """Above LONG_INT_BITS the report splices in _int_text's digits; the
+    text must be what plain str gives, apart from duration_s."""
+    argv = ["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
+            "--r", "16", "--format", fmt]
+
+    def report(name):
+        out = tmp_path / name
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        return [line for line in out.read_text().splitlines()
+                if '"duration_s"' not in line]
+
+    seen, convert = [], cli._int_text
+
+    def spy(n):
+        seen.append(n)
+        return convert(n)
+    monkeypatch.setattr(cli, "_int_text", spy)
+    fast = report("fast")
+    assert max(seen).bit_length() > cli.LONG_INT_BITS     # 117,842 digits
+    monkeypatch.setattr(cli, "_int_text", str)
+    assert fast == report("plain")
 
 
 def test_csv_format(scheme_files, capsys):
