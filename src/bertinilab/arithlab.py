@@ -376,6 +376,8 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
         raise ValueError("need degree >= 2")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if trial_bound < 2:
+        raise ValueError("need trial bound T >= 2")
     primes = primes_up_to(trial_bound)
     check_primes = [p for p in primes if p <= fiber_cap]
     bounds = [R ** i for i in range(1, d + 1)]

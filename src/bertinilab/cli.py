@@ -309,13 +309,16 @@ def render_report(args, results: dict, duration: float) -> str:
 
 
 def main(argv=None) -> int:
-    sys.set_int_max_str_digits(DIGIT_CAP)   # deep exact truncations are long
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config status
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    # deep exact truncations are long, and json prints those below
+    # LONG_INT_BITS: the raised limit holds for run, render and write
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_CAP)
     start = time.monotonic()
     try:
         results = run(args)
@@ -328,15 +331,18 @@ def main(argv=None) -> int:
     except (InternalCheckError, InconsistentTable) as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    full = render_report(args, results, time.monotonic() - start)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(full)
-            if not full.endswith("\n"):
-                fh.write("\n")
     else:
-        print(full)
-    return EXIT_OK
+        full = render_report(args, results, time.monotonic() - start)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(full)
+                if not full.endswith("\n"):
+                    fh.write("\n")
+        else:
+            print(full)
+        return EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":       # pragma: no cover

@@ -9,9 +9,11 @@ coefficients of w^0 .. w^{e-1}.  Encodings are dense, hashable and
 cheap to compare, which keeps exhaustive desk-scale scans fast.
 
 Prime fields compute with Python integers mod p and are capped at 2^24
-elements.  Extension fields are capped at 2^16 elements and always get
-exp/log and Frobenius tables: polynomial arithmetic on the encodings
-only builds those tables.
+elements.  Extension fields are capped at 2^16 elements, and every
+operation on them is a table lookup: exp/log tables for products,
+Zech logarithms log(1 + g^k) for sums, and a Frobenius table.  The
+digit encoding matters only when those tables are built and at the
+Galois-ring boundary (lifts and reductions mod p).
 """
 
 from __future__ import annotations
@@ -201,24 +203,15 @@ def find_irreducible(p: int, e: int) -> tuple:
 class GF:
     """The finite field GF(p^e), elements encoded as ints in [0, p^e)."""
 
-    def __init__(self, p: int, e: int = 1, modulus: tuple | None = None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        _check_field_size(p, e)
+    def __init__(self, p: int, e: int = 1):
+        # validates p, e and the size cap
+        self.modulus = find_irreducible(p, e)
         self.p = p
         self.e = e
         self.q = p ** e
-        self.modulus = tuple(modulus) if modulus is not None else find_irreducible(p, e)
-        if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if e > 1 and not poly_is_irreducible(list(self.modulus), p):
-            raise ValueError("modulus is reducible")
         if e > 1:
             # for p = 2 the bit encoding doubles as the GF(2)[T] representation
-            self._mod_int = (sum(c << i for i, c in enumerate(self.modulus))
-                             if p == 2 else None)
+            self._mod_int = self.encode(self.modulus) if p == 2 else None
             self._build_tables()
 
     # -- encoding helpers
@@ -235,9 +228,6 @@ class GF:
             out.append(x % p)
             x //= p
         return out
-
-    def elements(self):
-        return range(self.q)
 
     def _mul_poly(self, a: int, b: int) -> int:
         """Product by polynomial arithmetic; used only to build the tables."""
@@ -259,15 +249,16 @@ class GF:
         return self.encode(poly_mod(prod, list(self.modulus), self.p))
 
     def _build_tables(self):
-        q = self.q
-        # find a multiplicative generator by order testing
+        p, q = self.p, self.q
+        modulus = list(self.modulus)
+        # a multiplicative generator, by order testing
         factors = _prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(self._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
-                g = cand
-                break
-        exp = [0] * (2 * (q - 1))
+        g = next(c for c in range(2, q)
+                 if all(poly_powmod(self.decode(c), (q - 1) // f, modulus, p) != [1]
+                        for f in factors))
+        # exp holds two periods, so mul and add index it without a reduction,
+        # then q - 1 zeros, where the Zech entry of 1 + (-1) = 0 points
+        exp = [0] * (3 * (q - 1))
         log = [0] * q
         acc = 1
         for k in range(q - 1):
@@ -275,36 +266,36 @@ class GF:
             exp[k + q - 1] = acc
             log[acc] = k
             acc = self._mul_poly(acc, g)
-        self._exp, self._log = exp, log
-        self._frob = [self.pow(x, self.p) for x in range(q)]
+        # Zech logarithms, zech[k] = log(1 + g^k): adding 1 changes only the
+        # constant digit, and 1 + x = 0 exactly when x = p - 1
+        zech = [log[x - x % p + (x + 1) % p] if x != p - 1 else 2 * (q - 1)
+                for x in exp[:q - 1]]
+        self._exp, self._log, self._zech = exp, log, zech
+        self._log_neg_one = log[p - 1]      # 0 in characteristic 2
+        self._frob = [self.pow(x, p) for x in range(q)]
 
-    def _pow_poly(self, x: int, k: int) -> int:
-        acc = 1
-        while k:
-            if k & 1:
-                acc = self._mul_poly(acc, x)
-            x = self._mul_poly(x, x)
-            k >>= 1
-        return acc
-
-    # -- arithmetic
+    # -- arithmetic: integers mod p for e = 1, table lookups otherwise
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.encode(c1 + c2 for c1, c2 in zip(self.decode(a), self.decode(b)))
+        if a == 0 or b == 0:
+            return a or b
+        # a + b = a (1 + b/a)
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
+
+    def neg(self, a: int) -> int:
+        if self.e == 1:
+            return -a % self.p
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] + self._log_neg_one]
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.encode(c1 - c2 for c1, c2 in zip(self.decode(a), self.decode(b)))
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -339,11 +330,10 @@ class GF:
         return f"GF({self.p}^{self.e})"
 
     def __eq__(self, other):
-        return (isinstance(other, GF)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
+        return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return hash((self.p, self.e))
 
 
 class GaloisRing:
@@ -362,7 +352,6 @@ class GaloisRing:
         self.p = p
         self.e = e
         self.p2 = p * p
-        self.size = self.p2 ** e
         self.modulus = tuple(c % self.p2 for c in self.field.modulus)
 
     def zero(self):
@@ -381,14 +370,8 @@ class GaloisRing:
     def reduce_mod_p(self, a) -> int:
         return self.field.encode(c % self.p for c in a)
 
-    def is_unit(self, a) -> bool:
-        return self.reduce_mod_p(a) != 0
-
     def add(self, a, b):
         return tuple((x + y) % self.p2 for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p2 for x, y in zip(a, b))
 
     def mul(self, a, b):
         prod = poly_mul(list(a), list(b), self.p2)
@@ -416,9 +399,6 @@ class GaloisRing:
         if not self.divisible_by_p(a):
             raise ValueError("element is not divisible by p")
         return self.field.encode(c // self.p for c in a)
-
-    def elements(self):
-        return product(range(self.p2), repeat=self.e)
 
     def __repr__(self):
         return f"GR({self.p}^2, {self.e})"

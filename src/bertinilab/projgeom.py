@@ -356,9 +356,9 @@ class SchemeFiber:
             rows.append([f.partial(j).eval_gf(field, coords) for j in cols])
         return rows
 
-    def tangent_basis(self, x: ClosedPoint, chart: int | None = None):
+    def tangent_basis(self, x: ClosedPoint):
         """A basis of the tangent space of the fiber at x, in chart coordinates."""
-        chart = x.chart() if chart is None else chart
+        chart = x.chart()
         coords = self._scaled_coords(x.field, x.rep, chart)
         rows = self.jacobian_rows(self.forms, x.field, coords, chart)
         basis = kernel_basis(rows, self.n, x.field)

@@ -77,8 +77,8 @@ def uniform_height_ball(rng: np.random.Generator, nrows: int, bounds) -> list:
     return [tuple(col[i] for col in cols) for i in range(nrows)]
 
 
-def confidence_halfwidth(mean: float, samples: int, z: float = 2.5758) -> float:
+def confidence_halfwidth(mean: float, samples: int) -> float:
     """99 percent normal-approximation halfwidth for a Bernoulli mean."""
     if samples <= 0:
         raise ValueError("samples must be positive")
-    return z * (mean * (1.0 - mean) / samples) ** 0.5
+    return 2.5758 * (mean * (1.0 - mean) / samples) ** 0.5

@@ -280,8 +280,7 @@ class BoundReport:
 
 
 def verify_section_bounds(p_list, e_max: int, r_max: int,
-                          fiber_dims=(1, 2), prime_tail_range=(5, 50),
-                          precision_bits: int = 160) -> BoundReport:
+                          fiber_dims=(1, 2)) -> BoundReport:
     """Audit the convergence inequalities on a finite grid.
 
     Checks, for each prime p in p_list and each projective fiber P^m with
@@ -293,19 +292,19 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
       evaluated through the logarithm so that closed-point multiplicities
       in the billions stay cheap;
     * |prod_{p <= R} 1/zeta_p - 1/zeta_global| < 8 c0 / (R zeta_global)
-      for R in the prime_tail_range, using the Riemann zeta closed form
+      for 5 <= R <= 50, using the Riemann zeta closed form
       for the P^m model over the integers.
 
-    The working precision is far beyond the gap of every inequality on
-    the grid (the tightest gaps sit around 2^-80; the default precision
-    leaves 80 guard bits).  Violations are report content, not exceptions;
+    The working precision of 160 bits is far beyond the gap of every
+    inequality on the grid (the tightest gaps sit around 2^-80, so 80
+    guard bits are left).  Violations are report content, not exceptions;
     an empty p_list or one with a non-prime entry is a ValueError.
     """
     if not p_list or not all(is_prime(p) for p in p_list):
         raise ValueError(f"p_list must be a nonempty list of primes, got {list(p_list)}")
     report = BoundReport()
     old_prec = mp.prec
-    mp.prec = precision_bits
+    mp.prec = 160
     try:
         for p in p_list:
             for e in range(1, e_max + 1):
@@ -337,7 +336,7 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
                 zeta_global *= mp_zeta(s - i)
             c0_glob = max(c0_estimate(projective_counts(p, m, 4), m + 1)
                           for p in p_list)
-            for R in range(prime_tail_range[0], prime_tail_range[1] + 1):
+            for R in range(5, 51):
                 prod = mpf(1)
                 for p in primes_up_to(R):
                     v = projective_zeta_inverse_exact(p, m, s)

@@ -133,6 +133,10 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
                  "--samples", "100"]) == EXIT_BUDGET
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "3", "--s", "3",
                  "--r", "13"]) == EXIT_BUDGET
+    # bsw checks no prime below 2, so T < 2 leaves no reference
+    for T in ("0", "-5", "1"):
+        assert main(["bsw", "--d", "3", "--R", "10", "--T", T,
+                     "--samples", "10"]) == EXIT_CONFIG
     # verify-bounds certifies primes only
     for p_list in ("6", "4,1", ""):
         assert main(["verify-bounds", f"--p-list={p_list}", "--e-max", "2",
@@ -151,6 +155,31 @@ def test_digit_cap_is_checked_before_computing(scheme_files, monkeypatch, capsys
     assert "2000000 digits" in capsys.readouterr().err
     fiber = cli._load(scheme_files["p1"]).fiber(2)
     cli._check_digits(fiber.point_table(20), 3, 20)     # about 1.89e6 digits
+
+
+def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, capsys):
+    """main raises sys.set_int_max_str_digits to DIGIT_CAP for run, render
+    and write only; the caller's limit is back after success and failure."""
+    seen = []
+    render = cli.render_report
+
+    def spy(*args):
+        seen.append(sys.get_int_max_str_digits())
+        return render(*args)
+    monkeypatch.setattr(cli, "render_report", spy)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "2",
+                     "--r", "3", "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert sys.get_int_max_str_digits() == 5000
+        assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2",
+                     "--s", "1", "--r", "3"]) == EXIT_CONFIG
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert seen == [cli.DIGIT_CAP]
+    capsys.readouterr()
 
 
 @contextmanager

@@ -84,7 +84,7 @@ def test_frobenius_examples():
 def test_power_q_is_identity_exhaustive(p, e):
     field = GF(p, e)
     assert field.q <= 1 << 16
-    for x in field.elements():
+    for x in range(field.q):
         acc = x
         for _ in range(e):
             acc = field.frobenius(acc)
@@ -122,24 +122,60 @@ def test_field_axioms_random():
     assert GF(16777213).q == 16777213      # prime fields keep the 2^24 cap
 
 
+def _digitwise(field, a, b, sign):
+    """a + sign*b computed digit by digit on the base-p encodings."""
+    return field.encode(x + sign * y for x, y in zip(field.decode(a), field.decode(b)))
+
+
+def _check_against_digits(field, pairs):
+    for a, b in pairs:
+        assert field.add(a, b) == _digitwise(field, a, b, 1), (field, a, b)
+        assert field.sub(a, b) == _digitwise(field, a, b, -1), (field, a, b)
+        assert field.neg(b) == _digitwise(field, 0, b, -1), (field, b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                                 (7, 2), (11, 2), (13, 2)])
+def test_table_addition_matches_digits_exhaustive(p, e):
+    """Zech-logarithm add, sub and neg against digit-wise arithmetic, every pair."""
+    field = GF(p, e)
+    _check_against_digits(field, itertools.product(range(field.q), repeat=2))
+    assert field.add(1, p - 1) == 0 and field.neg(1) == p - 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (251, 2)])
+def test_table_addition_matches_digits_random(p, e):
+    field = GF(p, e)
+    rng = random.Random(p * 100 + e)
+    pairs = [(rng.randrange(field.q), rng.randrange(field.q)) for _ in range(10 ** 4)]
+    _check_against_digits(field, pairs)
+    assert field.add(1, p - 1) == 0 and field.neg(1) == p - 1
+    # a + (-a) = 0 lands on the marked Zech entry for every a
+    for a, _ in pairs[:1000]:
+        assert field.add(a, field.neg(a)) == 0
+
+
 @pytest.mark.parametrize("p,e", [(2, 4), (2, 8), (3, 3), (5, 2), (7, 2)])
 def test_galois_ring_units_exhaustive(p, e):
+    """a is a unit exactly when a mod p is nonzero: then a^((q-1)p) = 1,
+    and otherwise a lies in p*GR, so a^2 = 0."""
     ring = GaloisRing(p, e)
-    assert ring.size <= 1 << 16
-    units = 0
-    for a in ring.elements():
-        if ring.is_unit(a):
-            units += 1
-            assert ring.reduce_mod_p(a) != 0
-        else:
-            assert ring.reduce_mod_p(a) == 0
-    assert units == p ** (2 * e) - p ** e
+    assert p ** (2 * e) <= 1 << 16
+    elements = list(itertools.product(range(p * p), repeat=e))
+    units = [a for a in elements if ring.reduce_mod_p(a) != 0]
+    assert len(units) == p ** (2 * e) - p ** e
+    unit_order = (p ** e - 1) * p
+    rng = random.Random(p ** e)
+    for a in rng.sample(elements, 200):
+        expected = ring.one() if ring.reduce_mod_p(a) != 0 else ring.zero()
+        assert ring.pow(a, unit_order) == expected, a
 
 
 def test_galois_ring_reduction_and_lift():
     ring = GaloisRing(3, 2)
     field = ring.field
-    for x in field.elements():
+    for x in range(field.q):
         assert ring.reduce_mod_p(ring.lift(x)) == x
     # reduction is a ring homomorphism
     rng = random.Random(3)

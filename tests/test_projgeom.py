@@ -201,7 +201,7 @@ def test_scan_budget(monkeypatch, p1, conic):
     assert conic.fiber(3).table_fits(5) and not conic.fiber(3).table_fits(6)
     assert p1.fiber(4099).table_fits(100)          # the closed form scans nothing
 
-    def no_field(self, p, e=1, modulus=None):
+    def no_field(self, p, e=1):
         raise AssertionError(f"GF({p}, {e}) built")
 
     monkeypatch.setattr(GF, "__init__", no_field)
