@@ -22,7 +22,8 @@ import numpy as np
 
 from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
                      poly_mul, poly_sub, poly_trim)
-from .fiberlab import DensityEstimate, FiberClassifier, reference_truncation
+from .fiberlab import (DensityEstimate, FiberClassifier, check_digits,
+                       reading_exponent, reference_truncation)
 from .projgeom import HomogeneousForm, ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
 from .zetas import primes_up_to
@@ -309,7 +310,9 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     fibers = [scheme.fiber(p) for p in primes]
     if n > 1:
         for fib in fibers:
-            fib.check_ring_cap(r)
+            fib.check_census(r)
+    check_digits([fib.point_table(r) for fib in fibers],
+                 reading_exponent(scheme.m, classification), r)
     references = [reference_truncation(fib, r, classification) for fib in fibers]
     streams = sampling.chunks(seed, samples)
     classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))

@@ -16,7 +16,6 @@ import csv
 import decimal
 import io
 import json
-import math
 import re
 import sys
 import time
@@ -25,12 +24,11 @@ from fractions import Fraction
 from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
                        equidistribution_audit, multi_fiber_experiment)
-from .fiberlab import (SectionModP2, classify_point_detail,
+from .fiberlab import (DIGIT_CAP, SectionModP2, check_digits, classify_point_detail,
                        fiber_density_exhaustive, fiber_density_mc)
 from .projgeom import (BudgetExceeded, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (InconsistentTable, closed_point_counts, local_zeta_inverse,
-                    truncation_exponent, verify_section_bounds)
+from .zetas import InconsistentTable, local_zeta_inverse, verify_section_bounds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,10 +40,8 @@ EXIT_INTERNAL = 4
 # fiber's scan check admits.  Deeper truncations (pass --r) are exact
 # rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
-# the longest integer a report may print, in decimal digits.  Integers
-# longer than LONG_INT_BITS are printed through decimal (_int_text), which
-# sys.set_int_max_str_digits does not limit, so _check_digits is the guard.
-DIGIT_CAP = 2_000_000
+# integers longer than this are printed through decimal (_int_text), up to
+# fiberlab.DIGIT_CAP digits
 LONG_INT_BITS = 1 << 15
 # _int_text converts pieces of at most this many bits with plain Decimal(n)
 _LEAF_BITS = 3000
@@ -153,10 +149,7 @@ def _default_depth(fiber) -> int:
 
 def _check_digits(table, s: int, r: int):
     """Refuse a truncation whose denominator p^(sum s e a_e) passes DIGIT_CAP."""
-    exponent = truncation_exponent(closed_point_counts(table), s, r)
-    if exponent * math.log10(table.p) >= DIGIT_CAP:
-        raise BudgetExceeded(f"the truncation's denominator {table.p}^{exponent} "
-                             f"has more than {DIGIT_CAP} digits")
+    check_digits([table], s, r)
 
 
 def _config_echo(args) -> dict:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 FIELD_SIZE_CAP = 1 << 24      # prime fields
 TABLE_SIZE_CAP = 1 << 16      # extension fields, all with tables
 
@@ -210,8 +212,6 @@ class GF:
         self.e = e
         self.q = p ** e
         if e > 1:
-            # for p = 2 the bit encoding doubles as the GF(2)[T] representation
-            self._mod_int = self.encode(self.modulus) if p == 2 else None
             self._build_tables()
 
     # -- encoding helpers
@@ -229,25 +229,6 @@ class GF:
             x //= p
         return out
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Product by polynomial arithmetic; used only to build the tables."""
-        if self._mod_int is not None:
-            # carry-less multiplication and reduction on the bit encoding
-            acc = 0
-            while b:
-                if b & 1:
-                    acc ^= a
-                a <<= 1
-                b >>= 1
-            mod = self._mod_int
-            top = self.e
-            for shift in range(acc.bit_length() - 1 - top, -1, -1):
-                if acc >> (shift + top) & 1:
-                    acc ^= mod << shift
-            return acc
-        prod = poly_mul(self.decode(a), self.decode(b), self.p)
-        return self.encode(poly_mod(prod, list(self.modulus), self.p))
-
     def _build_tables(self):
         p, q = self.p, self.q
         modulus = list(self.modulus)
@@ -256,6 +237,15 @@ class GF:
         g = next(c for c in range(2, q)
                  if all(poly_powmod(self.decode(c), (q - 1) // f, modulus, p) != [1]
                         for f in factors))
+        # x -> g*x is F_p-linear on the digits.  Row i of its matrix holds the
+        # digits of g*T^i: T times row i - 1, reduced by the monic modulus
+        rows = [self.decode(g)]
+        for _ in range(self.e - 1):
+            top = rows[-1][-1]
+            rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], modulus)])
+        places = [p ** i for i in range(self.e)]
+        digits = np.arange(q)[:, None] // places % p
+        step = (digits @ rows % p @ places).tolist()
         # exp holds two periods, so mul and add index it without a reduction,
         # then q - 1 zeros, where the Zech entry of 1 + (-1) = 0 points
         exp = [0] * (3 * (q - 1))
@@ -265,7 +255,7 @@ class GF:
             exp[k] = acc
             exp[k + q - 1] = acc
             log[acc] = k
-            acc = self._mul_poly(acc, g)
+            acc = step[acc]
         # Zech logarithms, zech[k] = log(1 + g^k): adding 1 changes only the
         # constant digit, and 1 + x = 0 exactly when x = p - 1
         zech = [log[x - x % p + (x + 1) % p] if x != p - 1 else 2 * (q - 1)

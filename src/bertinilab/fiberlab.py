@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
                      solve_linear)
 from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
                        ProjectiveScheme, SchemeFiber, monomial_basis)
-from .zetas import ZetaTruncation, local_zeta_inverse
+from .zetas import (ZetaTruncation, closed_point_counts, local_zeta_inverse,
+                    truncation_exponent)
 from . import sampling
 
 NOT_ON_DIVISOR = "NotOnDivisor"
@@ -43,6 +44,10 @@ SINGULAR = "SingularPoint"
 SMOOTH = "SmoothPoint"
 
 EXHAUSTIVE_BUDGET = 1 << 26
+# the longest integer a report may print, in decimal digits.  Reports print
+# long integers through decimal, which sys.set_int_max_str_digits does not
+# limit, so check_digits is the guard.
+DIGIT_CAP = 2_000_000
 _CHUNK = 1 << 14
 
 
@@ -131,7 +136,7 @@ def classify_point(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber,
 # Truncated products, tail bounds.
 
 
-def _reading_exponent(m: int, reading: str) -> int:
+def reading_exponent(m: int, reading: str) -> int:
     """The zeta exponent s of a reading on a fiber of dimension m.
 
     s = m + 2 for the arithmetic reading (sections mod p^2: the paper's
@@ -150,7 +155,18 @@ def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTrunca
     """prod over closed points of degree <= r of (1 - p^{-s deg x}), with its
     tail bound: the reference of every density in the given reading."""
     return local_zeta_inverse(fiber.point_table(r),
-                              _reading_exponent(fiber.m, reading), r, fiber.m)
+                              reading_exponent(fiber.m, reading), r, fiber.m)
+
+
+def check_digits(tables, s: int, r: int):
+    """Refuse, before computing it, the product of the depth-r truncations
+    at s of the point tables ``tables`` when its denominator
+    prod_p p^(sum_{e <= r} s e a_e) has DIGIT_CAP or more decimal digits."""
+    exponents = [(t.p, truncation_exponent(closed_point_counts(t), s, r)) for t in tables]
+    if sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP:
+        powers = " * ".join(f"{p}^{x}" for p, x in exponents)
+        raise BudgetExceeded(f"the truncation's denominator {powers} "
+                             f"has more than {DIGIT_CAP} digits")
 
 
 def medium_degree_tail_bound(c0: Fraction, p: int, r: int,
@@ -161,7 +177,7 @@ def medium_degree_tail_bound(c0: Fraction, p: int, r: int,
     """
     if c0 < 0:
         raise ValueError("c0 must be nonnegative")
-    arithmetic = _reading_exponent(0, reading) == 2     # s - m: 2 or 1
+    arithmetic = reading_exponent(0, reading) == 2     # s - m: 2 or 1
     return 2 * c0 * Fraction(1, p ** (2 * (r + 1) if arithmetic else r))
 
 
@@ -321,7 +337,7 @@ class FiberClassifier:
         what turns the singularity events at the points into exact
         independent probabilities.
         """
-        target_dim = _reading_exponent(self.fiber.m, reading) * \
+        target_dim = reading_exponent(self.fiber.m, reading) * \
             sum(j.e for j in self.jets)
         fiber_reading = reading == "fiber"
         rows = []
@@ -415,7 +431,7 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     """
     fiber = scheme.fiber(p)
     total = _census_size(comb(fiber.n + d, fiber.n), p * p)
-    fiber.check_ring_cap(r)
+    fiber.check_census(r)
     reference = reference_truncation(fiber, r, count).value
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
@@ -446,7 +462,7 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     if samples < 100:
         raise ValueError("need at least 100 samples")
     fiber = scheme.fiber(p)
-    fiber.check_ring_cap(r)
+    fiber.check_census(r)
     reference = reference_truncation(fiber, r, count)
     streams = sampling.chunks(seed, samples)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))

@@ -276,17 +276,19 @@ class SchemeFiber:
         if not self.scan_fits(r):
             raise BudgetExceeded(f"scan of ~{self.p ** r}^{self.n + 1} tuples refused")
 
-    def check_ring_cap(self, r: int):
+    def check_census(self, r: int):
         """Refuse a census at the points of degree <= r whose largest lift
-        ring GR(p^2, r) passes FIELD_SIZE_CAP: p^(2r) <= 2^24.
+        ring GR(p^2, r) passes FIELD_SIZE_CAP (p^(2r) <= 2^24) or whose
+        point scan fails ``scan_fits(r)``.
 
-        Census callers run it before enumerating any point, so the refusal
-        is a budget (exit 3); GaloisRing keeps its ValueError for direct
-        callers.
+        Census callers run it before their reference and before enumerating
+        any point, so the refusal is a budget (exit 3) that costs nothing;
+        GaloisRing keeps its ValueError for direct callers.
         """
         if self.p ** (2 * r) > FIELD_SIZE_CAP:
             raise BudgetExceeded(f"ring size {self.p}^{2 * r} exceeds the "
                                  f"2^{FIELD_SIZE_CAP.bit_length() - 1} cap")
+        self._check_scan(r)
 
     def table_fits(self, e_max: int) -> bool:
         """Whether ``point_table(e_max)`` passes the scan check (P^n scans nothing)."""

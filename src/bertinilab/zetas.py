@@ -191,12 +191,15 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
                         r_per_prime: dict | int, fiber_dim: int) -> GlobalZetaTruncation:
     """Product of local truncations over all primes p <= prime_bound.
 
-    ``tables`` maps each prime to its PointCountTable; a missing prime is
-    an error.  The prime tail bound 8*c0*value/R applies only when
-    s >= fiber_dim + 2, i.e. when the product over all primes converges;
-    below that the product diverges to 0 and only the truncated value is
-    meaningful.
+    ``tables`` maps each prime to its PointCountTable and a dict
+    ``r_per_prime`` each prime to its depth; a missing prime is an error,
+    and so is prime_bound < 2, a product over no fibers.  The prime tail
+    bound 8*c0*value/R applies only when s >= fiber_dim + 2, i.e. when
+    the product over all primes converges; below that the product
+    diverges to 0 and only the truncated value is meaningful.
     """
+    if prime_bound < 2:
+        raise ValueError(f"prime bound {prime_bound} leaves no fiber")
     primes = primes_up_to(prime_bound)
     locals_ = []
     value = Fraction(1)
@@ -205,7 +208,9 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
     for p in primes:
         if p not in tables:
             raise ValueError(f"missing point counts for the fiber at p = {p}")
-        r = r_per_prime if isinstance(r_per_prime, int) else r_per_prime[p]
+        r = r_per_prime if isinstance(r_per_prime, int) else r_per_prime.get(p)
+        if r is None:
+            raise ValueError(f"missing truncation depth for the fiber at p = {p}")
         t = local_zeta_inverse(tables[p], s, r, fiber_dim)
         locals_.append(t)
         value *= t.value

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bertinilab import cli
+from bertinilab import cli, fiberlab
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, build_parser,
                             main, render_report, run)
 from bertinilab.projgeom import ProjectiveScheme, save_scheme
@@ -155,6 +155,19 @@ def test_digit_cap_is_checked_before_computing(scheme_files, monkeypatch, capsys
     assert "2000000 digits" in capsys.readouterr().err
     fiber = cli._load(scheme_files["p1"]).fiber(2)
     cli._check_digits(fiber.point_table(20), 3, 20)     # about 1.89e6 digits
+
+
+def test_multi_fiber_digit_cap(monkeypatch, capsys):
+    """multi-fiber refuses, before any truncation, a reference whose
+    denominator prod_p p^E_p has DIGIT_CAP digits or more."""
+    def refuse(*args):
+        raise AssertionError("a truncation was computed")
+    monkeypatch.setattr(fiberlab, "local_zeta_inverse", refuse)
+    assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
+                 "--r", "7", "--samples", "100"]) == EXIT_BUDGET
+    assert "2000000 digits" in capsys.readouterr().err
+    # r = 6 (about 0.39e6 digits) still runs; s = 3 on P^1
+    fiberlab.check_digits([projective_counts(p, 1, 6) for p in (2, 3, 5, 7)], 3, 6)
 
 
 def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, capsys):

@@ -128,17 +128,24 @@ def _digitwise(field, a, b, sign):
 
 
 def _check_against_digits(field, pairs):
+    """add, sub and neg digit by digit; mul as polynomials mod the modulus,
+    which pins the tables to the defining polynomial, not just to the axioms."""
+    modulus = list(field.modulus)
     for a, b in pairs:
         assert field.add(a, b) == _digitwise(field, a, b, 1), (field, a, b)
         assert field.sub(a, b) == _digitwise(field, a, b, -1), (field, a, b)
         assert field.neg(b) == _digitwise(field, 0, b, -1), (field, b)
+        product = poly_mod(poly_mul(field.decode(a), field.decode(b), field.p),
+                           modulus, field.p)
+        assert field.mul(a, b) == field.encode(product), (field, a, b)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
                                  (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
                                  (7, 2), (11, 2), (13, 2)])
 def test_table_addition_matches_digits_exhaustive(p, e):
-    """Zech-logarithm add, sub and neg against digit-wise arithmetic, every pair."""
+    """Table add, sub, neg and mul against digit and polynomial arithmetic,
+    every pair."""
     field = GF(p, e)
     _check_against_digits(field, itertools.product(range(field.q), repeat=2))
     assert field.add(1, p - 1) == 0 and field.neg(1) == p - 1

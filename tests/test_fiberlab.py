@@ -309,7 +309,7 @@ def test_ring_cap_refused_before_points(p1, p2, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated points or built a ring over the cap")
 
-    p1.fiber(2).check_ring_cap(12)                  # 2^24 is within the cap
+    p1.fiber(2).check_census(12)                    # 2^24 is within the cap
     with pytest.raises(ValueError):
         GaloisRing(2, 13)                           # direct callers: ValueError
     monkeypatch.setattr(SchemeFiber, "rational_points", refuse)
@@ -320,6 +320,22 @@ def test_ring_cap_refused_before_points(p1, p2, monkeypatch):
         fiber_density_mc(p1, 2, 3, 13, 100, seed=0)
     with pytest.raises(BudgetExceeded):
         multi_fiber_experiment(1, 2, 2, 13, 100, seed=0, n=2)
+
+
+def test_scan_refused_before_the_reference(p2, monkeypatch):
+    """P^2 mod 2 at r = 12 passes the ring cap (2^24) but not the point scan
+    (2^36 tuples): every census caller refuses before its reference, whose
+    exact product is the bulk of the time such a refusal used to take."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed the reference of a refused census")
+
+    monkeypatch.setattr(fiberlab, "local_zeta_inverse", refuse)
+    with pytest.raises(BudgetExceeded):
+        fiber_density_exhaustive(p2, 2, 1, 12)
+    with pytest.raises(BudgetExceeded):
+        fiber_density_mc(p2, 2, 1, 12, 100, seed=0)
+    with pytest.raises(BudgetExceeded):
+        multi_fiber_experiment(1, 2, 2, 12, 100, seed=0, n=2)
 
 
 def test_census_int64_guard(p1):

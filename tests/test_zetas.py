@@ -114,6 +114,16 @@ def test_global_zeta_truncated_product_value():
         global_zeta_inverse({2: tables[2]}, 3, 7, 4, 1)   # missing primes
 
 
+@pytest.mark.parametrize("prime_bound,depths", [
+    (0, 4), (1, 4), (-3, 4),                # a product over no fibers
+    (7, {2: 4, 3: 4, 7: 4}),                # no depth for p = 5
+])
+def test_global_zeta_inverse_validates_input(prime_bound, depths):
+    tables = {p: projective_counts(p, 1, 4) for p in (2, 3, 5, 7)}
+    with pytest.raises(ValueError):
+        global_zeta_inverse(tables, 3, prime_bound, depths, 1)
+
+
 def test_affine_euler_product_value():
     # the truncated product over p <= 1000 of the affine local factors
     value = Fraction(1)
