@@ -163,6 +163,8 @@ def run(args) -> dict:
         scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
         r = args.r if args.r is not None else _default_depth(fiber)
+        if fiber.forms:
+            fiber.validate_smooth(r)        # a bad prime is a ValueError
         table = fiber.point_table(r)
         _check_digits(table, args.s, r)
         trunc = local_zeta_inverse(table, args.s, r, fiber.m)

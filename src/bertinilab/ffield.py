@@ -244,8 +244,7 @@ class GF:
             top = rows[-1][-1]
             rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], modulus)])
         places = [p ** i for i in range(self.e)]
-        digits = np.arange(q)[:, None] // places % p
-        step = (digits @ rows % p @ places).tolist()
+        step = (self.digit_array() @ rows % p @ places).tolist()
         # exp holds two periods, so mul and add index it without a reduction,
         # then q - 1 zeros, where the Zech entry of 1 + (-1) = 0 points
         exp = [0] * (3 * (q - 1))
@@ -262,7 +261,8 @@ class GF:
                 for x in exp[:q - 1]]
         self._exp, self._log, self._zech = exp, log, zech
         self._log_neg_one = log[p - 1]      # 0 in characteristic 2
-        self._frob = [self.pow(x, p) for x in range(q)]
+        # x^p = g^(p log x)
+        self._frob = [0] + [exp[log[x] * p % (q - 1)] for x in range(1, q)]
 
     # -- arithmetic: integers mod p for e = 1, table lookups otherwise
 
@@ -315,6 +315,15 @@ class GF:
         if self.e == 1:
             return a
         return self._frob[a]
+
+    def log_arrays(self):
+        """(exp, log) as numpy arrays (e > 1 only), for batched products:
+        a * b = exp[(log a + log b) % (q - 1)] when a, b != 0."""
+        return np.array(self._exp[:self.q - 1]), np.array(self._log)
+
+    def digit_array(self):
+        """The q x e array whose row x holds the base-p digits of x."""
+        return np.arange(self.q)[:, None] // self.p ** np.arange(self.e) % self.p
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})"

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import comb, log10
 
 import numpy as np
@@ -49,6 +50,11 @@ EXHAUSTIVE_BUDGET = 1 << 26
 # limit, so check_digits is the guard.
 DIGIT_CAP = 2_000_000
 _CHUNK = 1 << 14
+# entries of one census value-pass block (total point degree x rows); and
+# the largest value bound h (p - 1)^2 that gets a divisibility table, one
+# byte per possible value
+_VALUE_BLOCK = 1 << 14
+_RESIDUE_TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -203,15 +209,16 @@ def _monomial_values(ring: GaloisRing, point, basis, d: int) -> np.ndarray:
     """h x e digits of every monomial of ``basis`` (degree d) at a ring point."""
     powers = []
     for c in point:
-        row = [ring.one()]
-        for _ in range(d):
+        row = [ring.one(), c]
+        for _ in range(d - 1):
             row.append(ring.mul(row[-1], c))
         powers.append(row)
     out = np.zeros((len(basis), ring.e), dtype=np.int64)
     for k, exps in enumerate(basis):
-        v = ring.one()
-        for i, ex in enumerate(exps):
-            v = ring.mul(v, powers[i][ex])
+        factors = [powers[i][ex] for i, ex in enumerate(exps) if ex]
+        v = factors[0] if factors else ring.one()
+        for f in factors[1:]:
+            v = ring.mul(v, f)
         out[k] = v
     return out
 
@@ -317,7 +324,12 @@ class FiberClassifier:
         self.p = fiber.p
         self.p2 = fiber.p ** 2
         self.h = comb(fiber.n + d, fiber.n)
-        if self.h * (self.p2 - 1) ** 2 >= 1 << 63:
+        # census sums: h products below (p^2 - 1)^2 in int64, and in the
+        # value pass h products below (p - 1)^2 in float64, exact below 2^53.
+        # The first bound implies the second for p >= 31; for smaller p the
+        # second fails only at h >= 2^43 coefficients
+        if (self.h * (self.p2 - 1) ** 2 >= 1 << 63
+                or self.h * (self.p - 1) ** 2 >= 1 << 53):
             raise BudgetExceeded(f"int64 census of {self.h} coefficients mod "
                                  f"{self.p2} could overflow")
         reps = [(x.degree, x.rep) for x in points]
@@ -325,6 +337,26 @@ class FiberClassifier:
             raise ValueError("points must be pairwise distinct closed points")
         self.points = points
         self.jets = [_PointJet(fiber, x, d) for x in points]
+        # the value pass: one float64 row per value_p digit of every point,
+        # in the order of the points; _runs holds (first row, points, degree)
+        # for each run of consecutive points of equal degree
+        self._values = np.vstack([np.zeros((0, self.h))]
+                                 + [jet.value_p.T for jet in self.jets])
+        self._runs = []
+        row = 0
+        for e, run in groupby(jet.e for jet in self.jets):
+            count = len(list(run))
+            self._runs.append((row, count, e))
+            row += count * e
+        self._block = max(1, _VALUE_BLOCK // max(1, row))
+        # _multiples[v]: whether p divides v, for every value the pass can
+        # take; the lookup costs about a tenth of a float remainder.  Past
+        # the cap the pass takes int64 remainders instead of a huge table
+        bound = self.h * (self.p - 1) ** 2
+        self._multiples = None
+        if bound < _RESIDUE_TABLE_CAP:
+            self._multiples = np.zeros(bound + 1, dtype=bool)
+            self._multiples[::self.p] = True
 
     def certificate(self, reading: str) -> SurjectivityCertificate:
         """Certificate that degree-d forms surject onto the first-order jets
@@ -361,26 +393,49 @@ class FiberClassifier:
         Returns per-section boolean arrays (any arithmetic singular
         point, any fiber-singular point) and the total point-level
         rescue count across the batch.
+
+        One value pass finds the (row, point) pairs on the divisor: the
+        rows mod p times ``_values`` in float64 (BLAS), _block rows at a
+        time, and a point is on the divisor when p divides all its digits.
+        The tangent and value_p2 tests then run in int64 on those pairs
+        only, grouped by point.
         """
         n = rows.shape[0]
         any_arith = np.zeros(n, dtype=bool)
         any_fiber = np.zeros(n, dtype=bool)
+        if n == 0 or not self.jets:
+            return any_arith, any_fiber, 0
+        hit_rows, hit_points = [], []
+        for start in range(0, n, self._block):
+            block = rows[start:start + self._block] % self.p
+            values = (self._values @ block.T.astype(np.float64, order="C")
+                      ).astype(np.int64)
+            divisible = (self._multiples[values] if self._multiples is not None
+                         else values % self.p == 0)
+            on_div = np.concatenate([divisible[row:row + count * e]
+                                     .reshape(count, e, -1).all(axis=1)
+                                     for row, count, e in self._runs])
+            k, r = np.nonzero(on_div)
+            hit_rows.append(r + start)
+            hit_points.append(k)
+        points = np.concatenate(hit_points)
+        order = np.argsort(points, kind="stable")
+        hit = np.concatenate(hit_rows)[order]
+        bounds = np.searchsorted(points[order], np.arange(len(self.jets) + 1))
         rescued_points = 0
-        rows_p = rows % self.p
-        for jet in self.jets:
-            vals_p = rows_p @ jet.value_p % self.p
-            on_div = ~vals_p.any(axis=1)
-            idx = np.nonzero(on_div)[0]
-            if idx.size == 0:
+        for jet, lo, hi in zip(self.jets, bounds[:-1], bounds[1:]):
+            if lo == hi:
                 continue
+            idx = hit[lo:hi]
             sub = rows[idx]
-            tangential = sub @ jet.tangent % self.p
-            fiber_sing = ~tangential.any(axis=1)
-            vals_p2 = sub @ jet.value_p2 % self.p2
-            arith_sing = fiber_sing & ~vals_p2.any(axis=1)
-            any_fiber[idx[fiber_sing]] = True
+            fiber_sing = ~(sub @ jet.tangent % self.p).any(axis=1)
+            if not fiber_sing.any():
+                continue
+            idx = idx[fiber_sing]
+            arith_sing = ~(sub[fiber_sing] @ jet.value_p2 % self.p2).any(axis=1)
+            any_fiber[idx] = True
             any_arith[idx[arith_sing]] = True
-            rescued_points += int(fiber_sing.sum()) - int(arith_sing.sum())
+            rescued_points += idx.size - int(arith_sing.sum())
         return any_arith, any_fiber, rescued_points
 
 

@@ -17,14 +17,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb
+
+import numpy as np
 
 from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
                      matrix_rank)
 from .zetas import PointCountTable, projective_counts
 
 POINT_SCAN_BUDGET = 10 ** 8
+# coordinate tuples per batch of a point scan
+SCAN_BLOCK = 1 << 11
 
 
 class BudgetExceeded(Exception):
@@ -303,18 +306,28 @@ class SchemeFiber:
                                              for e in range(1, e_max + 1)))
 
     def rational_points(self, e: int = 1) -> list[tuple]:
-        """All normalized points of X(F_{p^e}), by brute-force chart scan."""
+        """All normalized points of X(F_{p^e}), by brute-force chart scan.
+
+        The scan runs the charts X_0 = 1, then X_0 = 0, X_1 = 1, and so on,
+        each tail in lexicographic order, and tests SCAN_BLOCK tuples at a
+        time with ``_vanishing``.
+        """
         if e in self._points_cache:
             return self._points_cache[e]
         self._check_scan(e)
         field = self.extension(e)
+        vanishing = _vanishing(field, self.forms)
+        q = field.q
         points = []
         for lead in range(self.n + 1):
-            prefix = (0,) * lead + (1,)
-            for tail in product(range(field.q), repeat=self.n - lead):
-                pt = prefix + tail
-                if all(f.eval_gf(field, pt) == 0 for f in self.forms):
-                    points.append(pt)
+            k = self.n - lead
+            places = q ** np.arange(k - 1, -1, -1)
+            for start in range(0, q ** k, SCAN_BLOCK):
+                tails = np.arange(start, min(start + SCAN_BLOCK, q ** k))
+                block = np.zeros((tails.size, self.n + 1), dtype=np.int64)
+                block[:, lead] = 1
+                block[:, lead + 1:] = tails[:, None] // places % q
+                points += map(tuple, block[vanishing(block)].tolist())
         self._points_cache[e] = points
         return points
 
@@ -402,6 +415,49 @@ class SchemeFiber:
 
     def __repr__(self):
         return f"{self.scheme.name} mod {self.p}"
+
+
+def _vanishing(field: GF, forms):
+    """A function that takes an int64 array of coordinate tuples over
+    ``field`` (one per row) and says at which rows every form vanishes.
+
+    Each form is evaluated at every row at once.  Over F_p (e = 1) a term
+    is a product of integers mod p.  Over GF(p^e) it is exp of the sum of
+    the logs (0 when a coordinate raised to a positive power is 0), and
+    the terms are summed digit-wise mod p.
+    """
+    p, e = field.p, field.e
+    terms = [[(exps, c % p) for exps, c in zip(f.basis, f.coeffs) if c % p]
+             for f in forms]
+    if e > 1:
+        exp, log = field.log_arrays()
+        digits = field.digit_array()
+
+    def test(block):
+        ok = np.ones(len(block), dtype=bool)
+        if e > 1:
+            logs = log[block]
+            zero = block == 0
+        for form in terms:
+            acc = np.zeros((len(block), e), dtype=np.int64)
+            for exps, c in form:
+                used = [i for i, a in enumerate(exps) if a]
+                if e == 1:
+                    term = np.full(len(block), c, dtype=np.int64)
+                    for i in used:
+                        for _ in range(exps[i]):
+                            term = term * block[:, i] % p
+                    acc[:, 0] += term
+                else:
+                    term = exp[(log[c] + sum(exps[i] * logs[:, i] for i in used))
+                               % (field.q - 1)]
+                    if used:
+                        term[zero[:, used].any(axis=1)] = 0
+                    acc += digits[term]
+            ok &= ~(acc % p).any(axis=1)
+        return ok
+
+    return test
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from bertinilab.projgeom import ProjectiveScheme, parse_form
+from bertinilab.projgeom import ProjectiveScheme, load_scheme, parse_form
+
+SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +21,9 @@ def p2():
 def conic():
     return ProjectiveScheme(2, 1, [parse_form("X^2+Y^2+Z^2", 2)],
                             name="sum-of-squares conic")
+
+
+@pytest.fixture(scope="session")
+def elliptic():
+    """Y^2 Z = X^3 + X Z^2 + Z^3, smooth away from its bad primes 2 and 31."""
+    return load_scheme(SCHEMES / "elliptic_a1_b1.json")[0]

@@ -44,16 +44,42 @@ def test_zeta_subcommand_value(scheme_files):
         expected.error_bound
 
 
-@pytest.mark.parametrize("name, m, depths", [("conic", 1, (8, 5, 3, 3, 2)),
+@pytest.mark.parametrize("name, m, depths", [("conic", 1, (5, 3, 3, 2, 2)),
                                              ("p2", 2, (6, 3, 2, 2, 1))])
 def test_zeta_default_depth(scheme_files, name, m, depths):
     """Without --r, zeta runs at the deepest r with p^(r max(m, 1)) <= 2^12
     whose point table passes the scan check; s cycles through m+1..m+3."""
-    for i, (p, r) in enumerate(zip((2, 3, 5, 7, 11), depths)):
+    # the conic is a double line mod 2, which zeta refuses
+    primes = (3, 5, 7, 11, 13) if name == "conic" else (2, 3, 5, 7, 11)
+    for i, (p, r) in enumerate(zip(primes, depths)):
         s = m + 1 + i % 3
         _, results = invoke(["zeta", "--scheme", scheme_files[name],
                              "--p", str(p), "--s", str(s)])
         assert (results["s"], results["r"], len(results["a_e"])) == (s, r, r)
+
+
+def test_zeta_refuses_a_singular_fiber(elliptic, conic, tmp_path):
+    """zeta checks the fiber's smoothness up to its depth before the table,
+    as fiber-density does through its jets: the elliptic curve is singular
+    at (1, 1, 1) mod 2 and (1, 0, 20) mod 31, and the conic
+    X^2 + Y^2 + Z^2 is the double line (X + Y + Z)^2 mod 2."""
+    conic_path = tmp_path / "conic.json"
+    save_scheme(conic_path, conic)
+    assert main(["zeta", "--scheme", str(conic_path), "--p", "2", "--s", "2",
+                 "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    path = tmp_path / "elliptic.json"
+    save_scheme(path, elliptic)
+    for p, r in (("2", "3"), ("31", "1")):
+        assert main(["zeta", "--scheme", str(path), "--p", p, "--s", "2",
+                     "--r", r, "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
+        assert main(["fiber-density", "--scheme", str(path), "--p", p, "--d", "1",
+                     "--r", "1", "--mode", "mc", "--samples", "100",
+                     "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    assert main(["zeta", "--scheme", str(path), "--p", "3", "--s", "2",
+                 "--r", "3", "--output", str(tmp_path / "out.json")]) == EXIT_OK
+    _, results = invoke(["zeta", "--scheme", str(path), "--p", "3", "--s", "2",
+                         "--r", "3"])
+    assert results["a_e"] == [4, 6, 8]
 
 
 def test_classify_subcommand(scheme_files):

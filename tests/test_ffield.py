@@ -91,6 +91,21 @@ def test_power_q_is_identity_exhaustive(p, e):
         assert acc == x
 
 
+@pytest.mark.parametrize("p, e", [(2, 4), (3, 5), (251, 2)])
+def test_frobenius_table_is_the_pth_power(p, e):
+    """frobenius(x) against x^p by square-and-multiply through mul, for
+    every element."""
+    field = GF(p, e)
+    for x in range(field.q):
+        acc, base, k = 1, x, p
+        while k:
+            if k & 1:
+                acc = field.mul(acc, base)
+            base = field.mul(base, base)
+            k >>= 1
+        assert field.frobenius(x) == acc == field.pow(x, p), x
+
+
 def test_frobenius_is_ring_homomorphism():
     rng = random.Random(1)
     for p, e in [(2, 5), (3, 3), (5, 3), (7, 2)]:

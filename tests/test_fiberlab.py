@@ -348,6 +348,42 @@ def test_census_int64_guard(p1):
     assert FiberClassifier(fib, 900, []).h == 901
 
 
+def test_census_blocks_match_row_by_row(conic, monkeypatch):
+    """A batch of three value-pass blocks plus one row, censused at once,
+    against the census of each row alone; then the same batch through the
+    integer divisibility test that replaces the lookup table above
+    _RESIDUE_TABLE_CAP."""
+    fib = conic.fiber(3)
+    points = fib.closed_points_up_to(3)
+    cls = FiberClassifier(fib, 2, points)
+    assert cls._block == fiberlab._VALUE_BLOCK // sum(x.degree for x in points)
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 9, size=(3 * cls._block + 1, cls.h), dtype=np.int64)
+    rows[::5] = rows[::5] * 3 % 9          # p * tau: on the divisor everywhere
+    any_arith, any_fiber, rescued = cls.census(rows)
+    singles = [cls.census(rows[j:j + 1]) for j in range(len(rows))]
+    assert list(any_arith) == [a[0] for a, _, _ in singles]
+    assert list(any_fiber) == [f[0] for _, f, _ in singles]
+    assert rescued == sum(r for _, _, r in singles) > 0
+    assert any_arith.any() and not any_fiber.all()
+    monkeypatch.setattr(fiberlab, "_RESIDUE_TABLE_CAP", 0)
+    without_table = FiberClassifier(fib, 2, points)
+    assert without_table._multiples is None
+    again = without_table.census(rows)
+    assert (again[0] == any_arith).all() and (again[1] == any_fiber).all()
+    assert again[2] == rescued
+
+
+def test_census_without_points(p1):
+    """No points (r = 0, or an empty list): every row is regular."""
+    fib = p1.fiber(3)
+    rows = np.arange(5 * 4, dtype=np.int64).reshape(5, 4) % 9
+    for points in ([], fib.closed_points_up_to(0)):
+        any_arith, any_fiber, rescued = FiberClassifier(fib, 3, points).census(rows)
+        assert not any_arith.any() and not any_fiber.any() and rescued == 0
+        assert any_arith.shape == any_fiber.shape == (5,)
+
+
 def test_unknown_count_rejected(p1):
     with pytest.raises(ValueError):
         fiber_density_exhaustive(p1, 2, 4, 1, count="residue")

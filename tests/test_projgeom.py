@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -104,6 +105,43 @@ def test_points_are_normalized_once(p2):
             assert scaled not in seen or scaled == pt
         seen.add(pt)
     assert len(seen) == len(pts)
+
+
+def _scan_by_eval_gf(fib, e):
+    """X(F_{p^e}) by one eval_gf call per form and coordinate tuple, in the
+    chart order of rational_points."""
+    field = fib.extension(e)
+    tuples = ((0,) * lead + (1,) + tail for lead in range(fib.n + 1)
+              for tail in product(range(field.q), repeat=fib.n - lead))
+    return [pt for pt in tuples if all(f.eval_gf(field, pt) == 0 for f in fib.forms)]
+
+
+def test_rational_points_match_pointwise_scan(conic, elliptic):
+    """The batched scan returns the pointwise scan's list, in its order: the
+    conic mod 3 for e <= 4, the elliptic curve mod 5 for e <= 3, and two
+    forms with negative coefficients in characteristic 2 (a line and a
+    point in common) for e <= 4."""
+    two_forms = ProjectiveScheme(2, 1, [parse_form("X*Y-X*Z", 2),
+                                        parse_form("-X^2+3*X*Z", 2)], name="two")
+    for scheme, p, e_max in ((conic, 3, 4), (elliptic, 5, 3), (two_forms, 2, 4)):
+        for e in range(1, e_max + 1):
+            expected = _scan_by_eval_gf(scheme.fiber(p), e)
+            assert scheme.fiber(p).rational_points(e) == expected, (scheme.name, p, e)
+    assert len(two_forms.fiber(2).rational_points(4)) == 16 + 1 + 1
+
+
+@pytest.mark.parametrize("p, r, counts", [(3, 5, (4, 16, 28, 64, 244)),
+                                          (5, 3, (9, 27, 108)),
+                                          (7, 3, (5, 55, 380))])
+def test_elliptic_point_counts_hasse_weil(elliptic, p, r, counts):
+    """#E(F_{p^e}) = p^e + 1 - s_e with s_0 = 2, s_1 = a_p = p + 1 - N_1 and
+    s_e = a_p s_{e-1} - p s_{e-2}: the whole table follows from N_1."""
+    table = elliptic.fiber(p).point_table(r)
+    a_p = p + 1 - table.counts[0]
+    s = [2, a_p]
+    while len(s) <= r:
+        s.append(a_p * s[-1] - p * s[-2])
+    assert table.counts == tuple(p ** e + 1 - s[e] for e in range(1, r + 1)) == counts
 
 
 def test_closed_points_examples(p1):
