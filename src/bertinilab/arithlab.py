@@ -219,6 +219,11 @@ def dedekind_p_maximal(f: MonicPoly, p: int, disc: int | None = None) -> bool:
     disc = discriminant(f) if disc is None else disc
     if disc == 0:
         raise ValueError("discriminant is zero; the order is not an order")
+    return _dedekind_criterion(f, p, disc)
+
+
+def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
+    """``dedekind_p_maximal`` for a prime p and disc = disc(f) != 0, unchecked."""
     if disc % (p * p) != 0:
         return True
     fle = f.little_endian()
@@ -258,7 +263,12 @@ class MaximalityVerdict:
 def maximality_scan(f: MonicPoly, trial_bound: int,
                     primes: list | None = None,
                     disc: int | None = None) -> MaximalityVerdict:
-    """Trial-divide disc(f) below the bound and run Dedekind where needed."""
+    """Trial-divide disc(f) below the bound and run Dedekind where needed.
+
+    ``primes``, when given, must be ``primes_up_to(trial_bound)``; callers
+    scanning many polynomials pass it to sieve once.  Its entries reach
+    Dedekind's criterion without a second primality test.
+    """
     disc = discriminant(f) if disc is None else disc
     if disc == 0:
         return MaximalityVerdict("degenerate", trial_bound)
@@ -272,7 +282,7 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
             while c % p == 0:
                 c //= p
                 power += 1
-            if power >= 2 and not dedekind_p_maximal(f, p, disc=disc):
+            if power >= 2 and not _dedekind_criterion(f, p, disc):
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
                                          unconditional=True)
     unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and is_prime(c))

@@ -91,26 +91,35 @@ def poly_mul(a, b, m):
     return poly_trim(out)
 
 
-def poly_divmod(a, b, m):
-    """Quotient and remainder of a by b over Z/m; lc(b) must be a unit."""
+def poly_divmod(a, b, m, quotient=True):
+    """Quotient and remainder of a by b over Z/m; lc(b) must be a unit.
+
+    The remainder comes back reduced mod m and trimmed.  Each step pops
+    the leading term, which the step cancels by construction, so only
+    b's lower terms are subtracted.  With ``quotient=False`` no quotient
+    is built and None stands in its place.
+    """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     inv_lead = pow(b[-1], -1, m)
-    rem = list(a)
+    rem = [c % m for c in a]
     db = len(b) - 1
-    quo = [0] * max(0, len(rem) - db)
-    while len(rem) - 1 >= db and rem:
-        c = rem[-1] * inv_lead % m
-        k = len(rem) - 1 - db
-        quo[k] = c
-        for i, cb in enumerate(b):
-            rem[i + k] = (rem[i + k] - c * cb) % m
-        poly_trim(rem)
-    return poly_trim(quo), rem
+    low = b[:-1]
+    quo = [0] * max(0, len(rem) - db) if quotient else None
+    while len(rem) > db:
+        c = rem.pop() * inv_lead % m
+        if c:
+            k = len(rem) - db
+            for i, cb in enumerate(low, k):
+                rem[i] = (rem[i] - c * cb) % m
+            if quotient:
+                quo[k] = c
+    return (poly_trim(quo) if quotient else None), poly_trim(rem)
 
 
 def poly_mod(a, b, m):
-    return poly_divmod(a, b, m)[1]
+    """Remainder of a by b over Z/m, without building the quotient."""
+    return poly_divmod(a, b, m, quotient=False)[1]
 
 
 def poly_gcd(a, b, p):

@@ -18,6 +18,13 @@ counts deg/k per degree k recover the number of affected points.  This
 is what makes 10^5-sample experiments over several fibers cheap.  It
 serves the per-sample path of ``multi-fiber`` on P^1 and the ``bsw``
 cross-check; exhaustive counts run through ``fiberlab.FiberClassifier``.
+
+The mod-p factor structure repeats from row to row, so it is memoized in
+two bounded least-recently-used caches: the radical, keyed on (f mod p,
+trimmed; p), and the distinct-degree split of the radical of the
+repeated part w (gcd(fbar, fbar'), or tau mod p when sigma = p*tau),
+keyed on (w, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The
+mod-p^2 test of each row is never cached.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
                      poly_mul, poly_powmod, poly_sub, poly_trim)
 from .zetas import closed_point_counts, projective_counts
 
+CACHE_SIZE = 2048          # entries in each memo of this module
+
 
 def affine_poly(coeffs, d: int, modulus: int):
     """Chart Y=1 polynomial of a binary form, little-endian in t = X/Y."""
@@ -36,17 +45,23 @@ def affine_poly(coeffs, d: int, modulus: int):
 
 
 def radical_fp(f, p: int):
-    """Product of the distinct monic irreducible factors of f over F_p."""
-    f = poly_trim([c % p for c in f])
+    """Product of the distinct monic irreducible factors of f over F_p.
+
+    Memoized on (f mod p, trimmed; p); every call returns a fresh list.
+    """
+    return list(_radical_fp(tuple(poly_trim([c % p for c in f])), p))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _radical_fp(f: tuple, p: int) -> tuple:
     if len(f) <= 1:
-        return [1]
+        return (1,)
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     deriv = poly_derivative(f, p)
     if not deriv:
         # f = z(x^p); p-th roots of coefficients over F_p are themselves
-        z = [f[i] for i in range(0, len(f), p)]
-        return radical_fp(z, p)
+        return _radical_fp(tuple(f[::p]), p)
     sep = poly_divmod(f, poly_gcd(f, deriv, p), p)[0]
     rest = f
     g = poly_gcd(rest, sep, p)
@@ -55,9 +70,8 @@ def radical_fp(f, p: int):
         g = poly_gcd(rest, sep, p)
     if len(rest) > 1:
         # rest is a p-th power holding the factors with multiplicity p | e
-        z = [rest[i] for i in range(0, len(rest), p)]
-        return poly_mul(sep, radical_fp(z, p), p)
-    return sep
+        return tuple(poly_mul(sep, _radical_fp(tuple(rest[::p]), p), p))
+    return tuple(sep)
 
 
 def distinct_degree_split(v, p: int, r: int):
@@ -80,7 +94,13 @@ def distinct_degree_split(v, p: int, r: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
+def _radical_split(w: tuple, p: int, r: int) -> tuple:
+    """distinct_degree_split(radical_fp(w, p), p, r), memoized, as tuples."""
+    return tuple((k, tuple(hk)) for k, hk in distinct_degree_split(radical_fp(w, p), p, r))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _p1_closed_point_count(p: int, r: int) -> int:
     a = closed_point_counts(projective_counts(p, 1, max(r, 1)))
     return sum(a[:r])
@@ -129,7 +149,7 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         tbar = affine_poly(tau, d, p)
         # arithmetically singular exactly where tau vanishes
         if len(tbar) > 1:
-            for k, hk in distinct_degree_split(radical_fp(tbar, p), p, r):
+            for k, hk in _radical_split(tuple(tbar), p, r):
                 arith_ct += (len(hk) - 1) // k
         if tau[0] % p == 0:
             arith_ct += 1        # the point at infinity
@@ -141,12 +161,11 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         w = fbar if not deriv else poly_gcd(fbar, deriv, p)
         if len(w) > 1:
             f2 = affine_poly(coeffs, d, p2)
-            for k, hk in distinct_degree_split(radical_fp(w, p), p, r):
+            for k, hk in _radical_split(tuple(w), p, r):
                 npts = (len(hk) - 1) // k
                 fiber_ct += npts
-                hk2 = [c % p2 for c in hk]
-                rem = poly_mod(f2, hk2, p2)
-                quot = poly_trim([(c % p2) // p for c in rem])  # rem is 0 mod p
+                rem = poly_mod(f2, hk, p2)      # hk's digits are in [0, p)
+                quot = poly_trim([c // p for c in rem])  # rem is 0 mod p
                 g = poly_gcd(quot, hk, p)
                 arith_ct += (len(g) - 1) // k
     # the point at infinity, reverse chart u = Y/X at u = 0

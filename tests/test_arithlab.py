@@ -270,6 +270,23 @@ def test_multi_fiber_determinism_and_reference():
         a.ci_halfwidth + float(a.reference_error) + 0.02
 
 
+def test_multi_fiber_reports_once_per_row_and_prime(monkeypatch):
+    """The P^1 path classifies every (sample, prime) pair with its own
+    ``binary_section_report`` call: no batching, skipping or prefilter."""
+    from bertinilab import arithlab
+    calls = []
+
+    def counting(coeffs, d, p, r):
+        calls.append(p)
+        return binary_section_report(coeffs, d, p, r)
+    monkeypatch.setattr(arithlab, "binary_section_report", counting)
+    samples = 300
+    est = multi_fiber_experiment(8, 10 ** 4, 7, 4, samples, seed=5, n=1)
+    assert est.extras["primes"] == [2, 3, 5, 7]
+    assert len(calls) == samples * len(est.extras["primes"])
+    assert {p: calls.count(p) for p in (2, 3, 5, 7)} == dict.fromkeys((2, 3, 5, 7), samples)
+
+
 @pytest.mark.parametrize("prime_bound, r", [(7, 5), (2, 14)])
 def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, prime_bound, r):
     """On P^1 the reference comes from projective_counts, with no point

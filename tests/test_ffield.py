@@ -9,8 +9,8 @@ import sympy
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
                                image_size_mod_p2, kernel_basis, matrix_rank,
-                               poly_is_irreducible, poly_mul, poly_mod,
-                               solve_linear)
+                               poly_divmod, poly_is_irreducible, poly_mod,
+                               poly_mul, solve_linear)
 
 
 def brute_force_irreducible(f, p):
@@ -330,11 +330,20 @@ def test_is_prime():
 
 
 def test_poly_mul_mod_consistency():
+    """Division against its definition: a = q*b + r mod m with deg r < deg b,
+    over Z/p and Z/p^2, for untrimmed dividends and deg a < deg b too."""
     rng = random.Random(5)
-    for _ in range(100):
-        p = rng.choice([2, 3, 5])
-        a = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
-        b = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
-        m = [rng.randrange(p) for _ in range(3)] + [1]
-        prod = poly_mul(a, b, p)
-        assert poly_mod(prod, m, p) == poly_mod(poly_mod(prod, m, p), m, p)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        m = rng.choice([p, p * p])
+        a = [rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 9))]
+        a += [0] * rng.randint(0, 2)                       # trailing zeros
+        lead = rng.choice([u for u in range(1, m) if u % p])
+        b = [rng.randrange(m) for _ in range(rng.randint(0, 5))] + [lead]
+        q, r = poly_divmod(a, b, m)
+        assert len(r) < len(b) and (not r or r[-1] != 0)
+        assert all(0 <= c < m for c in q + r)
+        terms = itertools.zip_longest(a, poly_mul(q, b, m), r, fillvalue=0)
+        assert all((x - y - z) % m == 0 for x, y, z in terms), (a, b, m)
+        assert poly_mod(a, b, m) == r
+        assert poly_divmod(a, b, m, quotient=False) == (None, r)

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import sympy
 
-from bertinilab.ffield import poly_trim
+from bertinilab import p1sections
+from bertinilab.ffield import poly_mul, poly_trim
 from bertinilab.p1sections import (binary_section_report,
                                    distinct_degree_split, radical_fp)
 from bertinilab.projgeom import HomogeneousForm
@@ -87,6 +88,75 @@ def test_report_degenerate_sections(p1):
     # 2 * (X^2+XY): tau = X*(X+Y) vanishes at [0:1] and [1:1]
     rep3 = binary_section_report((2, 2, 0), 2, 2, 1)
     assert rep3.arith_singular == 2 and rep3.fiber_singular == 3
+
+
+def clear_p1_caches():
+    p1sections._radical_fp.cache_clear()
+    p1sections._radical_split.cache_clear()
+
+
+def test_radical_cache_key_is_the_reduced_polynomial():
+    """Negative coefficients, coefficients >= p and trailing zeros all land
+    on the entry of the reduced polynomial, whichever call fills it."""
+    rng = random.Random(24)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        f = [rng.randrange(p) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, p)]
+        g = [c + p * rng.randint(-3, 3) for c in f] + [p * rng.randint(-2, 2)
+                                                      for _ in range(rng.randint(1, 3))]
+        clear_p1_caches()
+        first = radical_fp(g, p)
+        assert radical_fp(f, p) == first
+        clear_p1_caches()
+        assert radical_fp(f, p) == first
+
+
+def test_radical_returns_a_fresh_list():
+    f = [1, 0, 1]                        # (x + 1)^2 over F_2
+    got = radical_fp(f, 2)
+    assert got == [1, 1]
+    got[0] = 7
+    got.append(3)
+    assert radical_fp(f, 2) == [1, 1]
+    assert radical_fp(f, 2) is not radical_fp(f, 2)
+
+
+def test_p1_caches_are_bounded():
+    caches = [fn for fn in vars(p1sections).values() if hasattr(fn, "cache_info")]
+    assert {p1sections._radical_fp, p1sections._radical_split} <= set(caches)
+    for fn in caches:
+        assert 0 < fn.cache_info().maxsize < 10 ** 5, fn
+
+
+def test_report_verdicts_do_not_depend_on_cache_state():
+    """Every row classified with cold caches equals the same row classified
+    with caches warmed by all the others; a third of the rows are p*tau."""
+    rng = random.Random(25)
+    rows = []
+    for i in range(500):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(1, 8)
+        r = rng.randint(1, 4)
+        if i % 3 == 0:                   # sigma = p * tau
+            coeffs = [p * rng.randrange(p) for _ in range(d + 1)]
+        elif i % 3 == 1 and d >= 2:      # a repeated factor g^2 mod p
+            g = [rng.randrange(p) for _ in range(rng.randint(1, d // 2))] + [1]
+            h = [rng.randrange(p) for _ in range(d - 2 * (len(g) - 1) + 1)]
+            aff = (poly_mul(poly_mul(g, g, p), h, p) + [0] * (d + 1))[:d + 1]
+            coeffs = [c + p * rng.randrange(p) for c in reversed(aff)]
+        else:
+            coeffs = [rng.randrange(p * p) for _ in range(d + 1)]
+        rows.append((tuple(coeffs), d, p, r))
+    cold = []
+    for row in rows:
+        clear_p1_caches()
+        cold.append(binary_section_report(*row))
+    for row in rows:
+        binary_section_report(*row)
+    warm = [binary_section_report(*row) for row in rows]
+    assert p1sections._radical_split.cache_info().hits > 0
+    assert warm == cold
+    assert sum(rep.fiber_singular > 0 for rep in cold) > 100
 
 
 def test_squarefree_predicate_matches_sympy(p1):
