@@ -11,12 +11,11 @@ from .projgeom import (HomogeneousForm, ProjectiveScheme, ClosedPoint,  # noqa: 
 from .zetas import (PointCountTable, closed_point_counts, c0_estimate,  # noqa: F401
                     local_zeta_inverse, global_zeta_inverse,
                     verify_section_bounds, projective_counts)
-from .fiberlab import (SectionModP2, classify_point, classify_point_detail,  # noqa: F401
+from .fiberlab import (SectionModP2, classify_point_detail,  # noqa: F401
                        reference_truncation, FiberClassifier,
                        fiber_density_exhaustive, fiber_density_mc,
                        singular_at_point_proportion, medium_degree_tail_bound,
                        DensityEstimate)
-from .arithlab import (MonicPoly, IntegerSection, discriminant,   # noqa: F401
-                       dedekind_p_maximal, maximality_scan, height_le,
-                       homogenize_monic, equidistribution_audit,
-                       multi_fiber_experiment, bsw_experiment, restrict_mod)
+from .arithlab import (MonicPoly, discriminant, dedekind_p_maximal,  # noqa: F401
+                       maximality_scan, equidistribution_audit,
+                       multi_fiber_experiment, bsw_experiment)

@@ -1,12 +1,15 @@
-"""Integer sections in coefficient boxes and the monic-polynomial track:
-heights, discriminants, Dedekind maximality, and density experiments
-over several fibers at once.
+"""Integer sections and the monic-polynomial track: box equidistribution,
+discriminants, Dedekind maximality, and density experiments over several
+fibers at once.
 
-The experiments sample integer coefficient vectors, reduce them modulo
-p^2 for each prime in play, classify the resulting sections, and compare
-the observed densities with truncated Euler products carrying explicit
-error bounds.  For monic polynomials the geometric classification is
-equivalent to Dedekind's criterion: Z[x]/(f) is maximal at p exactly
+The experiments sample integer coefficient vectors from a box (or monic
+polynomials from a height ball), reduce them modulo p^2 for each prime
+in play, classify the resulting sections, and compare the observed
+densities with truncated Euler products carrying explicit error bounds:
+``zetas.global_zeta_inverse`` over the fibers for
+``multi_fiber_experiment``, and the product for 1/zeta(2) for
+``bsw_experiment``.  For monic polynomials the geometric classification
+is equivalent to Dedekind's criterion: Z[x]/(f) is maximal at p exactly
 when the homogenized divisor has no arithmetically singular point on
 the fiber at p, and the experiments assert that equivalence sample by
 sample.
@@ -16,55 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
 from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
                      poly_mul, poly_sub, poly_trim)
 from .fiberlab import (DensityEstimate, FiberClassifier, check_digits,
-                       reading_exponent, reference_truncation)
-from .projgeom import HomogeneousForm, ProjectiveScheme
+                       reading_exponent)
+from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
-from .zetas import primes_up_to
+from .zetas import global_zeta_inverse, primes_up_to
 from . import sampling
 
 
 class InternalCheckError(AssertionError):
     """A cross-check the artifact guarantees has failed; a bug, not bad input."""
-
-
-# ----------------------------------------------------------------------
-# Integer sections and reductions.
-
-
-@dataclass(frozen=True)
-class IntegerSection:
-    """A form with integer coefficients drawn from a declared box.
-
-    ``bounds[i]`` is the bound on |coeffs[i]|: a constant tuple for the
-    uniform box, the tuple (R^0 ... would be degenerate) R^i for the
-    height-ball mode of monic polynomials.
-    """
-
-    form: HomogeneousForm
-    bounds: tuple
-
-    def __post_init__(self):
-        if self.form.modulus is not None:
-            raise ValueError("integer sections need integer coefficients")
-        if len(self.bounds) != len(self.form.coeffs):
-            raise ValueError("one bound per coefficient")
-        if any(abs(c) > b for c, b in zip(self.form.coeffs, self.bounds)):
-            raise ValueError("coefficients leave the declared box")
-
-
-def restrict_mod(section: IntegerSection | HomogeneousForm, N: int) -> HomogeneousForm:
-    """Coefficient-wise reduction modulo N >= 2."""
-    if N < 2:
-        raise ValueError("modulus must be >= 2")
-    form = section.form if isinstance(section, IntegerSection) else section
-    return form.reduce(N)
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +80,7 @@ def equidistribution_audit(h: int, B: int, N: int) -> EquidistributionAudit:
 
 
 # ----------------------------------------------------------------------
-# Monic polynomials, heights, discriminants.
+# Monic polynomials and discriminants.
 
 
 @dataclass(frozen=True)
@@ -134,27 +104,6 @@ class MonicPoly:
                 power = f"x^{d - i}" if d - i > 1 else ("x" if d - i == 1 else "")
                 parts.append(f"{'+' if c > 0 else '-'} {abs(c)}{'*' + power if power else ''}")
         return " ".join(parts)
-
-
-def homogenize_monic(f: MonicPoly, bounds=None) -> IntegerSection:
-    """X^d + a_1 X^{d-1} Y + ... + a_d Y^d; its divisor misses [1:0]."""
-    form = HomogeneousForm(1, f.degree, (1,) + f.a)
-    if bounds is None:
-        bounds = (1,) + tuple(max(abs(c), 1) for c in f.a)
-    return IntegerSection(form, tuple(bounds))
-
-
-def height_le(f: MonicPoly, R: Fraction | int) -> bool:
-    """Exact membership test H(f) <= R, i.e. |a_i| <= R^i for every i."""
-    R = Fraction(R)
-    return all(abs(c) * R.denominator ** i <= R.numerator ** i
-               for i, c in enumerate(f.a, start=1))
-
-
-def height_value(f: MonicPoly) -> float:
-    """max |a_i|^{1/i}, for display only; use height_le for decisions."""
-    return max((abs(c) ** (1.0 / i) for i, c in enumerate(f.a, start=1) if c),
-               default=0.0)
 
 
 def bareiss_determinant(M) -> int:
@@ -301,11 +250,12 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     """Sample integer sections in [-B, B]^h on P^n and classify every fiber.
 
     Measures the proportion of sections with no singular point of degree
-    <= r on any fiber p <= prime_bound; reference value is the product
-    of the fibers' ``reference_truncation`` values in the reading
-    ``classification``, with the sum of their tail bounds as reference
-    error.  n = 1 runs the P^1 gcd path (``binary_section_report``);
-    n > 1 runs the batched ``FiberClassifier.census``.
+    <= r on any fiber p <= prime_bound; the reference is
+    ``global_zeta_inverse`` at the exponent of the reading
+    ``classification``, with the sum of the fibers' tail bounds as
+    reference error.  n = 1 runs the P^1 gcd path
+    (``binary_section_report``); n > 1 runs the batched
+    ``FiberClassifier.census``.
     """
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
@@ -321,9 +271,10 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     if n > 1:
         for fib in fibers:
             fib.check_census(r)
-    check_digits([fib.point_table(r) for fib in fibers],
-                 reading_exponent(scheme.m, classification), r)
-    references = [reference_truncation(fib, r, classification) for fib in fibers]
+    s = reading_exponent(scheme.m, classification)
+    tables = {fib.p: fib.point_table(r) for fib in fibers}
+    check_digits(tables.values(), s, r)
+    reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     streams = sampling.chunks(seed, samples)
     classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))
                    for fib in fibers} if n > 1 else {}
@@ -353,9 +304,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         hits += int(good.sum())
 
     return DensityEstimate.monte_carlo(
-        hits, samples, seed,
-        prod((t.value for t in references), start=Fraction(1)),
-        sum((t.error_bound for t in references), Fraction(0)),
+        hits, samples, seed, reference.value, reference.local_error,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
                 "singular_by_prime": singular_by_prime,

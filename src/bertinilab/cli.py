@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path):
     try:
-        return load_scheme(path)[0]
+        return load_scheme(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scheme file {path}: {exc}") from exc
 
@@ -145,11 +145,6 @@ def _default_depth(fiber) -> int:
            and fiber.table_fits(r + 1)):
         r += 1
     return r
-
-
-def _check_digits(table, s: int, r: int):
-    """Refuse a truncation whose denominator p^(sum s e a_e) passes DIGIT_CAP."""
-    check_digits([table], s, r)
 
 
 def _config_echo(args) -> dict:
@@ -166,7 +161,7 @@ def run(args) -> dict:
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
         table = fiber.point_table(r)
-        _check_digits(table, args.s, r)
+        check_digits([table], args.s, r)
         trunc = local_zeta_inverse(table, args.s, r, fiber.m)
         return trunc.as_report()
     if sub == "fiber-density":

@@ -68,10 +68,6 @@ class SectionModP2:
         if self.form.modulus != self.p ** 2:
             object.__setattr__(self, "form", self.form.reduce(self.p ** 2))
 
-    @property
-    def d(self):
-        return self.form.d
-
     def reduction(self) -> HomogeneousForm:
         return HomogeneousForm(self.form.n, self.form.d, self.form.coeffs, self.p)
 
@@ -130,12 +126,6 @@ def classify_point_detail(section: SectionModP2, x: ClosedPoint, fiber: SchemeFi
     unit_over_p = ring.divide_by_p(value)   # sigma on the divisor: p | value
     arith = REGULAR if unit_over_p != 0 else SINGULAR
     return arith, fiber_status
-
-
-def classify_point(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber,
-                   **kwargs) -> str:
-    """Arithmetic classification of x on div(section): off / regular / singular."""
-    return classify_point_detail(section, x, fiber, **kwargs)[0]
 
 
 # ----------------------------------------------------------------------

@@ -94,9 +94,6 @@ class HomogeneousForm:
     def basis(self):
         return _basis(self.n, self.d)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def reduce(self, modulus: int) -> "HomogeneousForm":
         """Coefficient-wise reduction; refines an existing modulus only."""
         if self.modulus is not None and self.modulus % modulus != 0:
@@ -173,26 +170,6 @@ class HomogeneousForm:
     def _check_char(self, p):
         if self.modulus is not None and self.modulus % p != 0:
             raise ValueError(f"coefficients mod {self.modulus} do not embed mod {p}")
-
-    def to_string(self, names=None):
-        names = names or default_variable_names(self.n)
-        text = ""
-        for exps, c in zip(self.basis, self.coeffs):
-            if c == 0:
-                continue
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(exps) if e > 0]
-            body = "*".join(factors)
-            mag = abs(c)
-            if not factors:
-                term = str(mag)
-            elif mag == 1:
-                term = body
-            else:
-                term = f"{mag}*{body}"
-            sign = "-" if c < 0 else "+"
-            text += f" {sign} {term}" if text else (f"-{term}" if c < 0 else term)
-        return text or "0"
 
 
 def default_variable_names(n: int) -> list[str]:
@@ -464,8 +441,8 @@ def _vanishing(field: GF, forms):
 # Scheme description files and the form-string grammar.
 
 
-def scheme_to_dict(scheme: ProjectiveScheme, p: int | None = None) -> dict:
-    doc = {
+def scheme_to_dict(scheme: ProjectiveScheme) -> dict:
+    return {
         "name": scheme.name,
         "n": scheme.n,
         "m": scheme.m,
@@ -474,12 +451,9 @@ def scheme_to_dict(scheme: ProjectiveScheme, p: int | None = None) -> dict:
             for f in scheme.defining_forms
         ],
     }
-    if p is not None:
-        doc["p"] = p
-    return doc
 
 
-def scheme_from_dict(doc: dict):
+def scheme_from_dict(doc: dict) -> ProjectiveScheme:
     n = doc["n"]
     m = doc["m"]
     forms = []
@@ -489,18 +463,17 @@ def scheme_from_dict(doc: dict):
             raise ValueError("a defining form must be homogeneous")
         forms.append(HomogeneousForm.from_monomials(n, degs.pop(),
                                                     [(tuple(e), c) for e, c in terms]))
-    scheme = ProjectiveScheme(n, m, forms, name=doc.get("name", ""))
-    return scheme, doc.get("p")
+    return ProjectiveScheme(n, m, forms, name=doc.get("name", ""))
 
 
-def load_scheme(path):
+def load_scheme(path) -> ProjectiveScheme:
     with open(path, encoding="utf-8") as fh:
         return scheme_from_dict(json.load(fh))
 
 
-def save_scheme(path, scheme: ProjectiveScheme, p: int | None = None):
+def save_scheme(path, scheme: ProjectiveScheme):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(scheme, p), fh, indent=2)
+        json.dump(scheme_to_dict(scheme), fh, indent=2)
         fh.write("\n")
 
 

@@ -180,7 +180,6 @@ class GlobalZetaTruncation:
     value: Fraction
     local_error: Fraction        # sum of the per-fiber truncation bounds
     tail_bound: Fraction | None  # 8*c0*value/R when s is in the integral range
-    locals: tuple = field(repr=False, default=())
 
     @property
     def error_bound(self) -> Fraction:
@@ -201,7 +200,6 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
     primes = primes_up_to(prime_bound)
-    locals_ = []
     value = Fraction(1)
     local_error = Fraction(0)
     c0_global = Fraction(0)
@@ -212,14 +210,13 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
         if r is None:
             raise ValueError(f"missing truncation depth for the fiber at p = {p}")
         t = local_zeta_inverse(tables[p], s, r, fiber_dim)
-        locals_.append(t)
         value *= t.value
         local_error += t.error_bound
         c0_global = max(c0_global, c0_estimate(tables[p], fiber_dim + 1))
     tail = None
     if s >= fiber_dim + 2:
         tail = 8 * c0_global * value / prime_bound
-    return GlobalZetaTruncation(s, prime_bound, value, local_error, tail, tuple(locals_))
+    return GlobalZetaTruncation(s, prime_bound, value, local_error, tail)
 
 
 def primes_up_to(n: int) -> list:
@@ -243,22 +240,12 @@ def projective_counts(p: int, m: int, e_max: int) -> PointCountTable:
         sum(p ** (i * e) for i in range(m + 1)) for e in range(1, e_max + 1)))
 
 
-def affine_counts(p: int, m: int, e_max: int) -> PointCountTable:
-    """#A^m(F_{p^e}) = q^m."""
-    return PointCountTable(p, tuple(p ** (m * e) for e in range(1, e_max + 1)))
-
-
 def projective_zeta_inverse_exact(p: int, m: int, s: int) -> Fraction:
     """1/zeta of P^m over F_p: prod_{i <= m} (1 - p^{i-s})."""
     value = Fraction(1)
     for i in range(m + 1):
         value *= 1 - Fraction(p ** i, p ** s)
     return value
-
-
-def affine_zeta_inverse_exact(p: int, m: int, s: int) -> Fraction:
-    """1/zeta of A^m over F_p: 1 - p^{m-s}."""
-    return 1 - Fraction(p ** m, p ** s)
 
 
 # ----------------------------------------------------------------------

@@ -26,4 +26,4 @@ def conic():
 @pytest.fixture(scope="session")
 def elliptic():
     """Y^2 Z = X^3 + X Z^2 + Z^3, smooth away from its bad primes 2 and 31."""
-    return load_scheme(SCHEMES / "elliptic_a1_b1.json")[0]
+    return load_scheme(SCHEMES / "elliptic_a1_b1.json")

@@ -1,4 +1,4 @@
-"""Integer sections, heights, Dedekind maximality, box experiments."""
+"""Discriminants, Dedekind maximality, box experiments."""
 
 import random
 from fractions import Fraction
@@ -9,17 +9,14 @@ import sympy
 from sympy import Poly
 from sympy.polys.numberfields.basis import round_two
 
-from bertinilab.arithlab import (IntegerSection, MonicPoly,
-                                 bareiss_determinant, bsw_experiment,
-                                 dedekind_p_maximal, discriminant,
-                                 equidistribution_audit,
-                                 euler_product_reference, height_le,
-                                 height_value, homogenize_monic,
-                                 maximality_scan, multi_fiber_experiment,
-                                 quadratic_field_census, restrict_mod)
+from bertinilab.arithlab import (MonicPoly, bareiss_determinant,
+                                 bsw_experiment, dedekind_p_maximal,
+                                 discriminant, equidistribution_audit,
+                                 euler_product_reference, maximality_scan,
+                                 multi_fiber_experiment,
+                                 quadratic_field_census)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
-from bertinilab.projgeom import parse_form
 
 x = sympy.symbols("x")
 
@@ -152,48 +149,6 @@ def test_geometric_oracle_equivalence():
 
 
 # ----------------------------------------------------------------------
-# Heights, homogenization, reductions.
-
-
-def test_height_examples():
-    assert height_le(MonicPoly((0, 4)), 2)
-    assert not height_le(MonicPoly((0, 4)), Fraction(19, 10))
-    assert height_value(MonicPoly((0, 0, 0))) == 0.0
-    assert height_value(MonicPoly((3, 9))) == 3.0
-    # boundary values attainable: |a_i| = R^i passes
-    assert height_le(MonicPoly((10, 100, 1000)), 10)
-    assert not height_le(MonicPoly((10, 100, 1001)), 10)
-
-
-def test_homogenize_monic():
-    sec = homogenize_monic(MonicPoly((-1, -1)))
-    assert sec.form.coeffs == (1, -1, -1)
-    assert sec.form.eval_int((1, 0)) == 1      # misses [1:0]
-    assert homogenize_monic(MonicPoly((0, 0))).form.coeffs == (1, 0, 0)
-    assert homogenize_monic(MonicPoly((0, 0, 2))).form.coeffs == (1, 0, 0, 2)
-    for f in [MonicPoly((3, -7)), MonicPoly((0, 1, 5))]:
-        sec = homogenize_monic(f)
-        assert sec.form.eval_int((1, 0)) != 0
-
-
-def test_integer_section_box_validation():
-    form = parse_form("X^2+3*X*Y-Y^2", 1)
-    IntegerSection(form, (1, 3, 1))
-    with pytest.raises(ValueError):
-        IntegerSection(form, (1, 2, 1))
-    with pytest.raises(ValueError):
-        IntegerSection(parse_form("X^2", 1, modulus=4), (1, 1, 1))
-
-
-def test_restrict_mod():
-    s = parse_form("X^2+5*Y^2-Z^2", 2)
-    assert restrict_mod(s, 25).coeffs == (1, 0, 0, 5, 0, 24)
-    assert restrict_mod(restrict_mod(s, 4), 2).coeffs == restrict_mod(s, 2).coeffs
-    with pytest.raises(ValueError):
-        restrict_mod(s, 1)
-
-
-# ----------------------------------------------------------------------
 # Equidistribution of boxes.
 
 
@@ -287,20 +242,27 @@ def test_multi_fiber_reports_once_per_row_and_prime(monkeypatch):
     assert {p: calls.count(p) for p in (2, 3, 5, 7)} == dict.fromkeys((2, 3, 5, 7), samples)
 
 
-@pytest.mark.parametrize("prime_bound, r", [(7, 5), (2, 14)])
-def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, prime_bound, r):
-    """On P^1 the reference comes from projective_counts, with no point
-    scan, even where a scan of F_{p^r}-points would pass the budget."""
+@pytest.mark.parametrize("n, d, prime_bound, r", [
+    pytest.param(1, 8, 7, 5, id="7-5"),
+    pytest.param(1, 8, 2, 14, id="2-14"),
+    pytest.param(2, 2, 3, 2, id="n2-3-2"),
+])
+def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, n, d, prime_bound, r):
+    """On P^n the reference is the product of the projective_counts
+    truncations.  On P^1 it takes no point scan, even where a scan of
+    F_{p^r}-points would pass the budget; the census on P^2 scans for
+    its points."""
     from bertinilab.projgeom import SchemeFiber
     from bertinilab.zetas import local_zeta_inverse, primes_up_to, projective_counts
 
     def no_scan(self, e=1):
         raise AssertionError("rational_points called on P^1")
-    monkeypatch.setattr(SchemeFiber, "rational_points", no_scan)
-    for reading, s in (("arithmetic", 3), ("fiber", 2)):
-        est = multi_fiber_experiment(8, 10 ** 4, prime_bound, r, 64, seed=3,
-                                     classification=reading)
-        refs = [local_zeta_inverse(projective_counts(p, 1, r), s, r, 1)
+    if n == 1:
+        monkeypatch.setattr(SchemeFiber, "rational_points", no_scan)
+    for reading, s in (("arithmetic", n + 2), ("fiber", n + 1)):
+        est = multi_fiber_experiment(d, 10 ** 4, prime_bound, r, 64, seed=3,
+                                     n=n, classification=reading)
+        refs = [local_zeta_inverse(projective_counts(p, n, r), s, r, n)
                 for p in primes_up_to(prime_bound)]
         value = Fraction(1)
         for t in refs:

@@ -5,15 +5,18 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bertinilab import cli, fiberlab
+from bertinilab import cli, fiberlab, zetas
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, build_parser,
                             main, render_report, run)
-from bertinilab.projgeom import ProjectiveScheme, save_scheme
+from bertinilab.projgeom import ProjectiveScheme, load_scheme, save_scheme
 from bertinilab.zetas import local_zeta_inverse, projective_counts
+
+SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,17 @@ def test_zeta_default_depth(scheme_files, name, m, depths):
         _, results = invoke(["zeta", "--scheme", scheme_files[name],
                              "--p", str(p), "--s", str(s)])
         assert (results["s"], results["r"], len(results["a_e"])) == (s, r, r)
+
+
+def test_shipped_scheme_files_run(tmp_path):
+    """Every shipped scheme file loads, and zeta accepts it at p = 3."""
+    paths = sorted(SCHEMES.glob("*.json"))
+    assert paths
+    for path in paths:
+        s = load_scheme(path).m + 2
+        assert main(["zeta", "--scheme", str(path), "--p", "3", "--s", str(s),
+                     "--r", "1", "--output", str(tmp_path / "out.json")]) == EXIT_OK, \
+            path.name
 
 
 def test_zeta_refuses_a_singular_fiber(elliptic, conic, tmp_path):
@@ -146,6 +160,9 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     assert main(["zeta", "--bogus-flag"]) == EXIT_CONFIG
     assert main(["multi-fiber", "--n", "0", "--d", "4", "--B", "100",
                  "--prime-bound", "2", "--r", "2", "--samples", "200"]) == EXIT_CONFIG
+    # a prime bound below 2 leaves a product over no fibers
+    assert main(["multi-fiber", "--d", "4", "--B", "100", "--prime-bound", "1",
+                 "--r", "2", "--samples", "200"]) == EXIT_CONFIG
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "0",
                  "--s", "3"]) == EXIT_CONFIG
     assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "2",
@@ -180,7 +197,7 @@ def test_digit_cap_is_checked_before_computing(scheme_files, monkeypatch, capsys
                  "--r", "21"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err
     fiber = cli._load(scheme_files["p1"]).fiber(2)
-    cli._check_digits(fiber.point_table(20), 3, 20)     # about 1.89e6 digits
+    fiberlab.check_digits([fiber.point_table(20)], 3, 20)     # about 1.89e6 digits
 
 
 def test_multi_fiber_digit_cap(monkeypatch, capsys):
@@ -188,7 +205,7 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     denominator prod_p p^E_p has DIGIT_CAP digits or more."""
     def refuse(*args):
         raise AssertionError("a truncation was computed")
-    monkeypatch.setattr(fiberlab, "local_zeta_inverse", refuse)
+    monkeypatch.setattr(zetas, "local_zeta_inverse", refuse)
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "7", "--samples", "100"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err

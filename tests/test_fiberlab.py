@@ -14,7 +14,7 @@ from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
                                  ProjectiveScheme, SchemeFiber, monomial_basis,
                                  parse_form, rational_closed_point)
 from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
-                                 classify_point, classify_point_detail,
+                                 classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
                                  lifted_point,
                                  medium_degree_tail_bound,
@@ -43,7 +43,7 @@ def test_xy_always_singular_at_origin_point(p2):
     for p in (2, 3, 5, 7):
         fib = p2.fiber(p)
         sec = SectionModP2(parse_form("X*Y", 2, modulus=p * p), p)
-        assert classify_point(sec, closed_point(fib, (0, 0, 1)), fib) == \
+        assert classify_point_detail(sec, closed_point(fib, (0, 0, 1)), fib)[0] == \
             "SingularPoint"
 
 
@@ -59,12 +59,13 @@ def test_zero_section_and_p_multiples(p1):
     fib = p1.fiber(2)
     x = closed_point(fib, (0, 1))
     zero = SectionModP2(HomogeneousForm(1, 2, (0, 0, 0), 4), 2)
-    assert classify_point(zero, x, fib) == "SingularPoint"
+    assert classify_point_detail(zero, x, fib)[0] == "SingularPoint"
     # 2 * (X^2 + XY + Y^2): tau never vanishes on P^1(F_2), divisor is the
     # doubled fiber but stays regular at every rational point
     twice = SectionModP2(HomogeneousForm(1, 2, (2, 2, 2), 4), 2)
     for rep in [(0, 1), (1, 0), (1, 1)]:
-        assert classify_point(twice, closed_point(fib, rep), fib) == "RegularPoint"
+        assert classify_point_detail(twice, closed_point(fib, rep), fib)[0] == \
+            "RegularPoint"
 
 
 def test_classify_rejects_singular_fiber_points():
@@ -73,7 +74,7 @@ def test_classify_rejects_singular_fiber_points():
     x = rational_closed_point(fib, (0, 0, 1))
     sec = SectionModP2(parse_form("X", 2, modulus=25), 5)
     with pytest.raises(ValueError):
-        classify_point(sec, x, fib)
+        classify_point_detail(sec, x, fib)
 
 
 def test_classify_on_curve_in_p2():

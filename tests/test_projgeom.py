@@ -55,9 +55,9 @@ def test_eval_ring_mismatch():
 
 def test_partial_examples():
     f = parse_form("X^2+5*Y^2-Z^2", 2)
-    assert f.partial(0).to_string() == "2*X"
-    assert f.partial(1).to_string() == "10*Y"
-    assert parse_form("X^2", 1, modulus=2).partial(0).is_zero()
+    assert f.partial(0).coeffs == (2, 0, 0)         # 2*X
+    assert f.partial(1).coeffs == (0, 10, 0)        # 10*Y
+    assert parse_form("X^2", 1, modulus=2).partial(0).coeffs == (0, 0)
 
 
 def test_euler_relation_random():
@@ -195,7 +195,7 @@ def test_divisor_smooth_invariance(p1, p2):
             d = rng.randint(1, 4)
             coeffs = tuple(rng.randrange(p) for _ in range(comb(scheme.n + d, scheme.n)))
             sigma = HomogeneousForm(scheme.n, d, coeffs, p)
-            if sigma.is_zero():
+            if not any(sigma.coeffs):
                 continue
             for x in points:
                 base = fib.divisor_smooth_at(sigma, x)
@@ -255,7 +255,7 @@ def test_scan_budget(monkeypatch, p1, conic):
 def test_parse_form_errors_and_roundtrip():
     f = parse_form("X^2 + 5*Y^2 - Z^2", 2)
     assert f.coeffs == (1, 0, 0, 5, 0, -1)
-    assert parse_form(f.to_string(), 2).coeffs == f.coeffs
+    assert parse_form("-Z^2+5*Y^2+X^2", 2).coeffs == f.coeffs
     with pytest.raises(ValueError):
         parse_form("X^2+Y", 1)              # inhomogeneous
     with pytest.raises(ValueError):
@@ -272,15 +272,19 @@ def test_parse_point():
 
 def test_scheme_file_roundtrip(tmp_path, conic):
     path = tmp_path / "conic.json"
-    save_scheme(path, conic, p=2)
-    loaded, p = load_scheme(path)
-    assert p == 2
+    save_scheme(path, conic)
+    loaded = load_scheme(path)
     assert loaded.n == conic.n and loaded.m == conic.m
     assert [f.coeffs for f in loaded.defining_forms] == \
         [f.coeffs for f in conic.defining_forms]
     doc = scheme_to_dict(conic)
-    again, _ = scheme_from_dict(doc)
+    assert "p" not in doc
+    again = scheme_from_dict(doc)
     assert [f.coeffs for f in again.defining_forms] == \
+        [f.coeffs for f in conic.defining_forms]
+    # a document with the legacy "p" key still loads to the same forms
+    legacy = scheme_from_dict({**doc, "p": 2})
+    assert [f.coeffs for f in legacy.defining_forms] == \
         [f.coeffs for f in conic.defining_forms]
 
 

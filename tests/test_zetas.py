@@ -7,11 +7,9 @@ import pytest
 from bertinilab import zetas
 from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
-                              PointCountTable, affine_counts,
-                              affine_zeta_inverse_exact, c0_estimate,
+                              PointCountTable, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
-                              local_zeta_inverse, mobius,
-                              primes_up_to, projective_counts,
+                              local_zeta_inverse, mobius, projective_counts,
                               projective_zeta_inverse_exact,
                               reconstruct_counts, truncation_exponent,
                               verify_section_bounds)
@@ -122,23 +120,6 @@ def test_global_zeta_inverse_validates_input(prime_bound, depths):
     tables = {p: projective_counts(p, 1, 4) for p in (2, 3, 5, 7)}
     with pytest.raises(ValueError):
         global_zeta_inverse(tables, 3, prime_bound, depths, 1)
-
-
-def test_affine_euler_product_value():
-    # the truncated product over p <= 1000 of the affine local factors
-    value = Fraction(1)
-    for p in primes_up_to(1000):
-        value *= affine_zeta_inverse_exact(p, 1, 3)
-    assert abs(float(value) - 0.60800) < 5e-5
-    # consistency with truncated affine tables at desk depth
-    tables = {p: affine_counts(p, 1, 4) for p in primes_up_to(50)}
-    depths = {p: max(e for e in range(1, 5) if p ** e <= 1 << 10)
-              for p in primes_up_to(50)}
-    g = global_zeta_inverse(tables, 3, 50, depths, 1)
-    exact50 = Fraction(1)
-    for p in primes_up_to(50):
-        exact50 *= affine_zeta_inverse_exact(p, 1, 3)
-    assert abs(g.value - exact50) <= g.local_error
 
 
 def test_default_truncation_depth(p1):
