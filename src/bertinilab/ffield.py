@@ -18,7 +18,7 @@ Galois-ring boundary (lifts and reductions mod p).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -359,8 +359,27 @@ class GaloisRing:
             raise ValueError(f"ring size {p}^{2 * e} exceeds the 2^24 cap")
         self.p = p
         self.e = e
-        self.p2 = p * p
-        self.modulus = tuple(c % self.p2 for c in self.field.modulus)
+        self.p2 = p2 = p * p
+        self.modulus = tuple(c % p2 for c in self.field.modulus)
+        # _fold[k]: the digits of T^(e + k) mod the lifted modulus, k <= e - 2,
+        # where a schoolbook product's top coefficients fold down.  T^e is
+        # minus the modulus below its leading 1, and T^(e+k+1) = T * T^(e+k)
+        top = [-c % p2 for c in self.modulus[:e]]
+        fold = []
+        for _ in range(e - 1):
+            fold.append(tuple(top))
+            carry = top[-1]
+            top = [(c + carry * t) % p2 for c, t in zip([0] + top[:-1], fold[0])]
+        self._fold = fold
+
+    @cached_property
+    def _power_table(self):
+        """Row i * e + j: the digits of T^(i+j), for ``mul_arrays``; built on
+        first use, since most rings (one per lifted point) never need it."""
+        e = self.e
+        powers = np.eye(e, dtype=np.int64).tolist() + [list(f) for f in self._fold]
+        return np.array([powers[i + j] for i in range(e) for j in range(e)],
+                        dtype=np.int64)
 
     def zero(self):
         return (0,) * self.e
@@ -382,10 +401,29 @@ class GaloisRing:
         return tuple((x + y) % self.p2 for x, y in zip(a, b))
 
     def mul(self, a, b):
-        prod = poly_mul(list(a), list(b), self.p2)
-        rem = poly_mod(prod, list(self.modulus), self.p2)
-        rem += [0] * (self.e - len(rem))
-        return tuple(rem)
+        e = self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        out = prod[:e]
+        for c, row in zip(prod[e:], self._fold):
+            if c:
+                for i, f in enumerate(row):
+                    out[i] += c * f
+        return tuple(c % self.p2 for c in out)
+
+    def mul_arrays(self, a, b):
+        """Products of int64 digit arrays of ring elements, shape (..., e).
+
+        The outer product of the digits is reduced mod p^2 before it meets
+        the table of T^(i+j), so every int64 sum stays below e^2 p^4,
+        which the ring cap p^(2e) <= 2^24 keeps far from 2^63.
+        """
+        outer = a[..., :, None] * b[..., None, :] % self.p2
+        flat = outer.reshape(outer.shape[:-2] + (self.e * self.e,))
+        return flat @ self._power_table % self.p2
 
     def mul_int(self, a, c: int):
         return tuple(x * c % self.p2 for x in a)

@@ -50,7 +50,7 @@ EXHAUSTIVE_BUDGET = 1 << 26
 # limit, so check_digits is the guard.
 DIGIT_CAP = 2_000_000
 _CHUNK = 1 << 14
-# entries of one census value-pass block (total point degree x rows); and
+# entries of one census value-pass block (padded value rows x rows); and
 # the largest value bound h (p - 1)^2 that gets a divisibility table, one
 # byte per possible value
 _VALUE_BLOCK = 1 << 14
@@ -195,27 +195,25 @@ class SurjectivityCertificate:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _monomial_values(ring: GaloisRing, point, basis, d: int) -> np.ndarray:
-    """h x e digits of every monomial of ``basis`` (degree d) at a ring point."""
-    powers = []
-    for c in point:
-        row = [ring.one(), c]
-        for _ in range(d - 1):
-            row.append(ring.mul(row[-1], c))
-        powers.append(row)
-    out = np.zeros((len(basis), ring.e), dtype=np.int64)
-    for k, exps in enumerate(basis):
-        factors = [powers[i][ex] for i, ex in enumerate(exps) if ex]
-        v = factors[0] if factors else ring.one()
-        for f in factors[1:]:
-            v = ring.mul(v, f)
-        out[k] = v
+def _monomial_values(ring: GaloisRing, coords: np.ndarray, basis: np.ndarray,
+                     d: int) -> np.ndarray:
+    """Digits of every monomial of ``basis`` (degree d, one exponent row per
+    monomial) at ring points: coords (..., n + 1, e) -> values (..., h, e)."""
+    one = np.zeros(ring.e, dtype=np.int64)
+    one[0] = 1
+    powers = [np.broadcast_to(one, coords.shape), coords]
+    for _ in range(d - 1):
+        powers.append(ring.mul_arrays(powers[-1], coords))
+    powers = np.stack(powers, axis=-2)              # (..., n + 1, k, e): x_j^k
+    out = powers[..., 0, basis[:, 0], :]
+    for j in range(1, basis.shape[1]):
+        out = ring.mul_arrays(out, powers[..., j, basis[:, j], :])
     return out
 
 
 class _PointJet:
-    """Per-point evaluation data for all degree-d monomials, read off the
-    Galois ring at the scheme lift x~ of x.
+    """Evaluation data at x for all degree-d monomials, read off the Galois
+    ring at the scheme lift x~ of x (built by ``_point_jets``).
 
     value_p2: h x e digits of the values at x~, mod p^2;
     value_p: the same digits mod p, the values over the residue field;
@@ -223,27 +221,48 @@ class _PointJet:
     block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
     """
 
-    def __init__(self, fiber: SchemeFiber, x: ClosedPoint, d: int):
-        p = fiber.p
-        chart = x.chart()
-        basis = monomial_basis(fiber.n, d)
-        tangent = fiber.tangent_basis(x)             # rejects singular fiber points
-        ring, lift = lifted_point(fiber, x, chart=chart)
-        e = x.degree
-        v2 = _monomial_values(ring, lift, basis, d)
-        tg = np.zeros((len(basis), len(tangent) * e), dtype=np.int64)
-        for t, vec in enumerate(tangent):
-            shift = list(vec)
-            shift.insert(chart, 0)                  # tangent vectors skip the chart
-            _, moved = lifted_point(fiber, x, chart=chart, perturbation=shift)
-            tg[:, t * e:(t + 1) * e] = \
-                (_monomial_values(ring, moved, basis, d) - v2) % ring.p2 // p
+    def __init__(self, x: ClosedPoint, value_p2: np.ndarray, tangent: np.ndarray,
+                 p: int):
         self.x = x
-        self.e = e
-        self.m = len(tangent)
-        self.value_p = v2 % p
-        self.value_p2 = v2
-        self.tangent = tg
+        self.e = x.degree
+        self.m = tangent.shape[1] // x.degree
+        self.value_p = value_p2 % p
+        self.value_p2 = value_p2
+        self.tangent = tangent
+
+
+def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
+    """The _PointJet of every point, in order, one batch per run of points
+    of equal degree.
+
+    Each point costs one Newton lift x~ (``lifted_point``) and a tangent
+    basis; the lifts x~ + p t along the tangent vectors t and the monomial
+    values at all of them are then numpy products in GR(p^2, e).
+    """
+    p, p2 = fiber.p, fiber.p ** 2
+    basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
+    jets = []
+    for e, run in groupby(points, key=lambda x: x.degree):
+        run = list(run)
+        ring = GaloisRing(p, e, run[0].field)
+        lifts, moves = [], []
+        for x in run:
+            chart = x.chart()
+            tangent = fiber.tangent_basis(x)        # rejects singular fiber points
+            lifts.append(lifted_point(fiber, x, chart=chart)[1])
+            # tangent vectors skip the chart coordinate
+            moves.append([[ring.lift(c) for c in vec[:chart]] + [ring.zero()]
+                          + [ring.lift(c) for c in vec[chart:]] for vec in tangent])
+        lifts = np.array(lifts, dtype=np.int64)[:, None]       # (K, 1, n + 1, e)
+        moved = (lifts + p * np.array(moves, dtype=np.int64).reshape(
+            len(run), -1, fiber.n + 1, e)) % p2
+        values = _monomial_values(ring, np.concatenate([lifts, moved], axis=1),
+                                  basis, d)                   # (K, 1 + m, h, e)
+        value_p2 = values[:, 0]
+        tangent = (values[:, 1:] - value_p2[:, None]) % p2 // p
+        tangent = tangent.transpose(0, 2, 1, 3).reshape(len(run), len(basis), -1)
+        jets += [_PointJet(x, v, t, p) for x, v, t in zip(run, value_p2, tangent)]
+    return jets
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +345,16 @@ class FiberClassifier:
         if len(set(reps)) != len(reps):
             raise ValueError("points must be pairwise distinct closed points")
         self.points = points
-        self.jets = [_PointJet(fiber, x, d) for x in points]
-        # the value pass: one float64 row per value_p digit of every point,
-        # in the order of the points; _runs holds (first row, points, degree)
-        # for each run of consecutive points of equal degree
-        self._values = np.vstack([np.zeros((0, self.h))]
-                                 + [jet.value_p.T for jet in self.jets])
-        self._runs = []
-        row = 0
-        for e, run in groupby(jet.e for jet in self.jets):
-            count = len(list(run))
-            self._runs.append((row, count, e))
-            row += count * e
-        self._block = max(1, _VALUE_BLOCK // max(1, row))
+        self.jets = _point_jets(fiber, points, d)
+        # the value pass: the value_p digits digit-major, every point padded
+        # to the top degree with zero rows (0 is a multiple of p, so padding
+        # changes no verdict): row i * len(points) + k is digit i of point k
+        self._e_max = max((jet.e for jet in self.jets), default=0)
+        values = np.zeros((self._e_max, len(self.jets), self.h))
+        for k, jet in enumerate(self.jets):
+            values[:jet.e, k] = jet.value_p.T
+        self._values = values.reshape(-1, self.h)
+        self._block = max(1, _VALUE_BLOCK // max(1, len(self._values)))
         # _multiples[v]: whether p divides v, for every value the pass can
         # take; the lookup costs about a tenth of a float remainder.  Past
         # the cap the pass takes int64 remainders instead of a huge table
@@ -384,34 +400,31 @@ class FiberClassifier:
         point, any fiber-singular point) and the total point-level
         rescue count across the batch.
 
-        One value pass finds the (row, point) pairs on the divisor: the
-        rows mod p times ``_values`` in float64 (BLAS), _block rows at a
-        time, and a point is on the divisor when p divides all its digits.
-        The tangent and value_p2 tests then run in int64 on those pairs
-        only, grouped by point.
+        One value pass finds the (row, point) pairs on the divisor.  Each
+        block of _block rows costs the same fixed-shape steps: the rows mod
+        p times ``_values`` in float64 (one BLAS matmul), one divisibility
+        lookup, and one logical_and over the (e_max, points, rows) view,
+        since a point is on the divisor when p divides all its e_max
+        (padded) digits.  The tangent and value_p2 tests then run in int64
+        on those pairs only, grouped by point.
         """
         n = rows.shape[0]
         any_arith = np.zeros(n, dtype=bool)
         any_fiber = np.zeros(n, dtype=bool)
         if n == 0 or not self.jets:
             return any_arith, any_fiber, 0
-        hit_rows, hit_points = [], []
+        digits = (self._e_max, len(self.jets), -1)
+        on_div = np.empty((len(self.jets), n), dtype=bool)
         for start in range(0, n, self._block):
             block = rows[start:start + self._block] % self.p
             values = (self._values @ block.T.astype(np.float64, order="C")
                       ).astype(np.int64)
             divisible = (self._multiples[values] if self._multiples is not None
                          else values % self.p == 0)
-            on_div = np.concatenate([divisible[row:row + count * e]
-                                     .reshape(count, e, -1).all(axis=1)
-                                     for row, count, e in self._runs])
-            k, r = np.nonzero(on_div)
-            hit_rows.append(r + start)
-            hit_points.append(k)
-        points = np.concatenate(hit_points)
-        order = np.argsort(points, kind="stable")
-        hit = np.concatenate(hit_rows)[order]
-        bounds = np.searchsorted(points[order], np.arange(len(self.jets) + 1))
+            np.logical_and.reduce(divisible.reshape(digits), axis=0,
+                                  out=on_div[:, start:start + self._block])
+        points, hit = np.nonzero(on_div)            # by point, then by row
+        bounds = np.searchsorted(points, np.arange(len(self.jets) + 1))
         rescued_points = 0
         for jet, lo, hi in zip(self.jets, bounds[:-1], bounds[1:]):
             if lo == hi:

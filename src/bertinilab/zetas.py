@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpf, log, exp, zeta as mp_zeta
-
 from .ffield import is_prime
 
 
@@ -95,6 +93,14 @@ def c0_estimate(table: PointCountTable, n: int) -> Fraction:
     return best
 
 
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num / den as a Fraction, for num and den known to be coprime: no gcd."""
+    try:
+        return Fraction(num, den, _normalize=False)
+    except TypeError:          # future Pythons without the private switch
+        return Fraction(num, den)
+
+
 def _reduced_fraction(num: int, p: int, exponent: int) -> Fraction:
     """num / p^exponent as a Fraction, skipping the gcd when num is a unit mod p.
 
@@ -105,10 +111,16 @@ def _reduced_fraction(num: int, p: int, exponent: int) -> Fraction:
         return Fraction(num)
     if num % p == 0:           # not expected for our products; stay correct
         return Fraction(num, p ** exponent)
-    try:
-        return Fraction(num, p ** exponent, _normalize=False)
-    except TypeError:          # future Pythons without the private switch
-        return Fraction(num, p ** exponent)
+    return _coprime_fraction(num, p ** exponent)
+
+
+def _valuation(n: int, q: int) -> int:
+    """The exponent of the prime q in the nonzero integer n."""
+    k = 0
+    while n % q == 0:
+        n //= q
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,7 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
     primes = primes_up_to(prime_bound)
-    value = Fraction(1)
+    truncations = []
     local_error = Fraction(0)
     c0_global = Fraction(0)
     for p in primes:
@@ -210,13 +222,39 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
         if r is None:
             raise ValueError(f"missing truncation depth for the fiber at p = {p}")
         t = local_zeta_inverse(tables[p], s, r, fiber_dim)
-        value *= t.value
+        truncations.append(t)
         local_error += t.error_bound
         c0_global = max(c0_global, c0_estimate(tables[p], fiber_dim + 1))
+    value = _product_value(truncations)
     tail = None
     if s >= fiber_dim + 2:
         tail = 8 * c0_global * value / prime_bound
     return GlobalZetaTruncation(s, prime_bound, value, local_error, tail)
+
+
+def _product_value(truncations) -> Fraction:
+    """The product of the values num_p / p^x_p of local truncations at
+    distinct primes, multiplied as integers.
+
+    Each num_p = prod_{e <= r} (p^{se} - 1)^{a_e} is prime to p, so the
+    numerator and denominator of the product share only the primes p of
+    the product: p to the least of x_p and v_p(prod of the other num_u),
+    a valuation read off the small factors u^{se} - 1.  One exact
+    division per prime strips it; Fraction's product would run two gcds
+    of long integers per factor instead.
+    """
+    num = 1
+    for t in truncations:
+        num *= t.value.numerator
+    den = 1
+    for t in truncations:
+        exponent = truncation_exponent(t.a, t.s, t.r)
+        shared = min(exponent, sum(
+            a * _valuation(u.p ** (u.s * e) - 1, t.p)
+            for u in truncations if u.p != t.p for e, a in enumerate(u.a, 1)))
+        num //= t.p ** shared
+        den *= t.p ** (exponent - shared)
+    return _coprime_fraction(num, den)
 
 
 def primes_up_to(n: int) -> list:
@@ -294,6 +332,9 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
     """
     if not p_list or not all(is_prime(p) for p in p_list):
         raise ValueError(f"p_list must be a nonempty list of primes, got {list(p_list)}")
+    # imported here: the audit is the only user, and mpmath costs every
+    # command line call a noticeable share of its start-up
+    from mpmath import mp, mpf, log, exp, zeta as mp_zeta
     report = BoundReport()
     old_prec = mp.prec
     mp.prec = 160

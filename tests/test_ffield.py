@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -192,6 +193,25 @@ def test_galois_ring_units_exhaustive(p, e):
     for a in rng.sample(elements, 200):
         expected = ring.one() if ring.reduce_mod_p(a) != 0 else ring.zero()
         assert ring.pow(a, unit_order) == expected, a
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 3), (3, 5), (5, 2), (7, 3)])
+def test_galois_ring_mul_matches_polynomial_remainder(p, e):
+    """The fixed-degree product (schoolbook, then the folded powers
+    T^e .. T^(2e-2)) and its batched numpy form against the remainder of
+    the polynomial product by the lifted modulus, on random elements."""
+    ring = GaloisRing(p, e)
+    rng = random.Random(100 * p + e)
+    pairs = [tuple(tuple(rng.randrange(p * p) for _ in range(e)) for _ in "ab")
+             for _ in range(300)]
+    expected = []
+    for a, b in pairs:
+        rem = poly_mod(poly_mul(list(a), list(b), p * p), list(ring.modulus), p * p)
+        expected.append(tuple(rem + [0] * (e - len(rem))))
+    assert [ring.mul(a, b) for a, b in pairs] == expected
+    batch = np.array(pairs, dtype=np.int64)
+    assert [tuple(c) for c in ring.mul_arrays(batch[:, 0], batch[:, 1]).tolist()] == \
+        expected
 
 
 def test_galois_ring_reduction_and_lift():

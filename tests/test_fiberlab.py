@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bertinilab import fiberlab
-from bertinilab.ffield import GaloisRing
+from bertinilab.ffield import GF, GaloisRing, kernel_basis
 from bertinilab.arithlab import multi_fiber_experiment
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
                                  ProjectiveScheme, SchemeFiber, monomial_basis,
@@ -295,6 +295,7 @@ def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
         raise AssertionError("enumerated points or built jets over budget")
 
     monkeypatch.setattr(SchemeFiber, "closed_points_up_to", refuse)
+    monkeypatch.setattr(fiberlab, "_point_jets", refuse)
     monkeypatch.setattr(fiberlab, "_PointJet", refuse)
     with pytest.raises(BudgetExceeded):
         fiber_density_exhaustive(p1, 5, 9, 1)
@@ -357,7 +358,8 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     fib = conic.fiber(3)
     points = fib.closed_points_up_to(3)
     cls = FiberClassifier(fib, 2, points)
-    assert cls._block == fiberlab._VALUE_BLOCK // sum(x.degree for x in points)
+    # one padded value row per digit up to the top degree, per point
+    assert cls._block == fiberlab._VALUE_BLOCK // (3 * len(points))
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 9, size=(3 * cls._block + 1, cls.h), dtype=np.int64)
     rows[::5] = rows[::5] * 3 % 9          # p * tau: on the divisor everywhere
@@ -373,6 +375,56 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     again = without_table.census(rows)
     assert (again[0] == any_arith).all() and (again[1] == any_fiber).all()
     assert again[2] == rescued
+
+
+def _rows_through(jet, p, rng, first_order):
+    """A row mod p^2 whose reduction vanishes at the jet's point, and with
+    ``first_order`` is singular on the fiber there: a random F_p-kernel
+    vector of the jet's value (and tangent) digits, plus p times noise."""
+    digits = np.hstack([jet.value_p, jet.tangent]) if first_order else jet.value_p
+    h = len(digits)
+    kernel = np.array(kernel_basis(digits.T.tolist(), h, GF(p)), dtype=np.int64)
+    tau = rng.integers(0, p, size=h)
+    return (rng.integers(0, p, size=len(kernel)) @ kernel + p * tau) % (p * p)
+
+
+@pytest.mark.parametrize("name, p, r, d", [("conic", 3, 5, 6), ("P2", 2, 3, 3)])
+def test_padded_census_matches_pointwise_definition(p2, conic, name, p, r, d):
+    """The padded value pass against classify_point_detail at every point.
+    The conic mod 3 at r = 5 has points of each degree 1..5, so its value
+    rows carry 4..0 zero digits of padding; each point of P^2 mod 2 has
+    two tangent vectors.  Rows: random, p * tau, the zero row, and rows
+    through a point of each degree, on the divisor and singular on the
+    fiber there."""
+    fib = {"P2": p2, "conic": conic}[name].fiber(p)
+    cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
+    assert sorted({jet.e for jet in cls.jets}) == list(range(1, r + 1))
+    assert {jet.m for jet in cls.jets} == {fib.m}
+    rng = np.random.default_rng(11)
+    rows = [rng.integers(0, p * p, size=cls.h) for _ in range(8)]
+    rows += [p * rng.integers(0, p, size=cls.h) for _ in range(4)]
+    rows.append(np.zeros(cls.h, dtype=np.int64))
+    singular = []
+    for e in range(1, r + 1):
+        jet = next(jet for jet in cls.jets if jet.e == e)
+        rows.append(_rows_through(jet, p, rng, False))
+        singular += [len(rows), len(rows) + 1]
+        rows += [_rows_through(jet, p, rng, True) for _ in range(2)]
+    batch = np.array(rows, dtype=np.int64)
+    any_arith, any_fiber, rescued = cls.census(batch)
+    total_rescued = 0
+    for j, coeffs in enumerate(rows):
+        sec = SectionModP2(HomogeneousForm(2, d, tuple(int(c) for c in coeffs),
+                                           p * p), p)
+        verdicts = [classify_point_detail(sec, x, fib) for x in cls.points]
+        row_rescued = sum(f == "SingularPoint" and a != "SingularPoint"
+                          for a, f in verdicts)
+        assert any_arith[j] == any(a == "SingularPoint" for a, _ in verdicts)
+        assert any_fiber[j] == any(f == "SingularPoint" for _, f in verdicts)
+        assert cls.census(batch[j:j + 1])[2] == row_rescued
+        total_rescued += row_rescued
+    assert rescued == total_rescued > 0
+    assert any_arith.any() and not any_fiber.all() and any_fiber[singular].all()
 
 
 def test_census_without_points(p1):
@@ -400,9 +452,9 @@ def test_one_jet_build_per_point(p1, monkeypatch):
     built = []
 
     class CountingJet(fiberlab._PointJet):
-        def __init__(self, fiber, x, d):
+        def __init__(self, x, *args):
             built.append(x.rep)
-            super().__init__(fiber, x, d)
+            super().__init__(x, *args)
 
     monkeypatch.setattr(fiberlab, "_PointJet", CountingJet)
     fib = p1.fiber(2)
@@ -420,20 +472,26 @@ def test_one_jet_build_per_point(p1, monkeypatch):
                                      ("conic", 3), ("conic", 5)])
 def test_jets_match_form_evaluation(p1, p2, conic, name, p):
     """Every _PointJet array against HomogeneousForm on each monomial, at
-    every closed point of degree <= 3: value_p by eval_gf at x.rep,
+    every closed point of degree <= r (5 on the conic mod 3, else 3), the
+    jets built for all those points at once: value_p by eval_gf at x.rep,
     value_p2 by eval_gr at the scheme lift, each tangent block by
     sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
     fib = {"P1": p1, "P2": p2, "conic": conic}[name].fiber(p)
-    for x in fib.closed_points_up_to(3):
-        fld = x.field
-        ring, lift = lifted_point(fib, x)
-        cols = [j for j in range(fib.n + 1) if j != x.chart()]
-        tangent = fib.tangent_basis(x)
-        for d in (1, 2, 3):
-            jet = fiberlab._PointJet(fib, x, d)
-            assert jet.tangent.shape == (jet.value_p.shape[0], len(tangent) * x.degree)
-            for k, exps in enumerate(monomial_basis(fib.n, d)):
-                mono = HomogeneousForm.from_monomials(fib.n, d, [(exps, 1)])
+    r = 5 if (name, p) == ("conic", 3) else 3
+    points = fib.closed_points_up_to(r)
+    assert max(x.degree for x in points) == r
+    for d in (1, 2, 3):
+        monomials = [HomogeneousForm.from_monomials(fib.n, d, [(exps, 1)])
+                     for exps in monomial_basis(fib.n, d)]
+        jets = fiberlab._point_jets(fib, points, d)
+        assert [jet.x for jet in jets] == points
+        for x, jet in zip(points, jets):
+            fld = x.field
+            ring, lift = lifted_point(fib, x)
+            cols = [j for j in range(fib.n + 1) if j != x.chart()]
+            tangent = fib.tangent_basis(x)
+            assert jet.tangent.shape == (len(monomials), len(tangent) * x.degree)
+            for k, mono in enumerate(monomials):
                 assert list(jet.value_p[k]) == fld.decode(mono.eval_gf(fld, x.rep))
                 assert tuple(jet.value_p2[k]) == mono.eval_gr(ring, lift)
                 for t, vec in enumerate(tangent):

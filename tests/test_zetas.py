@@ -1,9 +1,14 @@
 """Point-count tables, truncated zeta values, convergence bounds."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bertinilab
 from bertinilab import zetas
 from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
@@ -112,6 +117,24 @@ def test_global_zeta_truncated_product_value():
         global_zeta_inverse({2: tables[2]}, 3, 7, 4, 1)   # missing primes
 
 
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_global_product_matches_fraction_product(r):
+    """The integer product of the local values on P^1 at p <= 7, s = 3,
+    against Fraction's product.  The local factors share primes (7 divides
+    2^3 - 1, 2 divides 3^3 - 1), and Fraction compares numerator and
+    denominator, so an unreduced product would compare unequal."""
+    tables = {p: projective_counts(p, 1, r) for p in (2, 3, 5, 7)}
+    local = {p: local_zeta_inverse(tables[p], 3, r, 1).value for p in tables}
+    expected = Fraction(1)
+    for value in local.values():
+        expected *= value
+    value = global_zeta_inverse(tables, 3, 7, r, 1).value
+    assert (value.numerator, value.denominator) == \
+        (expected.numerator, expected.denominator)
+    for q in (2, 7):            # some of q's local denominator cancels
+        assert expected.denominator % local[q].denominator != 0
+
+
 @pytest.mark.parametrize("prime_bound,depths", [
     (0, 4), (1, 4), (-3, 4),                # a product over no fibers
     (7, {2: 4, 3: 4, 7: 4}),                # no depth for p = 5
@@ -151,6 +174,18 @@ def test_reduced_fraction_fallback(monkeypatch):
     assert value == expected
     assert value.denominator == expected.denominator == \
         2 ** truncation_exponent(closed_point_counts(table), 2, 12)
+
+
+def test_cli_import_leaves_mpmath_out():
+    """Only verify_section_bounds uses mpmath, and it imports it itself, so
+    a command line call that never audits never pays for the import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bertinilab.__file__).resolve().parents[1])
+    code = "import sys, bertinilab.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_bounds_spot_values():
