@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -171,16 +172,27 @@ def dedekind_p_maximal(f: MonicPoly, p: int, disc: int | None = None) -> bool:
     return _dedekind_criterion(f, p, disc)
 
 
+DEDEKIND_CACHE_SIZE = 2048   # entries in the memo of Dedekind's criterion
+
+
 def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
     """``dedekind_p_maximal`` for a prime p and disc = disc(f) != 0, unchecked."""
-    if disc % (p * p) != 0:
+    p2 = p * p
+    if disc % p2 != 0:
         return True
-    fle = f.little_endian()
+    return _dedekind_mod_p2(tuple(c % p2 for c in f.little_endian()), p)
+
+
+@lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
+def _dedekind_mod_p2(fle: tuple, p: int) -> bool:
+    """Dedekind's criterion at p from f mod p^2 (little-endian) alone, for a
+    monic f with p^2 | disc(f); memoized on (f mod p^2, p).  Every f' = f
+    mod p^2 has p^2 | disc(f') too, and the criterion reads only f mod p^2."""
     fbar = poly_trim([c % p for c in fle])
     gbar = radical_fp(fbar, p)
     hbar = poly_divmod(fbar, gbar, p)[0]
     p2 = p * p
-    diff = poly_sub(poly_mul(gbar, hbar, p2), [c % p2 for c in fle], p2)
+    diff = poly_sub(poly_mul(gbar, hbar, p2), fle, p2)
     if any(c % p for c in diff):
         raise InternalCheckError("g*h != f mod p in Dedekind's criterion")
     f1bar = poly_trim([(c // p) % p for c in diff])
@@ -195,8 +207,10 @@ class MaximalityVerdict:
     kind is one of 'maximal_up_to', 'not_maximal_at', 'degenerate'.
     ``unconditional`` means the discriminant was fully accounted for
     (cofactor 1, or a prime cofactor below ``MR_DETERMINISTIC_BOUND``
-    where ``is_prime`` is a proof), so the verdict holds at
-    every prime, not only below the trial bound.
+    where ``is_prime`` is a proof, by the psi_k tiers of its bases), so
+    the verdict holds at every prime, not only below the trial bound.
+    A 'not_maximal_at' verdict is always unconditional; its p is the
+    least prime below the bound at which Dedekind's criterion fails.
     """
 
     kind: str
@@ -209,24 +223,45 @@ class MaximalityVerdict:
         return dict(self.__dict__)
 
 
-def maximality_scan(f: MonicPoly, trial_bound: int,
-                    primes: list | None = None,
-                    disc: int | None = None) -> MaximalityVerdict:
-    """Trial-divide disc(f) below the bound and run Dedekind where needed.
+TRIAL_BLOCK = 64             # trial primes per gcd in maximality_scan
 
-    ``primes``, when given, must be ``primes_up_to(trial_bound)``; callers
-    scanning many polynomials pass it to sieve once.  Its entries reach
-    Dedekind's criterion without a second primality test.
+
+@lru_cache(maxsize=8)
+def _trial_blocks(trial_bound: int) -> tuple:
+    """``primes_up_to(trial_bound)`` in consecutive blocks of ``TRIAL_BLOCK``,
+    each as (product of its primes, its primes); memoized per bound."""
+    primes = primes_up_to(trial_bound)
+    blocks = (tuple(primes[i:i + TRIAL_BLOCK])
+              for i in range(0, len(primes), TRIAL_BLOCK))
+    return tuple((prod(block), block) for block in blocks)
+
+
+def maximality_scan(f: MonicPoly, trial_bound: int,
+                    disc: int | None = None) -> MaximalityVerdict:
+    """Trial-divide disc(f) by the primes <= trial_bound and run Dedekind
+    where a prime square divides it.
+
+    Trial division goes by blocks of ``TRIAL_BLOCK`` primes: one gcd of
+    the cofactor with the block's product, and the block's primes are
+    divided out, in order, only when that gcd is > 1.  It stops once the
+    next prime exceeds the cofactor.  The prime cofactor test is
+    ``is_prime``, a proof below ``MR_DETERMINISTIC_BOUND``.
     """
     disc = discriminant(f) if disc is None else disc
     if disc == 0:
         return MaximalityVerdict("degenerate", trial_bound)
-    primes = primes_up_to(trial_bound) if primes is None else primes
     c = abs(disc)
-    for p in primes:
-        if p > c:
+    for product, block in _trial_blocks(trial_bound):
+        if block[0] > c:
             break
-        if c % p == 0:
+        g = gcd(c, product)
+        if g == 1:
+            continue
+        for p in block:
+            if p > g:
+                break
+            if g % p:
+                continue
             power = 0
             while c % p == 0:
                 c //= p
@@ -340,8 +375,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
         raise ValueError("need at least one sample")
     if trial_bound < 2:
         raise ValueError("need trial bound T >= 2")
-    primes = primes_up_to(trial_bound)
-    check_primes = [p for p in primes if p <= fiber_cap]
+    check_primes = primes_up_to(min(fiber_cap, trial_bound))
     bounds = [R ** i for i in range(1, d + 1)]
     hits = 0
     degenerate = 0
@@ -351,7 +385,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
         for a in sampling.uniform_height_ball(rng, size, bounds):
             f = MonicPoly(tuple(int(c) for c in a))
             disc = discriminant(f)
-            verdict = maximality_scan(f, trial_bound, primes=primes, disc=disc)
+            verdict = maximality_scan(f, trial_bound, disc=disc)
             if verdict.kind == "degenerate":
                 degenerate += 1
                 continue
@@ -388,7 +422,6 @@ def quadratic_field_census(R: int):
     to 1/zeta(2) (the finite-R bias of the limit statement).
     """
     trial = 3 * R
-    primes = primes_up_to(trial)
     hits = 0
     total = 0
     degenerate = 0
@@ -400,7 +433,7 @@ def quadratic_field_census(R: int):
             if disc == 0:
                 degenerate += 1
                 continue
-            verdict = maximality_scan(f, trial, primes=primes, disc=disc)
+            verdict = maximality_scan(f, trial, disc=disc)
             if verdict.kind == "maximal_up_to":
                 if not verdict.unconditional:
                     raise InternalCheckError("quadratic census verdict not certified")

@@ -18,6 +18,7 @@ Galois-ring boundary (lifts and reductions mod p).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -27,16 +28,25 @@ FIELD_SIZE_CAP = 1 << 24      # prime fields
 TABLE_SIZE_CAP = 1 << 16      # extension fields, all with tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_12, the least strong pseudoprime to all of _MR_BASES
-# (399165290221 * 798330580441).
-MR_DETERMINISTIC_BOUND = 318665857834031151167461
+# psi_k, the least odd composite that is a strong pseudoprime to the first k
+# of _MR_BASES (OEIS A014233; Sorenson and Webster, Math. Comp. 2017 for
+# k = 12): below psi_k those k bases are a proof.  psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+           3474749660383, 341550071728321, 341550071728321,
+           3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461)
+# psi_12 (399165290221 * 798330580441)
+MR_DETERMINISTIC_BOUND = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2..37.
+    """Miller-Rabin after trial division by the bases 2..37.
 
-    Deterministic for n < MR_DETERMINISTIC_BOUND; above it a True is only
-    a strong probable prime.
+    Below psi_k the first k bases prove primality, so only the first
+    k bases run, k the least index with n < psi_k.  Deterministic for
+    n < MR_DETERMINISTIC_BOUND = psi_12; at and above it all 12 bases
+    run and a True is only a strong probable prime.
     """
     if n < 2:
         return False
@@ -48,7 +58,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -252,7 +262,9 @@ class GF:
         for _ in range(self.e - 1):
             top = rows[-1][-1]
             rows.append([(c - top * m) % p for c, m in zip([0] + rows[-1][:-1], modulus)])
-        places = [p ** i for i in range(self.e)]
+        # int32 throughout: a digit sum is below e (p - 1)^2 < 2^31 for q <= 2^16
+        rows = np.array(rows, dtype=np.int32)
+        places = np.array([p ** i for i in range(self.e)], dtype=np.int32)
         step = (self.digit_array() @ rows % p @ places).tolist()
         # exp holds two periods, so mul and add index it without a reduction,
         # then q - 1 zeros, where the Zech entry of 1 + (-1) = 0 points
@@ -331,8 +343,9 @@ class GF:
         return np.array(self._exp[:self.q - 1]), np.array(self._log)
 
     def digit_array(self):
-        """The q x e array whose row x holds the base-p digits of x."""
-        return np.arange(self.q)[:, None] // self.p ** np.arange(self.e) % self.p
+        """The q x e int32 array whose row x holds the base-p digits of x."""
+        return (np.arange(self.q, dtype=np.int32)[:, None]
+                // self.p ** np.arange(self.e, dtype=np.int32) % self.p)
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})"

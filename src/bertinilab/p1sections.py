@@ -20,11 +20,12 @@ serves the per-sample path of ``multi-fiber`` on P^1 and the ``bsw``
 cross-check; exhaustive counts run through ``fiberlab.FiberClassifier``.
 
 The mod-p factor structure repeats from row to row, so it is memoized in
-two bounded least-recently-used caches: the radical, keyed on (f mod p,
-trimmed; p), and the distinct-degree split of the radical of the
-repeated part w (gcd(fbar, fbar'), or tau mod p when sigma = p*tau),
-keyed on (w, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The
-mod-p^2 test of each row is never cached.
+three bounded least-recently-used caches: the radical, keyed on (f mod p,
+trimmed; p); the distinct-degree split of the radical of a repeated part
+w (gcd(fbar, fbar'), or tau mod p when sigma = p*tau), keyed on (w, p, r);
+and, in front of it, the whole repeated-part step of a row (derivative,
+squarefree gcd and split), keyed on (fbar, p, r).  Each holds at most
+``CACHE_SIZE`` entries.  The mod-p^2 test of each row is never cached.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ def _radical_split(w: tuple, p: int, r: int) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _repeated_split(fbar: tuple, p: int, r: int) -> tuple:
+    """The split of the repeated part of fbar (nonconstant, reduced mod p):
+    ``_radical_split`` of w = gcd(fbar, fbar'), or of fbar itself when
+    fbar' = 0; () when fbar is squarefree.  Memoized on (fbar, p, r)."""
+    deriv = poly_derivative(fbar, p)
+    w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
+    return _radical_split(w, p, r) if len(w) > 1 else ()
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _p1_closed_point_count(p: int, r: int) -> int:
     a = closed_point_counts(projective_counts(p, 1, max(r, 1)))
     return sum(a[:r])
@@ -156,12 +167,11 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         return FiberReport(p, r, fiber_ct, arith_ct)
 
     # affine points: repeated irreducible factors of fbar
-    deriv = poly_derivative(fbar, p)
     if len(fbar) > 1:
-        w = fbar if not deriv else poly_gcd(fbar, deriv, p)
-        if len(w) > 1:
+        split = _repeated_split(tuple(fbar), p, r)
+        if split:
             f2 = affine_poly(coeffs, d, p2)
-            for k, hk in _radical_split(tuple(w), p, r):
+            for k, hk in split:
                 npts = (len(hk) - 1) // k
                 fiber_ct += npts
                 rem = poly_mod(f2, hk, p2)      # hk's digits are in [0, p)

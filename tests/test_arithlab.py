@@ -9,14 +9,17 @@ import sympy
 from sympy import Poly
 from sympy.polys.numberfields.basis import round_two
 
-from bertinilab.arithlab import (MonicPoly, bareiss_determinant,
-                                 bsw_experiment, dedekind_p_maximal,
-                                 discriminant, equidistribution_audit,
+from bertinilab import arithlab
+from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
+                                 bareiss_determinant, bsw_experiment,
+                                 dedekind_p_maximal, discriminant,
+                                 equidistribution_audit,
                                  euler_product_reference, maximality_scan,
                                  multi_fiber_experiment,
                                  quadratic_field_census)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
+from bertinilab.zetas import primes_up_to
 
 x = sympy.symbols("x")
 
@@ -130,6 +133,87 @@ def test_maximality_scan_prime_cofactor_bound():
     # the bound itself is a composite that every base passes
     v = maximality_scan(f, 100, disc=MR_DETERMINISTIC_BOUND)
     assert v.kind == "maximal_up_to" and not v.unconditional
+
+
+def test_dedekind_verdicts_do_not_depend_on_cache_state():
+    """Cubics and quartics with p^2 | disc at p in {2, 3, 5, 7}, each with a
+    partner f + p^2 g: every verdict computed with a cold memo equals the
+    same verdict with the memo warmed by all the others, and partners
+    share an entry."""
+    rng = random.Random(36)
+    cases = []
+    while len(cases) < 300:
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(3, 4)
+        f = MonicPoly(tuple(rng.randint(-40, 40) for _ in range(d)))
+        g = MonicPoly(tuple(c + p * p * rng.randint(-3, 3) for c in f.a))
+        discs = [discriminant(f), discriminant(g)]
+        if 0 in discs or discs[0] % (p * p):
+            continue
+        assert discs[1] % (p * p) == 0
+        cases += [(f, p, discs[0]), (g, p, discs[1])]
+    cold = []
+    for f, p, disc in cases:
+        arithlab._dedekind_mod_p2.cache_clear()
+        cold.append(dedekind_p_maximal(f, p, disc=disc))
+    for f, p, disc in cases:
+        dedekind_p_maximal(f, p, disc=disc)
+    hits = arithlab._dedekind_mod_p2.cache_info().hits
+    warm = [dedekind_p_maximal(f, p, disc=disc) for f, p, disc in cases]
+    assert warm == cold
+    assert cold[0::2] == cold[1::2]
+    assert hits >= len(cases) // 2
+    assert 0 < sum(cold) < len(cold)
+    assert 0 < arithlab._dedekind_mod_p2.cache_info().maxsize < 10 ** 5
+
+
+def _plain_scan(f, trial_bound, disc):
+    """maximality_scan as one loop over the primes <= trial_bound."""
+    c = abs(disc)
+    for p in primes_up_to(trial_bound):
+        if p > c:
+            break
+        if c % p == 0:
+            power = 0
+            while c % p == 0:
+                c //= p
+                power += 1
+            if power >= 2 and not dedekind_p_maximal(f, p, disc=disc):
+                return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
+                                         unconditional=True)
+    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and sympy.isprime(c))
+    note = f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}"
+    return MaximalityVerdict("maximal_up_to", trial_bound,
+                             unconditional=unconditional, checked_primes=note)
+
+
+def test_blocked_trial_division_matches_the_prime_loop():
+    """Same verdicts as the plain loop for real discriminants of cubics and
+    for chosen ones: negative, +-1, below T, a prime power in the last
+    block, T prime, and bounds around the block size."""
+    rng = random.Random(37)
+    cases = []
+    for _ in range(300):
+        f = MonicPoly(tuple(rng.randint(-10 ** i, 10 ** i) for i in range(1, 4)))
+        disc = discriminant(f)
+        if disc:
+            cases.append((f, rng.choice([2, 10, 100, 1000]), disc))
+    f = MonicPoly((-1, -1))
+    primes = primes_up_to(1000)
+    # 991 and 997 sit in the last block at T = 1000, past the first one
+    assert primes[-2:] == [991, 997] and len(primes) > arithlab.TRIAL_BLOCK
+    chosen = [1, -1, 12, -12, 4 * 9 * 25, -(2 ** 10), 997, -997,
+              997 ** 2, -3 * 997 ** 3, 2 * 991 ** 2 * 997 ** 2,
+              997 ** 2 * 1009, 1009 ** 2, 2 ** 3 * 1000003,
+              MR_DETERMINISTIC_BOUND, -sympy.prevprime(MR_DETERMINISTIC_BOUND)]
+    bounds = [2, 3, 10, 97, 997, 1000, 1009,
+              primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK - 1],
+              primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK]]
+    cases += [(f, T, disc) for disc in chosen for T in bounds]
+    for f, T, disc in cases:
+        assert maximality_scan(f, T, disc=disc) == _plain_scan(f, T, disc), (f, T, disc)
+    kinds = {maximality_scan(f, T, disc=disc).kind for f, T, disc in cases}
+    assert kinds == {"maximal_up_to", "not_maximal_at"}
 
 
 def test_geometric_oracle_equivalence():
@@ -327,4 +411,5 @@ def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
 def test_quadratic_census_smoke():
     est = quadratic_field_census(6)
     assert est.total == 13 * 73
+    assert (est.value, est.extras["degenerate"]) == (Fraction(573, 949), 7)
     assert 0.5 < float(est.value) < 0.75

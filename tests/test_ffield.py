@@ -1,12 +1,15 @@
 """Field, Galois-ring and linear-algebra core."""
 
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from bertinilab import ffield
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
                                image_size_mod_p2, kernel_basis, matrix_rank,
@@ -179,6 +182,20 @@ def test_table_addition_matches_digits_random(p, e):
         assert field.add(a, field.neg(a)) == 0
 
 
+@pytest.mark.parametrize("p,e,digest", [
+    (2, 16, "0d403d6f59d53740179f993a42716d92a97af040a6e85d7dd890032226a11c1f"),
+    (3, 10, "d3ebcf9d3113fa7089e0098e0b2f0ac99a11db415d8fb9a090ea4c568b4a8c41"),
+    (251, 2, "c2873e8f7ef89197862dae35f761e1356ececbd07dc15f03ad40e032b7078f72"),
+])
+def test_tables_are_pinned(p, e, digest):
+    """SHA-256 of the exp/log/Zech/Frobenius tables, as the int64 step map
+    built them; the int32 digit array must build the same tables."""
+    field = GF(p, e)
+    assert field.digit_array().dtype == np.int32
+    tables = (field._exp, field._log, field._zech, field._frob, field._log_neg_one)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("p,e", [(2, 4), (2, 8), (3, 3), (5, 2), (7, 2)])
 def test_galois_ring_units_exhaustive(p, e):
     """a is a unit exactly when a mod p is nonzero: then a^((q-1)p) = 1,
@@ -347,6 +364,59 @@ def test_is_prime():
     # is_prime is a proof, at and above it only a probable-prime test
     assert MR_DETERMINISTIC_BOUND == 399165290221 * 798330580441
     assert is_prime(MR_DETERMINISTIC_BOUND)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+def _all_bases_prime(n):
+    """The 12-base test: trial division by the bases, then every base."""
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in ffield._MR_BASES):
+        return n in ffield._MR_BASES
+    return all(_strong_probable_prime(n, a) for a in ffield._MR_BASES)
+
+
+def test_is_prime_matches_sympy_below_2e5():
+    assert [n for n in range(200000) if is_prime(n)] == list(sympy.primerange(200000))
+
+
+def test_mr_psi_table():
+    """psi_k is an odd composite, a strong pseudoprime to the first k bases
+    (so psi_k - 1 is the most the tier proves), and is_prime rejects it:
+    at n >= psi_k at least one more base runs."""
+    psi = ffield._MR_PSI
+    assert len(psi) == len(ffield._MR_BASES) == 12
+    assert psi[6] == psi[7] and psi[8] == psi[9] == psi[10]
+    assert psi[-1] == MR_DETERMINISTIC_BOUND
+    assert list(psi) == sorted(psi)
+    for k, n in enumerate(psi, start=1):
+        assert n % 2 and not sympy.isprime(n), k
+        assert all(_strong_probable_prime(n, a) for a in ffield._MR_BASES[:k]), k
+    for k, n in enumerate(psi[:11], start=1):
+        assert not is_prime(n), k
+
+
+_PSI_NEIGHBOURS = st.one_of(
+    st.tuples(st.sampled_from(ffield._MR_PSI), st.integers(-2000, 2000))
+    .map(lambda t: t[0] + t[1]),
+    st.integers(11, 80).flatmap(lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PSI_NEIGHBOURS)
+def test_is_prime_near_psi_bounds_and_at_random_sizes(n):
+    """The tiered test returns what all 12 bases return, which is the truth
+    below psi_12."""
+    assert is_prime(n) == _all_bases_prime(n)
+    if n < MR_DETERMINISTIC_BOUND:
+        assert is_prime(n) == sympy.isprime(n)
 
 
 def test_poly_mul_mod_consistency():

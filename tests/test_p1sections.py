@@ -93,6 +93,7 @@ def test_report_degenerate_sections(p1):
 def clear_p1_caches():
     p1sections._radical_fp.cache_clear()
     p1sections._radical_split.cache_clear()
+    p1sections._repeated_split.cache_clear()
 
 
 def test_radical_cache_key_is_the_reduced_polynomial():
@@ -123,7 +124,8 @@ def test_radical_returns_a_fresh_list():
 
 def test_p1_caches_are_bounded():
     caches = [fn for fn in vars(p1sections).values() if hasattr(fn, "cache_info")]
-    assert {p1sections._radical_fp, p1sections._radical_split} <= set(caches)
+    assert {p1sections._radical_fp, p1sections._radical_split,
+            p1sections._repeated_split} <= set(caches)
     for fn in caches:
         assert 0 < fn.cache_info().maxsize < 10 ** 5, fn
 
@@ -155,8 +157,38 @@ def test_report_verdicts_do_not_depend_on_cache_state():
         binary_section_report(*row)
     warm = [binary_section_report(*row) for row in rows]
     assert p1sections._radical_split.cache_info().hits > 0
+    assert p1sections._repeated_split.cache_info().hits > 0
     assert warm == cold
     assert sum(rep.fiber_singular > 0 for rep in cold) > 100
+
+
+def test_mod_p2_test_is_not_cached(p1):
+    """Rows f and f + p*g share fbar and so the f-bar memo entry, but their
+    mod-p^2 verdicts may differ; each matches the pointwise classifier."""
+    rng = random.Random(26)
+    differ = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 6)
+        r = rng.randint(1, 3)
+        g = [rng.randrange(p) for _ in range(rng.randint(1, d // 2))] + [1]
+        h = [rng.randrange(p) for _ in range(d - 2 * (len(g) - 1))] + [1]
+        aff = poly_mul(poly_mul(g, g, p), h, p)      # monic, degree d, g^2 | aff
+        base = tuple(reversed(aff))
+        fib = p1.fiber(p)
+        reports = []
+        for _ in range(3):
+            coeffs = tuple(c + p * rng.randrange(p) for c in base)
+            rep = binary_section_report(coeffs, d, p, r)
+            sec = SectionModP2(HomogeneousForm(1, d, coeffs, p * p), p)
+            arith_ct = sum(classify_point_detail(sec, pt, fib)[0] == "SingularPoint"
+                           for pt in fib.closed_points_up_to(r))
+            assert rep.arith_singular == arith_ct, (coeffs, p, d, r)
+            reports.append(rep)
+        assert len({rep.fiber_singular for rep in reports}) == 1
+        differ += len({rep.arith_singular for rep in reports}) > 1
+    assert p1sections._repeated_split.cache_info().hits > 0
+    assert differ > 10
 
 
 def test_squarefree_predicate_matches_sympy(p1):
