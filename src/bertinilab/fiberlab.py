@@ -50,11 +50,13 @@ EXHAUSTIVE_BUDGET = 1 << 26
 # limit, so check_digits is the guard.
 DIGIT_CAP = 2_000_000
 _CHUNK = 1 << 14
-# entries of one census value-pass block (padded value rows x rows); and
-# the largest value bound h (p - 1)^2 that gets a divisibility table, one
-# byte per possible value
+# entries of one census value-pass block (packed value rows x rows); the
+# largest divisibility table, one byte per packed value: k digit sums of
+# spread R share a value row while R^k stays within it; and the gathered
+# digits of one pair-pass block
 _VALUE_BLOCK = 1 << 14
 _RESIDUE_TABLE_CAP = 1 << 20
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,24 +75,27 @@ class SectionModP2:
 
 
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
-                 conjugate: int = 0, perturbation=None):
+                 conjugate: int = 0, perturbation=None,
+                 ring: GaloisRing | None = None, scaled=None):
     """Chart-normalized lift of x into GR(p^2, deg x), landed on the scheme.
 
     The coordinates are scaled so the chart coordinate is exactly 1,
     lifted digit-wise, then (when the scheme has defining forms) moved by
     one Newton step so every defining form vanishes mod p^2.  An optional
     perturbation (a field vector, applied as + p * delta) exercises the
-    lift-independence of downstream classifications.
+    lift-independence of downstream classifications.  A caller that
+    already holds the ring GR(p^2, deg x), or the coordinates scaled to
+    the chart, passes them as ``ring`` and ``scaled``.
     """
     fld = x.field
-    ring = GaloisRing(fiber.p, x.degree, fld)
+    ring = GaloisRing(fiber.p, x.degree, fld) if ring is None else ring
     chart = x.chart() if chart is None else chart
-    coords = x.orbit[conjugate]
-    scaled = fiber._scaled_coords(fld, coords, chart)
+    if scaled is None:
+        scaled = fiber._scaled_coords(fld, x.orbit[conjugate], chart)
     lift = [ring.lift(c) for c in scaled]
     if fiber.forms:
         tangent_cols = [j for j in range(fiber.n + 1) if j != chart]
-        jac = fiber.jacobian_rows(fiber.forms, fld, scaled, chart)
+        jac = fiber.jacobian_rows(fld, scaled, chart)
         rhs = []
         for g in fiber.scheme.defining_forms:
             v = g.reduce(ring.p2).eval_gr(ring, lift)
@@ -235,9 +240,10 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     """The _PointJet of every point, in order, one batch per run of points
     of equal degree.
 
-    Each point costs one Newton lift x~ (``lifted_point``) and a tangent
-    basis; the lifts x~ + p t along the tangent vectors t and the monomial
-    values at all of them are then numpy products in GR(p^2, e).
+    Each point is scaled to its chart once, for its tangent basis and its
+    Newton lift x~ (``lifted_point``, into the one ring GR(p^2, e) of the
+    run); the lifts x~ + p t along the tangent vectors t and the monomial
+    values at all of them are then numpy products in the ring.
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
@@ -248,14 +254,15 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
         lifts, moves = [], []
         for x in run:
             chart = x.chart()
-            tangent = fiber.tangent_basis(x)        # rejects singular fiber points
-            lifts.append(lifted_point(fiber, x, chart=chart)[1])
+            scaled = fiber._scaled_coords(x.field, x.rep, chart)
+            tangent = fiber.tangent_basis(x, scaled)    # rejects singular fiber points
+            lifts.append(lifted_point(fiber, x, chart=chart, ring=ring,
+                                      scaled=scaled)[1])
             # tangent vectors skip the chart coordinate
-            moves.append([[ring.lift(c) for c in vec[:chart]] + [ring.zero()]
-                          + [ring.lift(c) for c in vec[chart:]] for vec in tangent])
+            moves.append([vec[:chart] + [0] + vec[chart:] for vec in tangent])
         lifts = np.array(lifts, dtype=np.int64)[:, None]       # (K, 1, n + 1, e)
-        moved = (lifts + p * np.array(moves, dtype=np.int64).reshape(
-            len(run), -1, fiber.n + 1, e)) % p2
+        moves = ring.field.digit_array()[np.array(moves, dtype=np.int64)]
+        moved = (lifts + p * moves.reshape(len(run), -1, fiber.n + 1, e)) % p2
         values = _monomial_values(ring, np.concatenate([lifts, moved], axis=1),
                                   basis, d)                   # (K, 1 + m, h, e)
         value_p2 = values[:, 0]
@@ -346,23 +353,55 @@ class FiberClassifier:
             raise ValueError("points must be pairwise distinct closed points")
         self.points = points
         self.jets = _point_jets(fiber, points, d)
-        # the value pass: the value_p digits digit-major, every point padded
-        # to the top degree with zero rows (0 is a multiple of p, so padding
-        # changes no verdict): row i * len(points) + k is digit i of point k
-        self._e_max = max((jet.e for jet in self.jets), default=0)
-        values = np.zeros((self._e_max, len(self.jets), self.h))
-        for k, jet in enumerate(self.jets):
-            values[:jet.e, k] = jet.value_p.T
-        self._values = values.reshape(-1, self.h)
+        p, h = self.p, self.h
+        # balanced digits lie in [-(p - 1) // 2, p // 2], so a sum of h digit
+        # products stays within h (p // 2)^2 of 0; a sum of h products of
+        # residues mod p^2 lies in [0, h (p^2 - 1)^2]
+        self._digit_type = _int_type(h * (p // 2) ** 2)
+        self._square_type = _int_type(h * (self.p2 - 1) ** 2)
+        # the balanced digit of every residue mod p^2, looked up by the census
+        # while that table fits _RESIDUE_TABLE_CAP bytes (an int64 remainder
+        # costs ten times the lookup)
+        self._residues = None
+        if self.p2 * np.dtype(self._digit_type).itemsize <= _RESIDUE_TABLE_CAP:
+            self._residues = _balanced(np.arange(self.p2), p, self._digit_type)
+        self._pack, spread, self._table = _packing(
+            p, h, max((jet.e for jet in self.jets), default=0))
+        width = max(self._pack, 1)
+        weights = spread ** np.arange(width)
+        # the points by degree: each degree is one run of the pair pass, and
+        # value row j of every point with more than j value rows is a suffix
+        packed, self._runs, first = [], [], 0
+        for e, run in groupby(sorted(self.jets, key=lambda jet: jet.e),
+                              key=lambda jet: jet.e):
+            run = list(run)
+            per_point = -(-e // width)
+            digits = np.zeros((len(run), h, per_point * width), dtype=np.int64)
+            digits[..., :e] = _balanced(np.stack([jet.value_p for jet in run]), p,
+                                        np.int64)
+            packed.append((first, digits.reshape(len(run), h, per_point, width)
+                           @ weights))                       # (K, h, per_point)
+            # the pair pass: the run's points, their balanced tangent digits
+            # (K, h, m e) and their value_p2 digits (K, h, e)
+            self._runs.append((first, first + len(run),
+                               _balanced(np.stack([jet.tangent for jet in run]), p,
+                                         self._digit_type),
+                               np.stack([jet.value_p2 for jet in run]).astype(
+                                   self._square_type)))
+            first += len(run)
+        # value rows: row 0 of every point, then row 1 of the points that
+        # have one, and so on; _suffixes holds (first point, first value
+        # row, end) of each row index past 0
+        self._values, self._suffixes = np.zeros((0, h)), []
+        for j in range(max((pack.shape[2] for _, pack in packed), default=0)):
+            having = [(start, pack[..., j]) for start, pack in packed
+                      if pack.shape[2] > j]
+            if j:
+                start, end = having[0][0], len(self._values)
+                self._suffixes.append((start, end, end + len(self.jets) - start))
+            self._values = np.concatenate([self._values]
+                                          + [rows for _, rows in having])
         self._block = max(1, _VALUE_BLOCK // max(1, len(self._values)))
-        # _multiples[v]: whether p divides v, for every value the pass can
-        # take; the lookup costs about a tenth of a float remainder.  Past
-        # the cap the pass takes int64 remainders instead of a huge table
-        bound = self.h * (self.p - 1) ** 2
-        self._multiples = None
-        if bound < _RESIDUE_TABLE_CAP:
-            self._multiples = np.zeros(bound + 1, dtype=bool)
-            self._multiples[::self.p] = True
 
     def certificate(self, reading: str) -> SurjectivityCertificate:
         """Certificate that degree-d forms surject onto the first-order jets
@@ -400,46 +439,100 @@ class FiberClassifier:
         point, any fiber-singular point) and the total point-level
         rescue count across the batch.
 
-        One value pass finds the (row, point) pairs on the divisor.  Each
-        block of _block rows costs the same fixed-shape steps: the rows mod
-        p times ``_values`` in float64 (one BLAS matmul), one divisibility
-        lookup, and one logical_and over the (e_max, points, rows) view,
-        since a point is on the divisor when p divides all its e_max
-        (padded) digits.  The tangent and value_p2 tests then run in int64
-        on those pairs only, grouped by point.
+        The rows (entries in [0, p^2)) are reduced once to balanced digits
+        mod p.  The value pass then finds the (point, row) pairs on the
+        divisor.  Each block of _block rows costs the same fixed-shape
+        steps: the block times the packed ``_values`` in float64 (one BLAS
+        matmul, exact since every packed sum is below 2^20, or below 2^53
+        without packing), one lookup in the divisibility table (or an int64
+        remainder), and one logical_and per value row index past the first.
+        The pair pass then runs once per degree run, on blocks of its
+        on-divisor pairs: the tangent test mod p on the balanced digits,
+        then the value_p2 test mod p^2 on the pairs singular on the fiber
+        only, each in the smallest integer type that holds its sums.
         """
         n = rows.shape[0]
         any_arith = np.zeros(n, dtype=bool)
         any_fiber = np.zeros(n, dtype=bool)
         if n == 0 or not self.jets:
             return any_arith, any_fiber, 0
-        digits = (self._e_max, len(self.jets), -1)
-        on_div = np.empty((len(self.jets), n), dtype=bool)
+        digits = (self._residues[rows] if self._residues is not None
+                  else _balanced(rows, self.p, self._digit_type))
+        points = len(self.jets)
+        on_div = np.empty((points, n), dtype=bool)
         for start in range(0, n, self._block):
-            block = rows[start:start + self._block] % self.p
-            values = (self._values @ block.T.astype(np.float64, order="C")
-                      ).astype(np.int64)
-            divisible = (self._multiples[values] if self._multiples is not None
-                         else values % self.p == 0)
-            np.logical_and.reduce(divisible.reshape(digits), axis=0,
-                                  out=on_div[:, start:start + self._block])
-        points, hit = np.nonzero(on_div)            # by point, then by row
-        bounds = np.searchsorted(points, np.arange(len(self.jets) + 1))
+            stop = start + self._block
+            sums = self._values @ digits[start:stop].T.astype(np.float64, order="C")
+            divisible = (self._table[sums.astype(np.intp)] if self._table is not None
+                         else sums.astype(np.int64) % self.p == 0)
+            on_div[:, start:stop] = divisible[:points]
+            for first, lo, hi in self._suffixes:
+                on_div[first:, start:stop] &= divisible[lo:hi]
         rescued_points = 0
-        for jet, lo, hi in zip(self.jets, bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            idx = hit[lo:hi]
-            sub = rows[idx]
-            fiber_sing = ~(sub @ jet.tangent % self.p).any(axis=1)
-            if not fiber_sing.any():
-                continue
-            idx = idx[fiber_sing]
-            arith_sing = ~(sub[fiber_sing] @ jet.value_p2 % self.p2).any(axis=1)
-            any_fiber[idx] = True
-            any_arith[idx[arith_sing]] = True
-            rescued_points += idx.size - int(arith_sing.sum())
+        for first, last, tangent, value_p2 in self._runs:
+            hits = np.flatnonzero(on_div[first:last])      # point * n + row
+            pairs = max(1, _PAIR_BLOCK // tangent[0].size)
+            for lo in range(0, hits.size, pairs):
+                at, idx = np.divmod(hits[lo:lo + pairs], n)
+                fiber_sing = ~(_pair_sums(digits[idx], tangent[at]) % self.p).any(axis=1)
+                if not fiber_sing.any():
+                    continue
+                idx, at = idx[fiber_sing], at[fiber_sing]
+                arith_sing = ~(_pair_sums(rows[idx].astype(self._square_type),
+                                          value_p2[at]) % self.p2).any(axis=1)
+                any_fiber[idx] = True
+                any_arith[idx[arith_sing]] = True
+                rescued_points += idx.size - int(arith_sing.sum())
         return any_arith, any_fiber, rescued_points
+
+
+def _packing(p: int, h: int, e_max: int):
+    """(k, R, table) of the packed value pass of h coefficients mod p.
+
+    A sum S of h products of balanced digits takes one of R values.  A
+    value row packs k digit sums as sum_i R^i S_i, for the largest
+    k <= e_max with R^k <= _RESIDUE_TABLE_CAP, and ``table`` (R^k bytes)
+    says at that packed value whether p divides all k sums.  Without room
+    for one sum, k = 0 and there is no table.
+    """
+    low, high = (p - 1) // 2, p // 2
+    shift = h * low * high                  # S lies in [-shift, h high^2]
+    spread = shift + h * high * high + 1
+    k = 0
+    while k < e_max and spread ** (k + 1) <= _RESIDUE_TABLE_CAP:
+        k += 1
+    if not k:
+        return 0, spread, None
+    divides = (np.arange(spread) - shift) % p == 0
+    table = divides
+    for _ in range(k - 1):
+        table = np.logical_and.outer(table, divides).ravel()
+    # entry sum_i R^i (S_i + shift) answers for the sums S_i; rolled, the
+    # table is read at the signed packed value sum_i R^i S_i, which numpy
+    # wraps when it is negative
+    return k, spread, np.roll(table, -shift * (spread ** k - 1) // (spread - 1))
+
+
+def _int_type(bound: int):
+    """The smallest signed integer dtype that holds [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
+
+
+def _balanced(values: np.ndarray, p: int, dtype) -> np.ndarray:
+    """values mod p as balanced digits in [-(p - 1) // 2, p // 2] ({0, 1} at
+    p = 2), in a new array of ``dtype``."""
+    low = (p - 1) // 2
+    out = np.remainder(values + low, p, out=np.empty(values.shape, dtype=dtype),
+                       casting="unsafe")
+    out -= low
+    return out
+
+
+def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[i, j] b[i, j, c] for every pair i: (P, h), (P, h, C) -> (P, C),
+    in the dtype of the operands."""
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 def _enumerate_rows(h, modulus, start, stop):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -340,19 +340,32 @@ class SchemeFiber:
         inv = field.inv(coords[chart])
         return tuple(field.mul(inv, c) for c in coords)
 
-    def jacobian_rows(self, forms, field: GF, coords, chart: int):
-        """Rows of partials (all variables except the chart one) at the point."""
-        cols = [j for j in range(self.n + 1) if j != chart]
-        rows = []
-        for f in forms:
-            rows.append([f.partial(j).eval_gf(field, coords) for j in cols])
-        return rows
+    @cached_property
+    def _partials(self):
+        """The partials of the defining forms mod p: [i][j] is dF_i/dX_j."""
+        return tuple(tuple(f.partial(j) for j in range(self.n + 1)) for f in self.forms)
 
-    def tangent_basis(self, x: ClosedPoint):
-        """A basis of the tangent space of the fiber at x, in chart coordinates."""
+    def jacobian_rows(self, field: GF, coords, chart: int, forms=None):
+        """Rows of partials (all variables except the chart one) at the point,
+        one row per form of ``forms``; None means the defining forms, whose
+        partials the fiber computes once."""
+        cols = [j for j in range(self.n + 1) if j != chart]
+        if forms is None:
+            partials = [[row[j] for j in cols] for row in self._partials]
+        else:
+            partials = [[f.partial(j) for j in cols] for f in forms]
+        return [[g.eval_gf(field, coords) for g in row] for row in partials]
+
+    def tangent_basis(self, x: ClosedPoint, scaled=None):
+        """A basis of the tangent space of the fiber at x, in chart coordinates.
+
+        ``scaled`` is x.rep scaled to the chart ``x.chart()``, when the
+        caller already has it.
+        """
         chart = x.chart()
-        coords = self._scaled_coords(x.field, x.rep, chart)
-        rows = self.jacobian_rows(self.forms, x.field, coords, chart)
+        if scaled is None:
+            scaled = self._scaled_coords(x.field, x.rep, chart)
+        rows = self.jacobian_rows(x.field, scaled, chart)
         basis = kernel_basis(rows, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
@@ -383,10 +396,10 @@ class SchemeFiber:
         chart = (next(i for i, c in enumerate(coords) if c != 0)
                  if chart is None else chart)
         coords = self._scaled_coords(field, coords, chart)
-        rows = self.jacobian_rows(self.forms, field, coords, chart)
+        rows = self.jacobian_rows(field, coords, chart)
         if matrix_rank(rows, field) != self.n - self.m:
             raise ValueError(f"fiber is singular at {x.rep}; smoothness test refused")
-        rows.extend(self.jacobian_rows([sigma], field, coords, chart))
+        rows.extend(self.jacobian_rows(field, coords, chart, [sigma]))
         full = matrix_rank(rows, field)
         return "SmoothPoint" if full == self.n - self.m + 1 else "SingularPoint"
 

@@ -1,6 +1,7 @@
 """Mod-p^2 classification, jet certificates, density censuses."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
                                  reference_truncation,
                                  singular_at_point_proportion,
                                  squarefree_binary_census)
-from bertinilab.zetas import local_zeta_inverse, projective_counts
+from bertinilab.zetas import (local_zeta_inverse, projective_counts,
+                              projective_zeta_inverse_exact)
 
 
 def closed_point(scheme_fiber, rep, r=1):
@@ -351,15 +353,20 @@ def test_census_int64_guard(p1):
 
 
 def test_census_blocks_match_row_by_row(conic, monkeypatch):
-    """A batch of three value-pass blocks plus one row, censused at once,
-    against the census of each row alone; then the same batch through the
-    integer divisibility test that replaces the lookup table above
-    _RESIDUE_TABLE_CAP."""
+    """A batch of three value-pass blocks plus one row, censused at once
+    with pair-pass blocks of at most 2^8 gathered digits, against the
+    census of each row alone; then the same batch through the unpacked
+    pass and its integer divisibility test, which replace the packed rows
+    and their lookup table when R^k passes _RESIDUE_TABLE_CAP for every
+    k >= 1."""
+    monkeypatch.setattr(fiberlab, "_PAIR_BLOCK", 1 << 8)
     fib = conic.fiber(3)
     points = fib.closed_points_up_to(3)
     cls = FiberClassifier(fib, 2, points)
-    # one padded value row per digit up to the top degree, per point
-    assert cls._block == fiberlab._VALUE_BLOCK // (3 * len(points))
+    # sums of h = 6 balanced digit products mod 3 take R = 13 values and
+    # 13^3 fits the table, so each point's <= 3 digits share one value row
+    assert cls._pack == 3 and len(cls._values) == len(points)
+    assert cls._block == fiberlab._VALUE_BLOCK // len(points)
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 9, size=(3 * cls._block + 1, cls.h), dtype=np.int64)
     rows[::5] = rows[::5] * 3 % 9          # p * tau: on the divisor everywhere
@@ -371,7 +378,9 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     assert any_arith.any() and not any_fiber.all()
     monkeypatch.setattr(fiberlab, "_RESIDUE_TABLE_CAP", 0)
     without_table = FiberClassifier(fib, 2, points)
-    assert without_table._multiples is None
+    assert without_table._pack == 0 and without_table._table is None
+    assert without_table._residues is None
+    assert len(without_table._values) == sum(x.degree for x in points)
     again = without_table.census(rows)
     assert (again[0] == any_arith).all() and (again[1] == any_fiber).all()
     assert again[2] == rescued
@@ -388,24 +397,17 @@ def _rows_through(jet, p, rng, first_order):
     return (rng.integers(0, p, size=len(kernel)) @ kernel + p * tau) % (p * p)
 
 
-@pytest.mark.parametrize("name, p, r, d", [("conic", 3, 5, 6), ("P2", 2, 3, 3)])
-def test_padded_census_matches_pointwise_definition(p2, conic, name, p, r, d):
-    """The padded value pass against classify_point_detail at every point.
-    The conic mod 3 at r = 5 has points of each degree 1..5, so its value
-    rows carry 4..0 zero digits of padding; each point of P^2 mod 2 has
-    two tangent vectors.  Rows: random, p * tau, the zero row, and rows
-    through a point of each degree, on the divisor and singular on the
-    fiber there."""
-    fib = {"P2": p2, "conic": conic}[name].fiber(p)
-    cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
-    assert sorted({jet.e for jet in cls.jets}) == list(range(1, r + 1))
-    assert {jet.m for jet in cls.jets} == {fib.m}
-    rng = np.random.default_rng(11)
+def _check_pointwise(cls, p, d, rng):
+    """cls.census against classify_point_detail at every point, for the
+    whole batch and for each row alone.  Rows: random, p * tau, the zero
+    row, and rows through a point of each degree, on the divisor and
+    singular on the fiber there."""
+    fib = cls.fiber
     rows = [rng.integers(0, p * p, size=cls.h) for _ in range(8)]
     rows += [p * rng.integers(0, p, size=cls.h) for _ in range(4)]
     rows.append(np.zeros(cls.h, dtype=np.int64))
     singular = []
-    for e in range(1, r + 1):
+    for e in sorted({jet.e for jet in cls.jets}):
         jet = next(jet for jet in cls.jets if jet.e == e)
         rows.append(_rows_through(jet, p, rng, False))
         singular += [len(rows), len(rows) + 1]
@@ -414,17 +416,124 @@ def test_padded_census_matches_pointwise_definition(p2, conic, name, p, r, d):
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
     for j, coeffs in enumerate(rows):
-        sec = SectionModP2(HomogeneousForm(2, d, tuple(int(c) for c in coeffs),
+        sec = SectionModP2(HomogeneousForm(fib.n, d, tuple(int(c) for c in coeffs),
                                            p * p), p)
         verdicts = [classify_point_detail(sec, x, fib) for x in cls.points]
+        arith = any(a == "SingularPoint" for a, _ in verdicts)
+        fiber = any(f == "SingularPoint" for _, f in verdicts)
         row_rescued = sum(f == "SingularPoint" and a != "SingularPoint"
                           for a, f in verdicts)
-        assert any_arith[j] == any(a == "SingularPoint" for a, _ in verdicts)
-        assert any_fiber[j] == any(f == "SingularPoint" for _, f in verdicts)
-        assert cls.census(batch[j:j + 1])[2] == row_rescued
+        assert (any_arith[j], any_fiber[j]) == (arith, fiber)
+        single = cls.census(batch[j:j + 1])
+        assert (single[0][0], single[1][0], single[2]) == (arith, fiber, row_rescued)
         total_rescued += row_rescued
     assert rescued == total_rescued > 0
     assert any_arith.any() and not any_fiber.all() and any_fiber[singular].all()
+
+
+# (scheme, p, r, d) -> digits per packed value row k, and value rows
+_PACKING_EDGES = {
+    # R = 57, k = 3: degrees 4 and 5 take two value rows, e_max = 5 is no
+    # multiple of k
+    ("conic", 3, 5, 6): (3, 4 + 3 + 8 + 2 * (18 + 48)),
+    # p = 2: digits {0, 1}, sums in [0, h], R = h + 1 = 11; two tangent
+    # vectors per point
+    ("P2", 2, 3, 3): (3, 7 + 7 + 22),
+    # R = 15 * 128 * 256 + 1 = 491,521: one digit sum per value row
+    ("P1", 257, 1, 14): (1, 258),
+    # R = 2 * 515 * 1030 + 1 > 2^20: no table, int64 remainders; p^2 > 2^20
+    # also leaves the rows to an int64 reduction
+    ("P1", 1031, 1, 1): (0, 1032),
+    # the elliptic fiber mod 3: R = 21, k = 4, degree 5 takes two rows
+    ("elliptic", 3, 5, 3): (4, 4 + 6 + 8 + 12 + 2 * 48),
+}
+
+
+@pytest.mark.parametrize("name, p, r, d", [("conic", 3, 5, 6), ("P2", 2, 3, 3),
+                                           ("P1", 257, 1, 14), ("P1", 1031, 1, 1),
+                                           ("elliptic", 3, 5, 3)])
+def test_padded_census_matches_pointwise_definition(p1, p2, conic, elliptic,
+                                                    name, p, r, d):
+    """The packed value pass against classify_point_detail at every point,
+    at the edges of the packing: value rows padded with zero digits, p = 2,
+    one digit per row, the int64 path of a prime past the table, and the
+    elliptic fiber."""
+    fib = {"P1": p1, "P2": p2, "conic": conic, "elliptic": elliptic}[name].fiber(p)
+    cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
+    assert sorted({jet.e for jet in cls.jets}) == list(range(1, r + 1))
+    assert {jet.m for jet in cls.jets} == {fib.m}
+    k, value_rows = _PACKING_EDGES[name, p, r, d]
+    assert cls._pack == k and (cls._table is None) == (k == 0)
+    assert len(cls._values) == value_rows
+    _check_pointwise(cls, p, d, np.random.default_rng(11))
+
+
+def test_unpacked_census_matches_pointwise_definition(conic, monkeypatch):
+    """With the table cap at 0, the conic mod 3 takes the unpacked int64
+    path (one value row per digit, rows reduced by remainders), against
+    the pointwise definition."""
+    monkeypatch.setattr(fiberlab, "_RESIDUE_TABLE_CAP", 0)
+    fib = conic.fiber(3)
+    cls = FiberClassifier(fib, 3, fib.closed_points_up_to(4))
+    assert cls._pack == 0 and cls._table is None and cls._residues is None
+    assert len(cls._values) == sum(jet.e for jet in cls.jets)
+    _check_pointwise(cls, 3, 3, np.random.default_rng(12))
+
+
+def test_census_memory_is_bounded(conic):
+    """One 1,563-row call on the conic mod 3 (d = 6, r = 5: the chunk of a
+    10^5-sample Monte Carlo run) allocates at most 640 KiB above its
+    inputs; 525-540 KB was measured (the whole-batch residue lookup, the
+    on-divisor grid, and the pair-pass gathers)."""
+    fib = conic.fiber(3)
+    cls = FiberClassifier(fib, 6, fib.closed_points_up_to(5))
+    rows = np.random.default_rng(3).integers(0, 9, size=(1563, cls.h))
+    cls.census(rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cls.census(rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 640 * 1024
+
+
+def test_classifier_builds_one_ring_per_degree_run(p2, conic, monkeypatch):
+    """_point_jets lifts every point of a degree run into one GaloisRing,
+    scales each point to its chart once, and the fiber takes the partials
+    of its defining forms once."""
+    counts = {"ring": 0, "scale": 0, "partial": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GaloisRing, "__init__", counting("ring", GaloisRing.__init__))
+    monkeypatch.setattr(SchemeFiber, "_scaled_coords",
+                        counting("scale", SchemeFiber._scaled_coords))
+    monkeypatch.setattr(HomogeneousForm, "partial",
+                        counting("partial", HomogeneousForm.partial))
+    for scheme, p, r, d in ((p2, 5, 3, 1), (conic, 3, 5, 6)):
+        fib = scheme.fiber(p)
+        points = fib.closed_points_up_to(r)
+        for key in counts:
+            counts[key] = 0
+        FiberClassifier(fib, d, points)
+        assert counts == {"ring": r, "scale": len(points),
+                          "partial": len(fib.forms) * (fib.n + 1)}
+
+
+@pytest.mark.parametrize("p, d", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (5, 3)])
+def test_p1_untruncated_density_is_the_zeta_factor(p1, p, d):
+    """At r = d >= 3 no singular point of a section on P^1 escapes the
+    census, and the exact density is the local factor
+    (1 - p^-2)(1 - p^-3) = 1/zeta_{P^1}(3): 21/32, 208/243, 2976/3125."""
+    expected = {2: Fraction(21, 32), 3: Fraction(208, 243), 5: Fraction(2976, 3125)}[p]
+    assert expected == projective_zeta_inverse_exact(p, 1, 3)
+    assert fiber_density_exhaustive(p1, p, d, d).value == expected
 
 
 def test_census_without_points(p1):
