@@ -294,6 +294,8 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     """
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
+    if d < 0:
+        raise ValueError("need a degree d >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
     primes = primes_up_to(prime_bound)

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
@@ -240,9 +239,7 @@ def _int_text(n: int) -> str:
 def _csv_payload(results: dict) -> str:
     flat = {}
     for key, value in results.items():
-        if isinstance(value, Fraction):
-            flat[key] = f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             flat[key] = json.dumps(value, sort_keys=True)
         elif isinstance(value, list):
             flat[key] = ";".join(str(v) for v in value)
@@ -265,11 +262,9 @@ _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
 def _spliced(value, texts: list):
-    """``value`` ready for json.dumps: each Fraction becomes {"num", "den"}
-    and each integer longer than LONG_INT_BITS a placeholder string, a NUL
-    and then i, where texts[i] (appended here) is its decimal text."""
-    if isinstance(value, Fraction):
-        value = {"num": value.numerator, "den": value.denominator}
+    """``value`` ready for json.dumps: each integer longer than
+    LONG_INT_BITS becomes a placeholder string, a NUL and then i, where
+    texts[i] (appended here) is its decimal text."""
     if isinstance(value, dict):
         return {k: _spliced(v, texts) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -216,29 +216,15 @@ def _monomial_values(ring: GaloisRing, coords: np.ndarray, basis: np.ndarray,
     return out
 
 
-class _PointJet:
-    """Evaluation data at x for all degree-d monomials, read off the Galois
-    ring at the scheme lift x~ of x (built by ``_point_jets``).
-
-    value_p2: h x e digits of the values at x~, mod p^2;
-    value_p: the same digits mod p, the values over the residue field;
-    tangent: h x (m*e) digits of the tangential derivatives mod p, one
-    block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
-    """
-
-    def __init__(self, x: ClosedPoint, value_p2: np.ndarray, tangent: np.ndarray,
-                 p: int):
-        self.x = x
-        self.e = x.degree
-        self.m = tangent.shape[1] // x.degree
-        self.value_p = value_p2 % p
-        self.value_p2 = value_p2
-        self.tangent = tangent
-
-
 def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
-    """The _PointJet of every point, in order, one batch per run of points
-    of equal degree.
+    """Evaluation data for all degree-d monomials at the points, read off
+    the Galois ring at the scheme lift x~ of each point: one
+    (run, value_p2, tangent) per run of points of equal degree e, in order.
+
+    value_p2: (K, h, e) digits of the values at the K lifts x~, mod p^2;
+    their reductions mod p are the values over the residue field.
+    tangent: (K, h, m e) digits of the tangential derivatives mod p, one
+    block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
 
     Each point is scaled to its chart once, for its tangent basis and its
     Newton lift x~ (``lifted_point``, into the one ring GR(p^2, e) of the
@@ -247,7 +233,7 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
-    jets = []
+    runs = []
     for e, run in groupby(points, key=lambda x: x.degree):
         run = list(run)
         ring = GaloisRing(p, e, run[0].field)
@@ -267,9 +253,9 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
                                   basis, d)                   # (K, 1 + m, h, e)
         value_p2 = values[:, 0]
         tangent = (values[:, 1:] - value_p2[:, None]) % p2 // p
-        tangent = tangent.transpose(0, 2, 1, 3).reshape(len(run), len(basis), -1)
-        jets += [_PointJet(x, v, t, p) for x, v, t in zip(run, value_p2, tangent)]
-    return jets
+        runs.append((run, value_p2,
+                     tangent.transpose(0, 2, 1, 3).reshape(len(run), len(basis), -1)))
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +337,10 @@ class FiberClassifier:
         reps = [(x.degree, x.rep) for x in points]
         if len(set(reps)) != len(reps):
             raise ValueError("points must be pairwise distinct closed points")
-        self.points = points
-        self.jets = _point_jets(fiber, points, d)
+        # the points by degree: each degree is one run of the jets and of
+        # the pair pass
+        self.points = sorted(points, key=lambda x: x.degree)
+        runs = _point_jets(fiber, self.points, d)
         p, h = self.p, self.h
         # balanced digits lie in [-(p - 1) // 2, p // 2], so a sum of h digit
         # products stays within h (p // 2)^2 of 0; a sum of h products of
@@ -366,29 +354,24 @@ class FiberClassifier:
         if self.p2 * np.dtype(self._digit_type).itemsize <= _RESIDUE_TABLE_CAP:
             self._residues = _balanced(np.arange(self.p2), p, self._digit_type)
         self._pack, spread, self._table = _packing(
-            p, h, max((jet.e for jet in self.jets), default=0))
+            p, h, max((x.degree for x in self.points), default=0))
         width = max(self._pack, 1)
         weights = spread ** np.arange(width)
-        # the points by degree: each degree is one run of the pair pass, and
         # value row j of every point with more than j value rows is a suffix
         packed, self._runs, first = [], [], 0
-        for e, run in groupby(sorted(self.jets, key=lambda jet: jet.e),
-                              key=lambda jet: jet.e):
-            run = list(run)
+        for run, value_p2, tangent in runs:
+            k, e = len(run), run[0].degree
             per_point = -(-e // width)
-            digits = np.zeros((len(run), h, per_point * width), dtype=np.int64)
-            digits[..., :e] = _balanced(np.stack([jet.value_p for jet in run]), p,
-                                        np.int64)
-            packed.append((first, digits.reshape(len(run), h, per_point, width)
+            digits = np.zeros((k, h, per_point * width), dtype=np.int64)
+            digits[..., :e] = _balanced(value_p2, p, np.int64)
+            packed.append((first, digits.reshape(k, h, per_point, width)
                            @ weights))                       # (K, h, per_point)
             # the pair pass: the run's points, their balanced tangent digits
             # (K, h, m e) and their value_p2 digits (K, h, e)
-            self._runs.append((first, first + len(run),
-                               _balanced(np.stack([jet.tangent for jet in run]), p,
-                                         self._digit_type),
-                               np.stack([jet.value_p2 for jet in run]).astype(
-                                   self._square_type)))
-            first += len(run)
+            self._runs.append((first, first + k,
+                               _balanced(tangent, p, self._digit_type),
+                               value_p2.astype(self._square_type)))
+            first += k
         # value rows: row 0 of every point, then row 1 of the points that
         # have one, and so on; _suffixes holds (first point, first value
         # row, end) of each row index past 0
@@ -398,7 +381,7 @@ class FiberClassifier:
                       if pack.shape[2] > j]
             if j:
                 start, end = having[0][0], len(self._values)
-                self._suffixes.append((start, end, end + len(self.jets) - start))
+                self._suffixes.append((start, end, end + len(self.points) - start))
             self._values = np.concatenate([self._values]
                                           + [rows for _, rows in having])
         self._block = max(1, _VALUE_BLOCK // max(1, len(self._values)))
@@ -415,13 +398,18 @@ class FiberClassifier:
         independent probabilities.
         """
         target_dim = reading_exponent(self.fiber.m, reading) * \
-            sum(j.e for j in self.jets)
+            sum(x.degree for x in self.points)
         fiber_reading = reading == "fiber"
         rows = []
-        for j in self.jets:
-            values = j.value_p if fiber_reading else j.value_p2
-            tangent = j.tangent if fiber_reading else self.p * j.tangent
-            rows += np.hstack([values, tangent]).T.tolist()
+        for _, _, tangent, value_p2 in self._runs:
+            # the balanced tangent digits back in [0, p)
+            tangent = tangent.astype(np.int64) % self.p
+            if fiber_reading:
+                value_p2 = value_p2 % self.p
+            else:
+                tangent *= self.p
+            rows += np.concatenate([value_p2, tangent], axis=2).transpose(
+                0, 2, 1).reshape(-1, self.h).tolist()
         if fiber_reading:
             rank = matrix_rank(rows, GF(self.p))
             return SurjectivityCertificate("fiber", rank == target_dim, self.h,
@@ -454,11 +442,11 @@ class FiberClassifier:
         n = rows.shape[0]
         any_arith = np.zeros(n, dtype=bool)
         any_fiber = np.zeros(n, dtype=bool)
-        if n == 0 or not self.jets:
+        if n == 0 or not self.points:
             return any_arith, any_fiber, 0
         digits = (self._residues[rows] if self._residues is not None
                   else _balanced(rows, self.p, self._digit_type))
-        points = len(self.jets)
+        points = len(self.points)
         on_div = np.empty((points, n), dtype=bool)
         for start in range(0, n, self._block):
             stop = start + self._block
@@ -551,23 +539,25 @@ def _census_size(h: int, modulus: int) -> int:
     return total
 
 
-def _exhaustive_census(cls: FiberClassifier, modulus: int):
-    """Census of every coefficient vector mod ``modulus`` (p or p^2).
-
-    Returns the number of sections with no arithmetically singular point,
-    the number with no fiber-singular point, and the rescued point count.
-    """
-    total = modulus ** cls.h
-    hits_arith = 0
-    hits_fiber = 0
-    rescued = 0
-    for start in range(0, total, _CHUNK):
-        rows = _enumerate_rows(cls.h, modulus, start, min(start + _CHUNK, total))
+def _tally(cls: FiberClassifier, row_batches):
+    """The census of each batch of coefficient rows, summed: the number of
+    sections with no arithmetically singular point, the number with no
+    fiber-singular point, and the rescued point count."""
+    hits_arith = hits_fiber = rescued = 0
+    for rows in row_batches:
         any_arith, any_fiber, resc = cls.census(rows)
         hits_arith += int((~any_arith).sum())
         hits_fiber += int((~any_fiber).sum())
         rescued += resc
     return hits_arith, hits_fiber, rescued
+
+
+def _exhaustive_census(cls: FiberClassifier, modulus: int):
+    """``_tally`` of every coefficient vector mod ``modulus`` (p or p^2)."""
+    total = modulus ** cls.h
+    return _tally(cls, (_enumerate_rows(cls.h, modulus, start,
+                                        min(start + _CHUNK, total))
+                        for start in range(0, total, _CHUNK)))
 
 
 def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
@@ -617,15 +607,12 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     reference = reference_truncation(fiber, r, count)
     streams = sampling.chunks(seed, samples)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
-    hits = 0
-    rescued = 0
-    for rng, size in streams:
-        rows = sampling.uniform_residues(rng, size, cls.h, cls.p2)
-        any_arith, any_fiber, resc = cls.census(rows)
-        hits += int((~(any_arith if count == "arithmetic" else any_fiber)).sum())
-        rescued += resc
+    hits_arith, hits_fiber, rescued = _tally(
+        cls, (sampling.uniform_residues(rng, size, cls.h, cls.p2)
+              for rng, size in streams))
     return DensityEstimate.monte_carlo(
-        hits, samples, seed, reference.value, reference.error_bound,
+        hits_arith if count == "arithmetic" else hits_fiber,
+        samples, seed, reference.value, reference.error_bound,
         extras={"rescued_points": rescued, "count": count, "p": p, "d": d, "r": r})
 
 

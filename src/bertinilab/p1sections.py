@@ -142,8 +142,8 @@ class FiberReport:
 def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
     """Classify a binary-form section (integer or mod-p^2 coefficients) on
     the fiber at p, over all closed points of degree <= r."""
-    if len(coeffs) != d + 1:
-        raise ValueError("binary form of degree d needs d+1 coefficients")
+    if d < 0 or len(coeffs) != d + 1:
+        raise ValueError("binary form of degree d >= 0 needs d+1 coefficients")
     if r < 1:
         return FiberReport(p, r, 0, 0)
     p2 = p * p

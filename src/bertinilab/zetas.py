@@ -325,13 +325,17 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
       for 5 <= R <= 50, using the Riemann zeta closed form
       for the P^m model over the integers.
 
+    c0 is estimated on the point table of depth max(e_max, r_max, 1).
     The working precision of 160 bits is far beyond the gap of every
     inequality on the grid (the tightest gaps sit around 2^-80, so 80
     guard bits are left).  Violations are report content, not exceptions;
-    an empty p_list or one with a non-prime entry is a ValueError.
+    an empty p_list, one with a non-prime entry, or a negative depth is a
+    ValueError.
     """
     if not p_list or not all(is_prime(p) for p in p_list):
         raise ValueError(f"p_list must be a nonempty list of primes, got {list(p_list)}")
+    if e_max < 0 or r_max < 0:
+        raise ValueError(f"depths must be nonnegative, got e_max={e_max}, r_max={r_max}")
     # imported here: the audit is the only user, and mpmath costs every
     # command line call a noticeable share of its start-up
     from mpmath import mp, mpf, log, exp, zeta as mp_zeta
@@ -347,7 +351,7 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
         for m in fiber_dims:
             s = m + 2
             for p in p_list:
-                table = projective_counts(p, m, max(e_max, r_max))
+                table = projective_counts(p, m, max(e_max, r_max, 1))
                 a = closed_point_counts(table)
                 c0 = c0_estimate(table, m + 1)
                 c0_f = mpf(c0.numerator) / c0.denominator

@@ -120,6 +120,10 @@ def test_verify_bounds_subcommand():
     _, results = invoke(["verify-bounds", "--p-list", "2,3", "--e-max", "4",
                          "--r-max", "4"])
     assert results["ok"] is True and results["violations"] == []
+    # depth 0 estimates c0 on the depth-1 point table, not on an empty one
+    _, results = invoke(["verify-bounds", "--p-list", "2,3", "--e-max", "0",
+                         "--r-max", "0"])
+    assert results["ok"] is True and results["violations"] == []
 
 
 def test_reproducible_payloads(scheme_files):
@@ -184,6 +188,14 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     for p_list in ("6", "4,1", ""):
         assert main(["verify-bounds", f"--p-list={p_list}", "--e-max", "2",
                      "--r-max", "2", "--dims", "1"]) == EXIT_CONFIG
+    # ... at nonnegative depths
+    for e_max, r_max in (("-2", "-2"), ("-1", "2"), ("2", "-1")):
+        assert main(["verify-bounds", "--p-list", "2", "--e-max", e_max,
+                     "--r-max", r_max]) == EXIT_CONFIG
+    # a negative degree on P^1 (the gcd path) as on P^2
+    for n in ("1", "2"):
+        assert main(["multi-fiber", "--n", n, "--d", "-1", "--B", "10",
+                     "--prime-bound", "3", "--r", "2", "--samples", "100"]) == EXIT_CONFIG
     capsys.readouterr()
 
 

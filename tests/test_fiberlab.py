@@ -298,7 +298,6 @@ def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
 
     monkeypatch.setattr(SchemeFiber, "closed_points_up_to", refuse)
     monkeypatch.setattr(fiberlab, "_point_jets", refuse)
-    monkeypatch.setattr(fiberlab, "_PointJet", refuse)
     with pytest.raises(BudgetExceeded):
         fiber_density_exhaustive(p1, 5, 9, 1)
     with pytest.raises(BudgetExceeded):
@@ -386,11 +385,13 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     assert again[2] == rescued
 
 
-def _rows_through(jet, p, rng, first_order):
-    """A row mod p^2 whose reduction vanishes at the jet's point, and with
+def _rows_through(value_p2, tangent, p, rng, first_order):
+    """A row mod p^2 whose reduction vanishes at a point, and with
     ``first_order`` is singular on the fiber there: a random F_p-kernel
-    vector of the jet's value (and tangent) digits, plus p times noise."""
-    digits = np.hstack([jet.value_p, jet.tangent]) if first_order else jet.value_p
+    vector of the point's value digits (h, e) (and tangent digits
+    (h, m e)) mod p, plus p times noise."""
+    digits = np.hstack([value_p2, tangent]) if first_order else value_p2
+    digits = digits % p
     h = len(digits)
     kernel = np.array(kernel_basis(digits.T.tolist(), h, GF(p)), dtype=np.int64)
     tau = rng.integers(0, p, size=h)
@@ -407,11 +408,11 @@ def _check_pointwise(cls, p, d, rng):
     rows += [p * rng.integers(0, p, size=cls.h) for _ in range(4)]
     rows.append(np.zeros(cls.h, dtype=np.int64))
     singular = []
-    for e in sorted({jet.e for jet in cls.jets}):
-        jet = next(jet for jet in cls.jets if jet.e == e)
-        rows.append(_rows_through(jet, p, rng, False))
+    for _, _, tangent, value_p2 in cls._runs:          # the first point of each run
+        rows.append(_rows_through(value_p2[0], tangent[0], p, rng, False))
         singular += [len(rows), len(rows) + 1]
-        rows += [_rows_through(jet, p, rng, True) for _ in range(2)]
+        rows += [_rows_through(value_p2[0], tangent[0], p, rng, True)
+                 for _ in range(2)]
     batch = np.array(rows, dtype=np.int64)
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
@@ -460,8 +461,10 @@ def test_padded_census_matches_pointwise_definition(p1, p2, conic, elliptic,
     elliptic fiber."""
     fib = {"P1": p1, "P2": p2, "conic": conic, "elliptic": elliptic}[name].fiber(p)
     cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
-    assert sorted({jet.e for jet in cls.jets}) == list(range(1, r + 1))
-    assert {jet.m for jet in cls.jets} == {fib.m}
+    # one pair-pass run per degree, m tangent blocks of e digits per point
+    assert [value_p2.shape[2] for _, _, _, value_p2 in cls._runs] == list(range(1, r + 1))
+    assert {tangent.shape[2] // value_p2.shape[2]
+            for _, _, tangent, value_p2 in cls._runs} == {fib.m}
     k, value_rows = _PACKING_EDGES[name, p, r, d]
     assert cls._pack == k and (cls._table is None) == (k == 0)
     assert len(cls._values) == value_rows
@@ -476,7 +479,7 @@ def test_unpacked_census_matches_pointwise_definition(conic, monkeypatch):
     fib = conic.fiber(3)
     cls = FiberClassifier(fib, 3, fib.closed_points_up_to(4))
     assert cls._pack == 0 and cls._table is None and cls._residues is None
-    assert len(cls._values) == sum(jet.e for jet in cls.jets)
+    assert len(cls._values) == sum(x.degree for x in cls.points)
     _check_pointwise(cls, 3, 3, np.random.default_rng(12))
 
 
@@ -557,34 +560,73 @@ def test_unknown_count_rejected(p1):
 
 
 def test_one_jet_build_per_point(p1, monkeypatch):
-    """The census and the certificate share the classifier's jets."""
-    built = []
+    """The census and the certificate share the classifier's jets: one
+    _point_jets call per classifier, one lift per point."""
+    built, lifted = [], []
+    point_jets, lift = fiberlab._point_jets, fiberlab.lifted_point
 
-    class CountingJet(fiberlab._PointJet):
-        def __init__(self, x, *args):
-            built.append(x.rep)
-            super().__init__(x, *args)
+    def counting_jets(fiber, points, d):
+        built.append([x.rep for x in points])
+        return point_jets(fiber, points, d)
 
-    monkeypatch.setattr(fiberlab, "_PointJet", CountingJet)
+    def counting_lift(fiber, x, *args, **kwargs):
+        lifted.append(x.rep)
+        return lift(fiber, x, *args, **kwargs)
+
+    monkeypatch.setattr(fiberlab, "_point_jets", counting_jets)
+    monkeypatch.setattr(fiberlab, "lifted_point", counting_lift)
     fib = p1.fiber(2)
     points = fib.closed_points_up_to(2)
     assert len(points) == 4
     est = fiber_density_exhaustive(p1, 2, 5, 2)
-    assert sorted(built) == sorted(x.rep for x in points)
+    assert built == [[x.rep for x in points]] and lifted == built[0]
     assert est.extras["certificate"].target_dim == 3 * 5
     built.clear()
+    lifted.clear()
     singular_at_point_proportion(fib, points[0], 3)
-    assert built == [points[0].rep]
+    assert built == [[points[0].rep]] and lifted == built[0]
+
+
+def test_unsorted_points_match_sorted(conic, monkeypatch):
+    """A shuffled point list gives the census verdicts, the rescued count
+    and both certificates of the sorted list, and still one GaloisRing per
+    degree: the classifier sorts its points by degree once."""
+    fib = conic.fiber(3)
+    points = fib.closed_points_up_to(4)
+    shuffled = list(points)
+    random.Random(5).shuffle(shuffled)
+    assert [x.degree for x in shuffled] != sorted(x.degree for x in shuffled)
+    ordered = FiberClassifier(fib, 3, points)
+    rings = []
+    init = GaloisRing.__init__
+
+    def counting(self, *args, **kwargs):
+        rings.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaloisRing, "__init__", counting)
+    cls = FiberClassifier(fib, 3, shuffled)
+    assert rings == [1, 2, 3, 4]
+    assert [x.degree for x in cls.points] == [x.degree for x in points]
+    rng = np.random.default_rng(9)
+    rows = rng.integers(0, 9, size=(600, ordered.h), dtype=np.int64)
+    rows[::3] = rows[::3] * 3 % 9          # p * tau: on the divisor everywhere
+    expected = ordered.census(rows)
+    got = cls.census(rows)
+    assert (got[0] == expected[0]).all() and (got[1] == expected[1]).all()
+    assert got[2] == expected[2] > 0
+    for reading in ("fiber", "arithmetic"):
+        assert cls.certificate(reading) == ordered.certificate(reading)
 
 
 @pytest.mark.parametrize("name, p", [("P1", 2), ("P1", 3), ("P2", 2),
                                      ("conic", 3), ("conic", 5)])
 def test_jets_match_form_evaluation(p1, p2, conic, name, p):
-    """Every _PointJet array against HomogeneousForm on each monomial, at
-    every closed point of degree <= r (5 on the conic mod 3, else 3), the
-    jets built for all those points at once: value_p by eval_gf at x.rep,
-    value_p2 by eval_gr at the scheme lift, each tangent block by
-    sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
+    """Every jet array of each degree run against HomogeneousForm on each
+    monomial, at every closed point of degree <= r (5 on the conic mod 3,
+    else 3), the jets built for all those points at once: value_p2 mod p by
+    eval_gf at x.rep, value_p2 by eval_gr at the scheme lift, each tangent
+    block by sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
     fib = {"P1": p1, "P2": p2, "conic": conic}[name].fiber(p)
     r = 5 if (name, p) == ("conic", 3) else 3
     points = fib.closed_points_up_to(r)
@@ -592,23 +634,26 @@ def test_jets_match_form_evaluation(p1, p2, conic, name, p):
     for d in (1, 2, 3):
         monomials = [HomogeneousForm.from_monomials(fib.n, d, [(exps, 1)])
                      for exps in monomial_basis(fib.n, d)]
-        jets = fiberlab._point_jets(fib, points, d)
-        assert [jet.x for jet in jets] == points
-        for x, jet in zip(points, jets):
-            fld = x.field
-            ring, lift = lifted_point(fib, x)
-            cols = [j for j in range(fib.n + 1) if j != x.chart()]
-            tangent = fib.tangent_basis(x)
-            assert jet.tangent.shape == (len(monomials), len(tangent) * x.degree)
-            for k, mono in enumerate(monomials):
-                assert list(jet.value_p[k]) == fld.decode(mono.eval_gf(fld, x.rep))
-                assert tuple(jet.value_p2[k]) == mono.eval_gr(ring, lift)
-                for t, vec in enumerate(tangent):
-                    acc = 0
-                    for j, tj in zip(cols, vec):
-                        acc = fld.add(acc, fld.mul(tj, mono.partial(j).eval_gf(fld, x.rep)))
-                    block = jet.tangent[k, t * x.degree:(t + 1) * x.degree]
-                    assert list(block) == fld.decode(acc)
+        runs = fiberlab._point_jets(fib, points, d)
+        assert [x for run, _, _ in runs for x in run] == points
+        assert [run[0].degree for run, _, _ in runs] == list(range(1, r + 1))
+        for run, value_p2, jet_tangent in runs:
+            assert value_p2.shape == (len(run), len(monomials), run[0].degree)
+            for x, values, jet in zip(run, value_p2, jet_tangent):
+                fld = x.field
+                ring, lift = lifted_point(fib, x)
+                cols = [j for j in range(fib.n + 1) if j != x.chart()]
+                tangent = fib.tangent_basis(x)
+                assert jet.shape == (len(monomials), len(tangent) * x.degree)
+                for k, mono in enumerate(monomials):
+                    assert list(values[k] % p) == fld.decode(mono.eval_gf(fld, x.rep))
+                    assert tuple(values[k]) == mono.eval_gr(ring, lift)
+                    for t, vec in enumerate(tangent):
+                        acc = 0
+                        for j, tj in zip(cols, vec):
+                            acc = fld.add(acc, fld.mul(tj, mono.partial(j).eval_gf(fld, x.rep)))
+                        block = jet[k, t * x.degree:(t + 1) * x.degree]
+                        assert list(block) == fld.decode(acc)
 
 
 # (scheme, p, r): the closed points of degree <= r are checked.

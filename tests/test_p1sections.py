@@ -5,6 +5,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 import sympy
 
 from bertinilab import p1sections
@@ -88,6 +89,9 @@ def test_report_degenerate_sections(p1):
     # 2 * (X^2+XY): tau = X*(X+Y) vanishes at [0:1] and [1:1]
     rep3 = binary_section_report((2, 2, 0), 2, 2, 1)
     assert rep3.arith_singular == 2 and rep3.fiber_singular == 3
+    # a negative degree is no form, not one singular everywhere
+    with pytest.raises(ValueError):
+        binary_section_report((), -1, 2, 2)
 
 
 def clear_p1_caches():
