@@ -23,11 +23,12 @@ import time
 from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
                        equidistribution_audit, multi_fiber_experiment)
-from .fiberlab import (DIGIT_CAP, SectionModP2, check_digits, classify_point_detail,
+from .fiberlab import (REGULAR, SectionModP2, classify_point_detail,
                        fiber_density_exhaustive, fiber_density_mc)
-from .projgeom import (BudgetExceeded, load_scheme, parse_form, parse_point,
+from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import InconsistentTable, local_zeta_inverse, verify_section_bounds
+from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable, local_zeta_inverse,
+                    verify_section_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,7 +41,7 @@ EXIT_INTERNAL = 4
 # rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
 # integers longer than this are printed through decimal (_int_text), up to
-# fiberlab.DIGIT_CAP digits
+# zetas.DIGIT_CAP digits
 LONG_INT_BITS = 1 << 15
 # _int_text converts pieces of at most this many bits with plain Decimal(n)
 _LEAF_BITS = 3000
@@ -159,10 +160,9 @@ def run(args) -> dict:
         r = args.r if args.r is not None else _default_depth(fiber)
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
-        table = fiber.point_table(r)
-        check_digits([table], args.s, r)
-        trunc = local_zeta_inverse(table, args.s, r, fiber.m)
-        return trunc.as_report()
+        # the tail bound reads c0 off a table of depth >= 1, also at r = 0
+        table = fiber.point_table(max(r, 1))
+        return local_zeta_inverse(table, args.s, r, fiber.m).as_report()
     if sub == "fiber-density":
         scheme = _load(args.scheme)
         if args.mode == "exhaustive":
@@ -191,7 +191,7 @@ def run(args) -> dict:
         arith, fib = classify_point_detail(section, x, fiber)
         return {"p": args.p, "point": list(x.rep), "section": args.section,
                 "arithmetic": arith, "fiber": fib,
-                "rescued": fib == "SingularPoint" and arith == "RegularPoint"}
+                "rescued": fib == SINGULAR and arith == REGULAR}
     if sub == "verify-bounds":
         rep = verify_section_bounds(args.p_list, args.e_max, args.r_max,
                                     fiber_dims=tuple(args.dims))

@@ -27,28 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import comb, log10
+from math import comb
 
 import numpy as np
 
 from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
                      solve_linear)
-from .projgeom import (BudgetExceeded, ClosedPoint, HomogeneousForm,
-                       ProjectiveScheme, SchemeFiber, monomial_basis)
-from .zetas import (ZetaTruncation, closed_point_counts, local_zeta_inverse,
-                    truncation_exponent)
+from .projgeom import (NOT_ON_DIVISOR, SINGULAR, SMOOTH, BudgetExceeded,
+                       ClosedPoint, HomogeneousForm, ProjectiveScheme,
+                       SchemeFiber, monomial_basis)
+from .zetas import ZetaTruncation, local_zeta_inverse
 from . import sampling
 
-NOT_ON_DIVISOR = "NotOnDivisor"
 REGULAR = "RegularPoint"
-SINGULAR = "SingularPoint"
-SMOOTH = "SmoothPoint"
 
 EXHAUSTIVE_BUDGET = 1 << 26
-# the longest integer a report may print, in decimal digits.  Reports print
-# long integers through decimal, which sys.set_int_max_str_digits does not
-# limit, so check_digits is the guard.
-DIGIT_CAP = 2_000_000
 _CHUNK = 1 << 14
 # entries of one census value-pass block (packed value rows x rows); the
 # largest divisibility table, one byte per packed value: k digit sums of
@@ -98,8 +91,7 @@ def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
         jac = fiber.jacobian_rows(fld, scaled, chart)
         rhs = []
         for g in fiber.scheme.defining_forms:
-            v = g.reduce(ring.p2).eval_gr(ring, lift)
-            rhs.append(fld.neg(ring.divide_by_p(v)))
+            rhs.append(fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))))
         delta = solve_linear(jac, rhs, len(tangent_cols), fld)
         for j, col in enumerate(tangent_cols):
             lift[col] = ring.add(lift[col], ring.mul_int(ring.lift(delta[j]), fiber.p))
@@ -117,12 +109,10 @@ def classify_point_detail(section: SectionModP2, x: ClosedPoint, fiber: SchemeFi
     """(arithmetic classification, residue-field classification) at x."""
     if section.form.n != fiber.n:
         raise ValueError("section and scheme live on different projective spaces")
-    fld = x.field
-    coords = x.orbit[conjugate]
-    sigma_p = section.reduction()
-    if sigma_p.eval_gf(fld, coords) != 0:
+    fiber_status = fiber.divisor_smooth_at(section.reduction(), x, chart=chart,
+                                           conjugate=conjugate)
+    if fiber_status == NOT_ON_DIVISOR:
         return NOT_ON_DIVISOR, NOT_ON_DIVISOR
-    fiber_status = fiber.divisor_smooth_at(sigma_p, x, chart=chart, conjugate=conjugate)
     if fiber_status == SMOOTH:
         return REGULAR, SMOOTH
     ring, lift = lifted_point(fiber, x, chart=chart, conjugate=conjugate,
@@ -154,20 +144,10 @@ def reading_exponent(m: int, reading: str) -> int:
 
 def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTruncation:
     """prod over closed points of degree <= r of (1 - p^{-s deg x}), with its
-    tail bound: the reference of every density in the given reading."""
-    return local_zeta_inverse(fiber.point_table(r),
+    tail bound (c0 from the point table of depth max(r, 1)): the reference
+    of every density in the given reading."""
+    return local_zeta_inverse(fiber.point_table(max(r, 1)),
                               reading_exponent(fiber.m, reading), r, fiber.m)
-
-
-def check_digits(tables, s: int, r: int):
-    """Refuse, before computing it, the product of the depth-r truncations
-    at s of the point tables ``tables`` when its denominator
-    prod_p p^(sum_{e <= r} s e a_e) has DIGIT_CAP or more decimal digits."""
-    exponents = [(t.p, truncation_exponent(closed_point_counts(t), s, r)) for t in tables]
-    if sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP:
-        powers = " * ".join(f"{p}^{x}" for p, x in exponents)
-        raise BudgetExceeded(f"the truncation's denominator {powers} "
-                             f"has more than {DIGIT_CAP} digits")
 
 
 def medium_degree_tail_bound(c0: Fraction, p: int, r: int,
@@ -353,37 +333,31 @@ class FiberClassifier:
         self._residues = None
         if self.p2 * np.dtype(self._digit_type).itemsize <= _RESIDUE_TABLE_CAP:
             self._residues = _balanced(np.arange(self.p2), p, self._digit_type)
-        self._pack, spread, self._table = _packing(
-            p, h, max((x.degree for x in self.points), default=0))
+        top = max((x.degree for x in self.points), default=0)
+        self._pack, spread, self._table = _packing(p, h, top)
         width = max(self._pack, 1)
         weights = spread ** np.arange(width)
-        # value row j of every point with more than j value rows is a suffix
-        packed, self._runs, first = [], [], 0
+        # value row j of point i is row j P + i, for every point and every j
+        # below the most value rows a point needs; a point of lower degree
+        # has zero digits there, whose sums p divides
+        points = len(self.points)
+        rows = -(-top // width)
+        values = np.zeros((rows, points, h))
+        self._runs, first = [], 0
         for run, value_p2, tangent in runs:
             k, e = len(run), run[0].degree
             per_point = -(-e // width)
             digits = np.zeros((k, h, per_point * width), dtype=np.int64)
             digits[..., :e] = _balanced(value_p2, p, np.int64)
-            packed.append((first, digits.reshape(k, h, per_point, width)
-                           @ weights))                       # (K, h, per_point)
+            values[:per_point, first:first + k] = (
+                digits.reshape(k, h, per_point, width) @ weights).transpose(2, 0, 1)
             # the pair pass: the run's points, their balanced tangent digits
             # (K, h, m e) and their value_p2 digits (K, h, e)
             self._runs.append((first, first + k,
                                _balanced(tangent, p, self._digit_type),
                                value_p2.astype(self._square_type)))
             first += k
-        # value rows: row 0 of every point, then row 1 of the points that
-        # have one, and so on; _suffixes holds (first point, first value
-        # row, end) of each row index past 0
-        self._values, self._suffixes = np.zeros((0, h)), []
-        for j in range(max((pack.shape[2] for _, pack in packed), default=0)):
-            having = [(start, pack[..., j]) for start, pack in packed
-                      if pack.shape[2] > j]
-            if j:
-                start, end = having[0][0], len(self._values)
-                self._suffixes.append((start, end, end + len(self.points) - start))
-            self._values = np.concatenate([self._values]
-                                          + [rows for _, rows in having])
+        self._values = values.reshape(rows * points, h)
         self._block = max(1, _VALUE_BLOCK // max(1, len(self._values)))
 
     def certificate(self, reading: str) -> SurjectivityCertificate:
@@ -453,9 +427,9 @@ class FiberClassifier:
             sums = self._values @ digits[start:stop].T.astype(np.float64, order="C")
             divisible = (self._table[sums.astype(np.intp)] if self._table is not None
                          else sums.astype(np.int64) % self.p == 0)
+            for j in range(points, len(divisible), points):
+                divisible[:points] &= divisible[j:j + points]
             on_div[:, start:stop] = divisible[:points]
-            for first, lo, hi in self._suffixes:
-                on_div[first:, start:stop] &= divisible[lo:hi]
         rescued_points = 0
         for first, last, tangent, value_p2 in self._runs:
             hits = np.flatnonzero(on_div[first:last])      # point * n + row

@@ -23,15 +23,15 @@ import numpy as np
 
 from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
                      matrix_rank)
-from .zetas import PointCountTable, projective_counts
+from .zetas import BudgetExceeded, PointCountTable, projective_counts
 
 POINT_SCAN_BUDGET = 10 ** 8
 # coordinate tuples per batch of a point scan
 SCAN_BLOCK = 1 << 11
-
-
-class BudgetExceeded(Exception):
-    """An enumeration would overrun the desk-scale scan budget."""
+# the verdicts of divisor_smooth_at
+NOT_ON_DIVISOR = "NotOnDivisor"
+SMOOTH = "SmoothPoint"
+SINGULAR = "SingularPoint"
 
 
 def monomial_basis(n: int, d: int) -> list[tuple[int, ...]]:
@@ -387,12 +387,12 @@ class SchemeFiber:
                           chart: int | None = None, conjugate: int = 0) -> str:
         """Classify the divisor of sigma (a form mod p) at the closed point x.
 
-        Returns one of 'NotOnDivisor', 'SmoothPoint', 'SingularPoint'.
+        Returns one of NOT_ON_DIVISOR, SMOOTH, SINGULAR.
         """
         field = x.field
         coords = x.orbit[conjugate]
         if sigma.eval_gf(field, coords) != 0:
-            return "NotOnDivisor"
+            return NOT_ON_DIVISOR
         chart = (next(i for i, c in enumerate(coords) if c != 0)
                  if chart is None else chart)
         coords = self._scaled_coords(field, coords, chart)
@@ -401,7 +401,7 @@ class SchemeFiber:
             raise ValueError(f"fiber is singular at {x.rep}; smoothness test refused")
         rows.extend(self.jacobian_rows(field, coords, chart, [sigma]))
         full = matrix_rank(rows, field)
-        return "SmoothPoint" if full == self.n - self.m + 1 else "SingularPoint"
+        return SMOOTH if full == self.n - self.m + 1 else SINGULAR
 
     def __repr__(self):
         return f"{self.scheme.name} mod {self.p}"
@@ -466,11 +466,29 @@ def scheme_to_dict(scheme: ProjectiveScheme) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_term(term, n: int) -> bool:
+    """Whether term is [n + 1 nonnegative int exponents, an int coefficient]."""
+    return (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)
+            and len(term[0]) == n + 1 and all(_is_int(a) and a >= 0 for a in term[0])
+            and _is_int(term[1]))
+
+
 def scheme_from_dict(doc: dict) -> ProjectiveScheme:
-    n = doc["n"]
-    m = doc["m"]
+    if not isinstance(doc, dict):
+        raise ValueError("a scheme document must be a JSON object")
+    n, m = doc["n"], doc["m"]
+    defining_forms = doc.get("defining_forms", [])
+    if not (_is_int(n) and _is_int(m) and isinstance(defining_forms, list) and all(
+            isinstance(terms, list) and all(_is_term(t, n) for t in terms)
+            for terms in defining_forms)):
+        raise ValueError("a scheme needs integer n and m and forms of [exponents, "
+                         "coefficient] terms: n + 1 nonnegative ints and an int")
     forms = []
-    for terms in doc.get("defining_forms", []):
+    for terms in defining_forms:
         degs = {sum(e) for e, _ in terms}
         if len(degs) != 1:
             raise ValueError("a defining form must be homogeneous")

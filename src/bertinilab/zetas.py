@@ -10,12 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import log10
 
 from .ffield import is_prime
+
+# a truncation's denominator must have fewer decimal digits: reports print
+# long integers through decimal, which sys.set_int_max_str_digits ignores
+DIGIT_CAP = 2_000_000
 
 
 class InconsistentTable(Exception):
     """Point counts that cannot come from a scheme (Mobius inversion fails)."""
+
+
+class BudgetExceeded(Exception):
+    """A computation would overrun one of the desk-scale budgets."""
 
 
 def _divisors(n):
@@ -101,19 +110,6 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
 
-def _reduced_fraction(num: int, p: int, exponent: int) -> Fraction:
-    """num / p^exponent as a Fraction, skipping the gcd when num is a unit mod p.
-
-    The divisibility check is linear in the size of num; the general
-    Fraction constructor would run a full gcd against p^exponent.
-    """
-    if exponent == 0:
-        return Fraction(num)
-    if num % p == 0:           # not expected for our products; stay correct
-        return Fraction(num, p ** exponent)
-    return _coprime_fraction(num, p ** exponent)
-
-
 def _valuation(n: int, q: int) -> int:
     """The exponent of the prime q in the nonzero integer n."""
     k = 0
@@ -152,32 +148,43 @@ def truncation_exponent(a: tuple, s: int, r: int) -> int:
     return s * sum(e * a[e - 1] for e in range(1, r + 1))
 
 
+def _check_digits(exponents):
+    """Refuse a denominator prod p^x of (p, x) pairs with DIGIT_CAP digits or more."""
+    if sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP:
+        powers = " * ".join(f"{p}^{x}" for p, x in exponents)
+        raise BudgetExceeded(f"the truncation's denominator {powers} "
+                             f"has more than {DIGIT_CAP} digits")
+
+
 def local_zeta_inverse(table: PointCountTable, s: int, r: int,
                        fiber_dim: int) -> ZetaTruncation:
     """prod_{e <= r} (1 - p^{-se})^{a_e}, the degree-truncated local 1/zeta.
 
     Requires s >= fiber_dim + 1 (convergence of the full product).  The
     tail bound is 4*c0*p^{-delta*(r+1)} with delta = s - fiber_dim,
-    where c0 is the observed count constant; at the arithmetic operating
-    point s = fiber_dim + 2 this is the 4*c0*p^{-2(r+1)} bound.
+    where c0 is the observed count constant, so the table needs depth
+    >= 1 even at r = 0; at the arithmetic operating point
+    s = fiber_dim + 2 this is the 4*c0*p^{-2(r+1)} bound.  A value whose
+    denominator has DIGIT_CAP or more digits is refused before the product.
     """
-    if r > table.e_max:
-        raise ValueError(f"truncation depth {r} exceeds table depth {table.e_max}")
-    if r < 0:
-        raise ValueError("truncation depth must be >= 0")
+    if not 0 <= r <= table.e_max or table.e_max < 1:
+        raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
+                         f"got r = {r} on a table of depth {table.e_max}")
     delta = s - fiber_dim
     if delta < 1:
         raise ValueError(f"s = {s} is outside the convergence region for a "
                          f"{fiber_dim}-dimensional fiber")
     a = closed_point_counts(table)
     p = table.p
+    exponent = truncation_exponent(a, s, r)
+    _check_digits([(p, exponent)])
     # numerator and denominator stay coprime (p never divides p^{se} - 1),
     # so accumulate integers and skip Fraction's per-step renormalization,
     # whose gcd dominates everything at deep truncations
     num = 1
     for e in range(1, r + 1):
         num *= (p ** (s * e) - 1) ** a[e - 1]
-    value = _reduced_fraction(num, p, truncation_exponent(a, s, r))
+    value = _coprime_fraction(num, p ** exponent)
     c0 = c0_estimate(table, fiber_dim + 1)
     bound = 4 * c0 * Fraction(1, p ** (delta * (r + 1)))
     return ZetaTruncation(p, s, r, value, bound, a[:r])
@@ -193,10 +200,6 @@ class GlobalZetaTruncation:
     local_error: Fraction        # sum of the per-fiber truncation bounds
     tail_bound: Fraction | None  # 8*c0*value/R when s is in the integral range
 
-    @property
-    def error_bound(self) -> Fraction:
-        return self.local_error + (self.tail_bound or Fraction(0))
-
 
 def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
                         r_per_prime: dict | int, fiber_dim: int) -> GlobalZetaTruncation:
@@ -204,32 +207,37 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
 
     ``tables`` maps each prime to its PointCountTable and a dict
     ``r_per_prime`` each prime to its depth; a missing prime is an error,
-    and so is prime_bound < 2, a product over no fibers.  The prime tail
-    bound 8*c0*value/R applies only when s >= fiber_dim + 2, i.e. when
-    the product over all primes converges; below that the product
-    diverges to 0 and only the truncated value is meaningful.
+    and so is prime_bound < 2, a product over no fibers.  A product whose
+    denominator has DIGIT_CAP or more digits is refused before the first
+    local product.  The prime tail bound 8*c0*value/R applies only when
+    s >= fiber_dim + 2, i.e. when the product over all primes converges;
+    below that the product diverges to 0 and only the truncated value is
+    meaningful.
     """
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
     primes = primes_up_to(prime_bound)
-    truncations = []
-    local_error = Fraction(0)
-    c0_global = Fraction(0)
+    depths = {}
     for p in primes:
         if p not in tables:
             raise ValueError(f"missing point counts for the fiber at p = {p}")
         r = r_per_prime if isinstance(r_per_prime, int) else r_per_prime.get(p)
         if r is None:
             raise ValueError(f"missing truncation depth for the fiber at p = {p}")
-        t = local_zeta_inverse(tables[p], s, r, fiber_dim)
-        truncations.append(t)
-        local_error += t.error_bound
-        c0_global = max(c0_global, c0_estimate(tables[p], fiber_dim + 1))
+        if not 0 <= r <= tables[p].e_max:
+            raise ValueError(f"truncation depth {r} at p = {p} is outside its table")
+        depths[p] = r
+    _check_digits([(p, truncation_exponent(closed_point_counts(tables[p]), s, r))
+                   for p, r in depths.items()])
+    truncations = [local_zeta_inverse(tables[p], s, r, fiber_dim)
+                   for p, r in depths.items()]
     value = _product_value(truncations)
     tail = None
     if s >= fiber_dim + 2:
+        c0_global = max(c0_estimate(tables[p], fiber_dim + 1) for p in primes)
         tail = 8 * c0_global * value / prime_bound
-    return GlobalZetaTruncation(s, prime_bound, value, local_error, tail)
+    return GlobalZetaTruncation(s, prime_bound, value,
+                                sum(t.error_bound for t in truncations), tail)
 
 
 def _product_value(truncations) -> Fraction:

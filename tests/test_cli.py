@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bertinilab import cli, fiberlab, zetas
+from bertinilab import cli, zetas
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, build_parser,
                             main, render_report, run)
-from bertinilab.projgeom import ProjectiveScheme, load_scheme, save_scheme
+from bertinilab.projgeom import (ProjectiveScheme, load_scheme, save_scheme,
+                                 scheme_from_dict)
 from bertinilab.zetas import local_zeta_inverse, projective_counts
 
 SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
@@ -199,21 +200,20 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_digit_cap_is_checked_before_computing(scheme_files, monkeypatch, capsys):
+def test_digit_cap_is_checked_before_computing(scheme_files, capsys):
     """Long integers are printed through decimal, which ignores
-    sys.set_int_max_str_digits: DIGIT_CAP is the only guard on report size."""
-    def refuse(*args):
-        raise AssertionError("the truncation was computed")
-    monkeypatch.setattr(cli, "local_zeta_inverse", refuse)
+    sys.set_int_max_str_digits: the DIGIT_CAP check inside
+    local_zeta_inverse is the only guard on report size."""
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
                  "--r", "21"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err
-    fiber = cli._load(scheme_files["p1"]).fiber(2)
-    fiberlab.check_digits([fiber.point_table(20)], 3, 20)     # about 1.89e6 digits
+    # r = 20 (about 1.89e6 digits) passes the guard
+    a = zetas.closed_point_counts(projective_counts(2, 1, 20))
+    zetas._check_digits([(2, zetas.truncation_exponent(a, 3, 20))])
 
 
 def test_multi_fiber_digit_cap(monkeypatch, capsys):
-    """multi-fiber refuses, before any truncation, a reference whose
+    """multi-fiber refuses, before any local truncation, a reference whose
     denominator prod_p p^E_p has DIGIT_CAP digits or more."""
     def refuse(*args):
         raise AssertionError("a truncation was computed")
@@ -221,8 +221,65 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "7", "--samples", "100"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err
+    monkeypatch.undo()
     # r = 6 (about 0.39e6 digits) still runs; s = 3 on P^1
-    fiberlab.check_digits([projective_counts(p, 1, 6) for p in (2, 3, 5, 7)], 3, 6)
+    tables = {p: projective_counts(p, 1, 6) for p in (2, 3, 5, 7)}
+    assert zetas.global_zeta_inverse(tables, 3, 7, 6, 1).value > 0
+
+
+def test_depth_zero_reports_a_tail_bound(scheme_files):
+    """At r = 0 the product is empty (value 1) but the tail bound is not:
+    c0 comes from the depth-1 point table, where N_1 = p + 1 on P^1."""
+    _, results = invoke(["zeta", "--scheme", scheme_files["p1"], "--p", "2",
+                         "--s", "2", "--r", "0"])
+    assert (results["value_num"], results["value_den"]) == (1, 1)
+    # 4 c0 p^-(s - m) with c0 = 3/2
+    assert (results["error_bound_num"], results["error_bound_den"]) == (3, 1)
+    _, results = invoke(["fiber-density", "--scheme", scheme_files["p1"], "--p", "2",
+                         "--d", "3", "--r", "0", "--mode", "mc", "--samples", "100"])
+    assert (results["reference_num"], results["reference_den"]) == (1, 1)
+    # s = 3: 4 (3/2) 2^-2
+    assert (results["reference_error_num"], results["reference_error_den"]) == (3, 2)
+    _, results = invoke(["multi-fiber", "--d", "3", "--B", "10", "--prime-bound", "3",
+                         "--r", "0", "--samples", "100"])
+    # 4 (3/2) 2^-2 + 4 (4/3) 3^-2 = 113/54
+    assert (results["reference_error_num"], results["reference_error_den"]) == (113, 54)
+    # the exhaustive census is exact: no reference error, at r = 0 too
+    _, results = invoke(["fiber-density", "--scheme", scheme_files["p1"], "--p", "2",
+                         "--d", "3", "--r", "0"])
+    assert results["reference_error_num"] == 0
+
+
+_CONIC = {"name": "conic", "n": 2, "m": 1,
+          "defining_forms": [[[[2, 0, 0], 1], [[0, 2, 0], 1], [[0, 0, 2], 1]]]}
+
+
+@pytest.mark.parametrize("changes", [
+    {"n": "2"}, {"n": True}, {"m": 1.0}, {"m": None},
+    {"defining_forms": {"0": []}},
+    {"defining_forms": [[[[2, 0, 0], 1.5], [[0, 2, 0], 1], [[0, 0, 2], 1]]]},
+    {"defining_forms": [[[[2, 0, 0], "1"], [[0, 2, 0], 1], [[0, 0, 2], 1]]]},
+    {"defining_forms": [[[[2, 0, 0], True], [[0, 2, 0], 1], [[0, 0, 2], 1]]]},
+    {"defining_forms": [[[[2, 0], 1], [[0, 2, 0], 1]]]},           # n exponents
+    {"defining_forms": [[[[3, -1, 0], 1], [[0, 2, 0], 1]]]},       # a negative one
+    {"defining_forms": [[[[2.0, 0, 0], 1], [[0, 2, 0], 1]]]},
+    {"defining_forms": [[[[True, 1, 0], 1], [[0, 2, 0], 1]]]},
+    {"defining_forms": [[[[2, 0, 0], 1, 0]]]},                     # not a pair
+    {"defining_forms": ["X^2 + Y^2"]},
+    {},                                                             # a list
+])
+def test_malformed_scheme_files_are_config_errors(tmp_path, capsys, changes):
+    """A scheme file of the wrong types is a ValueError (exit 2), not a
+    silently rounded coefficient or a crash; so is one that holds no object."""
+    doc = {**_CONIC, **changes} if changes else [_CONIC]
+    with pytest.raises(ValueError):
+        scheme_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for r in ("1", "2"):
+        assert main(["zeta", "--scheme", str(path), "--p", "3", "--s", "3",
+                     "--r", r]) == EXIT_CONFIG
+    capsys.readouterr()
 
 
 def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, capsys):

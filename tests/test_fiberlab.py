@@ -379,7 +379,8 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     without_table = FiberClassifier(fib, 2, points)
     assert without_table._pack == 0 and without_table._table is None
     assert without_table._residues is None
-    assert len(without_table._values) == sum(x.degree for x in points)
+    # one value row per digit, padded to the top degree for every point
+    assert len(without_table._values) == 3 * len(points)
     again = without_table.census(rows)
     assert (again[0] == any_arith).all() and (again[1] == any_fiber).all()
     assert again[2] == rescued
@@ -432,11 +433,12 @@ def _check_pointwise(cls, p, d, rng):
     assert any_arith.any() and not any_fiber.all() and any_fiber[singular].all()
 
 
-# (scheme, p, r, d) -> digits per packed value row k, and value rows
+# (scheme, p, r, d) -> digits per packed value row k, and value rows: every
+# point takes as many value rows as a point of the top degree needs
 _PACKING_EDGES = {
-    # R = 57, k = 3: degrees 4 and 5 take two value rows, e_max = 5 is no
+    # R = 57, k = 3: degrees 4 and 5 need two value rows, e_max = 5 is no
     # multiple of k
-    ("conic", 3, 5, 6): (3, 4 + 3 + 8 + 2 * (18 + 48)),
+    ("conic", 3, 5, 6): (3, 2 * (4 + 3 + 8 + 18 + 48)),
     # p = 2: digits {0, 1}, sums in [0, h], R = h + 1 = 11; two tangent
     # vectors per point
     ("P2", 2, 3, 3): (3, 7 + 7 + 22),
@@ -445,8 +447,8 @@ _PACKING_EDGES = {
     # R = 2 * 515 * 1030 + 1 > 2^20: no table, int64 remainders; p^2 > 2^20
     # also leaves the rows to an int64 reduction
     ("P1", 1031, 1, 1): (0, 1032),
-    # the elliptic fiber mod 3: R = 21, k = 4, degree 5 takes two rows
-    ("elliptic", 3, 5, 3): (4, 4 + 6 + 8 + 12 + 2 * 48),
+    # the elliptic fiber mod 3: R = 21, k = 4, degree 5 needs two rows
+    ("elliptic", 3, 5, 3): (4, 2 * (4 + 6 + 8 + 12 + 48)),
 }
 
 
@@ -479,7 +481,8 @@ def test_unpacked_census_matches_pointwise_definition(conic, monkeypatch):
     fib = conic.fiber(3)
     cls = FiberClassifier(fib, 3, fib.closed_points_up_to(4))
     assert cls._pack == 0 and cls._table is None and cls._residues is None
-    assert len(cls._values) == sum(x.degree for x in cls.points)
+    # one value row per digit, padded to the top degree 4 for every point
+    assert len(cls._values) == 4 * len(cls.points)
     _check_pointwise(cls, 3, 3, np.random.default_rng(12))
 
 

@@ -1,6 +1,7 @@
 """Point-count tables, truncated zeta values, convergence bounds."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bertinilab
-from bertinilab import zetas
+from bertinilab import projgeom, zetas
 from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               PointCountTable, c0_estimate,
@@ -138,11 +139,48 @@ def test_global_product_matches_fraction_product(r):
 @pytest.mark.parametrize("prime_bound,depths", [
     (0, 4), (1, 4), (-3, 4),                # a product over no fibers
     (7, {2: 4, 3: 4, 7: 4}),                # no depth for p = 5
+    (7, {2: 4, 3: 4, 5: 5, 7: 4}),          # deeper than the table at p = 5
+    (7, -1),
 ])
 def test_global_zeta_inverse_validates_input(prime_bound, depths):
     tables = {p: projective_counts(p, 1, 4) for p in (2, 3, 5, 7)}
     with pytest.raises(ValueError):
         global_zeta_inverse(tables, 3, prime_bound, depths, 1)
+
+
+def test_truncation_needs_a_table_of_depth_one():
+    """The tail bound reads c0 off the table: an empty table would give the
+    false bound 0, so depth 0 is refused; r = 0 on a depth-1 table is the
+    empty product with bound 4 c0 p^-(s - m)."""
+    with pytest.raises(ValueError):
+        local_zeta_inverse(PointCountTable(2, ()), 2, 0, 1)
+    t = local_zeta_inverse(projective_counts(2, 1, 1), 2, 0, 1)
+    assert (t.value, t.error_bound) == (1, 3)
+
+
+def test_digit_cap_refuses_before_any_product(monkeypatch):
+    """The local product starts from powers of p, so a prime that refuses
+    its powers shows that the check runs before it: 2^(8e6) has 2.4e6
+    digits.  The global product refuses on the combined denominator, here
+    2^(4e6) * 3^(2.6e6) (1.20e6 + 1.24e6 digits), before its first local
+    truncation, although each local one alone fits the cap."""
+    class Prime(int):
+        def __pow__(self, other):
+            raise AssertionError("the product was formed")
+
+    assert projgeom.BudgetExceeded is zetas.BudgetExceeded
+    with pytest.raises(zetas.BudgetExceeded, match="2000000 digits"):
+        local_zeta_inverse(PointCountTable(Prime(2), (4 * 10 ** 6,)), 2, 1, 1)
+    tables = {2: PointCountTable(2, (2 * 10 ** 6,)),
+              3: PointCountTable(3, (13 * 10 ** 5,))}
+    for p, table in tables.items():
+        zetas._check_digits([(p, truncation_exponent(closed_point_counts(table), 2, 1))])
+
+    def refuse(*args):
+        raise AssertionError("a local truncation was computed")
+    monkeypatch.setattr(zetas, "local_zeta_inverse", refuse)
+    with pytest.raises(zetas.BudgetExceeded, match=re.escape("2^4000000 * 3^2600000")):
+        global_zeta_inverse(tables, 2, 3, 1, 1)
 
 
 def test_default_truncation_depth(p1):
