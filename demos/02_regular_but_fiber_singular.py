@@ -12,12 +12,11 @@ p stronger than the residue-field p^{-2}.
 """
 
 from bertinilab.projgeom import ProjectiveScheme, parse_form, rational_closed_point
-from bertinilab.fiberlab import (SectionModP2, classify_point_detail,
-                                 fiber_density_exhaustive)
+from bertinilab.fiberlab import classify_point_detail, fiber_density_exhaustive
 
 p2 = ProjectiveScheme(2, 2, name="P2")
 fiber5 = p2.fiber(5)
-section = SectionModP2(parse_form("X^2+5*Y^2-Z^2", 2, modulus=25), 5)
+section = parse_form("X^2+5*Y^2-Z^2", 2)
 x = rational_closed_point(fiber5, (0, 1, 0))
 arith, residue = classify_point_detail(section, x, fiber5)
 print(f"X^2+5Y^2-Z^2 at [0:1:0], p=5:")

@@ -11,9 +11,8 @@ from .projgeom import (HomogeneousForm, ProjectiveScheme, ClosedPoint,  # noqa: 
 from .zetas import (PointCountTable, closed_point_counts, c0_estimate,  # noqa: F401
                     local_zeta_inverse, global_zeta_inverse,
                     verify_section_bounds, projective_counts)
-from .fiberlab import (SectionModP2, classify_point_detail,  # noqa: F401
-                       reference_truncation, FiberClassifier,
-                       fiber_density_exhaustive, fiber_density_mc,
+from .fiberlab import (classify_point_detail, reference_truncation,  # noqa: F401
+                       FiberClassifier, fiber_density_exhaustive, fiber_density_mc,
                        singular_at_point_proportion, medium_degree_tail_bound,
                        DensityEstimate)
 from .arithlab import (MonicPoly, discriminant, dedekind_p_maximal,  # noqa: F401

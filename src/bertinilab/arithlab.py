@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, log10, prod
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
 from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
-from .zetas import global_zeta_inverse, primes_up_to
+from .zetas import (DIGIT_CAP, BudgetExceeded, _coprime_fraction,
+                    global_zeta_inverse, primes_up_to)
 from . import sampling
 
 
@@ -67,14 +68,21 @@ def equidistribution_audit(h: int, B: int, N: int) -> EquidistributionAudit:
     With 2B+1 = kN + s, every coordinate residue is hit k or k+1 times,
     so the class counts range over [k^h, (k+1)^h]; the map misses classes
     entirely when k = 0 (box narrower than the modulus), which is
-    reported rather than silently accepted.
+    reported rather than silently accepted.  A count of DIGIT_CAP or more
+    digits is refused before any power is formed.
     """
     if h < 1 or B < 1 or N < 2:
         raise ValueError("need h >= 1, B >= 1, N >= 2")
     k, s = divmod(2 * B + 1, N)
+    top = k + 1 if s else k
+    if top > 1 and h * log10(top) >= DIGIT_CAP:
+        raise BudgetExceeded(f"the class count {top}^{h} has more than "
+                             f"{DIGIT_CAP} digits")
     min_count = k ** h
-    max_count = (k + 1) ** h if s else k ** h
-    ratio = Fraction(max_count, min_count) if min_count else None
+    max_count = top ** h
+    # k and k + 1 are coprime, so (k + 1)^h / k^h needs no gcd
+    ratio = (None if not min_count else
+             _coprime_fraction(max_count, min_count) if s else Fraction(1))
     return EquidistributionAudit(h, B, N, k, s, min_count, max_count, ratio,
                                  covered=k >= 1, exact=s == 0)
 
@@ -145,8 +153,6 @@ def sylvester_matrix(f_desc, g_desc):
 def discriminant(f: MonicPoly) -> int:
     """(-1)^{d(d-1)/2} Res(f, f'), fraction-free and exact."""
     d = f.degree
-    if d == 1:
-        return 1
     f_desc = [1] + list(f.a)
     g_desc = [(d - i) * f_desc[i] for i in range(d)]
     res = bareiss_determinant(sylvester_matrix(f_desc, g_desc))
@@ -217,9 +223,6 @@ class MaximalityVerdict:
     p: int | None = None
     unconditional: bool = False
     checked_primes: str = ""
-
-    def as_report(self):
-        return dict(self.__dict__)
 
 
 TRIAL_BLOCK = 64             # trial primes per gcd in maximality_scan
@@ -326,7 +329,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
                 bad = np.zeros(size, dtype=bool)
                 rows_p2 = (rows % (p * p)).tolist()
                 for j, crow in enumerate(rows_p2):
-                    rep = binary_section_report(crow, d, p, r)
+                    rep = binary_section_report(crow, p, r)
                     rescued += rep.rescued
                     if (rep.any_arith if classification == "arithmetic"
                             else rep.any_fiber):
@@ -399,7 +402,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
             if disc != 0:
                 hom = (1,) + f.a
                 for p in check_primes:
-                    geo_ok = binary_section_report(hom, d, p, d).arith_singular == 0
+                    geo_ok = binary_section_report(hom, p, d).arith_singular == 0
                     ded_ok = dedekind_p_maximal(f, p, disc=disc)
                     if geo_ok != ded_ok:
                         raise InternalCheckError(

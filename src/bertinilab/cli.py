@@ -23,8 +23,8 @@ import time
 from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
                        equidistribution_audit, multi_fiber_experiment)
-from .fiberlab import (REGULAR, SectionModP2, classify_point_detail,
-                       fiber_density_exhaustive, fiber_density_mc)
+from .fiberlab import (REGULAR, classify_point_detail, fiber_density_exhaustive,
+                       fiber_density_mc)
 from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
 from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable, local_zeta_inverse,
@@ -184,10 +184,8 @@ def run(args) -> dict:
     if sub == "classify":
         scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
-        section = SectionModP2(
-            parse_form(args.section, scheme.n, modulus=args.p ** 2), args.p)
-        coords = parse_point(args.point, scheme.n)
-        x = rational_closed_point(fiber, coords)
+        section = parse_form(args.section, scheme.n)
+        x = rational_closed_point(fiber, parse_point(args.point, scheme.n))
         arith, fib = classify_point_detail(section, x, fiber)
         return {"p": args.p, "point": list(x.rep), "section": args.section,
                 "arithmetic": arith, "fiber": fib,

@@ -358,22 +358,22 @@ class GF:
 
 
 class GaloisRing:
-    """The Galois ring GR(p^2, e) = (Z/p^2)[T] / (lift of the GF(p^e) modulus).
+    """The Galois ring GR(p^2, e) over ``field`` = GF(p^e):
+    (Z/p^2)[T] / (lift of the field's modulus).
 
     Elements are tuples of e digits in [0, p^2).  An element is a unit
     exactly when its digit-wise reduction mod p is nonzero in GF(p^e).
     """
 
-    def __init__(self, p: int, e: int = 1, field: GF | None = None):
-        self.field = field if field is not None else GF(p, e)
-        if (self.field.p, self.field.e) != (p, e):
-            raise ValueError("field does not match (p, e)")
+    def __init__(self, field: GF):
+        p, e = field.p, field.e
         if p ** (2 * e) > FIELD_SIZE_CAP:
             raise ValueError(f"ring size {p}^{2 * e} exceeds the 2^24 cap")
+        self.field = field
         self.p = p
         self.e = e
         self.p2 = p2 = p * p
-        self.modulus = tuple(c % p2 for c in self.field.modulus)
+        self.modulus = tuple(c % p2 for c in field.modulus)
         # _fold[k]: the digits of T^(e + k) mod the lifted modulus, k <= e - 2,
         # where a schoolbook product's top coefficients fold down.  T^e is
         # minus the modulus below its leading 1, and T^(e+k+1) = T * T^(e+k)

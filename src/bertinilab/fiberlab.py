@@ -52,24 +52,9 @@ _RESIDUE_TABLE_CAP = 1 << 20
 _PAIR_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SectionModP2:
-    """A degree-d form with coefficients in Z/p^2."""
-
-    form: HomogeneousForm
-    p: int
-
-    def __post_init__(self):
-        if self.form.modulus != self.p ** 2:
-            object.__setattr__(self, "form", self.form.reduce(self.p ** 2))
-
-    def reduction(self) -> HomogeneousForm:
-        return HomogeneousForm(self.form.n, self.form.d, self.form.coeffs, self.p)
-
-
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
                  conjugate: int = 0, perturbation=None,
-                 ring: GaloisRing | None = None, scaled=None):
+                 ring: GaloisRing | None = None):
     """Chart-normalized lift of x into GR(p^2, deg x), landed on the scheme.
 
     The coordinates are scaled so the chart coordinate is exactly 1,
@@ -77,14 +62,12 @@ def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
     one Newton step so every defining form vanishes mod p^2.  An optional
     perturbation (a field vector, applied as + p * delta) exercises the
     lift-independence of downstream classifications.  A caller that
-    already holds the ring GR(p^2, deg x), or the coordinates scaled to
-    the chart, passes them as ``ring`` and ``scaled``.
+    already holds the ring GR(p^2, deg x) passes it as ``ring``.
     """
     fld = x.field
-    ring = GaloisRing(fiber.p, x.degree, fld) if ring is None else ring
+    ring = GaloisRing(fld) if ring is None else ring
     chart = x.chart() if chart is None else chart
-    if scaled is None:
-        scaled = fiber._scaled_coords(fld, x.orbit[conjugate], chart)
+    scaled = fiber._scaled_coords(fld, x.orbit[conjugate], chart)
     lift = [ring.lift(c) for c in scaled]
     if fiber.forms:
         tangent_cols = [j for j in range(fiber.n + 1) if j != chart]
@@ -103,13 +86,16 @@ def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
     return ring, tuple(lift)
 
 
-def classify_point_detail(section: SectionModP2, x: ClosedPoint, fiber: SchemeFiber,
+def classify_point_detail(form: HomogeneousForm, x: ClosedPoint, fiber: SchemeFiber,
                           chart: int | None = None, conjugate: int = 0,
                           perturbation=None):
-    """(arithmetic classification, residue-field classification) at x."""
-    if section.form.n != fiber.n:
+    """(arithmetic classification, residue-field classification) at x of the
+    section mod p^2 that ``form`` defines: an integer form, or a form mod a
+    multiple of p^2."""
+    if form.n != fiber.n:
         raise ValueError("section and scheme live on different projective spaces")
-    fiber_status = fiber.divisor_smooth_at(section.reduction(), x, chart=chart,
+    form = form.reduce(fiber.p ** 2)
+    fiber_status = fiber.divisor_smooth_at(form.reduce(fiber.p), x, chart=chart,
                                            conjugate=conjugate)
     if fiber_status == NOT_ON_DIVISOR:
         return NOT_ON_DIVISOR, NOT_ON_DIVISOR
@@ -117,7 +103,7 @@ def classify_point_detail(section: SectionModP2, x: ClosedPoint, fiber: SchemeFi
         return REGULAR, SMOOTH
     ring, lift = lifted_point(fiber, x, chart=chart, conjugate=conjugate,
                               perturbation=perturbation)
-    value = section.form.eval_gr(ring, lift)
+    value = form.eval_gr(ring, lift)
     unit_over_p = ring.divide_by_p(value)   # sigma on the divisor: p | value
     arith = REGULAR if unit_over_p != 0 else SINGULAR
     return arith, fiber_status
@@ -206,24 +192,22 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     tangent: (K, h, m e) digits of the tangential derivatives mod p, one
     block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
 
-    Each point is scaled to its chart once, for its tangent basis and its
-    Newton lift x~ (``lifted_point``, into the one ring GR(p^2, e) of the
-    run); the lifts x~ + p t along the tangent vectors t and the monomial
-    values at all of them are then numpy products in the ring.
+    Each point has its tangent basis and its Newton lift x~
+    (``lifted_point``, into the one ring GR(p^2, e) of the run), both in
+    the chart of x.rep; the lifts x~ + p t along the tangent vectors t and
+    the monomial values at all of them are then numpy products in the ring.
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
     runs = []
     for e, run in groupby(points, key=lambda x: x.degree):
         run = list(run)
-        ring = GaloisRing(p, e, run[0].field)
+        ring = GaloisRing(run[0].field)
         lifts, moves = [], []
         for x in run:
             chart = x.chart()
-            scaled = fiber._scaled_coords(x.field, x.rep, chart)
-            tangent = fiber.tangent_basis(x, scaled)    # rejects singular fiber points
-            lifts.append(lifted_point(fiber, x, chart=chart, ring=ring,
-                                      scaled=scaled)[1])
+            tangent = fiber.tangent_basis(x)    # rejects singular fiber points
+            lifts.append(lifted_point(fiber, x, ring=ring)[1])
             # tangent vectors skip the chart coordinate
             moves.append([vec[:chart] + [0] + vec[chart:] for vec in tangent])
         lifts = np.array(lifts, dtype=np.int64)[:, None]       # (K, 1, n + 1, e)

@@ -121,8 +121,6 @@ def _p1_closed_point_count(p: int, r: int) -> int:
 class FiberReport:
     """Point-level summary of one section on one fiber, degrees <= r."""
 
-    p: int
-    r: int
     fiber_singular: int      # points where the reduced divisor is singular
     arith_singular: int      # points singular in the mod-p^2 sense
 
@@ -139,13 +137,15 @@ class FiberReport:
         return self.fiber_singular - self.arith_singular
 
 
-def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
-    """Classify a binary-form section (integer or mod-p^2 coefficients) on
-    the fiber at p, over all closed points of degree <= r."""
-    if d < 0 or len(coeffs) != d + 1:
-        raise ValueError("binary form of degree d >= 0 needs d+1 coefficients")
+def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
+    """Classify a binary-form section of degree d = len(coeffs) - 1 (integer
+    or mod-p^2 coefficients) on the fiber at p, over all closed points of
+    degree <= r."""
+    d = len(coeffs) - 1
+    if d < 0:
+        raise ValueError("a binary form needs at least one coefficient")
     if r < 1:
-        return FiberReport(p, r, 0, 0)
+        return FiberReport(0, 0)
     p2 = p * p
     fbar = affine_poly(coeffs, d, p)
     fiber_ct = 0
@@ -156,7 +156,7 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         fiber_ct = _p1_closed_point_count(p, r)
         tau = [(c % p2) // p for c in coeffs]
         if all(c % p == 0 for c in tau):
-            return FiberReport(p, r, fiber_ct, fiber_ct)   # the zero section
+            return FiberReport(fiber_ct, fiber_ct)   # the zero section
         tbar = affine_poly(tau, d, p)
         # arithmetically singular exactly where tau vanishes
         if len(tbar) > 1:
@@ -164,7 +164,7 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
                 arith_ct += (len(hk) - 1) // k
         if tau[0] % p == 0:
             arith_ct += 1        # the point at infinity
-        return FiberReport(p, r, fiber_ct, arith_ct)
+        return FiberReport(fiber_ct, arith_ct)
 
     # affine points: repeated irreducible factors of fbar
     if len(fbar) > 1:
@@ -184,4 +184,4 @@ def binary_section_report(coeffs, d: int, p: int, r: int) -> FiberReport:
         fiber_ct += 1
         if a0 % p2 == 0:
             arith_ct += 1
-    return FiberReport(p, r, fiber_ct, arith_ct)
+    return FiberReport(fiber_ct, arith_ct)

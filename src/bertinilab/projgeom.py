@@ -182,15 +182,13 @@ def default_variable_names(n: int) -> list[str]:
 class ClosedPoint:
     """A Frobenius orbit on a fiber; ``rep`` is the canonical representative."""
 
-    p: int
-    degree: int
     field: GF
     rep: tuple          # normalized: first nonzero coordinate is 1
     orbit: tuple        # all Frobenius conjugates, normalized
 
-    def __post_init__(self):
-        if len(self.orbit) != self.degree:
-            raise ValueError("orbit size must equal the degree")
+    @property
+    def degree(self) -> int:
+        return len(self.orbit)
 
     def chart(self) -> int:
         return next(i for i, c in enumerate(self.rep) if c != 0)
@@ -329,7 +327,7 @@ class SchemeFiber:
                     rep = min(orbit)
                     k = orbit.index(rep)
                     orbit = orbit[k:] + orbit[:k]
-                    out.append(ClosedPoint(self.p, e, field, rep, tuple(orbit)))
+                    out.append(ClosedPoint(field, rep, tuple(orbit)))
         return out
 
     # -- smoothness
@@ -356,16 +354,11 @@ class SchemeFiber:
             partials = [[f.partial(j) for j in cols] for f in forms]
         return [[g.eval_gf(field, coords) for g in row] for row in partials]
 
-    def tangent_basis(self, x: ClosedPoint, scaled=None):
-        """A basis of the tangent space of the fiber at x, in chart coordinates.
-
-        ``scaled`` is x.rep scaled to the chart ``x.chart()``, when the
-        caller already has it.
-        """
+    def tangent_basis(self, x: ClosedPoint):
+        """A basis of the tangent space of the fiber at x, in the coordinates
+        of the chart ``x.chart()``, where x.rep already has coordinate 1."""
         chart = x.chart()
-        if scaled is None:
-            scaled = self._scaled_coords(x.field, x.rep, chart)
-        rows = self.jacobian_rows(x.field, scaled, chart)
+        rows = self.jacobian_rows(x.field, x.rep, chart)
         basis = kernel_basis(rows, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
@@ -626,7 +619,7 @@ def rational_closed_point(fiber: SchemeFiber, coords) -> ClosedPoint:
     for f in fiber.forms:
         if f.eval_gf(field, rep) != 0:
             raise ValueError(f"point {coords} does not lie on {fiber}")
-    return ClosedPoint(fiber.p, 1, field, rep, (rep,))
+    return ClosedPoint(field, rep, (rep,))
 
 
 def parse_point(text: str, n: int):

@@ -167,26 +167,36 @@ def local_zeta_inverse(table: PointCountTable, s: int, r: int,
     s = fiber_dim + 2 this is the 4*c0*p^{-2(r+1)} bound.  A value whose
     denominator has DIGIT_CAP or more digits is refused before the product.
     """
+    a = _checked_counts(table, s, r, fiber_dim)
+    _check_digits([(table.p, truncation_exponent(a, s, r))])
+    return _truncation(table.p, s, r, fiber_dim, a, c0_estimate(table, fiber_dim + 1))
+
+
+def _checked_counts(table: PointCountTable, s: int, r: int, fiber_dim: int) -> tuple:
+    """The closed-point counts of the table, once the depth r and the
+    exponent s are checked."""
     if not 0 <= r <= table.e_max or table.e_max < 1:
         raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
-                         f"got r = {r} on a table of depth {table.e_max}")
-    delta = s - fiber_dim
-    if delta < 1:
+                         f"got r = {r} on a table of depth {table.e_max} "
+                         f"at p = {table.p}")
+    if s - fiber_dim < 1:
         raise ValueError(f"s = {s} is outside the convergence region for a "
                          f"{fiber_dim}-dimensional fiber")
-    a = closed_point_counts(table)
-    p = table.p
-    exponent = truncation_exponent(a, s, r)
-    _check_digits([(p, exponent)])
+    return closed_point_counts(table)
+
+
+def _truncation(p: int, s: int, r: int, fiber_dim: int, a: tuple,
+                c0: Fraction) -> ZetaTruncation:
+    """The truncation of ``local_zeta_inverse`` at p from the closed-point
+    counts a and the count constant c0, past its checks."""
     # numerator and denominator stay coprime (p never divides p^{se} - 1),
     # so accumulate integers and skip Fraction's per-step renormalization,
     # whose gcd dominates everything at deep truncations
     num = 1
     for e in range(1, r + 1):
         num *= (p ** (s * e) - 1) ** a[e - 1]
-    value = _coprime_fraction(num, p ** exponent)
-    c0 = c0_estimate(table, fiber_dim + 1)
-    bound = 4 * c0 * Fraction(1, p ** (delta * (r + 1)))
+    value = _coprime_fraction(num, p ** truncation_exponent(a, s, r))
+    bound = 4 * c0 * Fraction(1, p ** ((s - fiber_dim) * (r + 1)))
     return ZetaTruncation(p, s, r, value, bound, a[:r])
 
 
@@ -209,10 +219,11 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
     ``r_per_prime`` each prime to its depth; a missing prime is an error,
     and so is prime_bound < 2, a product over no fibers.  A product whose
     denominator has DIGIT_CAP or more digits is refused before the first
-    local product.  The prime tail bound 8*c0*value/R applies only when
-    s >= fiber_dim + 2, i.e. when the product over all primes converges;
-    below that the product diverges to 0 and only the truncated value is
-    meaningful.
+    local product.  Each table is inverted once, for that check and its
+    local product, and its c0 estimated once, for both tail bounds.  The
+    prime tail bound 8*c0*value/R applies only when s >= fiber_dim + 2,
+    i.e. when the product over all primes converges; below that the product
+    diverges to 0 and only the truncated value is meaningful.
     """
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
@@ -224,18 +235,17 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
         r = r_per_prime if isinstance(r_per_prime, int) else r_per_prime.get(p)
         if r is None:
             raise ValueError(f"missing truncation depth for the fiber at p = {p}")
-        if not 0 <= r <= tables[p].e_max:
-            raise ValueError(f"truncation depth {r} at p = {p} is outside its table")
         depths[p] = r
-    _check_digits([(p, truncation_exponent(closed_point_counts(tables[p]), s, r))
-                   for p, r in depths.items()])
-    truncations = [local_zeta_inverse(tables[p], s, r, fiber_dim)
+    counts = {p: _checked_counts(tables[p], s, r, fiber_dim)
+              for p, r in depths.items()}
+    _check_digits([(p, truncation_exponent(counts[p], s, r)) for p, r in depths.items()])
+    c0 = {p: c0_estimate(tables[p], fiber_dim + 1) for p in primes}
+    truncations = [_truncation(p, s, r, fiber_dim, counts[p], c0[p])
                    for p, r in depths.items()]
     value = _product_value(truncations)
     tail = None
     if s >= fiber_dim + 2:
-        c0_global = max(c0_estimate(tables[p], fiber_dim + 1) for p in primes)
-        tail = 8 * c0_global * value / prime_bound
+        tail = 8 * max(c0.values()) * value / prime_bound
     return GlobalZetaTruncation(s, prime_bound, value,
                                 sum(t.error_bound for t in truncations), tail)
 

@@ -31,8 +31,7 @@ from bertinilab.arithlab import (MonicPoly, bsw_experiment, dedekind_p_maximal,
                                  discriminant, equidistribution_audit,
                                  euler_product_reference,
                                  multi_fiber_experiment)
-from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
-                                 classify_point_detail,
+from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  fiber_density_exhaustive,
                                  medium_degree_tail_bound,
                                  reference_truncation,
@@ -182,7 +181,7 @@ def test_criterion_04_bound_suite():
 def test_criterion_05_quadric_example(p2):
     start = time.monotonic()
     fib = p2.fiber(5)
-    section = SectionModP2(parse_form("X^2+5*Y^2-Z^2", 2, modulus=25), 5)
+    section = parse_form("X^2+5*Y^2-Z^2", 2, modulus=25)
     x = rational_closed_point(fib, (0, 1, 0))
     arith, fiber_status = classify_point_detail(section, x, fib)
     elapsed = time.monotonic() - start
@@ -212,7 +211,7 @@ def test_criterion_06_dedekind_geometry_agreement():
         hom = (1,) + f.a
         for p in primes:
             dedekind = dedekind_p_maximal(f, p, disc=disc)
-            geometric = binary_section_report(hom, 3, p, 3).arith_singular == 0
+            geometric = binary_section_report(hom, p, 3).arith_singular == 0
             assert dedekind == geometric, (a, p)
             pairs += 1
         polys += 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import log10
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
                                  quadratic_field_census)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
-from bertinilab.zetas import primes_up_to
+from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
 
 x = sympy.symbols("x")
 
@@ -45,6 +46,17 @@ def test_discriminant_against_sympy():
         d = rng.randint(2, 6)
         f = MonicPoly(tuple(rng.randint(-40, 40) for _ in range(d)))
         assert discriminant(f) == sympy.discriminant(to_expr(f), x)
+
+
+def test_discriminant_degenerate_cases():
+    """Degree 1 needs no special case (the 1x1 Sylvester matrix is [1]), and
+    a repeated root runs Bareiss out of pivots: disc(x^3) = 0 and
+    disc(x^3 - 3x + 2) = disc((x - 1)^2 (x + 2)) = 0."""
+    for a in (5, -3, 0):
+        assert discriminant(MonicPoly((a,))) == 1
+    for f in (MonicPoly((0, 0, 0)), MonicPoly((0, -3, 2))):
+        assert discriminant(f) == sympy.discriminant(to_expr(f), x) == 0
+    assert str(MonicPoly((0, -3, 2))) == "x^3 - 3*x + 2"
 
 
 def test_bareiss_determinant():
@@ -227,7 +239,7 @@ def test_geometric_oracle_equivalence():
             continue
         hom = (1,) + f.a
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-            geo = binary_section_report(hom, 3, p, 3).arith_singular == 0
+            geo = binary_section_report(hom, p, 3).arith_singular == 0
             assert dedekind_p_maximal(f, p, disc=disc) == geo, (f.a, p)
         done += 1
 
@@ -259,6 +271,24 @@ def test_equidistribution_closed_form_vs_exhaustive():
                 assert counts.min() == aud.min_count
                 assert counts.max() == aud.max_count
                 assert aud.exact == (counts.min() == counts.max())
+                if aud.ratio is not None:       # built without a gcd: reduced
+                    reduced = Fraction(aud.max_count, aud.min_count)
+                    assert (aud.ratio.numerator, aud.ratio.denominator) == \
+                        (reduced.numerator, reduced.denominator)
+
+
+def test_equidistribution_digit_cap():
+    """A class count of DIGIT_CAP or more digits is refused before any power
+    is formed; 2^6643856 (2,000,000 digits, the most the cap admits) runs."""
+    h = 6643856
+    assert h * log10(2) < DIGIT_CAP <= (h + 1) * log10(2)
+    aud = equidistribution_audit(h, 1, 2)           # 2B + 1 = 3 = 1 * 2 + 1
+    assert aud.max_count == 1 << h and aud.min_count == 1
+    assert (aud.ratio.numerator, aud.ratio.denominator) == (1 << h, 1)
+    with pytest.raises(BudgetExceeded, match="2000000 digits"):
+        equidistribution_audit(h + 1, 1, 2)
+    with pytest.raises(BudgetExceeded):
+        equidistribution_audit(2 * 10 ** 6, 100, 3)       # 67^h: 3.65e6 digits
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +306,20 @@ def test_bsw_small_run_and_determinism():
         bsw_experiment(1, 100, 100, 100, seed=0)
     with pytest.raises(ValueError):
         bsw_experiment(3, 100, 100, 0, seed=0)
+
+
+def test_bsw_counts_degenerate_samples():
+    """With R = 1 the only monic quadratic of discriminant 0 is x^2, so the
+    degenerate count is the number of sampled rows (0, 0), and every sample
+    is a hit, degenerate or not maximal at one prime."""
+    from bertinilab import sampling
+    samples = 900
+    est = bsw_experiment(2, 1, 10, samples, seed=4)
+    squares = sum(row == (0, 0) for rng, size in sampling.chunks(4, samples)
+                  for row in sampling.uniform_height_ball(rng, size, [1, 1]))
+    assert est.extras["degenerate"] == squares == 101
+    hits = round(est.mean * samples)
+    assert hits + squares + sum(est.extras["not_maximal_at"].values()) == samples
 
 
 def test_euler_product_reference():
@@ -315,9 +359,9 @@ def test_multi_fiber_reports_once_per_row_and_prime(monkeypatch):
     from bertinilab import arithlab
     calls = []
 
-    def counting(coeffs, d, p, r):
+    def counting(coeffs, p, r):
         calls.append(p)
-        return binary_section_report(coeffs, d, p, r)
+        return binary_section_report(coeffs, p, r)
     monkeypatch.setattr(arithlab, "binary_section_report", counting)
     samples = 300
     est = multi_fiber_experiment(8, 10 ** 4, 7, 4, samples, seed=5, n=1)
@@ -381,7 +425,7 @@ def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
     """n > 1 runs FiberClassifier.census; check it row by row against
     classify_point_detail at every rational point of P^2 mod 2 and 3."""
     from bertinilab import sampling
-    from bertinilab.fiberlab import SectionModP2, classify_point_detail
+    from bertinilab.fiberlab import classify_point_detail
     from bertinilab.projgeom import HomogeneousForm
     est = multi_fiber_experiment(2, 50, 3, 1, 300, seed=17, n=2,
                                  classification=classification)
@@ -393,7 +437,7 @@ def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
         for row in sampling.uniform_box(rng, size, 6, 50).tolist():
             good = True
             for p, (fib, pts) in points.items():
-                sec = SectionModP2(HomogeneousForm(2, 2, tuple(row), p * p), p)
+                sec = HomogeneousForm(2, 2, tuple(row), p * p)
                 verdicts = [classify_point_detail(sec, x, fib) for x in pts]
                 rescued += sum(f == "SingularPoint" and a != "SingularPoint"
                                for a, f in verdicts)

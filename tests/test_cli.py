@@ -1,5 +1,7 @@
 """Command-line interface: dispatch, reports, exit taxonomy, reproducibility."""
 
+import csv
+import io
 import json
 import random
 import sys
@@ -11,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bertinilab import cli, zetas
-from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, build_parser,
-                            main, render_report, run)
-from bertinilab.projgeom import (ProjectiveScheme, load_scheme, save_scheme,
-                                 scheme_from_dict)
-from bertinilab.zetas import local_zeta_inverse, projective_counts
+from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                            build_parser, main, render_report, run)
+from bertinilab.projgeom import (ProjectiveScheme, SchemeFiber, load_scheme,
+                                 save_scheme, scheme_from_dict)
+from bertinilab.zetas import PointCountTable, local_zeta_inverse, projective_counts
 
 SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
@@ -115,6 +117,13 @@ def test_fiber_density_subcommand(scheme_files):
 def test_equidist_subcommand():
     _, results = invoke(["equidist", "--h", "3", "--B", "8", "--N", "5"])
     assert results["ratio"] == "64/27"
+
+
+def test_equidist_digit_cap(capsys):
+    """A class count of DIGIT_CAP or more digits (here 67^2000000, 3.65e6
+    digits) is a budget refusal, exit 3, before any power is formed."""
+    assert main(["equidist", "--h", "2000000", "--B", "100", "--N", "3"]) == EXIT_BUDGET
+    assert "2000000 digits" in capsys.readouterr().err
 
 
 def test_verify_bounds_subcommand():
@@ -217,7 +226,7 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     denominator prod_p p^E_p has DIGIT_CAP digits or more."""
     def refuse(*args):
         raise AssertionError("a truncation was computed")
-    monkeypatch.setattr(zetas, "local_zeta_inverse", refuse)
+    monkeypatch.setattr(zetas, "_truncation", refuse)
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "7", "--samples", "100"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err
@@ -225,6 +234,44 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     # r = 6 (about 0.39e6 digits) still runs; s = 3 on P^1
     tables = {p: projective_counts(p, 1, 6) for p in (2, 3, 5, 7)}
     assert zetas.global_zeta_inverse(tables, 3, 7, 6, 1).value > 0
+
+
+def test_multi_fiber_inverts_each_table_once(monkeypatch, capsys):
+    """The reference of multi-fiber inverts each prime's point table and
+    estimates its c0 once: the digit guard, the local truncations and the
+    tail bound share them."""
+    seen = {"closed_point_counts": [], "c0_estimate": []}
+    for name in seen:
+        def spy(table, *args, _name=name, _fn=getattr(zetas, name)):
+            seen[_name].append(table.p)
+            return _fn(table, *args)
+        monkeypatch.setattr(zetas, name, spy)
+    assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
+                 "--r", "4", "--samples", "100"]) == EXIT_OK
+    capsys.readouterr()
+    assert seen == {name: [2, 3, 5, 7] for name in seen}
+
+
+def test_internal_failures_exit_4(scheme_files, monkeypatch, capsys):
+    """A disagreement of Dedekind's criterion with the mod-p^2 classifier
+    names the polynomial; a point table that no scheme has (N = (3, 4) mod
+    2 gives a_2 = 1/2) is an inconsistent table.  Both exit 4."""
+    from bertinilab import arithlab
+    dedekind, asked = arithlab.dedekind_p_maximal, []
+
+    def flipped(f, p, disc=None):
+        asked.append(f)
+        return not dedekind(f, p, disc=disc)
+    monkeypatch.setattr(arithlab, "dedekind_p_maximal", flipped)
+    assert main(["bsw", "--d", "3", "--R", "10", "--T", "100", "--samples", "20"]) \
+        == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal invariant failed" in err and f"for {asked[-1]}" in err
+    monkeypatch.setattr(SchemeFiber, "point_table",
+                        lambda self, e_max: PointCountTable(2, (3, 4)))
+    assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "2",
+                 "--r", "2"]) == EXIT_INTERNAL
+    assert "a_2 = 1/2" in capsys.readouterr().err
 
 
 def test_depth_zero_reports_a_tail_bound(scheme_files):
@@ -375,6 +422,25 @@ def test_csv_format(scheme_files, capsys):
     row = dict(zip(header, lines[1].split(",")))
     assert row["value"] == "405/1024"
     assert row["a_e"] == "3;1"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["fiber-density", "--scheme", "p1", "--p", "2", "--d", "3", "--r", "1"],
+     "certificate"),
+    (["multi-fiber", "--d", "4", "--B", "10", "--prime-bound", "3", "--r", "1",
+      "--samples", "100"], "singular_by_prime"),
+])
+def test_csv_dict_cells(scheme_files, capsys, argv, key):
+    """A dict of the results is one CSV cell of JSON, which parses back to
+    the dict of the JSON report."""
+    argv = [scheme_files.get(a, a) for a in argv]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    assert isinstance(report["results"][key], dict)
+    assert json.loads(rows[0][key]) == report["results"][key]
 
 
 def test_version_flag(capsys):

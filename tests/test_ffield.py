@@ -200,7 +200,7 @@ def test_tables_are_pinned(p, e, digest):
 def test_galois_ring_units_exhaustive(p, e):
     """a is a unit exactly when a mod p is nonzero: then a^((q-1)p) = 1,
     and otherwise a lies in p*GR, so a^2 = 0."""
-    ring = GaloisRing(p, e)
+    ring = GaloisRing(GF(p, e))
     assert p ** (2 * e) <= 1 << 16
     elements = list(itertools.product(range(p * p), repeat=e))
     units = [a for a in elements if ring.reduce_mod_p(a) != 0]
@@ -217,7 +217,7 @@ def test_galois_ring_mul_matches_polynomial_remainder(p, e):
     """The fixed-degree product (schoolbook, then the folded powers
     T^e .. T^(2e-2)) and its batched numpy form against the remainder of
     the polynomial product by the lifted modulus, on random elements."""
-    ring = GaloisRing(p, e)
+    ring = GaloisRing(GF(p, e))
     rng = random.Random(100 * p + e)
     pairs = [tuple(tuple(rng.randrange(p * p) for _ in range(e)) for _ in "ab")
              for _ in range(300)]
@@ -232,7 +232,7 @@ def test_galois_ring_mul_matches_polynomial_remainder(p, e):
 
 
 def test_galois_ring_reduction_and_lift():
-    ring = GaloisRing(3, 2)
+    ring = GaloisRing(GF(3, 2))
     field = ring.field
     for x in range(field.q):
         assert ring.reduce_mod_p(ring.lift(x)) == x
@@ -246,7 +246,7 @@ def test_galois_ring_reduction_and_lift():
 
 
 def test_divide_by_p():
-    ring = GaloisRing(2, 2)
+    ring = GaloisRing(GF(2, 2))
     two = ring.from_int(2)
     assert ring.divisible_by_p(two)
     assert ring.divide_by_p(two) == 1

@@ -14,8 +14,7 @@ from bertinilab.arithlab import multi_fiber_experiment
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
                                  ProjectiveScheme, SchemeFiber, monomial_basis,
                                  parse_form, rational_closed_point)
-from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
-                                 classify_point_detail,
+from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
                                  lifted_point,
                                  medium_degree_tail_bound,
@@ -34,7 +33,7 @@ def test_worked_example_mod_25(p2):
     """The quadric X^2+5Y^2-Z^2 at [0:1:0] over p=5: the fiber divisor is
     singular there, the arithmetic divisor is regular (lifted value 5)."""
     fib = p2.fiber(5)
-    sec = SectionModP2(parse_form("X^2+5*Y^2-Z^2", 2, modulus=25), 5)
+    sec = parse_form("X^2+5*Y^2-Z^2", 2, modulus=25)
     x = closed_point(fib, (0, 1, 0))
     arith, fiber_status = classify_point_detail(sec, x, fib)
     assert arith == "RegularPoint"
@@ -44,7 +43,7 @@ def test_worked_example_mod_25(p2):
 def test_xy_always_singular_at_origin_point(p2):
     for p in (2, 3, 5, 7):
         fib = p2.fiber(p)
-        sec = SectionModP2(parse_form("X*Y", 2, modulus=p * p), p)
+        sec = parse_form("X*Y", 2, modulus=p * p)
         assert classify_point_detail(sec, closed_point(fib, (0, 0, 1)), fib)[0] == \
             "SingularPoint"
 
@@ -52,7 +51,7 @@ def test_xy_always_singular_at_origin_point(p2):
 def test_mod_4_rescue_example(p2):
     # fiber value 0 and fiber partials vanish mod 2, lifted value 6, 6/2 = 3 odd
     fib = p2.fiber(2)
-    sec = SectionModP2(parse_form("X^2+5*Y^2-Z^2", 2, modulus=4), 2)
+    sec = parse_form("X^2+5*Y^2-Z^2", 2, modulus=4)
     arith, fiber_status = classify_point_detail(sec, closed_point(fib, (1, 1, 0)), fib)
     assert (arith, fiber_status) == ("RegularPoint", "SingularPoint")
 
@@ -60,11 +59,11 @@ def test_mod_4_rescue_example(p2):
 def test_zero_section_and_p_multiples(p1):
     fib = p1.fiber(2)
     x = closed_point(fib, (0, 1))
-    zero = SectionModP2(HomogeneousForm(1, 2, (0, 0, 0), 4), 2)
+    zero = HomogeneousForm(1, 2, (0, 0, 0), 4)
     assert classify_point_detail(zero, x, fib)[0] == "SingularPoint"
     # 2 * (X^2 + XY + Y^2): tau never vanishes on P^1(F_2), divisor is the
     # doubled fiber but stays regular at every rational point
-    twice = SectionModP2(HomogeneousForm(1, 2, (2, 2, 2), 4), 2)
+    twice = HomogeneousForm(1, 2, (2, 2, 2), 4)
     for rep in [(0, 1), (1, 0), (1, 1)]:
         assert classify_point_detail(twice, closed_point(fib, rep), fib)[0] == \
             "RegularPoint"
@@ -74,7 +73,7 @@ def test_classify_rejects_singular_fiber_points():
     cusp = ProjectiveScheme(2, 1, [parse_form("Y^2*Z-X^3", 2)], name="cusp")
     fib = cusp.fiber(5)
     x = rational_closed_point(fib, (0, 0, 1))
-    sec = SectionModP2(parse_form("X", 2, modulus=25), 5)
+    sec = parse_form("X", 2, modulus=25)
     with pytest.raises(ValueError):
         classify_point_detail(sec, x, fib)
 
@@ -89,7 +88,7 @@ def test_classify_on_curve_in_p2():
         assert points
         for _ in range(40):
             coeffs = tuple(rng.randrange(p * p) for _ in range(6))
-            sec = SectionModP2(HomogeneousForm(2, 2, coeffs, p * p), p)
+            sec = HomogeneousForm(2, 2, coeffs, p * p)
             for x in points:
                 base = classify_point_detail(sec, x, fib)
                 for conj in range(x.degree):
@@ -109,7 +108,7 @@ def test_lift_conjugate_chart_independence(p1):
         while pairs < quota:
             d = rng.randint(1, 5)
             coeffs = tuple(rng.randrange(p * p) for _ in range(d + 1))
-            sec = SectionModP2(HomogeneousForm(1, d, coeffs, p * p), p)
+            sec = HomogeneousForm(1, d, coeffs, p * p)
             for x in points:
                 base = classify_point_detail(sec, x, fib)
                 for _ in range(10):
@@ -135,7 +134,7 @@ def test_consistency_with_fiber_test(p1):
     for _ in range(300):
         d = rng.randint(1, 4)
         coeffs = tuple(rng.randrange(4) for _ in range(d + 1))
-        sec = SectionModP2(HomogeneousForm(1, d, coeffs, 4), 2)
+        sec = HomogeneousForm(1, d, coeffs, 4)
         for x in points:
             arith, fiber_status = classify_point_detail(sec, x, fib)
             if arith == "NotOnDivisor":
@@ -274,19 +273,21 @@ def test_singular_at_point_matches_kernel_count(p1):
             assert est.value == Fraction(1, 3 ** cert.rank)
 
 
-def test_section_mod_p2_validation():
-    form = parse_form("X^2+Y^2", 1)
-    sec = SectionModP2(form, 3)
-    assert sec.form.modulus == 9
-    with pytest.raises(ValueError):
-        SectionModP2(parse_form("X^2+Y^2", 1, modulus=10), 3)
-    # an integer form is reduced, a form mod 8 refines to mod 4 at p = 2,
-    # and a form mod 6 does not determine a section mod 4
-    assert SectionModP2(parse_form("10*X^2-Y^2", 1), 3).form.coeffs == (1, 0, 8)
-    sec8 = SectionModP2(parse_form("7*X^2+5*X*Y", 1, modulus=8), 2)
-    assert (sec8.form.modulus, sec8.form.coeffs) == (4, (3, 1, 0))
-    with pytest.raises(ValueError):
-        SectionModP2(parse_form("X^2+Y^2", 1, modulus=6), 2)
+def test_classify_reads_the_section_mod_p2(p1):
+    """classify_point_detail reads the section mod p^2 off its form: an
+    integer form is reduced, a form mod 8 refines to mod 4 at p = 2, and a
+    form mod 10 (at p = 3) or mod 6 (at p = 2) does not determine one."""
+    for p, form, reduced in ((3, parse_form("10*X^2-Y^2", 1), (1, 0, 8)),
+                             (2, parse_form("7*X^2+5*X*Y", 1, modulus=8), (3, 1, 0))):
+        fib = p1.fiber(p)
+        for x in fib.closed_points_up_to(2):
+            assert classify_point_detail(form, x, fib) == classify_point_detail(
+                HomogeneousForm(1, 2, reduced, p * p), x, fib)
+    for p, modulus in ((3, 10), (2, 6)):
+        fib = p1.fiber(p)
+        with pytest.raises(ValueError):
+            classify_point_detail(parse_form("X^2+Y^2", 1, modulus=modulus),
+                                  closed_point(fib, (0, 1)), fib)
 
 
 def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
@@ -314,7 +315,7 @@ def test_ring_cap_refused_before_points(p1, p2, monkeypatch):
 
     p1.fiber(2).check_census(12)                    # 2^24 is within the cap
     with pytest.raises(ValueError):
-        GaloisRing(2, 13)                           # direct callers: ValueError
+        GaloisRing(GF(2, 13))                           # direct callers: ValueError
     monkeypatch.setattr(SchemeFiber, "rational_points", refuse)
     monkeypatch.setattr(GaloisRing, "__init__", refuse)
     with pytest.raises(BudgetExceeded):
@@ -418,8 +419,7 @@ def _check_pointwise(cls, p, d, rng):
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
     for j, coeffs in enumerate(rows):
-        sec = SectionModP2(HomogeneousForm(fib.n, d, tuple(int(c) for c in coeffs),
-                                           p * p), p)
+        sec = HomogeneousForm(fib.n, d, tuple(int(c) for c in coeffs), p * p)
         verdicts = [classify_point_detail(sec, x, fib) for x in cls.points]
         arith = any(a == "SingularPoint" for a, _ in verdicts)
         fiber = any(f == "SingularPoint" for _, f in verdicts)
@@ -604,7 +604,7 @@ def test_unsorted_points_match_sorted(conic, monkeypatch):
     init = GaloisRing.__init__
 
     def counting(self, *args, **kwargs):
-        rings.append(args[1])
+        rings.append(args[0].e)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(GaloisRing, "__init__", counting)
@@ -706,7 +706,7 @@ def test_census_matches_pointwise_definition(p2, conic, case):
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
     for j, coeffs in enumerate(rows):
-        sec = SectionModP2(HomogeneousForm(2, d, tuple(coeffs), p * p), p)
+        sec = HomogeneousForm(2, d, tuple(coeffs), p * p)
         verdicts = [classify_point_detail(sec, x, cls.fiber) for x in cls.points]
         row_rescued = sum(f == "SingularPoint" and a != "SingularPoint"
                           for a, f in verdicts)

@@ -13,8 +13,7 @@ from bertinilab.ffield import poly_mul, poly_trim
 from bertinilab.p1sections import (binary_section_report,
                                    distinct_degree_split, radical_fp)
 from bertinilab.projgeom import HomogeneousForm
-from bertinilab.fiberlab import (FiberClassifier, SectionModP2,
-                                 classify_point_detail,
+from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  squarefree_binary_census)
 
 x = sympy.symbols("x")
@@ -64,9 +63,9 @@ def test_report_matches_pointwise_classifier(p1):
         d = rng.randint(1, 8)
         r = rng.randint(1, 3)
         coeffs = tuple(rng.randrange(p * p) for _ in range(d + 1))
-        rep = binary_section_report(coeffs, d, p, r)
+        rep = binary_section_report(coeffs, p, r)
         fib = p1.fiber(p)
-        sec = SectionModP2(HomogeneousForm(1, d, coeffs, p * p), p)
+        sec = HomogeneousForm(1, d, coeffs, p * p)
         fiber_ct = arith_ct = 0
         for pt in fib.closed_points_up_to(r):
             arith, fiber_status = classify_point_detail(sec, pt, fib)
@@ -79,19 +78,19 @@ def test_report_matches_pointwise_classifier(p1):
 
 def test_report_degenerate_sections(p1):
     # zero section: every point in range is singular
-    rep = binary_section_report((0, 0, 0), 2, 2, 2)
+    rep = binary_section_report((0, 0, 0), 2, 2)
     assert rep.fiber_singular == rep.arith_singular == 4   # 3 rational + 1 quadratic
     # 2 * (X^2+XY+Y^2): tau has no F_2-rational zero, but vanishes at the
     # quadratic point (its affine part is the minimal polynomial T^2+T+1)
-    rep2 = binary_section_report((2, 2, 2), 2, 2, 2)
+    rep2 = binary_section_report((2, 2, 2), 2, 2)
     assert rep2.fiber_singular == 4 and rep2.arith_singular == 1
-    assert binary_section_report((2, 2, 2), 2, 2, 1).arith_singular == 0
+    assert binary_section_report((2, 2, 2), 2, 1).arith_singular == 0
     # 2 * (X^2+XY): tau = X*(X+Y) vanishes at [0:1] and [1:1]
-    rep3 = binary_section_report((2, 2, 0), 2, 2, 1)
+    rep3 = binary_section_report((2, 2, 0), 2, 1)
     assert rep3.arith_singular == 2 and rep3.fiber_singular == 3
-    # a negative degree is no form, not one singular everywhere
+    # no coefficients is no form, not one singular everywhere
     with pytest.raises(ValueError):
-        binary_section_report((), -1, 2, 2)
+        binary_section_report((), 2, 2)
 
 
 def clear_p1_caches():
@@ -152,7 +151,7 @@ def test_report_verdicts_do_not_depend_on_cache_state():
             coeffs = [c + p * rng.randrange(p) for c in reversed(aff)]
         else:
             coeffs = [rng.randrange(p * p) for _ in range(d + 1)]
-        rows.append((tuple(coeffs), d, p, r))
+        rows.append((tuple(coeffs), p, r))
     cold = []
     for row in rows:
         clear_p1_caches()
@@ -183,8 +182,8 @@ def test_mod_p2_test_is_not_cached(p1):
         reports = []
         for _ in range(3):
             coeffs = tuple(c + p * rng.randrange(p) for c in base)
-            rep = binary_section_report(coeffs, d, p, r)
-            sec = SectionModP2(HomogeneousForm(1, d, coeffs, p * p), p)
+            rep = binary_section_report(coeffs, p, r)
+            sec = HomogeneousForm(1, d, coeffs, p * p)
             arith_ct = sum(classify_point_detail(sec, pt, fib)[0] == "SingularPoint"
                            for pt in fib.closed_points_up_to(r))
             assert rep.arith_singular == arith_ct, (coeffs, p, d, r)

@@ -50,7 +50,7 @@ def test_eval_ring_mismatch():
     with pytest.raises(ValueError):
         f.eval_gf(GF(2), (1, 1))
     with pytest.raises(ValueError):
-        f.eval_gr(GaloisRing(2, 1), ((1,), (1,)))
+        f.eval_gr(GaloisRing(GF(2, 1)), ((1,), (1,)))
 
 
 def test_partial_examples():

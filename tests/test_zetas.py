@@ -178,7 +178,7 @@ def test_digit_cap_refuses_before_any_product(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a local truncation was computed")
-    monkeypatch.setattr(zetas, "local_zeta_inverse", refuse)
+    monkeypatch.setattr(zetas, "_truncation", refuse)
     with pytest.raises(zetas.BudgetExceeded, match=re.escape("2^4000000 * 3^2600000")):
         global_zeta_inverse(tables, 2, 3, 1, 1)
 
