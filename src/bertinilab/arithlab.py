@@ -17,6 +17,7 @@ sample.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
 from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
-from .zetas import (DIGIT_CAP, BudgetExceeded, _coprime_fraction,
+from .zetas import (DIGIT_CAP, BudgetExceeded, _coprime_fraction, exact_context,
                     global_zeta_inverse, primes_up_to)
 from . import sampling
 
@@ -56,9 +57,17 @@ class EquidistributionAudit:
     exact: bool              # ratio == 1, i.e. N divides 2B+1
 
     def as_report(self):
+        """The audit as a report.  The counts are exact integral Decimals,
+        whose str is linear, unlike int's, and the ratio text is printed
+        from them: k^h and (k+1)^h are coprime, and the ratio is 1/1 when
+        s = 0."""
         doc = dict(self.__dict__)
-        doc["ratio"] = None if self.ratio is None else \
-            f"{self.ratio.numerator}/{self.ratio.denominator}"
+        with decimal.localcontext(exact_context()):
+            min_count = decimal.Decimal(self.k) ** self.h
+            max_count = decimal.Decimal(self.k + 1 if self.s else self.k) ** self.h
+        doc.update(min_count=min_count, max_count=max_count,
+                   ratio=(None if self.ratio is None else
+                          f"{max_count}/{min_count}" if self.s else "1/1"))
         return doc
 
 

@@ -27,8 +27,8 @@ from .fiberlab import (REGULAR, classify_point_detail, fiber_density_exhaustive,
                        fiber_density_mc)
 from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable, local_zeta_inverse,
-                    verify_section_bounds)
+from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable, exact_context,
+                    local_zeta_inverse, verify_section_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +41,8 @@ EXIT_INTERNAL = 4
 # rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
 # integers longer than this are printed through decimal (_int_text), up to
-# zetas.DIGIT_CAP digits
+# zetas.DIGIT_CAP digits; report dicts may also carry exact integral
+# Decimals (zeta truncations, equidist counts), which print with str
 LONG_INT_BITS = 1 << 15
 # _int_text converts pieces of at most this many bits with plain Decimal(n)
 _LEAF_BITS = 3000
@@ -206,8 +207,8 @@ def _int_text(n: int) -> str:
     is not.  This is the method of CPython 3.12's
     ``_pylong.int_to_decimal_string``: split |n| by bit length into pieces
     of at most _LEAF_BITS bits, convert each with ``Decimal`` and rebuild
-    hi * 2^w + lo exactly (Inexact is trapped), with the powers of 2
-    cached for the call.
+    hi * 2^w + lo exactly (in ``zetas.exact_context``), with the powers of
+    2 cached for the call.
     """
     pow2 = {}
 
@@ -225,13 +226,14 @@ def _int_text(n: int) -> str:
         hi = m >> half
         return convert(hi, w - half) * two_to(half) + convert(m - (hi << half), half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(exact_context()):
         digits = str(convert(abs(n), abs(n).bit_length()))
     return "-" + digits if n < 0 else digits
+
+
+def _text(n) -> str:
+    """The decimal text of an int or an exact integral Decimal."""
+    return str(n) if isinstance(n, decimal.Decimal) else _int_text(n)
 
 
 def _csv_payload(results: dict) -> str:
@@ -247,7 +249,7 @@ def _csv_payload(results: dict) -> str:
     for stem in num_den:
         if f"{stem}_den" in flat:
             num, den = flat.pop(stem + "_num"), flat.pop(stem + "_den")
-            flat[stem] = f"{_int_text(num)}/{_int_text(den)}"
+            flat[stem] = f"{_text(num)}/{_text(den)}"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted(flat))
     writer.writeheader()
@@ -260,15 +262,17 @@ _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
 def _spliced(value, texts: list):
-    """``value`` ready for json.dumps: each integer longer than
-    LONG_INT_BITS becomes a placeholder string, a NUL and then i, where
-    texts[i] (appended here) is its decimal text."""
+    """``value`` ready for json.dumps: each Decimal (which json cannot
+    serialize) and each integer longer than LONG_INT_BITS becomes a
+    placeholder string, a NUL and then i, where texts[i] (appended here)
+    is its decimal text."""
     if isinstance(value, dict):
         return {k: _spliced(v, texts) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_spliced(v, texts) for v in value]
-    if type(value) is int and value.bit_length() > LONG_INT_BITS:
-        texts.append(_int_text(value))
+    if (isinstance(value, decimal.Decimal)
+            or type(value) is int and value.bit_length() > LONG_INT_BITS):
+        texts.append(_text(value))
         return f"\0{len(texts) - 1}"
     return value
 

@@ -8,15 +8,27 @@ precision well beyond the gap of each inequality.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log10
+from functools import cached_property
+from math import log10, prod
 
 from .ffield import is_prime
 
 # a truncation's denominator must have fewer decimal digits: reports print
 # long integers through decimal, which sys.set_int_max_str_digits ignores
 DIGIT_CAP = 2_000_000
+
+
+def exact_context() -> decimal.Context:
+    """A decimal context in which integer arithmetic is exact: unbounded
+    precision and exponents, and any rounding raises Inexact instead of
+    printing a wrong digit."""
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           Emin=decimal.MIN_EMIN,
+                           traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                  decimal.Overflow, decimal.Inexact])
 
 
 class InconsistentTable(Exception):
@@ -121,22 +133,50 @@ def _valuation(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class ZetaTruncation:
-    """A truncated local inverse zeta value with its tail bound."""
+    """A truncated local inverse zeta value with its tail bound.
+
+    The value is num / p^x with num = prod_{e <= r} (p^{se} - 1)^{a_e} and
+    x = sum_{e <= r} s e a_e (``truncation_exponent``), kept in this
+    factored form: ``value`` forms the exact Fraction on first use, and
+    ``as_report`` prints the two integers from their factors in decimal.
+    """
 
     p: int
     s: int
     r: int
-    value: Fraction
     error_bound: Fraction
     a: tuple
 
+    @cached_property
+    def value(self) -> Fraction:
+        # numerator and denominator stay coprime (p never divides p^{se} - 1),
+        # so accumulate integers and skip Fraction's per-step renormalization,
+        # whose gcd dominates everything at deep truncations
+        num = 1
+        for e, a_e in enumerate(self.a, 1):
+            num *= (self.p ** (self.s * e) - 1) ** a_e
+        return _coprime_fraction(num, self.p ** truncation_exponent(self.a, self.s, self.r))
+
     def as_report(self) -> dict:
+        """The report of the truncation.  value_num and value_den are exact
+        integral Decimals, multiplied from the factors by libmpdec, whose
+        products and str are subquadratic, without forming the int product."""
+        factors = [self.p ** (self.s * e) - 1 for e in range(1, self.r + 1)]
+        with decimal.localcontext(exact_context()):
+            # one square-and-multiply over the bits of all the a_e at once
+            # (Shamir's trick): a squaring per bit of the largest a_e, half
+            # the work of one power per factor followed by their product
+            num = decimal.Decimal(1)
+            for bit in reversed(range(max(self.a, default=0).bit_length())):
+                num = num * num * prod(f for f, a_e in zip(factors, self.a)
+                                       if a_e >> bit & 1)
+            den = decimal.Decimal(self.p) ** truncation_exponent(self.a, self.s, self.r)
         return {
             "p": self.p,
             "s": self.s,
             "r": self.r,
-            "value_num": self.value.numerator,
-            "value_den": self.value.denominator,
+            "value_num": num,
+            "value_den": den,
             "error_bound_num": self.error_bound.numerator,
             "error_bound_den": self.error_bound.denominator,
             "a_e": list(self.a),
@@ -188,16 +228,10 @@ def _checked_counts(table: PointCountTable, s: int, r: int, fiber_dim: int) -> t
 def _truncation(p: int, s: int, r: int, fiber_dim: int, a: tuple,
                 c0: Fraction) -> ZetaTruncation:
     """The truncation of ``local_zeta_inverse`` at p from the closed-point
-    counts a and the count constant c0, past its checks."""
-    # numerator and denominator stay coprime (p never divides p^{se} - 1),
-    # so accumulate integers and skip Fraction's per-step renormalization,
-    # whose gcd dominates everything at deep truncations
-    num = 1
-    for e in range(1, r + 1):
-        num *= (p ** (s * e) - 1) ** a[e - 1]
-    value = _coprime_fraction(num, p ** truncation_exponent(a, s, r))
+    counts a and the count constant c0, past its checks; its value is
+    formed only when read."""
     bound = 4 * c0 * Fraction(1, p ** ((s - fiber_dim) * (r + 1)))
-    return ZetaTruncation(p, s, r, value, bound, a[:r])
+    return ZetaTruncation(p, s, r, bound, a[:r])
 
 
 @dataclass(frozen=True)

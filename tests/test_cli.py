@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bertinilab import cli, zetas
+from bertinilab.arithlab import equidistribution_audit
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
 from bertinilab.projgeom import (ProjectiveScheme, SchemeFiber, load_scheme,
@@ -44,7 +45,7 @@ def test_zeta_subcommand_value(scheme_files):
     args, results = invoke(["zeta", "--scheme", scheme_files["p1"],
                             "--p", "2", "--s", "2", "--r", "4"])
     expected = local_zeta_inverse(projective_counts(2, 1, 4), 2, 4, 1)
-    assert Fraction(results["value_num"], results["value_den"]) == expected.value
+    assert Fraction(int(results["value_num"]), int(results["value_den"])) == expected.value
     assert results["a_e"] == [3, 1, 2, 3]
     assert Fraction(results["error_bound_num"], results["error_bound_den"]) == \
         expected.error_bound
@@ -388,29 +389,74 @@ def test_int_text_equals_str(bits, seed, sign):
         assert cli._int_text(n) == str(n)
 
 
+def _report_lines(argv, path):
+    """The lines of the report of ``main(argv)`` written to path, without
+    duration_s."""
+    assert main(argv + ["--output", str(path)]) == EXIT_OK
+    return [line for line in path.read_text().splitlines()
+            if '"duration_s"' not in line]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_long_integers_render_as_plain_str(scheme_files, tmp_path, monkeypatch, fmt):
-    """Above LONG_INT_BITS the report splices in _int_text's digits; the
-    text must be what plain str gives, apart from duration_s."""
-    argv = ["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
-            "--r", "16", "--format", fmt]
+    """A deep zeta truncation, printed from its factored product in
+    decimal, has the digits plain str gives for its Fraction.  A report
+    that still carries integers above LONG_INT_BITS, the multi-fiber
+    reference, splices in _int_text's digits, and its text is what plain
+    str gives, apart from duration_s."""
+    text = tmp_path / "zeta"
+    assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
+                 "--r", "16", "--format", fmt, "--output", str(text)]) == EXIT_OK
+    value = local_zeta_inverse(projective_counts(2, 1, 16), 3, 16, 1).value
+    with unlimited_int_text():
+        num, den = str(value.numerator), str(value.denominator)  # 117,842 digits
+    if fmt == "json":
+        results = json.loads(text.read_text(), parse_int=str)["results"]
+        assert (results["value_num"], results["value_den"]) == (num, den)
+    else:
+        header, row = text.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["value"] == f"{num}/{den}"
 
-    def report(name):
-        out = tmp_path / name
-        assert main(argv + ["--output", str(out)]) == EXIT_OK
-        return [line for line in out.read_text().splitlines()
-                if '"duration_s"' not in line]
-
+    argv = ["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
+            "--r", "5", "--samples", "10", "--format", fmt]
     seen, convert = [], cli._int_text
 
     def spy(n):
         seen.append(n)
         return convert(n)
     monkeypatch.setattr(cli, "_int_text", spy)
-    fast = report("fast")
-    assert max(seen).bit_length() > cli.LONG_INT_BITS     # 117,842 digits
+    fast = _report_lines(argv, tmp_path / "fast")
+    assert max(seen).bit_length() > cli.LONG_INT_BITS     # 56,639 digits
     monkeypatch.setattr(cli, "_int_text", str)
-    assert fast == report("plain")
+    assert fast == _report_lines(argv, tmp_path / "plain")
+
+
+def test_zeta_never_forms_the_int_product(scheme_files, tmp_path, monkeypatch):
+    """bertini zeta prints its truncation from the factored product: with
+    ZetaTruncation.value refusing, --r 16 still exits 0 with the same
+    digits."""
+    argv = ["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3", "--r", "16"]
+    before = _report_lines(argv, tmp_path / "before")
+
+    def refuse(self):
+        raise RuntimeError("the int product was formed")
+    monkeypatch.setattr(zetas.ZetaTruncation, "value", property(refuse))
+    assert _report_lines(argv, tmp_path / "after") == before
+
+
+def test_equidist_long_counts_print_as_plain_str(tmp_path):
+    """Class counts above LONG_INT_BITS, 2^h and 3^h at h = 100,000, and
+    their ratio print as plain str gives the audit's integers."""
+    aud = equidistribution_audit(100_000, 4, 4)          # 2B + 1 = 9 = 2 * 4 + 1
+    assert aud.min_count.bit_length() > cli.LONG_INT_BITS
+    with unlimited_int_text():
+        low, high = str(aud.min_count), str(aud.max_count)
+    out = tmp_path / "equidist.json"
+    assert main(["equidist", "--h", "100000", "--B", "4", "--N", "4",
+                 "--output", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text(), parse_int=str)["results"]
+    assert (results["min_count"], results["max_count"], results["ratio"]) == \
+        (low, high, f"{high}/{low}")
 
 
 def test_csv_format(scheme_files, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 import bertinilab
 from bertinilab import projgeom, zetas
-from bertinilab.cli import _default_depth
+from bertinilab.cli import _default_depth, _int_text
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               PointCountTable, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
@@ -148,6 +148,28 @@ def test_global_zeta_inverse_validates_input(prime_bound, depths):
         global_zeta_inverse(tables, 3, prime_bound, depths, 1)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2", "conic"])
+def test_report_digits_are_the_fraction(request, name):
+    """as_report's value_num and value_den, multiplied in decimal from the
+    factors, are the numerator and denominator of ``value``, the int
+    product, for p in {2, 3, 5, 7}, s in {2, 3, 4} (from m + 1) and every
+    r <= 6 the scan check admits.  They are compared as decimal text:
+    Decimal == int converts the int in quadratic time, and the longest
+    here has 406,956 digits."""
+    scheme = request.getfixturevalue(name)
+    for p in (2, 3, 5, 7):
+        fiber = scheme.fiber(p)
+        depth = max(r for r in range(7) if fiber.scan_fits(r))
+        table = fiber.point_table(max(depth, 1))
+        for s in range(max(2, fiber.m + 1), 5):
+            for r in range(depth + 1):
+                t = local_zeta_inverse(table, s, r, fiber.m)
+                doc = t.as_report()
+                assert (str(doc["value_num"]), str(doc["value_den"])) == \
+                    (_int_text(t.value.numerator), _int_text(t.value.denominator)), \
+                    (p, s, r)
+
+
 def test_truncation_needs_a_table_of_depth_one():
     """The tail bound reads c0 off the table: an empty table would give the
     false bound 0, so depth 0 is refused; r = 0 on a depth-1 table is the
@@ -159,9 +181,9 @@ def test_truncation_needs_a_table_of_depth_one():
 
 
 def test_digit_cap_refuses_before_any_product(monkeypatch):
-    """The local product starts from powers of p, so a prime that refuses
-    its powers shows that the check runs before it: 2^(8e6) has 2.4e6
-    digits.  The global product refuses on the combined denominator, here
+    """The local truncation starts from powers of p, so a prime that
+    refuses its powers shows that the check runs before it: 2^(8e6) has
+    2.4e6 digits.  The global product refuses on the combined denominator, here
     2^(4e6) * 3^(2.6e6) (1.20e6 + 1.24e6 digits), before its first local
     truncation, although each local one alone fits the cap."""
     class Prime(int):
