@@ -84,7 +84,8 @@ def equidistribution_audit(h: int, B: int, N: int) -> EquidistributionAudit:
         raise ValueError("need h >= 1, B >= 1, N >= 2")
     k, s = divmod(2 * B + 1, N)
     top = k + 1 if s else k
-    if top > 1 and h * log10(top) >= DIGIT_CAP:
+    # compared exactly: h * log10(top) overflows a float for a long h
+    if top > 1 and h >= DIGIT_CAP / log10(top):
         raise BudgetExceeded(f"the class count {top}^{h} has more than "
                              f"{DIGIT_CAP} digits")
     min_count = k ** h
@@ -352,7 +353,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         hits += int(good.sum())
 
     return DensityEstimate.monte_carlo(
-        hits, samples, seed, reference.value, reference.local_error,
+        hits, samples, seed, reference, reference.local_error,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
                 "singular_by_prime": singular_by_prime,
@@ -364,10 +365,10 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
 
 
 def euler_product_reference(trial_bound: int) -> tuple[Fraction, Fraction]:
-    """prod_{p <= T} (1 - p^{-2}) and the 8/T prime-tail bound."""
-    value = Fraction(1)
-    for p in primes_up_to(trial_bound):
-        value *= 1 - Fraction(1, p * p)
+    """prod_{p <= T} (1 - p^{-2}) and the 8/T prime-tail bound; the value is
+    prod (p^2 - 1) / prod p^2, normalized by one gcd, not one per prime."""
+    primes = primes_up_to(trial_bound)
+    value = Fraction(prod(p * p - 1 for p in primes), prod(p * p for p in primes))
     return value, Fraction(8, trial_bound)
 
 
@@ -454,6 +455,6 @@ def quadratic_field_census(R: int):
     value = Fraction(hits, total)
     return DensityEstimate(
         mode="exact", value=value, hits=hits, total=total,
-        reference_value=None, reference_error=None,
+        reference=None, reference_error=None,
         extras={"R": R, "degenerate": degenerate,
                 "bias_vs_zeta2": float(value) - 0.6079271018540267})

@@ -27,7 +27,7 @@ from .fiberlab import (REGULAR, classify_point_detail, fiber_density_exhaustive,
                        fiber_density_mc)
 from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable, exact_context,
+from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable,
                     local_zeta_inverse, verify_section_bounds)
 
 EXIT_OK = 0
@@ -40,12 +40,6 @@ EXIT_INTERNAL = 4
 # fiber's scan check admits.  Deeper truncations (pass --r) are exact
 # rationals with very long integers.
 DEFAULT_DEPTH_CAP = 1 << 12
-# integers longer than this are printed through decimal (_int_text), up to
-# zetas.DIGIT_CAP digits; report dicts may also carry exact integral
-# Decimals (zeta truncations, equidist counts), which print with str
-LONG_INT_BITS = 1 << 15
-# _int_text converts pieces of at most this many bits with plain Decimal(n)
-_LEAF_BITS = 3000
 
 
 class ConfigError(Exception):
@@ -200,42 +194,6 @@ def run(args) -> dict:
     raise ConfigError(f"unknown subcommand {sub!r}")   # pragma: no cover
 
 
-def _int_text(n: int) -> str:
-    """``str(n)`` in subquadratic time.
-
-    Python 3.11's ``int.__str__`` is quadratic, libmpdec's multiplication
-    is not.  This is the method of CPython 3.12's
-    ``_pylong.int_to_decimal_string``: split |n| by bit length into pieces
-    of at most _LEAF_BITS bits, convert each with ``Decimal`` and rebuild
-    hi * 2^w + lo exactly (in ``zetas.exact_context``), with the powers of
-    2 cached for the call.
-    """
-    pow2 = {}
-
-    def two_to(w):
-        if w not in pow2:
-            half = w >> 1
-            pow2[w] = (decimal.Decimal(1 << w) if w <= _LEAF_BITS
-                       else two_to(half) * two_to(w - half))
-        return pow2[w]
-
-    def convert(m, w):
-        if w <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(hi, w - half) * two_to(half) + convert(m - (hi << half), half)
-
-    with decimal.localcontext(exact_context()):
-        digits = str(convert(abs(n), abs(n).bit_length()))
-    return "-" + digits if n < 0 else digits
-
-
-def _text(n) -> str:
-    """The decimal text of an int or an exact integral Decimal."""
-    return str(n) if isinstance(n, decimal.Decimal) else _int_text(n)
-
-
 def _csv_payload(results: dict) -> str:
     flat = {}
     for key, value in results.items():
@@ -249,7 +207,7 @@ def _csv_payload(results: dict) -> str:
     for stem in num_den:
         if f"{stem}_den" in flat:
             num, den = flat.pop(stem + "_num"), flat.pop(stem + "_den")
-            flat[stem] = f"{_text(num)}/{_text(den)}"
+            flat[stem] = f"{num}/{den}"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted(flat))
     writer.writeheader()
@@ -262,17 +220,16 @@ _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
 def _spliced(value, texts: list):
-    """``value`` ready for json.dumps: each Decimal (which json cannot
-    serialize) and each integer longer than LONG_INT_BITS becomes a
-    placeholder string, a NUL and then i, where texts[i] (appended here)
-    is its decimal text."""
+    """``value`` ready for json.dumps: each Decimal (an exact integer that
+    zetas or arithlab printed from its factors, which json cannot
+    serialize) becomes a placeholder string, a NUL and then i, where
+    texts[i] (appended here) is its str."""
     if isinstance(value, dict):
         return {k: _spliced(v, texts) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_spliced(v, texts) for v in value]
-    if (isinstance(value, decimal.Decimal)
-            or type(value) is int and value.bit_length() > LONG_INT_BITS):
-        texts.append(_text(value))
+    if isinstance(value, decimal.Decimal):
+        texts.append(str(value))
         return f"\0{len(texts) - 1}"
     return value
 
@@ -302,8 +259,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config status
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    # deep exact truncations are long, and json prints those below
-    # LONG_INT_BITS: the raised limit holds for run, render and write
+    # json and csv print plain ints, such as bsw's reference at large --T or
+    # a reference_error over many primes, with int.__str__, which obeys the
+    # digit limit: the raised limit holds for run, render and write
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(DIGIT_CAP)
     start = time.monotonic()

@@ -36,7 +36,7 @@ from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
 from .projgeom import (NOT_ON_DIVISOR, SINGULAR, SMOOTH, BudgetExceeded,
                        ClosedPoint, HomogeneousForm, ProjectiveScheme,
                        SchemeFiber, monomial_basis)
-from .zetas import ZetaTruncation, local_zeta_inverse
+from .zetas import GlobalZetaTruncation, ZetaTruncation, local_zeta_inverse
 from . import sampling
 
 REGULAR = "RegularPoint"
@@ -228,7 +228,9 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
 
 @dataclass
 class DensityEstimate:
-    """An exact or Monte Carlo density with its reference value."""
+    """An exact or Monte Carlo density with its reference: a short Fraction
+    or a zeta truncation, which the report prints from its
+    ``decimal_digits`` and ``reference_value`` forms only when read."""
 
     mode: str                     # "exact" or "montecarlo"
     value: Fraction | float
@@ -238,20 +240,26 @@ class DensityEstimate:
     samples: int | None = None
     seed: int | None = None
     ci_halfwidth: float | None = None
-    reference_value: Fraction | None = None
+    reference: Fraction | ZetaTruncation | GlobalZetaTruncation | None = None
     reference_error: Fraction | None = None
     extras: dict = field(default_factory=dict)
 
+    @property
+    def reference_value(self) -> Fraction | None:
+        """The reference as an exact Fraction."""
+        ref = self.reference
+        return ref if ref is None or isinstance(ref, Fraction) else ref.value
+
     @classmethod
     def monte_carlo(cls, hits: int, samples: int, seed: int,
-                    reference_value: Fraction, reference_error: Fraction,
+                    reference, reference_error: Fraction,
                     extras: dict) -> "DensityEstimate":
         """Mean hits / samples with its 99 percent normal halfwidth."""
         mean = hits / samples
         return cls(mode="montecarlo", value=mean, mean=mean, samples=samples,
                    seed=seed,
                    ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
-                   reference_value=reference_value,
+                   reference=reference,
                    reference_error=reference_error, extras=extras)
 
     def as_report(self):
@@ -263,9 +271,11 @@ class DensityEstimate:
         else:
             doc.update(mean=self.mean, samples=self.samples, seed=self.seed,
                        ci_halfwidth=self.ci_halfwidth)
-        if self.reference_value is not None:
-            doc.update(reference_num=self.reference_value.numerator,
-                       reference_den=self.reference_value.denominator)
+        ref = self.reference
+        if ref is not None:
+            num, den = ((ref.numerator, ref.denominator) if isinstance(ref, Fraction)
+                        else ref.decimal_digits())
+            doc.update(reference_num=num, reference_den=den)
         if self.reference_error is not None:
             doc.update(reference_error_num=self.reference_error.numerator,
                        reference_error_den=self.reference_error.denominator)
@@ -531,7 +541,7 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     fiber = scheme.fiber(p)
     total = _census_size(comb(fiber.n + d, fiber.n), p * p)
     fiber.check_census(r)
-    reference = reference_truncation(fiber, r, count).value
+    reference = reference_truncation(fiber, r, count)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
     hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
     certificate = cls.certificate(count)
@@ -539,10 +549,10 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     value = Fraction(hits, total)
     return DensityEstimate(
         mode="exact", value=value, hits=hits, total=total,
-        reference_value=reference, reference_error=Fraction(0),
+        reference=reference, reference_error=Fraction(0),
         extras={
             "certificate": certificate,
-            "certified_equal": certificate.surjective and value == reference,
+            "certified_equal": certificate.surjective and value == reference.value,
             "rescued_points": rescued,
             "count": count,
             "no_fiber_singular_hits": hits_fiber,
@@ -570,7 +580,7 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
               for rng, size in streams))
     return DensityEstimate.monte_carlo(
         hits_arith if count == "arithmetic" else hits_fiber,
-        samples, seed, reference.value, reference.error_bound,
+        samples, seed, reference, reference.error_bound,
         extras={"rescued_points": rescued, "count": count, "p": p, "d": d, "r": r})
 
 
@@ -591,7 +601,7 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
     expected = Fraction(1, p ** certificate.target_dim)
     return DensityEstimate(
         mode="exact", value=Fraction(hits, total), hits=hits, total=total,
-        reference_value=expected, reference_error=Fraction(0),
+        reference=expected, reference_error=Fraction(0),
         extras={"certificate": certificate,
                 "certified_equal": certificate.surjective
                 and Fraction(hits, total) == expected})

@@ -138,7 +138,8 @@ class ZetaTruncation:
     The value is num / p^x with num = prod_{e <= r} (p^{se} - 1)^{a_e} and
     x = sum_{e <= r} s e a_e (``truncation_exponent``), kept in this
     factored form: ``value`` forms the exact Fraction on first use, and
-    ``as_report`` prints the two integers from their factors in decimal.
+    ``decimal_digits`` (which ``as_report`` prints) multiplies the two
+    integers from their factors in decimal.
     """
 
     p: int
@@ -149,28 +150,14 @@ class ZetaTruncation:
 
     @cached_property
     def value(self) -> Fraction:
-        # numerator and denominator stay coprime (p never divides p^{se} - 1),
-        # so accumulate integers and skip Fraction's per-step renormalization,
-        # whose gcd dominates everything at deep truncations
-        num = 1
-        for e, a_e in enumerate(self.a, 1):
-            num *= (self.p ** (self.s * e) - 1) ** a_e
-        return _coprime_fraction(num, self.p ** truncation_exponent(self.a, self.s, self.r))
+        return _product_value([self])
+
+    def decimal_digits(self) -> tuple:
+        """``value``'s numerator and denominator as exact integral Decimals."""
+        return _decimal_digits([self])
 
     def as_report(self) -> dict:
-        """The report of the truncation.  value_num and value_den are exact
-        integral Decimals, multiplied from the factors by libmpdec, whose
-        products and str are subquadratic, without forming the int product."""
-        factors = [self.p ** (self.s * e) - 1 for e in range(1, self.r + 1)]
-        with decimal.localcontext(exact_context()):
-            # one square-and-multiply over the bits of all the a_e at once
-            # (Shamir's trick): a squaring per bit of the largest a_e, half
-            # the work of one power per factor followed by their product
-            num = decimal.Decimal(1)
-            for bit in reversed(range(max(self.a, default=0).bit_length())):
-                num = num * num * prod(f for f, a_e in zip(factors, self.a)
-                                       if a_e >> bit & 1)
-            den = decimal.Decimal(self.p) ** truncation_exponent(self.a, self.s, self.r)
+        num, den = self.decimal_digits()
         return {
             "p": self.p,
             "s": self.s,
@@ -189,8 +176,11 @@ def truncation_exponent(a: tuple, s: int, r: int) -> int:
 
 
 def _check_digits(exponents):
-    """Refuse a denominator prod p^x of (p, x) pairs with DIGIT_CAP digits or more."""
-    if sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP:
+    """Refuse a denominator prod p^x of (p, x) pairs with DIGIT_CAP digits or
+    more.  An x past DIGIT_CAP / log10(p), compared exactly, passes alone:
+    x * log10(p) would overflow a float for a long x."""
+    if (any(x >= DIGIT_CAP / log10(p) for p, x in exponents)
+            or sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP):
         powers = " * ".join(f"{p}^{x}" for p, x in exponents)
         raise BudgetExceeded(f"the truncation's denominator {powers} "
                              f"has more than {DIGIT_CAP} digits")
@@ -236,13 +226,34 @@ def _truncation(p: int, s: int, r: int, fiber_dim: int, a: tuple,
 
 @dataclass(frozen=True)
 class GlobalZetaTruncation:
-    """prod_{p <= R} of local truncations, with accumulated error bounds."""
+    """prod_{p <= R} of local truncations, with accumulated error bounds; it
+    keeps the local factors and forms ``value`` and ``tail_bound`` on first use."""
 
     s: int
     prime_bound: int
-    value: Fraction
-    local_error: Fraction        # sum of the per-fiber truncation bounds
-    tail_bound: Fraction | None  # 8*c0*value/R when s is in the integral range
+    fiber_dim: int
+    truncations: tuple           # the local ZetaTruncations, one per prime
+    c0: Fraction                 # the largest count constant of the fibers
+
+    @property
+    def local_error(self) -> Fraction:
+        """The sum of the per-fiber truncation bounds."""
+        return sum(t.error_bound for t in self.truncations)
+
+    @cached_property
+    def value(self) -> Fraction:
+        return _product_value(self.truncations)
+
+    @cached_property
+    def tail_bound(self) -> Fraction | None:
+        """8*c0*value/R when s is in the integral range, else None."""
+        if self.s < self.fiber_dim + 2:
+            return None
+        return 8 * self.c0 * self.value / self.prime_bound
+
+    def decimal_digits(self) -> tuple:
+        """``value``'s numerator and denominator as exact integral Decimals."""
+        return _decimal_digits(self.truncations)
 
 
 def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
@@ -274,39 +285,58 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
               for p, r in depths.items()}
     _check_digits([(p, truncation_exponent(counts[p], s, r)) for p, r in depths.items()])
     c0 = {p: c0_estimate(tables[p], fiber_dim + 1) for p in primes}
-    truncations = [_truncation(p, s, r, fiber_dim, counts[p], c0[p])
-                   for p, r in depths.items()]
-    value = _product_value(truncations)
-    tail = None
-    if s >= fiber_dim + 2:
-        tail = 8 * max(c0.values()) * value / prime_bound
-    return GlobalZetaTruncation(s, prime_bound, value,
-                                sum(t.error_bound for t in truncations), tail)
+    truncations = tuple(_truncation(p, s, r, fiber_dim, counts[p], c0[p])
+                        for p, r in depths.items())
+    return GlobalZetaTruncation(s, prime_bound, fiber_dim, truncations,
+                                max(c0.values()))
+
+
+def _shared_exponents(truncations) -> list:
+    """The exponent of each p shared by the numerator prod num_p and the
+    denominator prod p^x_p of a product of local truncations at distinct
+    primes.  Each num_p = prod_{e <= r} (p^{se} - 1)^{a_e} is prime to p,
+    so it is the least of x_p and v_p(prod of the other num_u), a
+    valuation read off the small factors u^{se} - 1."""
+    return [min(truncation_exponent(t.a, t.s, t.r), sum(
+                a * _valuation(u.p ** (u.s * e) - 1, t.p)
+                for u in truncations if u.p != t.p for e, a in enumerate(u.a, 1)))
+            for t in truncations]
 
 
 def _product_value(truncations) -> Fraction:
-    """The product of the values num_p / p^x_p of local truncations at
-    distinct primes, multiplied as integers.
-
-    Each num_p = prod_{e <= r} (p^{se} - 1)^{a_e} is prime to p, so the
-    numerator and denominator of the product share only the primes p of
-    the product: p to the least of x_p and v_p(prod of the other num_u),
-    a valuation read off the small factors u^{se} - 1.  One exact
-    division per prime strips it; Fraction's product would run two gcds
-    of long integers per factor instead.
-    """
+    """The value of a product of local truncations at distinct primes,
+    multiplied as integers from the factors, with one exact division by
+    the ``_shared_exponents`` powers and no gcd: Fraction's product would
+    renormalize at every factor, and that gcd dominates deep truncations."""
     num = 1
     for t in truncations:
-        num *= t.value.numerator
-    den = 1
-    for t in truncations:
-        exponent = truncation_exponent(t.a, t.s, t.r)
-        shared = min(exponent, sum(
-            a * _valuation(u.p ** (u.s * e) - 1, t.p)
-            for u in truncations if u.p != t.p for e, a in enumerate(u.a, 1)))
-        num //= t.p ** shared
-        den *= t.p ** (exponent - shared)
-    return _coprime_fraction(num, den)
+        for e, a_e in enumerate(t.a, 1):
+            num *= (t.p ** (t.s * e) - 1) ** a_e
+    shared = _shared_exponents(truncations)
+    num //= prod(t.p ** k for t, k in zip(truncations, shared))
+    return _coprime_fraction(num, prod(t.p ** (truncation_exponent(t.a, t.s, t.r) - k)
+                                       for t, k in zip(truncations, shared)))
+
+
+def _decimal_digits(truncations) -> tuple:
+    """The numerator and denominator of ``_product_value`` as exact integral
+    Decimals multiplied from the factors by libmpdec, whose products and
+    str are subquadratic, without forming the int product.  The numerator
+    is one square-and-multiply over the bits of all the a_e at once
+    (Shamir's trick), half the work of one power per factor; in
+    ``exact_context`` a remainder of its division by the shared powers
+    raises Inexact instead of printing a wrong digit."""
+    factors = [(t.p ** (t.s * e) - 1, a_e)
+               for t in truncations for e, a_e in enumerate(t.a, 1)]
+    shared = _shared_exponents(truncations)
+    with decimal.localcontext(exact_context()):
+        num = decimal.Decimal(1)
+        for bit in reversed(range(max((a_e for _, a_e in factors), default=0).bit_length())):
+            num = num * num * prod(f for f, a_e in factors if a_e >> bit & 1)
+        num /= prod(decimal.Decimal(t.p) ** k for t, k in zip(truncations, shared))
+        den = prod(decimal.Decimal(t.p) ** (truncation_exponent(t.a, t.s, t.r) - k)
+                   for t, k in zip(truncations, shared))
+    return num, den
 
 
 def primes_up_to(n: int) -> list:

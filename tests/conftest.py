@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,16 @@ import pytest
 from bertinilab.projgeom import ProjectiveScheme, load_scheme, parse_form
 
 SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """No int digit limit during the test: its oracles print long ints with
+    plain str."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

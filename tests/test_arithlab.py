@@ -20,7 +20,8 @@ from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
                                  quadratic_field_census)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
-from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
+from bertinilab.zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable,
+                              global_zeta_inverse, primes_up_to)
 
 x = sympy.symbols("x")
 
@@ -326,6 +327,11 @@ def test_euler_product_reference():
     ref, tail = euler_product_reference(1000)
     assert abs(float(ref) - 0.608004) < 1e-6
     assert tail == Fraction(8, 1000)
+    # the product over a point per prime (N_1 = 1, fiber dimension 0) at
+    # s = 2 is the same value from the zeta engine
+    for T in (2, 3, 1000):
+        tables = {p: PointCountTable(p, (1,)) for p in primes_up_to(T)}
+        assert euler_product_reference(T)[0] == global_zeta_inverse(tables, 2, T, 1, 0).value
 
 
 def test_multi_fiber_matches_single_fiber_mc(p1):

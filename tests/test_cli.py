@@ -3,14 +3,11 @@
 import csv
 import io
 import json
-import random
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bertinilab import cli, zetas
 from bertinilab.arithlab import equidistribution_audit
@@ -191,6 +188,14 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
                  "--samples", "100"]) == EXIT_BUDGET
     assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "3", "--s", "3",
                  "--r", "13"]) == EXIT_BUDGET
+    # ... also with an exponent past float range, whose digit count
+    # x * log10(p) would overflow
+    assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
+                 "--r", "2000"]) == EXIT_BUDGET
+    assert main(["multi-fiber", "--d", "2", "--B", "100", "--prime-bound", "7",
+                 "--r", "2000", "--samples", "10"]) == EXIT_BUDGET
+    assert main(["equidist", "--h", str(10 ** 400), "--B", "100",
+                 "--N", "3"]) == EXIT_BUDGET
     # bsw checks no prime below 2, so T < 2 leaves no reference
     for T in ("0", "-5", "1"):
         assert main(["bsw", "--d", "3", "--R", "10", "--T", T,
@@ -355,40 +360,6 @@ def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, caps
     capsys.readouterr()
 
 
-@contextmanager
-def unlimited_int_text():
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def test_int_text_edge_integers():
-    """0, +-1, and 2^k, 2^k - 1, 10^k, 10^k +- 1 around the leaf size and
-    the splice threshold, with both signs."""
-    edges = {0, 1}
-    for bits in (cli._LEAF_BITS, cli.LONG_INT_BITS):
-        k10 = int(bits * 0.30103)         # 10^k10 has about `bits` bits
-        for k in range(-2, 3):
-            edges |= {2 ** (bits + k), 2 ** (bits + k) - 1}
-            edges |= {10 ** (k10 + k) + d for d in (-1, 0, 1)}
-    with unlimited_int_text():
-        for n in sorted(edges | {-n for n in edges}):
-            assert cli._int_text(n) == str(n), n
-
-
-@settings(max_examples=40, deadline=None)
-@given(bits=st.integers(1, 332_000), seed=st.integers(0, 2 ** 32),
-       sign=st.sampled_from((1, -1)))
-def test_int_text_equals_str(bits, seed, sign):
-    """Random integers of up to about 10^5 digits."""
-    n = sign * random.Random(seed).getrandbits(bits)
-    with unlimited_int_text():
-        assert cli._int_text(n) == str(n)
-
-
 def _report_lines(argv, path):
     """The lines of the report of ``main(argv)`` written to path, without
     duration_s."""
@@ -398,37 +369,33 @@ def _report_lines(argv, path):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_long_integers_render_as_plain_str(scheme_files, tmp_path, monkeypatch, fmt):
-    """A deep zeta truncation, printed from its factored product in
-    decimal, has the digits plain str gives for its Fraction.  A report
-    that still carries integers above LONG_INT_BITS, the multi-fiber
-    reference, splices in _int_text's digits, and its text is what plain
-    str gives, apart from duration_s."""
-    text = tmp_path / "zeta"
-    assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
-                 "--r", "16", "--format", fmt, "--output", str(text)]) == EXIT_OK
-    value = local_zeta_inverse(projective_counts(2, 1, 16), 3, 16, 1).value
-    with unlimited_int_text():
-        num, den = str(value.numerator), str(value.denominator)  # 117,842 digits
-    if fmt == "json":
-        results = json.loads(text.read_text(), parse_int=str)["results"]
-        assert (results["value_num"], results["value_den"]) == (num, den)
-    else:
-        header, row = text.read_text().splitlines()
-        assert dict(zip(header.split(","), row.split(",")))["value"] == f"{num}/{den}"
-
-    argv = ["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
-            "--r", "5", "--samples", "10", "--format", fmt]
-    seen, convert = [], cli._int_text
-
-    def spy(n):
-        seen.append(n)
-        return convert(n)
-    monkeypatch.setattr(cli, "_int_text", spy)
-    fast = _report_lines(argv, tmp_path / "fast")
-    assert max(seen).bit_length() > cli.LONG_INT_BITS     # 56,639 digits
-    monkeypatch.setattr(cli, "_int_text", str)
-    assert fast == _report_lines(argv, tmp_path / "plain")
+def test_long_integers_render_as_plain_str(scheme_files, tmp_path, unlimited_int_digits,
+                                           fmt):
+    """A deep zeta truncation and the multi-fiber reference, a product over
+    four primes, are printed from their factored products in decimal, with
+    the digits plain str gives for their Fractions."""
+    tables = {p: projective_counts(p, 1, 5) for p in (2, 3, 5, 7)}
+    cases = [   # 117,842 and 56,639 digits
+        (["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3", "--r", "16"],
+         "value", local_zeta_inverse(projective_counts(2, 1, 16), 3, 16, 1).value),
+        (["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7", "--r", "5",
+          "--samples", "10"],
+         "reference", zetas.global_zeta_inverse(tables, 3, 7, 5, 1).value),
+    ]
+    text = tmp_path / "report"
+    for argv, key, value in cases:
+        assert main(argv + ["--format", fmt, "--output", str(text)]) == EXIT_OK
+        num, den = str(value.numerator), str(value.denominator)
+        if fmt == "json":
+            results = json.loads(text.read_text(), parse_int=str)["results"]
+            assert (results[key + "_num"], results[key + "_den"]) == (num, den)
+        else:
+            old_limit = csv.field_size_limit(len(num) + len(den) + 1)
+            try:
+                (row,) = csv.DictReader(io.StringIO(text.read_text()))
+            finally:
+                csv.field_size_limit(old_limit)
+            assert row[key] == f"{num}/{den}"
 
 
 def test_zeta_never_forms_the_int_product(scheme_files, tmp_path, monkeypatch):
@@ -444,13 +411,35 @@ def test_zeta_never_forms_the_int_product(scheme_files, tmp_path, monkeypatch):
     assert _report_lines(argv, tmp_path / "after") == before
 
 
-def test_equidist_long_counts_print_as_plain_str(tmp_path):
-    """Class counts above LONG_INT_BITS, 2^h and 3^h at h = 100,000, and
-    their ratio print as plain str gives the audit's integers."""
+@pytest.mark.parametrize("argv", [
+    ["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7", "--r", "5",
+     "--samples", "10"],
+    ["multi-fiber", "--n", "2", "--d", "2", "--B", "100", "--prime-bound", "7",
+     "--r", "2", "--samples", "100"],
+    ["fiber-density", "--scheme", "conic", "--p", "3", "--d", "2", "--r", "4",
+     "--mode", "mc", "--samples", "100"],
+], ids=["multi-fiber", "multi-fiber-n2", "fiber-density-mc"])
+def test_references_never_form_the_int_product(scheme_files, tmp_path, monkeypatch,
+                                               argv):
+    """Density reports print their truncation references from the factored
+    products too: with the value of every local and global truncation
+    refusing, each command still exits 0 with the same report."""
+    argv = [scheme_files.get(a, a) for a in argv]
+    before = _report_lines(argv, tmp_path / "before")
+
+    def refuse(self):
+        raise RuntimeError("the int product was formed")
+    monkeypatch.setattr(zetas.ZetaTruncation, "value", property(refuse))
+    monkeypatch.setattr(zetas.GlobalZetaTruncation, "value", property(refuse))
+    assert _report_lines(argv, tmp_path / "after") == before
+
+
+def test_equidist_long_counts_print_as_plain_str(tmp_path, unlimited_int_digits):
+    """Class counts 2^h and 3^h at h = 100,000, and their ratio, print as
+    plain str gives the audit's integers."""
     aud = equidistribution_audit(100_000, 4, 4)          # 2B + 1 = 9 = 2 * 4 + 1
-    assert aud.min_count.bit_length() > cli.LONG_INT_BITS
-    with unlimited_int_text():
-        low, high = str(aud.min_count), str(aud.max_count)
+    assert (aud.min_count, aud.max_count) == (2 ** 100_000, 3 ** 100_000)
+    low, high = str(aud.min_count), str(aud.max_count)
     out = tmp_path / "equidist.json"
     assert main(["equidist", "--h", "100000", "--B", "4", "--N", "4",
                  "--output", str(out)]) == EXIT_OK

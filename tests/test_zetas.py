@@ -11,12 +11,12 @@ import pytest
 
 import bertinilab
 from bertinilab import projgeom, zetas
-from bertinilab.cli import _default_depth, _int_text
+from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               PointCountTable, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
-                              local_zeta_inverse, mobius, projective_counts,
-                              projective_zeta_inverse_exact,
+                              local_zeta_inverse, mobius, primes_up_to,
+                              projective_counts, projective_zeta_inverse_exact,
                               reconstruct_counts, truncation_exponent,
                               verify_section_bounds)
 
@@ -148,14 +148,20 @@ def test_global_zeta_inverse_validates_input(prime_bound, depths):
         global_zeta_inverse(tables, 3, prime_bound, depths, 1)
 
 
+def _fraction_text(value):
+    return str(value.numerator), str(value.denominator)
+
+
 @pytest.mark.parametrize("name", ["p1", "p2", "conic"])
-def test_report_digits_are_the_fraction(request, name):
+def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
     """as_report's value_num and value_den, multiplied in decimal from the
     factors, are the numerator and denominator of ``value``, the int
     product, for p in {2, 3, 5, 7}, s in {2, 3, 4} (from m + 1) and every
     r <= 6 the scan check admits.  They are compared as decimal text:
     Decimal == int converts the int in quadratic time, and the longest
-    here has 406,956 digits."""
+    here has 406,956 digits.  On P^1 so are the digits of the global
+    products up to 3, 7 and 13 at s in {2, 3} and r <= 4, where the
+    primes shared by numerator and denominator are divided out."""
     scheme = request.getfixturevalue(name)
     for p in (2, 3, 5, 7):
         fiber = scheme.fiber(p)
@@ -166,8 +172,19 @@ def test_report_digits_are_the_fraction(request, name):
                 t = local_zeta_inverse(table, s, r, fiber.m)
                 doc = t.as_report()
                 assert (str(doc["value_num"]), str(doc["value_den"])) == \
-                    (_int_text(t.value.numerator), _int_text(t.value.denominator)), \
-                    (p, s, r)
+                    _fraction_text(t.value), (p, s, r)
+    if name != "p1":
+        return
+    stripped = 0
+    for bound in (3, 7, 13):
+        tables = {p: projective_counts(p, 1, 4) for p in primes_up_to(bound)}
+        for s in (2, 3):
+            for r in range(5):
+                g = global_zeta_inverse(tables, s, bound, r, 1)
+                assert tuple(map(str, g.decimal_digits())) == \
+                    _fraction_text(g.value), (bound, s, r)
+                stripped += any(zetas._shared_exponents(g.truncations))
+    assert stripped
 
 
 def test_truncation_needs_a_table_of_depth_one():
