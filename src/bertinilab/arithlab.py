@@ -5,11 +5,12 @@ fibers at once.
 The experiments sample integer coefficient vectors from a box (or monic
 polynomials from a height ball), reduce them modulo p^2 for each prime
 in play, classify the resulting sections, and compare the observed
-densities with truncated Euler products carrying explicit error bounds:
-``zetas.global_zeta_inverse`` over the fibers for
-``multi_fiber_experiment``, and the product for 1/zeta(2) for
-``bsw_experiment``.  For monic polynomials the geometric classification
-is equivalent to Dedekind's criterion: Z[x]/(f) is maximal at p exactly
+densities with truncated Euler products carrying explicit error bounds,
+all built by ``zetas.global_zeta_inverse``: over the fibers for
+``multi_fiber_experiment``, and for ``bsw_experiment`` over a point per
+prime at s = 2, the product prod_{p <= T} (1 - p^-2) for 1/zeta(2).  For
+monic polynomials the geometric classification is equivalent to
+Dedekind's criterion: Z[x]/(f) is maximal at p exactly
 when the homogenized divisor has no arithmetically singular point on
 the fiber at p, and the experiments assert that equivalence sample by
 sample.
@@ -30,8 +31,8 @@ from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
 from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
-from .zetas import (DIGIT_CAP, BudgetExceeded, _coprime_fraction, exact_context,
-                    global_zeta_inverse, primes_up_to)
+from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
+                    exact_context, global_zeta_inverse, primes_up_to)
 from . import sampling
 
 
@@ -45,28 +46,49 @@ class InternalCheckError(AssertionError):
 
 @dataclass(frozen=True)
 class EquidistributionAudit:
+    """The class counts of ``equidistribution_audit`` in factored form:
+    every class is hit between k^h and (k+1)^h times (k^h when s = 0),
+    and the counts and their ratio are formed only when read."""
+
     h: int
     B: int
     N: int
     k: int                   # 2B+1 = k*N + s
     s: int
-    min_count: int
-    max_count: int
-    ratio: Fraction | None   # max/min, None when some class is missed
     covered: bool            # every residue class hit at least once
     exact: bool              # ratio == 1, i.e. N divides 2B+1
+
+    @property
+    def top(self) -> int:
+        """The base of the largest count: k + 1, or k when N divides 2B+1."""
+        return self.k + 1 if self.s else self.k
+
+    @property
+    def min_count(self) -> int:
+        return self.k ** self.h
+
+    @property
+    def max_count(self) -> int:
+        return self.top ** self.h
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """max/min, None when some class is missed; k and k + 1 are coprime,
+        so (k + 1)^h / k^h needs no gcd."""
+        if not self.covered:
+            return None
+        return _coprime_fraction(self.max_count, self.min_count) if self.s else Fraction(1)
 
     def as_report(self):
         """The audit as a report.  The counts are exact integral Decimals,
         whose str is linear, unlike int's, and the ratio text is printed
-        from them: k^h and (k+1)^h are coprime, and the ratio is 1/1 when
-        s = 0."""
+        from them; the ratio is 1/1 when s = 0."""
         doc = dict(self.__dict__)
         with decimal.localcontext(exact_context()):
             min_count = decimal.Decimal(self.k) ** self.h
-            max_count = decimal.Decimal(self.k + 1 if self.s else self.k) ** self.h
+            max_count = decimal.Decimal(self.top) ** self.h
         doc.update(min_count=min_count, max_count=max_count,
-                   ratio=(None if self.ratio is None else
+                   ratio=(None if not self.covered else
                           f"{max_count}/{min_count}" if self.s else "1/1"))
         return doc
 
@@ -78,23 +100,17 @@ def equidistribution_audit(h: int, B: int, N: int) -> EquidistributionAudit:
     so the class counts range over [k^h, (k+1)^h]; the map misses classes
     entirely when k = 0 (box narrower than the modulus), which is
     reported rather than silently accepted.  A count of DIGIT_CAP or more
-    digits is refused before any power is formed.
+    digits is refused; the audit forms no count itself.
     """
     if h < 1 or B < 1 or N < 2:
         raise ValueError("need h >= 1, B >= 1, N >= 2")
     k, s = divmod(2 * B + 1, N)
-    top = k + 1 if s else k
+    audit = EquidistributionAudit(h, B, N, k, s, covered=k >= 1, exact=s == 0)
     # compared exactly: h * log10(top) overflows a float for a long h
-    if top > 1 and h >= DIGIT_CAP / log10(top):
-        raise BudgetExceeded(f"the class count {top}^{h} has more than "
+    if audit.top > 1 and h >= DIGIT_CAP / log10(audit.top):
+        raise BudgetExceeded(f"the class count {audit.top}^{h} has more than "
                              f"{DIGIT_CAP} digits")
-    min_count = k ** h
-    max_count = top ** h
-    # k and k + 1 are coprime, so (k + 1)^h / k^h needs no gcd
-    ratio = (None if not min_count else
-             _coprime_fraction(max_count, min_count) if s else Fraction(1))
-    return EquidistributionAudit(h, B, N, k, s, min_count, max_count, ratio,
-                                 covered=k >= 1, exact=s == 0)
+    return audit
 
 
 # ----------------------------------------------------------------------
@@ -364,14 +380,6 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
 # The monic-polynomial (maximal order) experiment.
 
 
-def euler_product_reference(trial_bound: int) -> tuple[Fraction, Fraction]:
-    """prod_{p <= T} (1 - p^{-2}) and the 8/T prime-tail bound; the value is
-    prod (p^2 - 1) / prod p^2, normalized by one gcd, not one per prime."""
-    primes = primes_up_to(trial_bound)
-    value = Fraction(prod(p * p - 1 for p in primes), prod(p * p for p in primes))
-    return value, Fraction(8, trial_bound)
-
-
 def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                    fiber_cap: int = 7):
     """Sample monic degree-d polynomials uniformly from the height ball
@@ -379,9 +387,12 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
 
     The verdict counts 'maximal_up_to(trial_bound)' outcomes (conditional
     and unconditional alike); the reference is the truncated Euler
-    product for 1/zeta(2) with the 8/T tail bound.  Each sample is also
-    pushed through the geometric classifier on the fibers p <= fiber_cap
-    and the two routes are required to agree exactly.
+    product prod_{p <= T} (1 - p^-2) for 1/zeta(2), the
+    ``global_zeta_inverse`` of a point per prime at s = 2, with the 8/T
+    prime-tail bound as reference error.  It is built, and its digit
+    budget checked, before the first sample.  Each sample is also pushed
+    through the geometric classifier on the fibers p <= fiber_cap and the
+    two routes are required to agree exactly.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -389,6 +400,9 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
         raise ValueError("need at least one sample")
     if trial_bound < 2:
         raise ValueError("need trial bound T >= 2")
+    reference = global_zeta_inverse(
+        {p: PointCountTable(p, (1,)) for p in primes_up_to(trial_bound)},
+        2, trial_bound, 1, 0)
     check_primes = primes_up_to(min(fiber_cap, trial_bound))
     bounds = [R ** i for i in range(1, d + 1)]
     hits = 0
@@ -418,9 +432,8 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                         raise InternalCheckError(
                             f"Dedekind and the mod-p^2 classifier disagree at "
                             f"p={p} for {f}")
-    reference, tail = euler_product_reference(trial_bound)
     return DensityEstimate.monte_carlo(
-        hits, samples, seed, reference, tail,
+        hits, samples, seed, reference, Fraction(8, trial_bound),
         extras={"d": d, "R": R, "trial_bound": trial_bound,
                 "degenerate": degenerate, "conditional_verdicts": conditional,
                 "not_maximal_at": not_maximal_at,

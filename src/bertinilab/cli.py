@@ -259,9 +259,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config status
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    # json and csv print plain ints, such as bsw's reference at large --T or
-    # a reference_error over many primes, with int.__str__, which obeys the
-    # digit limit: the raised limit holds for run, render and write
+    # json and csv print the plain ints of a report with int.__str__, which
+    # obeys the digit limit; a reference_error over many primes (multi-fiber
+    # at --r 0 over thousands of primes) passes the default 4,300 digits.
+    # The raised limit holds for run, render and write
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(DIGIT_CAP)
     start = time.monotonic()

@@ -12,7 +12,8 @@ import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import log10, prod
+from itertools import compress
+from math import gcd, log10, prod
 
 from .ffield import is_prime
 
@@ -178,11 +179,14 @@ def truncation_exponent(a: tuple, s: int, r: int) -> int:
 def _check_digits(exponents):
     """Refuse a denominator prod p^x of (p, x) pairs with DIGIT_CAP digits or
     more.  An x past DIGIT_CAP / log10(p), compared exactly, passes alone:
-    x * log10(p) would overflow a float for a long x."""
+    x * log10(p) would overflow a float for a long x.  The message names
+    the first four powers and the last of a product over many primes."""
     if (any(x >= DIGIT_CAP / log10(p) for p, x in exponents)
             or sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP):
-        powers = " * ".join(f"{p}^{x}" for p, x in exponents)
-        raise BudgetExceeded(f"the truncation's denominator {powers} "
+        powers = [f"{p}^{x}" for p, x in exponents]
+        if len(powers) > 8:
+            powers[4:-1] = [f"... ({len(powers) - 5} more)"]
+        raise BudgetExceeded(f"the truncation's denominator {' * '.join(powers)} "
                              f"has more than {DIGIT_CAP} digits")
 
 
@@ -291,16 +295,49 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
                                 max(c0.values()))
 
 
+def _roots_of_unity(q: int, exponents) -> set:
+    """The z in F_q with z^k = 1 for some k in exponents: the union of the
+    subgroups of order g = gcd(k, q - 1) of the cyclic group F_q^*, each
+    the powers of x^((q - 1) / g) for the first x = 1, 2, ... at which
+    that element has order exactly g (a primitive root always does)."""
+    roots = set()
+    for g in {gcd(k, q - 1) for k in exponents}:
+        proper = _divisors(g)[:-1]
+        z = next(z for z in (pow(x, (q - 1) // g, q) for x in range(1, q))
+                 if all(pow(z, c, q) != 1 for c in proper))
+        power = 1
+        for _ in range(g):
+            roots.add(power)
+            power = power * z % q
+    return roots
+
+
 def _shared_exponents(truncations) -> list:
-    """The exponent of each p shared by the numerator prod num_p and the
-    denominator prod p^x_p of a product of local truncations at distinct
-    primes.  Each num_p = prod_{e <= r} (p^{se} - 1)^{a_e} is prime to p,
-    so it is the least of x_p and v_p(prod of the other num_u), a
-    valuation read off the small factors u^{se} - 1."""
-    return [min(truncation_exponent(t.a, t.s, t.r), sum(
-                a * _valuation(u.p ** (u.s * e) - 1, t.p)
-                for u in truncations if u.p != t.p for e, a in enumerate(u.a, 1)))
-            for t in truncations]
+    """The exponent of each q shared by the numerator prod num_u and the
+    denominator prod u^x_u of a product of local truncations at distinct
+    primes u.  Each num_u = prod_{e <= r} (u^{se} - 1)^{a_e} is prime to
+    u, so the exponent of q is the least of x_q and v_q(prod num_u).
+    For u != q, q divides u^k - 1 exactly when u mod q is a k-th root of
+    unity in F_q, one of gcd(k, q - 1); so for each such root z of the
+    exponents k = se in play the walk visits only the primes u = z (mod q),
+    sum_q (number of roots) * R / q steps for the largest prime R, and
+    reads a valuation only off a factor that q divides."""
+    by_prime = {t.p: t for t in truncations}
+    present = bytearray(max(by_prime, default=0) + 1)
+    for u in by_prime:
+        present[u] = 1
+    exponents = {t.s * e for t in truncations for e, a_e in enumerate(t.a, 1) if a_e}
+    shared = []
+    for t in truncations:
+        q, v = t.p, 0
+        for z in _roots_of_unity(q, exponents):
+            for u in compress(range(z, len(present), q), present[z::q]):
+                w = by_prime[u]
+                v += sum(a_e * _valuation(u ** (w.s * e) - 1, q)
+                         for e, a_e in enumerate(w.a, 1)
+                         if a_e and pow(z, w.s * e, q) == 1)
+        shared.append(min(truncation_exponent(t.a, t.s, t.r), v))
+    return shared
 
 
 def _product_value(truncations) -> Fraction:
@@ -325,18 +362,33 @@ def _decimal_digits(truncations) -> tuple:
     is one square-and-multiply over the bits of all the a_e at once
     (Shamir's trick), half the work of one power per factor; in
     ``exact_context`` a remainder of its division by the shared powers
-    raises Inexact instead of printing a wrong digit."""
+    raises Inexact instead of printing a wrong digit.  Every product of
+    many factors is taken pairwise (``_balanced_product``)."""
     factors = [(t.p ** (t.s * e) - 1, a_e)
                for t in truncations for e, a_e in enumerate(t.a, 1)]
     shared = _shared_exponents(truncations)
     with decimal.localcontext(exact_context()):
         num = decimal.Decimal(1)
         for bit in reversed(range(max((a_e for _, a_e in factors), default=0).bit_length())):
-            num = num * num * prod(f for f, a_e in factors if a_e >> bit & 1)
-        num /= prod(decimal.Decimal(t.p) ** k for t, k in zip(truncations, shared))
-        den = prod(decimal.Decimal(t.p) ** (truncation_exponent(t.a, t.s, t.r) - k)
-                   for t, k in zip(truncations, shared))
+            num = num * num * _balanced_product(
+                decimal.Decimal(f) for f, a_e in factors if a_e >> bit & 1)
+        num /= _balanced_product(decimal.Decimal(t.p) ** k
+                                 for t, k in zip(truncations, shared))
+        den = _balanced_product(
+            decimal.Decimal(t.p) ** (truncation_exponent(t.a, t.s, t.r) - k)
+            for t, k in zip(truncations, shared))
     return num, den
+
+
+def _balanced_product(values) -> decimal.Decimal:
+    """The product of the Decimals, multiplied in pairs, then pairs of
+    pairs: the long products meet operands of equal length, where
+    libmpdec's are subquadratic, while a running product over n factors
+    is quadratic in n."""
+    values = list(values) or [decimal.Decimal(1)]
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return values[0]
 
 
 def primes_up_to(n: int) -> list:

