@@ -177,8 +177,19 @@ def sylvester_matrix(f_desc, g_desc):
 
 
 def discriminant(f: MonicPoly) -> int:
-    """(-1)^{d(d-1)/2} Res(f, f'), fraction-free and exact."""
+    """(-1)^{d(d-1)/2} Res(f, f'), exact.
+
+    Closed forms for d = 2 (a^2 - 4b) and d = 3
+    (a^2 b^2 - 4b^3 - 4a^3 c - 27c^2 + 18abc); otherwise the Sylvester
+    matrix of f and f' through ``bareiss_determinant``.
+    """
     d = f.degree
+    if d == 2:
+        a, b = f.a
+        return a * a - 4 * b
+    if d == 3:
+        a, b, c = f.a
+        return a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
     f_desc = [1] + list(f.a)
     g_desc = [(d - i) * f_desc[i] for i in range(d)]
     res = bareiss_determinant(sylvester_matrix(f_desc, g_desc))
@@ -237,8 +248,9 @@ class MaximalityVerdict:
 
     kind is one of 'maximal_up_to', 'not_maximal_at', 'degenerate'.
     ``unconditional`` means the discriminant was fully accounted for
-    (cofactor 1, or a prime cofactor below ``MR_DETERMINISTIC_BOUND``
-    where ``is_prime`` is a proof, by the psi_k tiers of its bases), so
+    (cofactor 1, or a prime cofactor below ``MR_DETERMINISTIC_BOUND``,
+    where ``is_prime`` is a proof: the psi_k tiers of its first five bases,
+    BPSW below 2^64, all twelve bases above), so
     the verdict holds at every prime, not only below the trial bound.
     A 'not_maximal_at' verdict is always unconditional; its p is the
     least prime below the bound at which Dedekind's criterion fails.
@@ -411,7 +423,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     conditional = 0
     for rng, size in sampling.chunks(seed, samples):
         for a in sampling.uniform_height_ball(rng, size, bounds):
-            f = MonicPoly(tuple(int(c) for c in a))
+            f = MonicPoly(a)
             disc = discriminant(f)
             verdict = maximality_scan(f, trial_bound, disc=disc)
             if verdict.kind == "degenerate":
@@ -423,15 +435,13 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                 hits += 1
                 if not verdict.unconditional:
                     conditional += 1
-            if disc != 0:
-                hom = (1,) + f.a
-                for p in check_primes:
-                    geo_ok = binary_section_report(hom, p, d).arith_singular == 0
-                    ded_ok = dedekind_p_maximal(f, p, disc=disc)
-                    if geo_ok != ded_ok:
-                        raise InternalCheckError(
-                            f"Dedekind and the mod-p^2 classifier disagree at "
-                            f"p={p} for {f}")
+            hom = (1,) + f.a
+            for p in check_primes:      # primes, and disc != 0 past 'degenerate'
+                geo_ok = binary_section_report(hom, p, d).arith_singular == 0
+                if geo_ok != _dedekind_criterion(f, p, disc):
+                    raise InternalCheckError(
+                        f"Dedekind and the mod-p^2 classifier disagree at "
+                        f"p={p} for {f}")
     return DensityEstimate.monte_carlo(
         hits, samples, seed, reference, Fraction(8, trial_bound),
         extras={"d": d, "R": R, "trial_bound": trial_bound,
@@ -456,7 +466,7 @@ def quadratic_field_census(R: int):
         for a2 in range(-R * R, R * R + 1):
             f = MonicPoly((a1, a2))
             total += 1
-            disc = a1 * a1 - 4 * a2
+            disc = discriminant(f)
             if disc == 0:
                 degenerate += 1
                 continue

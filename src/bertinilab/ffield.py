@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property, lru_cache
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
@@ -28,47 +29,111 @@ FIELD_SIZE_CAP = 1 << 24      # prime fields
 TABLE_SIZE_CAP = 1 << 16      # extension fields, all with tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_k, the least odd composite that is a strong pseudoprime to the first k
-# of _MR_BASES (OEIS A014233; Sorenson and Webster, Math. Comp. 2017 for
-# k = 12): below psi_k those k bases are a proof.  psi_7 = psi_8 and
-# psi_9 = psi_10 = psi_11.
-_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
-           3474749660383, 341550071728321, 341550071728321,
-           3825123056546413051, 3825123056546413051, 3825123056546413051,
-           318665857834031151167461)
-# psi_12 (399165290221 * 798330580441)
-MR_DETERMINISTIC_BOUND = _MR_PSI[-1]
+# psi_k for k <= 5, the least odd composite that is a strong pseudoprime to
+# the first k of _MR_BASES (OEIS A014233): below psi_k those k bases are a
+# proof, and below psi_5 they cost at most 5 modular powers.
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747)
+# BPSW has no pseudoprime below 2^64 (Baillie, Fiori and Wagstaff, Math.
+# Comp. 2021): from psi_5 there it is a proof for the price of about 5 powers.
+_BPSW_BOUND = 1 << 64
+# psi_12 (399165290221 * 798330580441; Sorenson and Webster, Math. Comp.
+# 2017): below it all twelve bases are a proof.
+MR_DETERMINISTIC_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin after trial division by the bases 2..37.
+    """Trial division by the bases 2..37, then the test that is cheapest
+    in n's range and a proof there.
 
-    Below psi_k the first k bases prove primality, so only the first
-    k bases run, k the least index with n < psi_k.  Deterministic for
-    n < MR_DETERMINISTIC_BOUND = psi_12; at and above it all 12 bases
-    run and a True is only a strong probable prime.
+    Below psi_5 only the first k bases run, k the least index with
+    n < psi_k; from psi_5 below 2^64, BPSW: a strong probable-prime test
+    to base 2 and a strong Lucas test.  Deterministic for
+    n < MR_DETERMINISTIC_BOUND = psi_12: at and above 2^64 all 12 bases
+    run, a proof below psi_12, and above it a True is only a strong
+    probable prime.
     """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _MR_PSI[-1]:
+        bases = _MR_BASES[:bisect_right(_MR_PSI, n) + 1]
+    elif n < _BPSW_BOUND:
+        return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    else:
+        bases = _MR_BASES
+    return all(_strong_probable_prime(n, a) for a in bases)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a for an odd n > a."""
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for an odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, for an odd n > 37.
+
+    D is the first of 5, -7, 9, -11, ... with (D / n) = -1 (none exists
+    when n is a square, so squares are rejected first), P = 1 and
+    Q = (1 - D) / 4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_{d 2^r} = 0 mod n for some r < s.  The ladder keeps (V_k, V_{k+1}, Q^k)
+    through the bits of d, by V_2k = V_k^2 - 2Q^k and
+    V_{2k+1} = V_k V_{k+1} - Q^k, and reads U_d off D U_d = 2V_{d+1} - V_d.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False                 # 1 < |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    v, w, qk = 2, 1, 1                   # V_0, V_1, Q^0
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            v, w = (v * w - qk) % n, (w * w - 2 * qk * Q) % n
+            qk = qk * qk * Q % n
         else:
-            return False
-    return True
+            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -297,11 +297,15 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
 
 def _roots_of_unity(q: int, exponents) -> set:
     """The z in F_q with z^k = 1 for some k in exponents: the union of the
-    subgroups of order g = gcd(k, q - 1) of the cyclic group F_q^*, each
-    the powers of x^((q - 1) / g) for the first x = 1, 2, ... at which
-    that element has order exactly g (a primitive root always does)."""
+    subgroups of order g = gcd(k, q - 1) of the cyclic group F_q^*.  For
+    g <= 2 that is {1} or {1, q - 1}; otherwise the powers of
+    x^((q - 1) / g) for the first x = 1, 2, ... at which that element has
+    order exactly g (a primitive root always does)."""
     roots = set()
     for g in {gcd(k, q - 1) for k in exponents}:
+        if g <= 2:
+            roots.update((1, q - 1)[:g])
+            continue
         proper = _divisors(g)[:-1]
         z = next(z for z in (pow(x, (q - 1) // g, q) for x in range(1, q))
                  if all(pow(z, c, q) != 1 for c in proper))

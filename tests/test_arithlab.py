@@ -7,6 +7,7 @@ from math import log10, prod
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy import Poly
 from sympy.polys.numberfields.basis import round_two
 
@@ -16,7 +17,7 @@ from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
                                  dedekind_p_maximal, discriminant,
                                  equidistribution_audit, maximality_scan,
                                  multi_fiber_experiment,
-                                 quadratic_field_census)
+                                 quadratic_field_census, sylvester_matrix)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
 from bertinilab.p1sections import binary_section_report
 from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
@@ -47,15 +48,44 @@ def test_discriminant_against_sympy():
         assert discriminant(f) == sympy.discriminant(to_expr(f), x)
 
 
+def _sylvester_discriminant(f: MonicPoly) -> int:
+    """(-1)^{d(d-1)/2} Res(f, f') through Bareiss, the fallback of
+    ``discriminant`` in degrees other than 2 and 3."""
+    d = f.degree
+    f_desc = [1] + list(f.a)
+    res = bareiss_determinant(sylvester_matrix(f_desc, [(d - i) * c for i, c in
+                                                        enumerate(f_desc[:d])]))
+    return -res if (d * (d - 1) // 2) % 2 else res
+
+
 def test_discriminant_degenerate_cases():
     """Degree 1 needs no special case (the 1x1 Sylvester matrix is [1]), and
     a repeated root runs Bareiss out of pivots: disc(x^3) = 0 and
-    disc(x^3 - 3x + 2) = disc((x - 1)^2 (x + 2)) = 0."""
+    disc(x^3 - 3x + 2) = disc((x - 1)^2 (x + 2)) = 0, in closed form too."""
     for a in (5, -3, 0):
         assert discriminant(MonicPoly((a,))) == 1
     for f in (MonicPoly((0, 0, 0)), MonicPoly((0, -3, 2))):
-        assert discriminant(f) == sympy.discriminant(to_expr(f), x) == 0
+        assert discriminant(f) == _sylvester_discriminant(f) == \
+            sympy.discriminant(to_expr(f), x) == 0
     assert str(MonicPoly((0, -3, 2))) == "x^3 - 3*x + 2"
+
+
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
+                          st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFFICIENTS, min_size=2, max_size=3), st.integers(-2 ** 66, 2 ** 66),
+       st.integers(-50, 50))
+def test_closed_form_discriminants_match_bareiss(a, r, s):
+    """The closed forms of degrees 2 and 3 against Bareiss on the Sylvester
+    matrix: coefficients zero, small, and past 2^63, plus polynomials with
+    a repeated root r, (x - r)^2 and (x - r)^2 (x - s), of discriminant 0."""
+    repeated = (MonicPoly((-2 * r, r * r)),
+                MonicPoly((-2 * r - s, r * r + 2 * r * s, -r * r * s)))
+    for f in (MonicPoly(tuple(a)),) + repeated:
+        assert discriminant(f) == _sylvester_discriminant(f), f
+    assert [discriminant(f) for f in repeated] == [0, 0]
 
 
 def test_bareiss_determinant():
@@ -319,6 +349,34 @@ def test_bsw_counts_degenerate_samples():
     assert est.extras["degenerate"] == squares == 101
     hits = round(est.mean * samples)
     assert hits + squares + sum(est.extras["not_maximal_at"].values()) == samples
+
+
+# Recorded before the closed-form discriminants and BPSW replaced Bareiss and
+# the psi_6..psi_11 tiers: hits, conditional verdicts and the least prime of
+# each non-maximal verdict, for a few hundred samples per seed.
+_BSW_PINS = {
+    (3, 1000, 1000, 0): (165, 112, {2: 82, 3: 29, 5: 8, 7: 8, 11: 1, 13: 3,
+                                    19: 1, 29: 1, 47: 1, 113: 1}),
+    (3, 1000, 1000, 7): (188, 115, {2: 69, 3: 31, 5: 5, 7: 3, 13: 1, 17: 1,
+                                    29: 1, 31: 1}),
+    (4, 50, 500, 0): (195, 137, {2: 63, 3: 25, 5: 8, 7: 2, 13: 3, 17: 1, 23: 1,
+                                 29: 1, 37: 1}),
+    (4, 50, 500, 7): (181, 123, {2: 87, 3: 18, 5: 6, 7: 4, 13: 1, 19: 1, 31: 2}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_BSW_PINS))
+def test_bsw_results_are_pinned(config):
+    """bsw's verdicts at --d 3 --R 1000 --T 1000 (the cubic closed form) and
+    --d 4 --R 50 --T 500 (the Bareiss fallback), 300 samples; both send
+    cofactors to each of is_prime's three ranges."""
+    d, R, T, seed = config
+    est = bsw_experiment(d, R, T, 300, seed=seed)
+    hits, conditional, not_maximal_at = _BSW_PINS[config]
+    assert est.mean == hits / 300
+    assert est.extras["conditional_verdicts"] == conditional
+    assert est.extras["not_maximal_at"] == not_maximal_at
+    assert est.extras["degenerate"] == 0
 
 
 def test_euler_product_reference():

@@ -287,12 +287,12 @@ def test_internal_failures_exit_4(scheme_files, monkeypatch, capsys):
     names the polynomial; a point table that no scheme has (N = (3, 4) mod
     2 gives a_2 = 1/2) is an inconsistent table.  Both exit 4."""
     from bertinilab import arithlab
-    dedekind, asked = arithlab.dedekind_p_maximal, []
+    dedekind, asked = arithlab._dedekind_criterion, []
 
-    def flipped(f, p, disc=None):
+    def flipped(f, p, disc):
         asked.append(f)
-        return not dedekind(f, p, disc=disc)
-    monkeypatch.setattr(arithlab, "dedekind_p_maximal", flipped)
+        return not dedekind(f, p, disc)
+    monkeypatch.setattr(arithlab, "_dedekind_criterion", flipped)
     assert main(["bsw", "--d", "3", "--R", "10", "--T", "100", "--samples", "20"]) \
         == EXIT_INTERNAL
     err = capsys.readouterr().err

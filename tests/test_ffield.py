@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bertinilab import ffield
+from bertinilab import ffield, zetas
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
                                image_size_mod_p2, kernel_basis, matrix_rank,
@@ -387,24 +388,104 @@ def test_is_prime_matches_sympy_below_2e5():
     assert [n for n in range(200000) if is_prime(n)] == list(sympy.primerange(200000))
 
 
+# psi_k for k = 1..12 (OEIS A014233; Sorenson and Webster, Math. Comp. 2017
+# for k = 12).  is_prime reads psi_1..psi_5; from psi_5 it runs BPSW instead
+# of the tiers psi_6..psi_11, which stay here to show what BPSW replaces.
+_PSI = ffield._MR_PSI + (3474749660383, 341550071728321, 341550071728321,
+                         3825123056546413051, 3825123056546413051,
+                         3825123056546413051, 318665857834031151167461)
+_PSI_5 = ffield._MR_PSI[-1]
+
+
 def test_mr_psi_table():
     """psi_k is an odd composite, a strong pseudoprime to the first k bases
-    (so psi_k - 1 is the most the tier proves), and is_prime rejects it:
-    at n >= psi_k at least one more base runs."""
-    psi = ffield._MR_PSI
-    assert len(psi) == len(ffield._MR_BASES) == 12
-    assert psi[6] == psi[7] and psi[8] == psi[9] == psi[10]
-    assert psi[-1] == MR_DETERMINISTIC_BOUND
-    assert list(psi) == sorted(psi)
-    for k, n in enumerate(psi, start=1):
+    (so psi_k - 1 is the most the tier proves), and is_prime rejects it
+    below 2^64: through one more base below psi_5, through BPSW from psi_5."""
+    assert len(_PSI) == len(ffield._MR_BASES) == 12
+    assert len(ffield._MR_PSI) == 5 and _PSI_5 == 2152302898747
+    assert _PSI[6] == _PSI[7] and _PSI[8] == _PSI[9] == _PSI[10]
+    assert _PSI[-1] == MR_DETERMINISTIC_BOUND
+    assert list(_PSI) == sorted(_PSI)
+    assert _PSI[10] < ffield._BPSW_BOUND == 2 ** 64 < _PSI[11]
+    for k, n in enumerate(_PSI, start=1):
         assert n % 2 and not sympy.isprime(n), k
         assert all(_strong_probable_prime(n, a) for a in ffield._MR_BASES[:k]), k
-    for k, n in enumerate(psi[:11], start=1):
+    for k, n in enumerate(_PSI[:11], start=1):
         assert not is_prime(n), k
 
 
+# the strong Lucas pseudoprimes below 60,000 for Selfridge's parameters
+# (OEIS A217255)
+_STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                              25199, 40309, 58519)
+
+
+def test_strong_lucas_test_pins_the_ladder():
+    """The private strong Lucas test accepts every odd prime from 41 and,
+    below 60,000, exactly the ten known strong Lucas pseudoprimes besides;
+    is_prime rejects those, since none is a base-2 strong pseudoprime."""
+    lucas = ffield._strong_lucas_probable_prime
+    accepted = [n for n in range(41, 60000, 2) if lucas(n)]
+    assert [n for n in accepted if not sympy.isprime(n)] == \
+        list(_STRONG_LUCAS_PSEUDOPRIMES)
+    assert set(sympy.primerange(41, 60000)) <= set(accepted)
+    for n in _STRONG_LUCAS_PSEUDOPRIMES:
+        assert lucas(n) and not is_prime(n), n
+
+
+def test_is_prime_rejects_pseudoprimes_and_prime_squares():
+    """Base-2 strong pseudoprimes, the psi_k below 2^64 and squares of
+    primes in every range.  No D has (D / n) = -1 for a square n, so the
+    Lucas test must reject squares before its search for D; 1093^2 and
+    3511^2 (the Wieferich primes squared) are base-2 strong pseudoprimes."""
+    for n in (2047, 3277, 4033, 4681, 8321, 1093 ** 2, 3511 ** 2):
+        assert _strong_probable_prime(n, 2) and not is_prime(n), n
+    for n in _PSI[:11]:
+        assert not is_prime(n), n
+    for p in (41, 1093, 3511, 65521, sympy.nextprime(isqrt(_PSI_5)),
+              sympy.prevprime(2 ** 32), sympy.nextprime(2 ** 32)):
+        assert not ffield._strong_lucas_probable_prime(p * p), p
+        assert not is_prime(p * p), p
+
+
+def test_is_prime_matches_sympy_around_the_range_edges():
+    """Every n in a window around psi_5 and around 2^64, where is_prime
+    switches from the base tiers to BPSW and from BPSW to all twelve bases,
+    and the primes on both sides of each edge."""
+    for edge in (_PSI_5, 2 ** 64):
+        for n in range(edge - 1500, edge + 1500):
+            assert is_prime(n) == sympy.isprime(n), n
+        below, above = [edge], [edge]
+        for _ in range(10):
+            below.append(sympy.prevprime(below[-1]))
+            above.append(sympy.nextprime(above[-1]))
+        assert all(is_prime(q) for q in below[1:] + above[1:])
+
+
+def test_lucas_test_never_runs_below_psi_5(monkeypatch):
+    """Below psi_5 is_prime runs at most five bases and never the Lucas
+    test; global_zeta_inverse checks every prime up to its bound with
+    is_prime, so that check stays a handful of powers per prime.  From
+    psi_5 below 2^64 a prime costs one Lucas test, and from 2^64 none."""
+    calls = []
+    lucas = ffield._strong_lucas_probable_prime
+    monkeypatch.setattr(ffield, "_strong_lucas_probable_prime",
+                        lambda n: calls.append(n) or lucas(n))
+    assert sum(map(is_prime, range(10 ** 5))) == 9592
+    assert not any(is_prime(n) for n in _PSI[:4])
+    for n in range(_PSI_5 - 2000, _PSI_5):
+        is_prime(n)
+    zetas.global_zeta_inverse(
+        {p: zetas.PointCountTable(p, (1,)) for p in zetas.primes_up_to(10 ** 4)},
+        2, 10 ** 4, 1, 0)
+    assert calls == []
+    q = sympy.nextprime(_PSI_5)
+    assert is_prime(q) and calls == [q]
+    assert is_prime(sympy.nextprime(2 ** 64)) and calls == [q]
+
+
 _PSI_NEIGHBOURS = st.one_of(
-    st.tuples(st.sampled_from(ffield._MR_PSI), st.integers(-2000, 2000))
+    st.tuples(st.sampled_from(_PSI + (2 ** 64,)), st.integers(-2000, 2000))
     .map(lambda t: t[0] + t[1]),
     st.integers(11, 80).flatmap(lambda b: st.integers(2 ** (b - 1), 2 ** b - 1)))
 
@@ -412,7 +493,7 @@ _PSI_NEIGHBOURS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_PSI_NEIGHBOURS)
 def test_is_prime_near_psi_bounds_and_at_random_sizes(n):
-    """The tiered test returns what all 12 bases return, which is the truth
+    """The ranged test returns what all 12 bases return, which is the truth
     below psi_12."""
     assert is_prime(n) == _all_bases_prime(n)
     if n < MR_DETERMINISTIC_BOUND:

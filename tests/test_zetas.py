@@ -244,9 +244,11 @@ def test_shared_exponents_oracle(m):
 
 def test_roots_of_unity_brute_force():
     """The z mod q with z^k = 1 for some k in a set of exponents, against
-    trying every z, for every prime q < 200."""
+    trying every z, for every prime q < 200; {1} and {1, 2} take only the
+    subgroups {1} and {1, q - 1}."""
     for q in primes_up_to(200):
-        for exponents in ({2}, {3, 6, 9}, {4, 8, 12, 16}, {5, 7}, set()):
+        for exponents in ({1}, {2}, {1, 2}, {2, 3}, {3, 6, 9}, {4, 8, 12, 16},
+                          {5, 7}, set()):
             assert zetas._roots_of_unity(q, exponents) == \
                 {z for z in range(1, q) if any(pow(z, k, q) == 1 for k in exponents)}
 
