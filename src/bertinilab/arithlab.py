@@ -349,8 +349,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         for fib in fibers:
             fib.check_census(r)
     s = reading_exponent(scheme.m, classification)
-    # c0 of each tail bound needs a table of depth >= 1, also at r = 0
-    tables = {fib.p: fib.point_table(max(r, 1)) for fib in fibers}
+    tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     streams = sampling.chunks(seed, samples)
     classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))

@@ -155,9 +155,7 @@ def run(args) -> dict:
         r = args.r if args.r is not None else _default_depth(fiber)
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
-        # the tail bound reads c0 off a table of depth >= 1, also at r = 0
-        table = fiber.point_table(max(r, 1))
-        return local_zeta_inverse(table, args.s, r, fiber.m).as_report()
+        return local_zeta_inverse(fiber.point_table(r), args.s, r, fiber.m).as_report()
     if sub == "fiber-density":
         scheme = _load(args.scheme)
         if args.mode == "exhaustive":

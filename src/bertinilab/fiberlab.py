@@ -130,9 +130,8 @@ def reading_exponent(m: int, reading: str) -> int:
 
 def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTruncation:
     """prod over closed points of degree <= r of (1 - p^{-s deg x}), with its
-    tail bound (c0 from the point table of depth max(r, 1)): the reference
-    of every density in the given reading."""
-    return local_zeta_inverse(fiber.point_table(max(r, 1)),
+    tail bound: the reference of every density in the given reading."""
+    return local_zeta_inverse(fiber.point_table(r),
                               reading_exponent(fiber.m, reading), r, fiber.m)
 
 

@@ -20,12 +20,13 @@ serves the per-sample path of ``multi-fiber`` on P^1 and the ``bsw``
 cross-check; exhaustive counts run through ``fiberlab.FiberClassifier``.
 
 The mod-p factor structure repeats from row to row, so it is memoized in
-three bounded least-recently-used caches: the radical, keyed on (f mod p,
-trimmed; p); the distinct-degree split of the radical of a repeated part
-w (gcd(fbar, fbar'), or tau mod p when sigma = p*tau), keyed on (w, p, r);
-and, in front of it, the whole repeated-part step of a row (derivative,
-squarefree gcd and split), keyed on (fbar, p, r).  Each holds at most
-``CACHE_SIZE`` entries.  The mod-p^2 test of each row is never cached.
+two bounded least-recently-used caches: the distinct-degree split of the
+radical of a repeated part w (gcd(fbar, fbar'), or tau mod p when
+sigma = p*tau), keyed on (w, p, r); and, in front of it, the whole
+repeated-part step of a row (derivative, squarefree gcd and split), keyed
+on (fbar, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The radical
+runs only behind them and is not cached itself; nor is the mod-p^2 test
+of each row.
 """
 
 from __future__ import annotations
@@ -45,24 +46,17 @@ def affine_poly(coeffs, d: int, modulus: int):
     return poly_trim([coeffs[d - i] % modulus for i in range(d + 1)])
 
 
-def radical_fp(f, p: int):
-    """Product of the distinct monic irreducible factors of f over F_p.
-
-    Memoized on (f mod p, trimmed; p); every call returns a fresh list.
-    """
-    return list(_radical_fp(tuple(poly_trim([c % p for c in f])), p))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _radical_fp(f: tuple, p: int) -> tuple:
+def radical_fp(f, p: int) -> list:
+    """Product of the distinct monic irreducible factors of f over F_p."""
+    f = poly_trim([c % p for c in f])
     if len(f) <= 1:
-        return (1,)
+        return [1]
     inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     deriv = poly_derivative(f, p)
     if not deriv:
         # f = z(x^p); p-th roots of coefficients over F_p are themselves
-        return _radical_fp(tuple(f[::p]), p)
+        return radical_fp(f[::p], p)
     sep = poly_divmod(f, poly_gcd(f, deriv, p), p)[0]
     rest = f
     g = poly_gcd(rest, sep, p)
@@ -71,8 +65,8 @@ def _radical_fp(f: tuple, p: int) -> tuple:
         g = poly_gcd(rest, sep, p)
     if len(rest) > 1:
         # rest is a p-th power holding the factors with multiplicity p | e
-        return tuple(poly_mul(sep, _radical_fp(tuple(rest[::p]), p), p))
-    return tuple(sep)
+        return poly_mul(sep, radical_fp(rest[::p], p), p)
+    return sep
 
 
 def distinct_degree_split(v, p: int, r: int):
@@ -113,7 +107,7 @@ def _repeated_split(fbar: tuple, p: int, r: int) -> tuple:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _p1_closed_point_count(p: int, r: int) -> int:
-    a = closed_point_counts(projective_counts(p, 1, max(r, 1)))
+    a = closed_point_counts(projective_counts(p, 1, r))
     return sum(a[:r])
 
 

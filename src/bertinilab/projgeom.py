@@ -15,6 +15,7 @@ Conventions fixed here and used by every file format and experiment:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -273,7 +274,10 @@ class SchemeFiber:
         return not self.forms or self.scan_fits(e_max)
 
     def point_table(self, e_max: int) -> PointCountTable:
-        """#X(F_{p^e}) for e <= e_max: the closed form on P^n, scans otherwise."""
+        """#X(F_{p^e}) for e <= max(e_max, 1): the closed form on P^n, scans
+        otherwise.  The depth is at least 1 because every tail bound reads
+        its c0 off N_1, also at truncation depth 0."""
+        e_max = max(e_max, 1)
         if not self.forms:
             return projective_counts(self.p, self.n, e_max)
         self._check_scan(e_max)
@@ -504,107 +508,40 @@ def save_scheme(path, scheme: ProjectiveScheme):
 def parse_form(text: str, n: int, modulus: int | None = None) -> HomogeneousForm:
     """Parse a human-readable form such as ``X^2+5*Y^2-Z^2`` on P^n.
 
-    Grammar: sum of terms, each term a '*'-separated product of an
-    optional integer coefficient and powers ``VAR^k``; juxtaposition is
-    not multiplication.  Variables are X0..Xn, or X,Y,Z,W when n <= 3.
+    Grammar: an optional leading sign, then terms joined by ``+``, ``-``
+    or ``−`` (U+2212); each term is a ``*``-separated product of
+    unsigned integers and powers ``VAR`` or ``VAR^k``, and its integers
+    multiply into the coefficient.  Whitespace may separate tokens but
+    never joins them: juxtaposition is not multiplication.  Variables are
+    X0..Xn, or X,Y,Z,W when n <= 3.
     """
+    factor = r"\s*(?:(\d+)|([^\W\d_][^\W_]*)(?:\s*\^\s*(\d+))?)\s*"
+    term = rf"{factor}(?:\*{factor})*"
+    if not re.fullmatch(rf"\s*[-+−]?{term}(?:[-+−]{term})*", text):
+        raise ValueError(f"{text!r} is not a signed sum of '*'-products of "
+                         "integers and powers VAR^k")
     names = {name: i for i, name in enumerate(default_variable_names(n))}
     names.update({f"X{i}": i for i in range(n + 1)})
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", "")
-
-    def take(kind):
-        nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ValueError(f"expected {kind}, found {tok[1]!r} in {text!r}")
-        pos += 1
-        return tok[1]
-
-    def parse_factor():
-        kind, val = peek()
-        if kind == "int":
-            take("int")
-            return int(val), [0] * (n + 1)
-        if kind == "name":
-            take("name")
-            if val not in names:
-                raise ValueError(f"unknown variable {val!r} on P^{n}")
-            exps = [0] * (n + 1)
-            power = 1
-            if peek()[0] == "caret":
-                take("caret")
-                power = int(take("int"))
-            exps[names[val]] = power
-            return 1, exps
-        raise ValueError(f"unexpected token {val!r} in {text!r}")
-
-    def parse_term():
-        coeff, exps = parse_factor()
-        while peek()[0] == "star":
-            take("star")
-            c2, e2 = parse_factor()
-            coeff *= c2
-            exps = [a + b for a, b in zip(exps, e2)]
-        return coeff, tuple(exps)
-
     terms = []
-    sign = 1
-    if peek()[0] in ("plus", "minus"):
-        sign = -1 if take(peek()[0]) == "-" else 1
-    coeff, exps = parse_term()
-    terms.append((exps, sign * coeff))
-    while peek()[0] in ("plus", "minus"):
-        sign = -1 if take(peek()[0]) == "-" else 1
-        coeff, exps = parse_term()
-        terms.append((exps, sign * coeff))
-    if peek()[0] != "end":
-        raise ValueError(f"trailing input in {text!r}")
+    # stripped, so that leading whitespace cannot read as a term of its own
+    for sign, body in re.findall(r"([-+−]?)([^-+−]+)", text.strip()):
+        coeff = -1 if sign in ("-", "−") else 1
+        exps = [0] * (n + 1)
+        for part in body.split("*"):
+            number, name, power = re.fullmatch(factor, part).groups()
+            if number:
+                coeff *= int(number)
+            elif name in names:
+                exps[names[name]] += int(power or 1)
+            else:
+                raise ValueError(f"unknown variable {name!r} on P^{n}")
+        terms.append((tuple(exps), coeff))
 
     degrees = {sum(e) for e, c in terms if c != 0}
     if len(degrees) > 1:
         raise ValueError(f"{text!r} is not homogeneous (degrees {sorted(degrees)})")
     d = degrees.pop() if degrees else 0
     return HomogeneousForm.from_monomials(n, d, terms, modulus)
-
-
-def _tokenize(text):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            out.append(("name", text[i:j]))
-            i = j
-        elif ch == "+":
-            out.append(("plus", "+"))
-            i += 1
-        elif ch in "-−":
-            out.append(("minus", "-"))
-            i += 1
-        elif ch == "*":
-            out.append(("star", "*"))
-            i += 1
-        elif ch == "^":
-            out.append(("caret", "^"))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r}")
-    return out
 
 
 def rational_closed_point(fiber: SchemeFiber, coords) -> ClosedPoint:

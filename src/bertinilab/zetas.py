@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd, log10, prod
 
-from .ffield import is_prime
+from .ffield import _prime_factors, is_prime
 
 # a truncation's denominator must have fewer decimal digits: reports print
 # long integers through decimal, which sys.set_int_max_str_digits ignores
@@ -46,20 +46,8 @@ def _divisors(n):
 
 
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    primes = _prime_factors(n)
+    return 0 if prod(primes) != n else (-1) ** len(primes)
 
 
 @dataclass(frozen=True)

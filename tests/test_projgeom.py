@@ -264,6 +264,36 @@ def test_parse_form_errors_and_roundtrip():
         parse_form("2X", 1)                # juxtaposition is not multiplication
 
 
+@pytest.mark.parametrize("text, n, d, coeffs", [
+    ("X ^ 2", 1, 2, (1, 0, 0)),            # whitespace separates tokens
+    ("  -X", 1, 1, (-1, 0)),               # leading whitespace, then a sign
+    ("  +1", 2, 0, (1,)),
+    ("  -X2", 2, 1, (0, 0, -1)),
+    ("−Y^2+X*Y", 1, 2, (0, 1, -1)),        # U+2212 minus
+    ("2*3*X", 1, 1, (6, 0)),               # integer factors multiply
+    ("X*X", 1, 2, (1, 0, 0)),
+    ("X1", 1, 1, (0, 1)),                  # X0..Xn next to X, Y on P^1
+    ("X^02", 1, 2, (1, 0, 0)),
+    ("0*X^2+Y", 1, None, None),            # homogeneous, but X^2 is not degree 1
+    ("1 2", 1, None, None),                # whitespace never joins tokens
+    ("X Y", 1, None, None),
+    ("X_1", 1, None, None),
+    ("X^2^3", 1, None, None),
+    ("--X", 1, None, None),
+    ("X+", 1, None, None),
+    ("", 1, None, None),
+    ("X²", 1, None, None),
+    ("  -X2", 1, None, None),              # X2 is not a variable on P^1
+])
+def test_parse_form_grammar(text, n, d, coeffs):
+    if coeffs is None:
+        with pytest.raises(ValueError):
+            parse_form(text, n)
+    else:
+        f = parse_form(text, n)
+        assert (f.d, f.coeffs) == (d, coeffs)
+
+
 def test_parse_point():
     assert parse_point("[0:1:0]", 2) == (0, 1, 0)
     with pytest.raises(ValueError):
