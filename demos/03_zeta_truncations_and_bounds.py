@@ -26,11 +26,10 @@ for r in range(0, 8):
           f"{float(abs(t.value - exact)):.2e} <= bound "
           f"{float(t.error_bound):.2e}")
 
-print("\nproduct over the primes up to 7 (model of the line over Z):")
-tables = {p: projective_counts(p, 1, 8) for p in (2, 3, 5, 7)}
-depths = {2: 8, 3: 6, 5: 4, 7: 4}
+print("\nproduct over the primes up to 7 at depth 5 (model of the line over Z):")
+tables = {p: projective_counts(p, 1, 5) for p in (2, 3, 5, 7)}
 for s in (2, 3):
-    g = global_zeta_inverse(tables, s, 7, depths, 1)
+    g = global_zeta_inverse(tables, s, 7, 5, 1)
     tail = "n/a (diverges over all primes)" if g.tail_bound is None \
         else f"{float(g.tail_bound):.4f}"
     print(f"  s={s}: value {float(g.value):.6f}, local error "

@@ -230,9 +230,7 @@ def _dedekind_mod_p2(fle: tuple, p: int) -> bool:
     """Dedekind's criterion at p from f mod p^2 (little-endian) alone, for a
     monic f with p^2 | disc(f); memoized on (f mod p^2, p).  Every f' = f
     mod p^2 has p^2 | disc(f') too, and the criterion reads only f mod p^2."""
-    fbar = poly_trim([c % p for c in fle])
-    gbar = radical_fp(fbar, p)
-    hbar = poly_divmod(fbar, gbar, p)[0]
+    gbar, hbar = _dedekind_split(tuple(poly_trim([c % p for c in fle])), p)
     p2 = p * p
     diff = poly_sub(poly_mul(gbar, hbar, p2), fle, p2)
     if any(c % p for c in diff):
@@ -240,6 +238,13 @@ def _dedekind_mod_p2(fle: tuple, p: int) -> bool:
     f1bar = poly_trim([(c // p) % p for c in diff])
     g1 = poly_gcd(f1bar, gbar, p)
     return len(poly_gcd(g1, hbar, p)) == 1
+
+
+@lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
+def _dedekind_split(fbar: tuple, p: int) -> tuple:
+    """(g, f / g) with g the radical of f over F_p, memoized on (f mod p, p)."""
+    gbar = radical_fp(fbar, p)
+    return tuple(gbar), tuple(poly_divmod(fbar, gbar, p)[0])
 
 
 @dataclass(frozen=True)
@@ -407,6 +412,8 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     """
     if d < 2:
         raise ValueError("need degree >= 2")
+    if R < 1:
+        raise ValueError("need a height bound R >= 1")
     if samples < 1:
         raise ValueError("need at least one sample")
     if trial_bound < 2:

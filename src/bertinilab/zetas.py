@@ -41,8 +41,7 @@ class BudgetExceeded(Exception):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def mobius(n: int) -> int:
@@ -65,9 +64,6 @@ class PointCountTable:
     def e_max(self):
         return len(self.counts)
 
-    def count(self, e: int) -> int:
-        return self.counts[e - 1]
-
 
 def closed_point_counts(table: PointCountTable) -> tuple:
     """Closed points by degree: a_e = (1/e) * sum_{f | e} mu(e/f) N_f.
@@ -77,7 +73,7 @@ def closed_point_counts(table: PointCountTable) -> tuple:
     """
     a = []
     for e in range(1, table.e_max + 1):
-        total = sum(mobius(e // f) * table.count(f) for f in _divisors(e))
+        total = sum(mobius(e // f) * table.counts[f - 1] for f in _divisors(e))
         if total % e != 0 or total < 0:
             raise InconsistentTable(f"a_{e} = {total}/{e} is not a nonnegative integer")
         a.append(total // e)
@@ -97,10 +93,8 @@ def c0_estimate(table: PointCountTable, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("absolute dimension must be >= 1")
-    best = Fraction(0)
-    for e in range(1, table.e_max + 1):
-        best = max(best, Fraction(table.count(e), table.p ** ((n - 1) * e)))
-    return best
+    return max((Fraction(n_e, table.p ** ((n - 1) * e))
+                for e, n_e in enumerate(table.counts, 1)), default=Fraction(0))
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -122,20 +116,36 @@ def _valuation(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class ZetaTruncation:
-    """A truncated local inverse zeta value with its tail bound.
+    """A truncated local inverse zeta value with its tail bound, kept as its
+    inputs: the point table, s, r, fiber_dim and the counts a_e for e <= r.
 
     The value is num / p^x with num = prod_{e <= r} (p^{se} - 1)^{a_e} and
     x = sum_{e <= r} s e a_e (``truncation_exponent``), kept in this
     factored form: ``value`` forms the exact Fraction on first use, and
     ``decimal_digits`` (which ``as_report`` prints) multiplies the two
-    integers from their factors in decimal.
+    integers from their factors in decimal.  The count constant ``c0`` and
+    the tail bound ``error_bound`` are formed on first use too.
     """
 
-    p: int
+    table: PointCountTable
     s: int
     r: int
-    error_bound: Fraction
+    fiber_dim: int
     a: tuple
+
+    @property
+    def p(self) -> int:
+        return self.table.p
+
+    @cached_property
+    def c0(self) -> Fraction:
+        """The observed count constant of the table (``c0_estimate``)."""
+        return c0_estimate(self.table, self.fiber_dim + 1)
+
+    @cached_property
+    def error_bound(self) -> Fraction:
+        """4*c0*p^{-delta*(r+1)} with delta = s - fiber_dim."""
+        return 4 * self.c0 * Fraction(1, self.p ** ((self.s - self.fiber_dim) * (self.r + 1)))
 
     @cached_property
     def value(self) -> Fraction:
@@ -178,6 +188,20 @@ def _check_digits(exponents):
                              f"has more than {DIGIT_CAP} digits")
 
 
+def _truncation(table: PointCountTable, s: int, r: int,
+                fiber_dim: int) -> ZetaTruncation:
+    """The truncation of the table at depth r and exponent s, past their checks
+    and the Mobius inversion; its value and bounds are formed when read."""
+    if not 0 <= r <= table.e_max or table.e_max < 1:
+        raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
+                         f"got r = {r} on a table of depth {table.e_max} "
+                         f"at p = {table.p}")
+    if s - fiber_dim < 1:
+        raise ValueError(f"s = {s} is outside the convergence region for a "
+                         f"{fiber_dim}-dimensional fiber")
+    return ZetaTruncation(table, s, r, fiber_dim, closed_point_counts(table)[:r])
+
+
 def local_zeta_inverse(table: PointCountTable, s: int, r: int,
                        fiber_dim: int) -> ZetaTruncation:
     """prod_{e <= r} (1 - p^{-se})^{a_e}, the degree-truncated local 1/zeta.
@@ -189,43 +213,18 @@ def local_zeta_inverse(table: PointCountTable, s: int, r: int,
     s = fiber_dim + 2 this is the 4*c0*p^{-2(r+1)} bound.  A value whose
     denominator has DIGIT_CAP or more digits is refused before the product.
     """
-    a = _checked_counts(table, s, r, fiber_dim)
-    _check_digits([(table.p, truncation_exponent(a, s, r))])
-    return _truncation(table.p, s, r, fiber_dim, a, c0_estimate(table, fiber_dim + 1))
-
-
-def _checked_counts(table: PointCountTable, s: int, r: int, fiber_dim: int) -> tuple:
-    """The closed-point counts of the table, once the depth r and the
-    exponent s are checked."""
-    if not 0 <= r <= table.e_max or table.e_max < 1:
-        raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
-                         f"got r = {r} on a table of depth {table.e_max} "
-                         f"at p = {table.p}")
-    if s - fiber_dim < 1:
-        raise ValueError(f"s = {s} is outside the convergence region for a "
-                         f"{fiber_dim}-dimensional fiber")
-    return closed_point_counts(table)
-
-
-def _truncation(p: int, s: int, r: int, fiber_dim: int, a: tuple,
-                c0: Fraction) -> ZetaTruncation:
-    """The truncation of ``local_zeta_inverse`` at p from the closed-point
-    counts a and the count constant c0, past its checks; its value is
-    formed only when read."""
-    bound = 4 * c0 * Fraction(1, p ** ((s - fiber_dim) * (r + 1)))
-    return ZetaTruncation(p, s, r, bound, a[:r])
+    t = _truncation(table, s, r, fiber_dim)
+    _check_digits([(t.p, truncation_exponent(t.a, s, r))])
+    return t
 
 
 @dataclass(frozen=True)
 class GlobalZetaTruncation:
     """prod_{p <= R} of local truncations, with accumulated error bounds; it
-    keeps the local factors and forms ``value`` and ``tail_bound`` on first use."""
+    keeps the local factors and forms ``value`` and the bounds when read."""
 
-    s: int
     prime_bound: int
-    fiber_dim: int
     truncations: tuple           # the local ZetaTruncations, one per prime
-    c0: Fraction                 # the largest count constant of the fibers
 
     @property
     def local_error(self) -> Fraction:
@@ -238,49 +237,42 @@ class GlobalZetaTruncation:
 
     @cached_property
     def tail_bound(self) -> Fraction | None:
-        """8*c0*value/R when s is in the integral range, else None."""
-        if self.s < self.fiber_dim + 2:
+        """8*c0*value/R (c0 the largest of the fibers') for s in the integral
+        range, else None."""
+        t = self.truncations[0]
+        if t.s < t.fiber_dim + 2:
             return None
-        return 8 * self.c0 * self.value / self.prime_bound
+        return 8 * max(u.c0 for u in self.truncations) * self.value / self.prime_bound
 
     def decimal_digits(self) -> tuple:
         """``value``'s numerator and denominator as exact integral Decimals."""
         return _decimal_digits(self.truncations)
 
 
-def global_zeta_inverse(tables: dict, s: int, prime_bound: int,
-                        r_per_prime: dict | int, fiber_dim: int) -> GlobalZetaTruncation:
-    """Product of local truncations over all primes p <= prime_bound.
+def global_zeta_inverse(tables: dict, s: int, prime_bound: int, r: int,
+                        fiber_dim: int) -> GlobalZetaTruncation:
+    """Product of the local truncations of depth r over the primes p <= prime_bound.
 
-    ``tables`` maps each prime to its PointCountTable and a dict
-    ``r_per_prime`` each prime to its depth; a missing prime is an error,
-    and so is prime_bound < 2, a product over no fibers.  A product whose
-    denominator has DIGIT_CAP or more digits is refused before the first
-    local product.  Each table is inverted once, for that check and its
-    local product, and its c0 estimated once, for both tail bounds.  The
-    prime tail bound 8*c0*value/R applies only when s >= fiber_dim + 2,
-    i.e. when the product over all primes converges; below that the product
-    diverges to 0 and only the truncated value is meaningful.
+    ``tables`` maps each prime to its PointCountTable; a missing prime or
+    a table of another prime is an error, and so is prime_bound < 2, a
+    product over no fibers.  A
+    product whose denominator has DIGIT_CAP or more digits is refused
+    before the first local product.  Each table is inverted once, and its
+    c0 estimated only when a bound is read: ``local_error`` and
+    ``tail_bound`` share it.  The prime tail bound 8*c0*value/R applies
+    only when s >= fiber_dim + 2, i.e. when the product over all primes
+    converges; below that the product diverges to 0 and only the
+    truncated value is meaningful.
     """
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
     primes = primes_up_to(prime_bound)
-    depths = {}
     for p in primes:
-        if p not in tables:
-            raise ValueError(f"missing point counts for the fiber at p = {p}")
-        r = r_per_prime if isinstance(r_per_prime, int) else r_per_prime.get(p)
-        if r is None:
-            raise ValueError(f"missing truncation depth for the fiber at p = {p}")
-        depths[p] = r
-    counts = {p: _checked_counts(tables[p], s, r, fiber_dim)
-              for p, r in depths.items()}
-    _check_digits([(p, truncation_exponent(counts[p], s, r)) for p, r in depths.items()])
-    c0 = {p: c0_estimate(tables[p], fiber_dim + 1) for p in primes}
-    truncations = tuple(_truncation(p, s, r, fiber_dim, counts[p], c0[p])
-                        for p, r in depths.items())
-    return GlobalZetaTruncation(s, prime_bound, fiber_dim, truncations,
-                                max(c0.values()))
+        if p not in tables or tables[p].p != p:
+            raise ValueError(f"need the point counts of the fiber at p = {p}")
+    truncations = tuple(_truncation(tables[p], s, r, fiber_dim) for p in primes)
+    _check_digits([(t.p, truncation_exponent(t.a, s, r)) for t in truncations])
+    return GlobalZetaTruncation(prime_bound, truncations)
 
 
 def _roots_of_unity(q: int, exponents) -> set:

@@ -179,8 +179,9 @@ def test_maximality_scan_prime_cofactor_bound():
 def test_dedekind_verdicts_do_not_depend_on_cache_state():
     """Cubics and quartics with p^2 | disc at p in {2, 3, 5, 7}, each with a
     partner f + p^2 g: every verdict computed with a cold memo equals the
-    same verdict with the memo warmed by all the others, and partners
-    share an entry."""
+    same verdict with the memos warmed by all the others, and partners
+    share an entry.  The split of f mod p into radical and cofactor has a
+    memo of its own, shared by the f with one f mod p."""
     rng = random.Random(36)
     cases = []
     while len(cases) < 300:
@@ -196,6 +197,7 @@ def test_dedekind_verdicts_do_not_depend_on_cache_state():
     cold = []
     for f, p, disc in cases:
         arithlab._dedekind_mod_p2.cache_clear()
+        arithlab._dedekind_split.cache_clear()
         cold.append(dedekind_p_maximal(f, p, disc=disc))
     for f, p, disc in cases:
         dedekind_p_maximal(f, p, disc=disc)
@@ -205,7 +207,9 @@ def test_dedekind_verdicts_do_not_depend_on_cache_state():
     assert cold[0::2] == cold[1::2]
     assert hits >= len(cases) // 2
     assert 0 < sum(cold) < len(cold)
-    assert 0 < arithlab._dedekind_mod_p2.cache_info().maxsize < 10 ** 5
+    assert arithlab._dedekind_split.cache_info().hits > 0
+    for memo in (arithlab._dedekind_mod_p2, arithlab._dedekind_split):
+        assert 0 < memo.cache_info().maxsize < 10 ** 5
 
 
 def _plain_scan(f, trial_bound, disc):

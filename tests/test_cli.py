@@ -15,7 +15,8 @@ from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
 from bertinilab.projgeom import (ProjectiveScheme, SchemeFiber, load_scheme,
                                  save_scheme, scheme_from_dict)
-from bertinilab.zetas import PointCountTable, local_zeta_inverse, projective_counts
+from bertinilab.zetas import (PointCountTable, local_zeta_inverse, primes_up_to,
+                              projective_counts)
 
 SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
@@ -200,6 +201,12 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
     for T in ("0", "-5", "1"):
         assert main(["bsw", "--d", "3", "--R", "10", "--T", T,
                      "--samples", "10"]) == EXIT_CONFIG
+    # ... and samples no polynomial from a height ball of radius R < 1
+    capsys.readouterr()
+    for R in ("0", "-1"):
+        assert main(["bsw", "--d", "3", "--R", R, "--T", "100",
+                     "--samples", "10"]) == EXIT_CONFIG
+        assert "need a height bound R >= 1" in capsys.readouterr().err
     # verify-bounds certifies primes only
     for p_list in ("6", "4,1", ""):
         assert main(["verify-bounds", f"--p-list={p_list}", "--e-max", "2",
@@ -228,11 +235,12 @@ def test_digit_cap_is_checked_before_computing(scheme_files, capsys):
 
 
 def test_multi_fiber_digit_cap(monkeypatch, capsys):
-    """multi-fiber refuses, before any local truncation, a reference whose
-    denominator prod_p p^E_p has DIGIT_CAP digits or more."""
+    """multi-fiber refuses, before any local product or bound, a reference
+    whose denominator prod_p p^E_p has DIGIT_CAP digits or more."""
     def refuse(*args):
-        raise AssertionError("a truncation was computed")
-    monkeypatch.setattr(zetas, "_truncation", refuse)
+        raise AssertionError("a product or bound was computed")
+    for name in ("_product_value", "_decimal_digits", "c0_estimate"):
+        monkeypatch.setattr(zetas, name, refuse)
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "7", "--samples", "100"]) == EXIT_BUDGET
     assert "2000000 digits" in capsys.readouterr().err
@@ -269,7 +277,8 @@ def test_bsw_digit_cap(monkeypatch, capsys):
 def test_multi_fiber_inverts_each_table_once(monkeypatch, capsys):
     """The reference of multi-fiber inverts each prime's point table and
     estimates its c0 once: the digit guard, the local truncations and the
-    tail bound share them."""
+    tail bound share them.  bsw, which reports the bound 8/T, estimates no
+    c0 at all: the bounds are formed only when read."""
     seen = {"closed_point_counts": [], "c0_estimate": []}
     for name in seen:
         def spy(table, *args, _name=name, _fn=getattr(zetas, name)):
@@ -278,8 +287,12 @@ def test_multi_fiber_inverts_each_table_once(monkeypatch, capsys):
         monkeypatch.setattr(zetas, name, spy)
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "4", "--samples", "100"]) == EXIT_OK
-    capsys.readouterr()
     assert seen == {name: [2, 3, 5, 7] for name in seen}
+    seen = {name: [] for name in seen}
+    assert main(["bsw", "--d", "3", "--R", "10", "--T", "100", "--samples", "10"]) \
+        == EXIT_OK
+    capsys.readouterr()
+    assert seen == {"closed_point_counts": primes_up_to(100), "c0_estimate": []}
 
 
 def test_internal_failures_exit_4(scheme_files, monkeypatch, capsys):

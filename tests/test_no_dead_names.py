@@ -1,5 +1,6 @@
 """Dead functions get deleted: every top-level function and class of the
-package is referenced somewhere outside its own definition."""
+package, and every method and property of its classes, is referenced
+somewhere outside its own definition."""
 
 import ast
 from collections import Counter
@@ -19,16 +20,41 @@ def references(node) -> Counter:
     return out
 
 
-def test_every_top_level_name_is_referenced():
+def _package_trees():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in ("src", "demos", "tests")
              for path in sorted((ROOT / folder).rglob("*.py"))}
     total = sum((references(tree) for tree in trees.values()), Counter())
     package = ROOT / "src" / "bertinilab"
-    defined = [(path.name, node) for path, tree in trees.items()
-               if path.is_relative_to(package) for node in tree.body
+    return total, [(path.name, tree) for path, tree in trees.items()
+                   if path.is_relative_to(package)]
+
+
+def _dead(total, defined) -> list:
+    return [f"{where}:{node.name}" for where, node in defined
+            if total[node.name] == references(node)[node.name]]
+
+
+def test_every_top_level_name_is_referenced():
+    total, modules = _package_trees()
+    defined = [(module, node) for module, tree in modules for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     assert len(defined) > 100
-    dead = [f"{module}:{node.name}" for module, node in defined
-            if total[node.name] == references(node)[node.name]]
+    dead = _dead(total, defined)
+    assert not dead, f"defined but never referenced: {dead}"
+
+
+def test_every_method_and_property_is_referenced():
+    """Methods and properties of the package's classes, dunders aside
+    (Python calls those by protocol): a derived property that nothing
+    reads is dead code too.  Names are matched as attribute names, so a
+    method shares its count with every attribute of the same name."""
+    total, modules = _package_trees()
+    defined = [(f"{module}:{cls.name}", node) for module, tree in modules
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(defined) > 50
+    dead = _dead(total, defined)
     assert not dead, f"defined but never referenced: {dead}"

@@ -106,17 +106,18 @@ def test_global_zeta_single_factor():
 
 def test_global_zeta_truncated_product_value():
     tables = {p: projective_counts(p, 1, 12) for p in (2, 3, 5, 7)}
-    depths = {2: 12, 3: 8, 5: 6, 7: 5}
-    g = global_zeta_inverse(tables, 2, 7, depths, 1)
+    g = global_zeta_inverse(tables, 2, 7, 5, 1)
     exact = Fraction(1)
     for p in (2, 3, 5, 7):
         exact *= projective_zeta_inverse_exact(p, 1, 2)
     assert abs(g.value - exact) <= g.local_error
     assert abs(float(exact) - 0.14330) < 5e-5
-    g3 = global_zeta_inverse(tables, 3, 7, depths, 1)
+    g3 = global_zeta_inverse(tables, 3, 7, 5, 1)
     assert g3.tail_bound is not None and g3.tail_bound > 0
     with pytest.raises(ValueError):
         global_zeta_inverse({2: tables[2]}, 3, 7, 4, 1)   # missing primes
+    with pytest.raises(ValueError, match="fiber at p = 2"):
+        global_zeta_inverse({2: tables[3], 3: tables[3]}, 3, 3, 4, 1)
 
 
 @pytest.mark.parametrize("r", [1, 4, 6])
@@ -137,16 +138,15 @@ def test_global_product_matches_fraction_product(r):
         assert expected.denominator % local[q].denominator != 0
 
 
-@pytest.mark.parametrize("prime_bound,depths", [
+@pytest.mark.parametrize("prime_bound,r", [
     (0, 4), (1, 4), (-3, 4),                # a product over no fibers
-    (7, {2: 4, 3: 4, 7: 4}),                # no depth for p = 5
-    (7, {2: 4, 3: 4, 5: 5, 7: 4}),          # deeper than the table at p = 5
+    (7, 5),                                 # deeper than the tables
     (7, -1),
 ])
-def test_global_zeta_inverse_validates_input(prime_bound, depths):
+def test_global_zeta_inverse_validates_input(prime_bound, r):
     tables = {p: projective_counts(p, 1, 4) for p in (2, 3, 5, 7)}
     with pytest.raises(ValueError):
-        global_zeta_inverse(tables, 3, prime_bound, depths, 1)
+        global_zeta_inverse(tables, 3, prime_bound, r, 1)
 
 
 def _fraction_text(value):
@@ -226,9 +226,9 @@ def test_shared_exponents_oracle(m):
     for primes in ([2], [7], [2, 3], primes_up_to(13), primes_up_to(31)):
         for s in (2, 3, 4):
             for r in range(7):
-                truncations = [
-                    ZetaTruncation(p, s, r, Fraction(0), closed_point_counts(
-                        projective_counts(p, m, max(r, 1)))[:r]) for p in primes]
+                tables = [projective_counts(p, m, max(r, 1)) for p in primes]
+                truncations = [ZetaTruncation(table, s, r, m, closed_point_counts(table)[:r])
+                               for table in tables]
                 exponents = [(t.p, truncation_exponent(t.a, s, r)) for t in truncations]
                 digits = sum(x * log10(p) for p, x in exponents)
                 try:
@@ -289,12 +289,13 @@ def test_truncation_needs_a_table_of_depth_one():
     assert (t.value, t.error_bound) == (1, 3)
 
 
-def test_digit_cap_refuses_before_any_product(monkeypatch):
-    """The local truncation starts from powers of p, so a prime that
-    refuses its powers shows that the check runs before it: 2^(8e6) has
-    2.4e6 digits.  The global product refuses on the combined denominator, here
-    2^(4e6) * 3^(2.6e6) (1.20e6 + 1.24e6 digits), before its first local
-    truncation, although each local one alone fits the cap."""
+def test_digit_cap_refuses_before_any_product():
+    """The product (as an int or in decimal), c0 and the tail bounds all
+    start from powers of p, so a prime that refuses its powers shows that
+    the check runs before any of them: 2^(8e6) has 2.4e6 digits.  The global
+    product refuses on the combined denominator, here 2^(4e6) * 3^(2.6e6)
+    (1.20e6 + 1.24e6 digits), before any local product or bound, although
+    each local one alone fits the cap."""
     class Prime(int):
         def __pow__(self, other):
             raise AssertionError("the product was formed")
@@ -302,14 +303,10 @@ def test_digit_cap_refuses_before_any_product(monkeypatch):
     assert projgeom.BudgetExceeded is zetas.BudgetExceeded
     with pytest.raises(zetas.BudgetExceeded, match="2000000 digits"):
         local_zeta_inverse(PointCountTable(Prime(2), (4 * 10 ** 6,)), 2, 1, 1)
-    tables = {2: PointCountTable(2, (2 * 10 ** 6,)),
-              3: PointCountTable(3, (13 * 10 ** 5,))}
-    for p, table in tables.items():
-        zetas._check_digits([(p, truncation_exponent(closed_point_counts(table), 2, 1))])
-
-    def refuse(*args):
-        raise AssertionError("a local truncation was computed")
-    monkeypatch.setattr(zetas, "_truncation", refuse)
+    counts = {2: (2 * 10 ** 6,), 3: (13 * 10 ** 5,)}
+    for p, n in counts.items():
+        zetas._check_digits([(p, truncation_exponent(n, 2, 1))])
+    tables = {p: PointCountTable(Prime(p), n) for p, n in counts.items()}
     with pytest.raises(zetas.BudgetExceeded, match=re.escape("2^4000000 * 3^2600000")):
         global_zeta_inverse(tables, 2, 3, 1, 1)
 
