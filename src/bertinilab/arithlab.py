@@ -127,9 +127,6 @@ class MonicPoly:
     def degree(self):
         return len(self.a)
 
-    def little_endian(self):
-        return list(self.a[::-1]) + [1]
-
     def __str__(self):
         d = self.degree
         parts = [f"x^{d}"]
@@ -222,7 +219,7 @@ def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
     p2 = p * p
     if disc % p2 != 0:
         return True
-    return _dedekind_mod_p2(tuple(c % p2 for c in f.little_endian()), p)
+    return _dedekind_mod_p2(tuple(c % p2 for c in reversed(f.a)) + (1,), p)
 
 
 @lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
@@ -259,13 +256,23 @@ class MaximalityVerdict:
     the verdict holds at every prime, not only below the trial bound.
     A 'not_maximal_at' verdict is always unconditional; its p is the
     least prime below the bound at which Dedekind's criterion fails.
+    A 'maximal_up_to' verdict keeps the cofactor of the discriminant left
+    after trial division.
     """
 
     kind: str
     trial_bound: int
     p: int | None = None
     unconditional: bool = False
-    checked_primes: str = ""
+    cofactor: int | None = None
+
+    @property
+    def checked_primes(self) -> str:
+        """What the scan covered, for a 'maximal_up_to' verdict; else ""."""
+        if self.cofactor is None:
+            return ""
+        c = self.cofactor
+        return f"all primes <= {self.trial_bound}; cofactor {'fully factored' if c == 1 else c}"
 
 
 TRIAL_BLOCK = 64             # trial primes per gcd in maximality_scan
@@ -315,9 +322,8 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
                                          unconditional=True)
     unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and is_prime(c))
-    note = (f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}")
     return MaximalityVerdict("maximal_up_to", trial_bound,
-                             unconditional=unconditional, checked_primes=note)
+                             unconditional=unconditional, cofactor=c)
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +366,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))
                    for fib in fibers} if n > 1 else {}
 
+    arithmetic = classification == "arithmetic"
     hits = 0
     singular_by_prime = {p: 0 for p in primes}
     rescued = 0
@@ -368,18 +375,17 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         good = np.ones(size, dtype=bool)
         for p in primes:
             if n == 1:
-                bad = np.zeros(size, dtype=bool)
-                rows_p2 = (rows % (p * p)).tolist()
-                for j, crow in enumerate(rows_p2):
+                counts = []
+                for crow in (rows % (p * p)).tolist():
                     rep = binary_section_report(crow, p, r)
                     rescued += rep.rescued
-                    if (rep.any_arith if classification == "arithmetic"
-                            else rep.any_fiber):
-                        bad[j] = True
+                    counts.append(rep.arith_singular if arithmetic
+                                  else rep.fiber_singular)
+                bad = np.array(counts, dtype=bool)
             else:
                 any_arith, any_fiber, resc = classifiers[p].census(rows % (p * p))
                 rescued += resc
-                bad = any_arith if classification == "arithmetic" else any_fiber
+                bad = any_arith if arithmetic else any_fiber
             singular_by_prime[p] += int(bad.sum())
             good &= ~bad
         hits += int(good.sum())

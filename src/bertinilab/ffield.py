@@ -198,10 +198,39 @@ def poly_mod(a, b, m):
 
 
 def poly_gcd(a, b, p):
-    """Monic gcd over the field Z/p."""
-    a, b = list(a), list(b)
+    """Monic gcd over the field Z/p of any integer list a and a list b
+    reduced mod p and trimmed; a fresh list, [] when both are zero.
+
+    A nonzero constant b gives 1 at once.  Otherwise the first remainder
+    is ``poly_mod(a, b, p)``, which reduces and trims a, and one
+    remainder loop follows on lists the loop owns, with no quotient and
+    no copy per step.  Each division takes one inverse of the divisor's
+    leading coefficient and negates and scales the divisor's lower terms
+    by it once; it then eliminates the dividend from the top in place,
+    one popped term at a time, and trims the remainder before the swap.
+    """
+    if not b:
+        a = poly_trim([c % p for c in a])
+    elif len(b) == 1:
+        return [1]
+    else:
+        a, b = list(b), poly_mod(a, b, p)
     while b:
-        a, b = b, poly_mod(a, b, p)
+        db = len(b) - 1
+        if not db:
+            return [1]
+        inv = p - pow(b[-1], -1, p)
+        low = [c * inv % p for c in b[:-1]]
+        while len(a) > db:
+            c = a.pop()
+            if c:
+                k = len(a) - db
+                for cb in low:
+                    a[k] = (a[k] + c * cb) % p
+                    k += 1
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]

@@ -11,6 +11,12 @@ affine chart polynomial f:
   arithmetically singular iff R vanishes mod p^2 at the point, i.e.
   g divides R/p over F_p.
 
+For each repeated factor h_k (the product of the degree-k points where
+fbar is singular) the mod-p^2 test is one remainder pass: f mod h_k over
+Z/p^2, which needs no inverse since h_k is monic, then q = R/p mod p.
+All of h_k's points are arithmetically singular when q = 0, none when q
+is a nonzero constant, and otherwise those of gcd(q, h_k).
+
 Grouping the repeated irreducible factors by degree (distinct-degree
 splitting of the radical) answers "is any point of degree <= r singular"
 with gcd computations only, never factoring into individual points; the
@@ -26,7 +32,7 @@ sigma = p*tau), keyed on (w, p, r); and, in front of it, the whole
 repeated-part step of a row (derivative, squarefree gcd and split), keyed
 on (fbar, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The radical
 runs only behind them and is not cached itself; nor is the mod-p^2 test
-of each row.
+of each row, which reads f mod p^2.
 """
 
 from __future__ import annotations
@@ -39,11 +45,6 @@ from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
 from .zetas import closed_point_counts, projective_counts
 
 CACHE_SIZE = 2048          # entries in each memo of this module
-
-
-def affine_poly(coeffs, d: int, modulus: int):
-    """Chart Y=1 polynomial of a binary form, little-endian in t = X/Y."""
-    return poly_trim([coeffs[d - i] % modulus for i in range(d + 1)])
 
 
 def radical_fp(f, p: int) -> list:
@@ -111,20 +112,12 @@ def _p1_closed_point_count(p: int, r: int) -> int:
     return sum(a[:r])
 
 
-@dataclass
+@dataclass(slots=True)
 class FiberReport:
     """Point-level summary of one section on one fiber, degrees <= r."""
 
     fiber_singular: int      # points where the reduced divisor is singular
     arith_singular: int      # points singular in the mod-p^2 sense
-
-    @property
-    def any_fiber(self):
-        return self.fiber_singular > 0
-
-    @property
-    def any_arith(self):
-        return self.arith_singular > 0
 
     @property
     def rescued(self):
@@ -141,41 +134,49 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
     if r < 1:
         return FiberReport(0, 0)
     p2 = p * p
-    fbar = affine_poly(coeffs, d, p)
+    fbar = poly_trim([c % p for c in reversed(coeffs)])   # chart Y = 1, in t = X/Y
     fiber_ct = 0
     arith_ct = 0
 
-    if not fbar and all(c % p == 0 for c in coeffs):
+    if not fbar:
         # sigma = p * tau: every point of the fiber is on the reduced divisor
         fiber_ct = _p1_closed_point_count(p, r)
-        tau = [(c % p2) // p for c in coeffs]
-        if all(c % p == 0 for c in tau):
+        tbar = poly_trim([c % p2 // p for c in reversed(coeffs)])
+        if not tbar:
             return FiberReport(fiber_ct, fiber_ct)   # the zero section
-        tbar = affine_poly(tau, d, p)
         # arithmetically singular exactly where tau vanishes
         if len(tbar) > 1:
             for k, hk in _radical_split(tuple(tbar), p, r):
                 arith_ct += (len(hk) - 1) // k
-        if tau[0] % p == 0:
-            arith_ct += 1        # the point at infinity
+        if len(tbar) <= d:
+            arith_ct += 1        # the point at infinity: tau has no X^d term
         return FiberReport(fiber_ct, arith_ct)
 
     # affine points: repeated irreducible factors of fbar
     if len(fbar) > 1:
-        split = _repeated_split(tuple(fbar), p, r)
-        if split:
-            f2 = affine_poly(coeffs, d, p2)
-            for k, hk in split:
-                npts = (len(hk) - 1) // k
-                fiber_ct += npts
-                rem = poly_mod(f2, hk, p2)      # hk's digits are in [0, p)
-                quot = poly_trim([c // p for c in rem])  # rem is 0 mod p
-                g = poly_gcd(quot, hk, p)
-                arith_ct += (len(g) - 1) // k
-    # the point at infinity, reverse chart u = Y/X at u = 0
-    a0, a1 = coeffs[0], coeffs[1] if d >= 1 else 0
-    if a0 % p == 0 and a1 % p == 0:
+        for k, hk in _repeated_split(tuple(fbar), p, r):
+            dh = len(hk) - 1
+            fiber_ct += dh // k
+            # f mod hk over Z/p^2 in one pass: hk is monic with digits in
+            # [0, p), so no inverse is taken and only the popped coefficient
+            # is reduced; rem is 0 mod p, since hk divides fbar
+            rem = list(reversed(coeffs))
+            low = hk[:-1]
+            while len(rem) > dh:
+                c = rem.pop() % p2
+                if c:
+                    for i, h in enumerate(low, len(rem) - dh):
+                        rem[i] -= c * h
+            q = poly_trim([c % p2 // p for c in rem])
+            # hk's points where q = rem/p vanishes: all, none, or gcd(q, hk)'s
+            if not q:
+                arith_ct += dh // k
+            elif len(q) > 1:
+                arith_ct += (len(poly_gcd(hk, q, p)) - 1) // k
+    # the point at infinity, reverse chart u = Y/X at u = 0: X^d and X^(d-1)Y
+    # vanish mod p
+    if len(fbar) < d:
         fiber_ct += 1
-        if a0 % p2 == 0:
+        if coeffs[0] % p2 == 0:
             arith_ct += 1
     return FiberReport(fiber_ct, arith_ct)

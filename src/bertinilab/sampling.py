@@ -74,7 +74,7 @@ def uniform_height_ball(rng: np.random.Generator, nrows: int, bounds) -> list:
             cols.append(rng.integers(-b, b + 1, size=nrows, dtype=np.int64).tolist())
         else:
             cols.append([uniform_bigint(rng, b) for _ in range(nrows)])
-    return [tuple(col[i] for col in cols) for i in range(nrows)]
+    return list(zip(*cols))
 
 
 def confidence_halfwidth(mean: float, samples: int) -> float:

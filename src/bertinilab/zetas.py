@@ -80,7 +80,7 @@ def closed_point_counts(table: PointCountTable) -> tuple:
     return tuple(a)
 
 
-def reconstruct_counts(p: int, a: tuple) -> tuple:
+def reconstruct_counts(a: tuple) -> tuple:
     """Inverse of closed_point_counts: N_e = sum_{f | e} f * a_f."""
     return tuple(sum(f * a[f - 1] for f in _divisors(e)) for e in range(1, len(a) + 1))
 

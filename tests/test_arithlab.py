@@ -228,8 +228,10 @@ def _plain_scan(f, trial_bound, disc):
                                          unconditional=True)
     unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and sympy.isprime(c))
     note = f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}"
-    return MaximalityVerdict("maximal_up_to", trial_bound,
-                             unconditional=unconditional, checked_primes=note)
+    verdict = MaximalityVerdict("maximal_up_to", trial_bound,
+                                unconditional=unconditional, cofactor=c)
+    assert verdict.checked_primes == note
+    return verdict
 
 
 def test_blocked_trial_division_matches_the_prime_loop():

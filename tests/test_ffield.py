@@ -14,8 +14,8 @@ from bertinilab import ffield, zetas
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
                                image_size_mod_p2, kernel_basis, matrix_rank,
-                               poly_divmod, poly_is_irreducible, poly_mod,
-                               poly_mul, solve_linear)
+                               poly_divmod, poly_gcd, poly_is_irreducible,
+                               poly_mod, poly_mul, poly_trim, solve_linear)
 
 
 def brute_force_irreducible(f, p):
@@ -518,3 +518,43 @@ def test_poly_mul_mod_consistency():
         assert all((x - y - z) % m == 0 for x, y, z in terms), (a, b, m)
         assert poly_mod(a, b, m) == r
         assert poly_divmod(a, b, m, quotient=False) == (None, r)
+
+
+def test_poly_gcd_against_sympy():
+    """The monic gcd over F_p against sympy's, for random pairs with zero,
+    constants, non-monic operands and planted common factors, and for a
+    first operand given unreduced and untrimmed; the inputs are left as
+    they were."""
+    x = sympy.symbols("x")
+    rng = random.Random(41)
+
+    def rand_poly(p, deg):                 # deg -1 gives the zero polynomial
+        return poly_trim([rng.randrange(p) for _ in range(deg + 1)])
+
+    def oracle(a, b, p):
+        pa, pb = (sympy.Poly(sum(c * x ** i for i, c in enumerate(f)), x, modulus=p)
+                  for f in (a, b))
+        g = poly_trim([int(c) % p for c in reversed(pa.gcd(pb).all_coeffs())])
+        return [c * pow(g[-1], -1, p) % p for c in g] if g else []
+
+    kinds = dict(zero=0, constant=0, non_monic=0, planted=0)
+    for i in range(800):
+        p = rng.choice([2, 3, 5, 7, 11])
+        a, b = rand_poly(p, rng.randint(-1, 8)), rand_poly(p, rng.randint(-1, 8))
+        if i % 3 == 0:
+            common = rand_poly(p, rng.randint(1, 4))
+            a, b = poly_mul(a, common, p), poly_mul(b, common, p)
+            kinds["planted"] += len(common) > 1 and bool(a) and bool(b)
+        kinds["zero"] += not a or not b
+        kinds["constant"] += len(a) == 1 or len(b) == 1
+        kinds["non_monic"] += any(len(f) > 1 and f[-1] != 1 for f in (a, b))
+        a_in = list(a)
+        if i % 4 == 1:
+            a_in = [c + p * rng.randint(-2, 2) for c in a] + [p] * rng.randint(0, 2)
+        before = (list(a_in), list(b))
+        got = poly_gcd(tuple(a_in) if i % 2 else a_in, b, p)
+        assert got == oracle(a, b, p), (a_in, b, p)
+        assert (a_in, b) == before
+        if got:
+            assert got[-1] == 1 and got is not a_in and got is not b
+    assert min(kinds.values()) >= 20, kinds

@@ -1,6 +1,6 @@
 """Dead functions get deleted: every top-level function and class of the
 package, and every method and property of its classes, is referenced
-somewhere outside its own definition."""
+somewhere outside its own definition, and every parameter is read."""
 
 import ast
 from collections import Counter
@@ -58,3 +58,30 @@ def test_every_method_and_property_is_referenced():
     assert len(defined) > 50
     dead = _dead(total, defined)
     assert not dead, f"defined but never referenced: {dead}"
+
+
+def _unread_parameters(tree) -> list:
+    """Parameters (self and cls aside) that no statement of their
+    function's body loads by name, nested functions included; an
+    attribute of the same name does not count as a read."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        out += [f"{fn.name}({name})" for name in params
+                if name not in ("self", "cls") and name not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    """An argument the function never reads is a dead input every caller
+    still has to supply."""
+    _, modules = _package_trees()
+    unread = [f"{module}:{where}" for module, tree in modules
+              for where in _unread_parameters(tree)]
+    assert not unread, f"parameters never read: {unread}"

@@ -188,6 +188,36 @@ def test_mod_p2_test_is_not_cached(p1):
     assert differ > 10
 
 
+@pytest.mark.parametrize("aff, p, r, expected", [
+    # f = t^2 (t + 1)^2 over Z: the repeated part h_1 = t(t + 1) divides f
+    # mod 9, so q = 0 and both points are arithmetically singular
+    ([0, 0, 1, 2, 1], 3, 1, (2, 2)),
+    # f + 3: q is the nonzero constant 1, so neither point is
+    ([3, 0, 1, 2, 1], 3, 1, (2, 0)),
+    # f + 3t: q = t shares t = 0, but not t = -1, with h_1
+    ([0, 3, 1, 2, 1], 3, 1, (2, 1)),
+    # g1^2 g2^2 + 3 g1 with g1 = t^2 + 1 and g2 = t^2 + t + 2, both
+    # irreducible over F_3: h_2 = g1 g2, and q = g1 shares g1's point only
+    ([7, 4, 16, 10, 15, 8, 7, 2, 1], 3, 2, (2, 1)),
+    # g1^2 g2^2 over Z: q = 0 at both quadratic points
+    ([4, 4, 13, 10, 15, 8, 7, 2, 1], 3, 2, (2, 2)),
+])
+def test_mod_p2_count_outcomes(p1, aff, p, r, expected):
+    """Rows built to hit each outcome of the mod-p^2 count of a repeated
+    factor h_k: q = rem/p zero, a nonzero constant, and a q sharing some
+    but not all of h_k's points; each against the pointwise classifier."""
+    d = len(aff) - 1
+    coeffs = tuple(reversed(aff))            # aff is little-endian in t = X/Y
+    rep = binary_section_report(coeffs, p, r)
+    fib = p1.fiber(p)
+    sec = HomogeneousForm(1, d, coeffs, p * p)
+    verdicts = [classify_point_detail(sec, pt, fib)
+                for pt in fib.closed_points_up_to(r)]
+    pointwise = (sum(f == "SingularPoint" for _, f in verdicts),
+                 sum(a == "SingularPoint" for a, _ in verdicts))
+    assert (rep.fiber_singular, rep.arith_singular) == pointwise == expected
+
+
 def test_squarefree_predicate_matches_sympy(p1):
     """Per-row ``any_fiber`` of the census at the points of degree <= d/2
     (the squarefree census's point set) is "not squarefree"."""
