@@ -14,6 +14,16 @@ Dedekind's criterion: Z[x]/(f) is maximal at p exactly
 when the homogenized divisor has no arithmetically singular point on
 the fiber at p, and the experiments assert that equivalence sample by
 sample.
+
+In ``bsw_experiment`` each sample's verdict comes from
+``maximality_scan``.  It trial-divides the discriminant by blocks of
+primes, one gcd g per block, dividing each prime of the block that
+divides g out of the discriminant and out of g until g is 1.  It proves
+a cofactor prime with ``ffield._is_prime_past_trial`` once the primes up
+to 37 are divided out (T >= 37), with ``is_prime`` below.  The cross-check
+runs Dedekind's criterion on every sample with the exact discriminant;
+its geometric side reads only f mod p^2, so it is memoized per class
+(f mod p^2, p) while the class table fits ``fiberlab._RESIDUE_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -23,12 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, log10, prod
+from typing import NamedTuple
 
 import numpy as np
 
-from .ffield import (MR_DETERMINISTIC_BOUND, is_prime, poly_divmod, poly_gcd,
-                     poly_mul, poly_sub, poly_trim)
-from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
+from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
+                     poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim)
+from .fiberlab import (_RESIDUE_TABLE_CAP, DensityEstimate, FiberClassifier,
+                       reading_exponent)
 from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
 from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
@@ -219,7 +231,9 @@ def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
     p2 = p * p
     if disc % p2 != 0:
         return True
-    return _dedekind_mod_p2(tuple(c % p2 for c in reversed(f.a)) + (1,), p)
+    fle = [c % p2 for c in reversed(f.a)]
+    fle.append(1)
+    return _dedekind_mod_p2(tuple(fle), p)
 
 
 @lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
@@ -244,8 +258,7 @@ def _dedekind_split(fbar: tuple, p: int) -> tuple:
     return tuple(gbar), tuple(poly_divmod(fbar, gbar, p)[0])
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(NamedTuple):
     """Outcome of a truncated maximality scan.
 
     kind is one of 'maximal_up_to', 'not_maximal_at', 'degenerate'.
@@ -257,7 +270,7 @@ class MaximalityVerdict:
     A 'not_maximal_at' verdict is always unconditional; its p is the
     least prime below the bound at which Dedekind's criterion fails.
     A 'maximal_up_to' verdict keeps the cofactor of the discriminant left
-    after trial division.
+    after trial division.  A named tuple: ``bsw`` builds one per sample.
     """
 
     kind: str
@@ -265,14 +278,6 @@ class MaximalityVerdict:
     p: int | None = None
     unconditional: bool = False
     cofactor: int | None = None
-
-    @property
-    def checked_primes(self) -> str:
-        """What the scan covered, for a 'maximal_up_to' verdict; else ""."""
-        if self.cofactor is None:
-            return ""
-        c = self.cofactor
-        return f"all primes <= {self.trial_bound}; cofactor {'fully factored' if c == 1 else c}"
 
 
 TRIAL_BLOCK = 64             # trial primes per gcd in maximality_scan
@@ -293,11 +298,14 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
     """Trial-divide disc(f) by the primes <= trial_bound and run Dedekind
     where a prime square divides it.
 
-    Trial division goes by blocks of ``TRIAL_BLOCK`` primes: one gcd of
-    the cofactor with the block's product, and the block's primes are
-    divided out, in order, only when that gcd is > 1.  It stops once the
-    next prime exceeds the cofactor.  The prime cofactor test is
-    ``is_prime``, a proof below ``MR_DETERMINISTIC_BOUND``.
+    Trial division goes by blocks of ``TRIAL_BLOCK`` primes: one gcd g of
+    the cofactor with the block's product; when g > 1 the block's primes
+    are tried in order, each one that divides g is divided out of the
+    cofactor and of g, and the block ends when g reaches 1.  It stops once
+    the next block starts past the cofactor.  The prime cofactor test is a
+    proof below ``MR_DETERMINISTIC_BOUND``: ``ffield._is_prime_past_trial``
+    when trial_bound >= 37, since every prime up to 37 is then already
+    divided out, and ``is_prime`` with its own trial division below that.
     """
     disc = discriminant(f) if disc is None else disc
     if disc == 0:
@@ -310,18 +318,21 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
         if g == 1:
             continue
         for p in block:
-            if p > g:
-                break
             if g % p:
                 continue
-            power = 0
+            g //= p
+            c //= p
+            power = 1
             while c % p == 0:
                 c //= p
                 power += 1
             if power >= 2 and not _dedekind_criterion(f, p, disc):
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
                                          unconditional=True)
-    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and is_prime(c))
+            if g == 1:
+                break
+    prove = _is_prime_past_trial if trial_bound >= 37 else is_prime
+    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and prove(c))
     return MaximalityVerdict("maximal_up_to", trial_bound,
                              unconditional=unconditional, cofactor=c)
 
@@ -402,6 +413,15 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
 # The monic-polynomial (maximal order) experiment.
 
 
+def _section_table(p: int, d: int) -> bytearray | None:
+    """The memo of ``bsw``'s geometric verdict at p for monic degree-d f:
+    one byte per class f mod p^2 (0 unknown, 1 singular, 2 regular),
+    indexed by the base-p^2 digits of its residues a_1 mod p^2 .. a_d mod
+    p^2, while its p^(2d) bytes fit ``_RESIDUE_TABLE_CAP``; None above."""
+    size = (p * p) ** d
+    return bytearray(size) if size <= _RESIDUE_TABLE_CAP else None
+
+
 def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                    fiber_cap: int = 7):
     """Sample monic degree-d polynomials uniformly from the height ball
@@ -414,7 +434,12 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     prime-tail bound as reference error.  It is built, and its digit
     budget checked, before the first sample.  Each sample is also pushed
     through the geometric classifier on the fibers p <= fiber_cap and the
-    two routes are required to agree exactly.
+    two routes are required to agree exactly.  ``maximality_scan`` gives
+    the verdict.  The cross-check runs Dedekind's criterion on every
+    sample and prime with the exact discriminant.  Its geometric side, the
+    report of ``binary_section_report``, reads only f mod p^2, so it is
+    memoized per class (f mod p^2, p) in a ``_section_table`` while p^(2d)
+    fits ``_RESIDUE_TABLE_CAP``, and computed per sample above that.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -427,7 +452,8 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     reference = global_zeta_inverse(
         {p: PointCountTable(p, (1,)) for p in primes_up_to(trial_bound)},
         2, trial_bound, 1, 0)
-    check_primes = primes_up_to(min(fiber_cap, trial_bound))
+    checks = [(p, p * p, _section_table(p, d))
+              for p in primes_up_to(min(fiber_cap, trial_bound))]
     bounds = [R ** i for i in range(1, d + 1)]
     hits = 0
     degenerate = 0
@@ -448,8 +474,18 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                 if not verdict.unconditional:
                     conditional += 1
             hom = (1,) + f.a
-            for p in check_primes:      # primes, and disc != 0 past 'degenerate'
-                geo_ok = binary_section_report(hom, p, d).arith_singular == 0
+            for p, p2, table in checks:     # primes, and disc != 0 past 'degenerate'
+                if table is None:
+                    geo_ok = binary_section_report(hom, p, d).arith_singular == 0
+                else:
+                    i = 0
+                    for c in a:
+                        i = i * p2 + c % p2
+                    known = table[i]
+                    if not known:
+                        known = table[i] = 1 + (
+                            binary_section_report(hom, p, d).arith_singular == 0)
+                    geo_ok = known == 2
                 if geo_ok != _dedekind_criterion(f, p, disc):
                     raise InternalCheckError(
                         f"Dedekind and the mod-p^2 classifier disagree at "

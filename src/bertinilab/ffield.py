@@ -57,6 +57,12 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    return _is_prime_past_trial(n)
+
+
+def _is_prime_past_trial(n: int) -> bool:
+    """``is_prime`` for an n > 1 with no prime factor <= 37, past its trial
+    division: for a caller that has already divided those primes out."""
     if n < _MR_PSI[-1]:
         bases = _MR_BASES[:bisect_right(_MR_PSI, n) + 1]
     elif n < _BPSW_BOUND:

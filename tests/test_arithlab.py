@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly
 from sympy.polys.numberfields.basis import round_two
 
-from bertinilab import arithlab
-from bertinilab.arithlab import (MaximalityVerdict, MonicPoly,
-                                 bareiss_determinant, bsw_experiment,
+from bertinilab import arithlab, sampling
+from bertinilab.arithlab import (InternalCheckError, MaximalityVerdict,
+                                 MonicPoly, bareiss_determinant, bsw_experiment,
                                  dedekind_p_maximal, discriminant,
                                  equidistribution_audit, maximality_scan,
                                  multi_fiber_experiment,
                                  quadratic_field_census, sylvester_matrix)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
+from bertinilab.fiberlab import _RESIDUE_TABLE_CAP
 from bertinilab.p1sections import binary_section_report
 from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
 
@@ -213,7 +214,8 @@ def test_dedekind_verdicts_do_not_depend_on_cache_state():
 
 
 def _plain_scan(f, trial_bound, disc):
-    """maximality_scan as one loop over the primes <= trial_bound."""
+    """maximality_scan as one loop over the primes <= trial_bound, with the
+    note of what a 'maximal_up_to' verdict covered ("" for the others)."""
     c = abs(disc)
     for p in primes_up_to(trial_bound):
         if p > c:
@@ -225,26 +227,44 @@ def _plain_scan(f, trial_bound, disc):
                 power += 1
             if power >= 2 and not dedekind_p_maximal(f, p, disc=disc):
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
-                                         unconditional=True)
+                                         unconditional=True), ""
     unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and sympy.isprime(c))
     note = f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}"
-    verdict = MaximalityVerdict("maximal_up_to", trial_bound,
-                                unconditional=unconditional, cofactor=c)
-    assert verdict.checked_primes == note
-    return verdict
+    return MaximalityVerdict("maximal_up_to", trial_bound,
+                             unconditional=unconditional, cofactor=c), note
+
+
+# the edges of is_prime's ranges: psi_5, where BPSW takes over from the
+# psi_k tiers; 2^64, where all twelve bases take over; and psi_12, above
+# which a True is only a strong probable prime
+_PRIME_EDGES = (2152302898747, 2 ** 64, MR_DETERMINISTIC_BOUND)
+
+
+def _edge_cofactors():
+    """Primes and composites with no factor <= 37 just below and just
+    above each edge; the edge psi_12 itself is one of them."""
+    out = []
+    for edge in _PRIME_EDGES:
+        out += [sympy.prevprime(edge), sympy.nextprime(edge),
+                sympy.nextprime(edge // 41) * 41, sympy.prevprime(edge // 43 + 1) * 43]
+        out += [edge] if edge % 2 else []
+    return out
 
 
 def test_blocked_trial_division_matches_the_prime_loop():
     """Same verdicts as the plain loop for real discriminants of cubics and
     for chosen ones: negative, +-1, below T, a prime power in the last
-    block, T prime, and bounds around the block size."""
+    block, T prime, bounds around the block size and around 37, and
+    cofactors on both sides of each edge of is_prime's ranges, which
+    T >= 37 sends to the entry of is_prime past its trial division."""
     rng = random.Random(37)
     cases = []
+    trial_bounds = [2, 10, 36, 37, 38, 1000]
     for _ in range(300):
         f = MonicPoly(tuple(rng.randint(-10 ** i, 10 ** i) for i in range(1, 4)))
         disc = discriminant(f)
         if disc:
-            cases.append((f, rng.choice([2, 10, 100, 1000]), disc))
+            cases.append((f, rng.choice(trial_bounds), disc))
     f = MonicPoly((-1, -1))
     primes = primes_up_to(1000)
     # 991 and 997 sit in the last block at T = 1000, past the first one
@@ -253,14 +273,24 @@ def test_blocked_trial_division_matches_the_prime_loop():
               997 ** 2, -3 * 997 ** 3, 2 * 991 ** 2 * 997 ** 2,
               997 ** 2 * 1009, 1009 ** 2, 2 ** 3 * 1000003,
               MR_DETERMINISTIC_BOUND, -sympy.prevprime(MR_DETERMINISTIC_BOUND)]
-    bounds = [2, 3, 10, 97, 997, 1000, 1009,
-              primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK - 1],
-              primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK]]
+    for n in _edge_cofactors():
+        chosen += [n, -n, 2 * 3 * 37 * n, -(37 ** 2) * 41 * n]
+    bounds = trial_bounds + [3, 97, 997, 1009,
+                             primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK - 1],
+                             primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK]]
     cases += [(f, T, disc) for disc in chosen for T in bounds]
     for f, T, disc in cases:
-        assert maximality_scan(f, T, disc=disc) == _plain_scan(f, T, disc), (f, T, disc)
+        scan = maximality_scan(f, T, disc=disc)
+        plain, note = _plain_scan(f, T, disc)
+        assert scan == plain, (f, T, disc)
+        assert (note == "") == (scan.kind == "not_maximal_at")
     kinds = {maximality_scan(f, T, disc=disc).kind for f, T, disc in cases}
     assert kinds == {"maximal_up_to", "not_maximal_at"}
+    verdicts = {maximality_scan(f, T, disc=n).unconditional
+                for n in _edge_cofactors() for T in (36, 37, 38)}
+    assert verdicts == {True, False}
+    assert _plain_scan(f, 10, -1)[1] == "all primes <= 10; cofactor fully factored"
+    assert _plain_scan(f, 10, -997)[1] == "all primes <= 10; cofactor 997"
 
 
 def test_geometric_oracle_equivalence():
@@ -347,7 +377,6 @@ def test_bsw_counts_degenerate_samples():
     """With R = 1 the only monic quadratic of discriminant 0 is x^2, so the
     degenerate count is the number of sampled rows (0, 0), and every sample
     is a hit, degenerate or not maximal at one prime."""
-    from bertinilab import sampling
     samples = 900
     est = bsw_experiment(2, 1, 10, samples, seed=4)
     squares = sum(row == (0, 0) for rng, size in sampling.chunks(4, samples)
@@ -383,6 +412,97 @@ def test_bsw_results_are_pinned(config):
     assert est.extras["conditional_verdicts"] == conditional
     assert est.extras["not_maximal_at"] == not_maximal_at
     assert est.extras["degenerate"] == 0
+
+
+def _count_section_reports(monkeypatch):
+    """Count bsw's calls of binary_section_report, per prime."""
+    real = arithlab.binary_section_report
+    calls = {}
+
+    def spy(coeffs, p, r):
+        calls[p] = calls.get(p, 0) + 1
+        return real(coeffs, p, r)
+
+    monkeypatch.setattr(arithlab, "binary_section_report", spy)
+    return calls
+
+
+def test_bsw_section_tables_fit_the_residue_cap(monkeypatch):
+    """At --d 3 each of the four check primes gets a table, of p^6 bytes
+    from 64 to 117,649.  At d = 4, p = 7 needs 49^4 > 2^20 bytes, so there
+    is none and the engine runs on every sample there, and the pinned
+    verdicts of (4, 50, 500, seed 7) still hold."""
+    sizes = [len(arithlab._section_table(p, 3)) for p in (2, 3, 5, 7)]
+    assert sizes == [p ** 6 for p in (2, 3, 5, 7)] == [64, 729, 15625, 117649]
+    assert max(sizes) <= _RESIDUE_TABLE_CAP
+    assert len(arithlab._section_table(5, 4)) == 25 ** 4 <= _RESIDUE_TABLE_CAP
+    assert arithlab._section_table(7, 4) is None and 49 ** 4 > _RESIDUE_TABLE_CAP
+    assert arithlab._section_table(11, 3) is None
+    calls = _count_section_reports(monkeypatch)
+    est = bsw_experiment(4, 50, 500, 300, seed=7)
+    hits, conditional, not_maximal_at = _BSW_PINS[(4, 50, 500, 7)]
+    assert (est.mean, est.extras["conditional_verdicts"],
+            est.extras["not_maximal_at"]) == (hits / 300, conditional, not_maximal_at)
+    assert calls[7] == 300 and calls[2] < 300
+
+
+def test_bsw_memo_cold_warm_and_off_agree(monkeypatch):
+    """The same run with cold tables, with tables kept warm from the first
+    run, and with no tables at all gives the same report.  The cold run
+    calls the engine once per class (f mod p^2, p) met, the warm run never,
+    and the run without tables once per sample and prime."""
+    args = (3, 30, 100, 600)
+    kept = {}
+    monkeypatch.setattr(arithlab, "_section_table",
+                        lambda p, d: kept.setdefault((p, d), bytearray((p * p) ** d)))
+    calls = _count_section_reports(monkeypatch)
+    cold = bsw_experiment(*args, seed=3).as_report()
+    cold_calls = dict(calls)
+    calls.clear()
+    warm = bsw_experiment(*args, seed=3).as_report()
+    assert not calls
+    monkeypatch.setattr(arithlab, "_section_table", lambda p, d: None)
+    off = bsw_experiment(*args, seed=3).as_report()
+    assert cold == warm == off
+    samples = [a for rng, size in sampling.chunks(3, 600)
+               for a in sampling.uniform_height_ball(rng, size, [30, 900, 27000])]
+    assert cold["degenerate"] == 0
+    assert calls == {p: 600 for p in (2, 3, 5, 7)}
+    assert cold_calls == {p: len({tuple(c % (p * p) for c in a) for a in samples})
+                          for p in (2, 3, 5, 7)}
+    assert cold_calls[2] == 64 and cold_calls[7] < 600
+
+
+def test_bsw_cross_check_runs_on_every_sample(monkeypatch):
+    """The geometric verdict of a class (f mod p^2, p) is memoized, but
+    Dedekind still runs on every sample: flipping its answer on only the
+    second sample of one recurring class, with p^2 not dividing disc so
+    that maximality_scan never asks about it, raises InternalCheckError."""
+    args = (3, 10, 100, 200)
+    seen = []
+    real = arithlab._dedekind_criterion
+
+    def record(f, p, disc):
+        seen.append((p, tuple(c % (p * p) for c in f.a), disc % (p * p) == 0))
+        return real(f, p, disc)
+
+    monkeypatch.setattr(arithlab, "_dedekind_criterion", record)
+    bsw_experiment(*args, seed=5)
+    target = next(key for key in seen if not key[2] and seen.count(key) >= 2)
+    occurrences = 0
+
+    def flip_second(f, p, disc):
+        nonlocal occurrences
+        verdict = real(f, p, disc)
+        if (p, tuple(c % (p * p) for c in f.a), disc % (p * p) == 0) == target:
+            occurrences += 1
+            return verdict != (occurrences == 2)
+        return verdict
+
+    monkeypatch.setattr(arithlab, "_dedekind_criterion", flip_second)
+    with pytest.raises(InternalCheckError, match=f"p={target[0]}"):
+        bsw_experiment(*args, seed=5)
+    assert occurrences == 2
 
 
 def test_euler_product_reference():
@@ -472,7 +592,6 @@ def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, n, d, prime_bound,
 def test_multi_fiber_generic_engine_matches_fast_path():
     fast = multi_fiber_experiment(5, 3000, 3, 2, 2000, seed=91, n=1)
     # the generic pointwise engine on the same seed must agree exactly
-    from bertinilab import sampling
     from bertinilab.fiberlab import FiberClassifier
     from bertinilab.projgeom import ProjectiveScheme
     scheme = ProjectiveScheme(1, 1)
@@ -494,7 +613,6 @@ def test_multi_fiber_generic_engine_matches_fast_path():
 def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
     """n > 1 runs FiberClassifier.census; check it row by row against
     classify_point_detail at every rational point of P^2 mod 2 and 3."""
-    from bertinilab import sampling
     from bertinilab.fiberlab import classify_point_detail
     from bertinilab.projgeom import HomogeneousForm
     est = multi_fiber_experiment(2, 50, 3, 1, 300, seed=17, n=2,

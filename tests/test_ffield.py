@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -558,3 +558,26 @@ def test_poly_gcd_against_sympy():
         if got:
             assert got[-1] == 1 and got is not a_in and got is not b
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_primality_past_trial_division_matches_sympy_at_the_edges():
+    """The entry of is_prime past its trial division, which maximality_scan
+    calls once every prime <= 37 is divided out, agrees with sympy on every
+    n coprime to 2..37 within 2,000 of 41 and of each edge of is_prime's
+    ranges (psi_1..psi_5, 2^64, psi_12), and with is_prime itself.  The one
+    exception is psi_12, a strong pseudoprime to all twelve bases, which
+    both accept: from there on a True is only a probable prime."""
+    past_trial = ffield._is_prime_past_trial
+    small = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+    edges = ffield._MR_PSI + (ffield._BPSW_BOUND, MR_DETERMINISTIC_BOUND)
+    checked = primes = 0
+    for edge in (41,) + edges:
+        for n in range(max(41, edge - 2000), edge + 2000):
+            if gcd(n, small) != 1:
+                continue
+            expected = sympy.isprime(n) or n == MR_DETERMINISTIC_BOUND
+            assert past_trial(n) == is_prime(n) == expected, n
+            checked += 1
+            primes += expected
+    assert past_trial(MR_DETERMINISTIC_BOUND) and not sympy.isprime(MR_DETERMINISTIC_BOUND)
+    assert checked > 3000 and 0 < primes < checked

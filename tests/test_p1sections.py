@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from bertinilab import p1sections
 from bertinilab.ffield import poly_mul, poly_trim
@@ -272,3 +273,17 @@ def test_census_matches_itertools_oracle(p1):
                    for pt in pts):
                 expected += 1
         assert (hits, total) == (expected, p ** (d + 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers() | st.integers(-10 ** 6, 10 ** 6).map(lambda k: 210 * k),
+                min_size=1, max_size=9),
+       st.integers(1, 4))
+def test_report_reads_only_the_residues_mod_p2(p, coeffs, r):
+    """The report of integer coefficients of any sign and size is the report
+    of their residues mod p^2, which lets bsw memoize it per f mod p^2.
+    Multiples of 210 vanish mod every p drawn, so sections p*tau and
+    repeated factors come up too."""
+    residues = [c % (p * p) for c in coeffs]
+    assert binary_section_report(coeffs, p, r) == binary_section_report(residues, p, r)
