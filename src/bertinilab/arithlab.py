@@ -18,12 +18,12 @@ sample.
 In ``bsw_experiment`` each sample's verdict comes from
 ``maximality_scan``.  It trial-divides the discriminant by blocks of
 primes, one gcd g per block, dividing each prime of the block that
-divides g out of the discriminant and out of g until g is 1.  It proves
-a cofactor prime with ``ffield._is_prime_past_trial`` once the primes up
-to 37 are divided out (T >= 37), with ``is_prime`` below.  The cross-check
-runs Dedekind's criterion on every sample with the exact discriminant;
-its geometric side reads only f mod p^2, so it is memoized per class
-(f mod p^2, p) while the class table fits ``fiberlab._RESIDUE_TABLE_CAP``.
+divides g out of the discriminant and out of g until g is 1.  The odd
+cofactor left is proved prime, or not, by ``ffield._is_prime_past_trial``,
+``is_prime`` past its own trial division.  The cross-check runs
+Dedekind's criterion on every sample with the exact discriminant; its
+geometric side reads only f mod p^2, so it is memoized per class
+(f mod p^2, p) at the primes p with p^(2d) <= samples, where classes recur.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import numpy as np
 
 from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
                      poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim)
-from .fiberlab import (_RESIDUE_TABLE_CAP, DensityEstimate, FiberClassifier,
-                       reading_exponent)
+from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import binary_section_report, radical_fp
 from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
@@ -302,11 +301,12 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
     the cofactor with the block's product; when g > 1 the block's primes
     are tried in order, each one that divides g is divided out of the
     cofactor and of g, and the block ends when g reaches 1.  It stops once
-    the next block starts past the cofactor.  The prime cofactor test is a
-    proof below ``MR_DETERMINISTIC_BOUND``: ``ffield._is_prime_past_trial``
-    when trial_bound >= 37, since every prime up to 37 is then already
-    divided out, and ``is_prime`` with its own trial division below that.
+    the next block starts past the cofactor.  With trial_bound >= 2 the
+    cofactor is odd, and ``ffield._is_prime_past_trial`` tests it, a proof
+    below ``MR_DETERMINISTIC_BOUND``.
     """
+    if trial_bound < 2:
+        raise ValueError("need trial bound T >= 2")
     disc = discriminant(f) if disc is None else disc
     if disc == 0:
         return MaximalityVerdict("degenerate", trial_bound)
@@ -331,8 +331,7 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
                                          unconditional=True)
             if g == 1:
                 break
-    prove = _is_prime_past_trial if trial_bound >= 37 else is_prime
-    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and prove(c))
+    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and _is_prime_past_trial(c))
     return MaximalityVerdict("maximal_up_to", trial_bound,
                              unconditional=unconditional, cofactor=c)
 
@@ -413,13 +412,15 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
 # The monic-polynomial (maximal order) experiment.
 
 
-def _section_table(p: int, d: int) -> bytearray | None:
+def _section_table(p: int, d: int, samples: int) -> bytearray | None:
     """The memo of ``bsw``'s geometric verdict at p for monic degree-d f:
     one byte per class f mod p^2 (0 unknown, 1 singular, 2 regular),
     indexed by the base-p^2 digits of its residues a_1 mod p^2 .. a_d mod
-    p^2, while its p^(2d) bytes fit ``_RESIDUE_TABLE_CAP``; None above."""
+    p^2.  Built only when its C = p^(2d) classes are at most the n samples:
+    then over a third of the lookups hit (1 - (1 - e^(-n/C)) C/n), while
+    above it about n/(2C) do, too few to pay for the index.  None there."""
     size = (p * p) ** d
-    return bytearray(size) if size <= _RESIDUE_TABLE_CAP else None
+    return bytearray(size) if size <= samples else None
 
 
 def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
@@ -438,8 +439,8 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     the verdict.  The cross-check runs Dedekind's criterion on every
     sample and prime with the exact discriminant.  Its geometric side, the
     report of ``binary_section_report``, reads only f mod p^2, so it is
-    memoized per class (f mod p^2, p) in a ``_section_table`` while p^(2d)
-    fits ``_RESIDUE_TABLE_CAP``, and computed per sample above that.
+    memoized per class (f mod p^2, p) in a ``_section_table`` at the
+    primes with p^(2d) <= samples, and computed per sample at the others.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -452,7 +453,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     reference = global_zeta_inverse(
         {p: PointCountTable(p, (1,)) for p in primes_up_to(trial_bound)},
         2, trial_bound, 1, 0)
-    checks = [(p, p * p, _section_table(p, d))
+    checks = [(p, p * p, _section_table(p, d, samples))
               for p in primes_up_to(min(fiber_cap, trial_bound))]
     bounds = [R ** i for i in range(1, d + 1)]
     hits = 0

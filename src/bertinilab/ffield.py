@@ -61,8 +61,10 @@ def is_prime(n: int) -> bool:
 
 
 def _is_prime_past_trial(n: int) -> bool:
-    """``is_prime`` for an n > 1 with no prime factor <= 37, past its trial
-    division: for a caller that has already divided those primes out."""
+    """``is_prime`` past its trial division, for an odd n > 2: for a caller
+    that has divided out 2.  Its tests need nothing more: psi_k and the
+    BPSW bound count every odd composite, small prime factors or not, and
+    the strong Lucas test, which needs n > 37, runs only from psi_5."""
     if n < _MR_PSI[-1]:
         bases = _MR_BASES[:bisect_right(_MR_PSI, n) + 1]
     elif n < _BPSW_BOUND:

@@ -19,7 +19,6 @@ from bertinilab.arithlab import (InternalCheckError, MaximalityVerdict,
                                  multi_fiber_experiment,
                                  quadratic_field_census, sylvester_matrix)
 from bertinilab.ffield import MR_DETERMINISTIC_BOUND
-from bertinilab.fiberlab import _RESIDUE_TABLE_CAP
 from bertinilab.p1sections import binary_section_report
 from bertinilab.zetas import DIGIT_CAP, BudgetExceeded, primes_up_to
 
@@ -160,6 +159,9 @@ def test_maximality_scan():
     # raising the bound past 1009 resolves it: the order is not maximal there
     v4 = maximality_scan(f, 1100)
     assert v4.kind == "not_maximal_at" and v4.p == 1009
+    # below T = 2 the cofactor could be even, outside the primality entry
+    with pytest.raises(ValueError, match="T >= 2"):
+        maximality_scan(f, 1)
 
 
 def test_maximality_scan_prime_cofactor_bound():
@@ -214,8 +216,7 @@ def test_dedekind_verdicts_do_not_depend_on_cache_state():
 
 
 def _plain_scan(f, trial_bound, disc):
-    """maximality_scan as one loop over the primes <= trial_bound, with the
-    note of what a 'maximal_up_to' verdict covered ("" for the others)."""
+    """maximality_scan as one loop over the primes <= trial_bound."""
     c = abs(disc)
     for p in primes_up_to(trial_bound):
         if p > c:
@@ -227,11 +228,10 @@ def _plain_scan(f, trial_bound, disc):
                 power += 1
             if power >= 2 and not dedekind_p_maximal(f, p, disc=disc):
                 return MaximalityVerdict("not_maximal_at", trial_bound, p=p,
-                                         unconditional=True), ""
+                                         unconditional=True)
     unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and sympy.isprime(c))
-    note = f"all primes <= {trial_bound}; cofactor {'fully factored' if c == 1 else c}"
     return MaximalityVerdict("maximal_up_to", trial_bound,
-                             unconditional=unconditional, cofactor=c), note
+                             unconditional=unconditional, cofactor=c)
 
 
 # the edges of is_prime's ranges: psi_5, where BPSW takes over from the
@@ -254,9 +254,9 @@ def _edge_cofactors():
 def test_blocked_trial_division_matches_the_prime_loop():
     """Same verdicts as the plain loop for real discriminants of cubics and
     for chosen ones: negative, +-1, below T, a prime power in the last
-    block, T prime, bounds around the block size and around 37, and
-    cofactors on both sides of each edge of is_prime's ranges, which
-    T >= 37 sends to the entry of is_prime past its trial division."""
+    block, T prime, bounds around the block size and around 37, below
+    which the cofactor keeps small odd primes, and cofactors on both sides
+    of each edge of is_prime's ranges."""
     rng = random.Random(37)
     cases = []
     trial_bounds = [2, 10, 36, 37, 38, 1000]
@@ -280,17 +280,12 @@ def test_blocked_trial_division_matches_the_prime_loop():
                              primes_up_to(10 ** 4)[arithlab.TRIAL_BLOCK]]
     cases += [(f, T, disc) for disc in chosen for T in bounds]
     for f, T, disc in cases:
-        scan = maximality_scan(f, T, disc=disc)
-        plain, note = _plain_scan(f, T, disc)
-        assert scan == plain, (f, T, disc)
-        assert (note == "") == (scan.kind == "not_maximal_at")
+        assert maximality_scan(f, T, disc=disc) == _plain_scan(f, T, disc), (f, T, disc)
     kinds = {maximality_scan(f, T, disc=disc).kind for f, T, disc in cases}
     assert kinds == {"maximal_up_to", "not_maximal_at"}
     verdicts = {maximality_scan(f, T, disc=n).unconditional
                 for n in _edge_cofactors() for T in (36, 37, 38)}
     assert verdicts == {True, False}
-    assert _plain_scan(f, 10, -1)[1] == "all primes <= 10; cofactor fully factored"
-    assert _plain_scan(f, 10, -997)[1] == "all primes <= 10; cofactor 997"
 
 
 def test_geometric_oracle_equivalence():
@@ -427,43 +422,48 @@ def _count_section_reports(monkeypatch):
     return calls
 
 
-def test_bsw_section_tables_fit_the_residue_cap(monkeypatch):
-    """At --d 3 each of the four check primes gets a table, of p^6 bytes
-    from 64 to 117,649.  At d = 4, p = 7 needs 49^4 > 2^20 bytes, so there
-    is none and the engine runs on every sample there, and the pinned
-    verdicts of (4, 50, 500, seed 7) still hold."""
-    sizes = [len(arithlab._section_table(p, 3)) for p in (2, 3, 5, 7)]
-    assert sizes == [p ** 6 for p in (2, 3, 5, 7)] == [64, 729, 15625, 117649]
-    assert max(sizes) <= _RESIDUE_TABLE_CAP
-    assert len(arithlab._section_table(5, 4)) == 25 ** 4 <= _RESIDUE_TABLE_CAP
-    assert arithlab._section_table(7, 4) is None and 49 ** 4 > _RESIDUE_TABLE_CAP
-    assert arithlab._section_table(11, 3) is None
+def test_bsw_section_tables_only_where_classes_recur(monkeypatch):
+    """A table of p^(2d) bytes is built at p only when p^(2d) <= samples.
+    At --d 3 with 4,000 samples that is p = 2 and 3 (64 and 729 bytes),
+    not p = 5 or 7 (15,625 and 117,649 classes).  At d = 4 with 300
+    samples only p = 2 (256 bytes) gets one, so the engine runs on every
+    sample at p = 3, 5 and 7, and the pinned verdicts of (4, 50, 500,
+    seed 7) still hold."""
+    assert [len(arithlab._section_table(p, 3, 4000)) for p in (2, 3)] == [64, 729]
+    assert arithlab._section_table(5, 3, 4000) is None
+    assert arithlab._section_table(7, 3, 4000) is None
+    assert len(arithlab._section_table(5, 3, 15625)) == 15625
+    assert arithlab._section_table(5, 3, 15624) is None
     calls = _count_section_reports(monkeypatch)
     est = bsw_experiment(4, 50, 500, 300, seed=7)
     hits, conditional, not_maximal_at = _BSW_PINS[(4, 50, 500, 7)]
     assert (est.mean, est.extras["conditional_verdicts"],
             est.extras["not_maximal_at"]) == (hits / 300, conditional, not_maximal_at)
-    assert calls[7] == 300 and calls[2] < 300
+    assert calls[3] == calls[5] == calls[7] == 300 and calls[2] <= 256
 
 
 def test_bsw_memo_cold_warm_and_off_agree(monkeypatch):
-    """The same run with cold tables, with tables kept warm from the first
-    run, and with no tables at all gives the same report.  The cold run
-    calls the engine once per class (f mod p^2, p) met, the warm run never,
-    and the run without tables once per sample and prime."""
+    """The same run with its own tables (p = 2 only), with cold tables at
+    every prime, with those tables kept warm from the cold run, and with no
+    tables at all gives the same report.  The cold run calls the engine
+    once per class (f mod p^2, p) met, the warm run never, and the run
+    without tables once per sample and prime."""
     args = (3, 30, 100, 600)
+    calls = _count_section_reports(monkeypatch)
+    own = bsw_experiment(*args, seed=3).as_report()
+    assert calls[3] == calls[5] == calls[7] == 600 > calls[2]
+    calls.clear()
     kept = {}
     monkeypatch.setattr(arithlab, "_section_table",
-                        lambda p, d: kept.setdefault((p, d), bytearray((p * p) ** d)))
-    calls = _count_section_reports(monkeypatch)
+                        lambda p, d, n: kept.setdefault((p, d), bytearray((p * p) ** d)))
     cold = bsw_experiment(*args, seed=3).as_report()
     cold_calls = dict(calls)
     calls.clear()
     warm = bsw_experiment(*args, seed=3).as_report()
     assert not calls
-    monkeypatch.setattr(arithlab, "_section_table", lambda p, d: None)
+    monkeypatch.setattr(arithlab, "_section_table", lambda p, d, n: None)
     off = bsw_experiment(*args, seed=3).as_report()
-    assert cold == warm == off
+    assert own == cold == warm == off
     samples = [a for rng, size in sampling.chunks(3, 600)
                for a in sampling.uniform_height_ball(rng, size, [30, 900, 27000])]
     assert cold["degenerate"] == 0
@@ -477,7 +477,9 @@ def test_bsw_cross_check_runs_on_every_sample(monkeypatch):
     """The geometric verdict of a class (f mod p^2, p) is memoized, but
     Dedekind still runs on every sample: flipping its answer on only the
     second sample of one recurring class, with p^2 not dividing disc so
-    that maximality_scan never asks about it, raises InternalCheckError."""
+    that maximality_scan never asks about it, raises InternalCheckError.
+    The class is taken at a prime with a table, where that second sample
+    is a memo hit: p = 2 here, the only one with p^6 <= 200."""
     args = (3, 10, 100, 200)
     seen = []
     real = arithlab._dedekind_criterion
@@ -488,7 +490,9 @@ def test_bsw_cross_check_runs_on_every_sample(monkeypatch):
 
     monkeypatch.setattr(arithlab, "_dedekind_criterion", record)
     bsw_experiment(*args, seed=5)
-    target = next(key for key in seen if not key[2] and seen.count(key) >= 2)
+    assert [p for p in (2, 3, 5, 7) if arithlab._section_table(p, 3, 200)] == [2]
+    target = next(key for key in seen
+                  if key[0] == 2 and not key[2] and seen.count(key) >= 2)
     occurrences = 0
 
     def flip_second(f, p, disc):

@@ -562,12 +562,15 @@ def test_poly_gcd_against_sympy():
 
 def test_primality_past_trial_division_matches_sympy_at_the_edges():
     """The entry of is_prime past its trial division, which maximality_scan
-    calls once every prime <= 37 is divided out, agrees with sympy on every
-    n coprime to 2..37 within 2,000 of 41 and of each edge of is_prime's
-    ranges (psi_1..psi_5, 2^64, psi_12), and with is_prime itself.  The one
+    calls on its odd cofactor, agrees with sympy on every odd n from 3 to
+    20,000, small prime factors or not, and on every n coprime to 2..37
+    within 2,000 of 41 and of each edge of is_prime's ranges (psi_1..psi_5,
+    2^64, psi_12), where it also agrees with is_prime itself.  The one
     exception is psi_12, a strong pseudoprime to all twelve bases, which
     both accept: from there on a True is only a probable prime."""
     past_trial = ffield._is_prime_past_trial
+    for n in range(3, 20000, 2):
+        assert past_trial(n) == sympy.isprime(n), n
     small = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
     edges = ffield._MR_PSI + (ffield._BPSW_BOUND, MR_DETERMINISTIC_BOUND)
     checked = primes = 0
