@@ -513,14 +513,11 @@ def quadratic_field_census(R: int):
     degenerate = 0
     for a1 in range(-R, R + 1):
         for a2 in range(-R * R, R * R + 1):
-            f = MonicPoly((a1, a2))
             total += 1
-            disc = discriminant(f)
-            if disc == 0:
+            verdict = maximality_scan(MonicPoly((a1, a2)), trial)
+            if verdict.kind == "degenerate":
                 degenerate += 1
-                continue
-            verdict = maximality_scan(f, trial, disc=disc)
-            if verdict.kind == "maximal_up_to":
+            elif verdict.kind == "maximal_up_to":
                 if not verdict.unconditional:
                     raise InternalCheckError("quadratic census verdict not certified")
                 hits += 1

@@ -509,9 +509,6 @@ class GaloisRing:
         """Coefficient-wise lift of a field element, digits kept in [0, p)."""
         return tuple(self.field.decode(x))
 
-    def reduce_mod_p(self, a) -> int:
-        return self.field.encode(c % self.p for c in a)
-
     def add(self, a, b):
         return tuple((x + y) % self.p2 for x, y in zip(a, b))
 

@@ -73,7 +73,7 @@ def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
         tangent_cols = [j for j in range(fiber.n + 1) if j != chart]
         jac = fiber.jacobian_rows(fld, scaled, chart)
         rhs = []
-        for g in fiber.scheme.defining_forms:
+        for g in fiber.forms:
             rhs.append(fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))))
         delta = solve_linear(jac, rhs, len(tangent_cols), fld)
         for j, col in enumerate(tangent_cols):
@@ -90,13 +90,11 @@ def classify_point_detail(form: HomogeneousForm, x: ClosedPoint, fiber: SchemeFi
                           chart: int | None = None, conjugate: int = 0,
                           perturbation=None):
     """(arithmetic classification, residue-field classification) at x of the
-    section mod p^2 that ``form`` defines: an integer form, or a form mod a
-    multiple of p^2."""
+    section mod p^2 that the integer form ``form`` defines; the fiber test
+    reads it mod p, the lifted value mod p^2."""
     if form.n != fiber.n:
         raise ValueError("section and scheme live on different projective spaces")
-    form = form.reduce(fiber.p ** 2)
-    fiber_status = fiber.divisor_smooth_at(form.reduce(fiber.p), x, chart=chart,
-                                           conjugate=conjugate)
+    fiber_status = fiber.divisor_smooth_at(form, x, chart=chart, conjugate=conjugate)
     if fiber_status == NOT_ON_DIVISOR:
         return NOT_ON_DIVISOR, NOT_ON_DIVISOR
     if fiber_status == SMOOTH:
@@ -499,11 +497,15 @@ def _enumerate_rows(h, modulus, start, stop):
 
 
 def _census_size(h: int, modulus: int) -> int:
-    """Number of coefficient vectors mod ``modulus``, within the budget."""
-    total = modulus ** h
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded(f"{total} sections exceed the exhaustive budget")
-    return total
+    """Number of coefficient vectors mod ``modulus``, within the budget.
+
+    Every modulus is >= 2, so a count with as many coefficients as the
+    budget has bits is already over it: the check never forms a larger
+    power, and the refusal names the count as one.
+    """
+    if modulus ** min(h, EXHAUSTIVE_BUDGET.bit_length()) > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"{modulus}^{h} sections exceed the exhaustive budget")
+    return modulus ** h
 
 
 def _tally(cls: FiberClassifier, row_batches):

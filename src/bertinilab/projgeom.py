@@ -59,27 +59,24 @@ def _basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class HomogeneousForm:
-    """A degree-d form on P^n with coefficients in Z or Z/modulus."""
+    """A degree-d form on P^n with integer coefficients.
+
+    A form is a section over Z; each evaluator reads it on the fiber it
+    works over, reducing the coefficients mod p (``eval_gf``) or mod p^2
+    (``eval_gr``) as it goes.
+    """
 
     n: int
     d: int
     coeffs: tuple
-    modulus: int | None = None  # None means integer coefficients
 
     def __post_init__(self):
         expected = comb(self.n + self.d, self.n)
         if len(self.coeffs) != expected:
             raise ValueError(f"need {expected} coefficients, got {len(self.coeffs)}")
-        if self.modulus is not None:
-            object.__setattr__(
-                self, "coeffs", tuple(c % self.modulus for c in self.coeffs))
 
     @staticmethod
-    def zero(n, d, modulus=None):
-        return HomogeneousForm(n, d, (0,) * comb(n + d, n), modulus)
-
-    @staticmethod
-    def from_monomials(n, d, terms, modulus=None):
+    def from_monomials(n, d, terms):
         """Build a form from (exponent-vector, coefficient) pairs."""
         basis = _basis(n, d)
         index = {exps: i for i, exps in enumerate(basis)}
@@ -89,52 +86,30 @@ class HomogeneousForm:
             if exps not in index:
                 raise ValueError(f"exponent vector {exps} is not degree {d} on P^{n}")
             coeffs[index[exps]] += c
-        return HomogeneousForm(n, d, tuple(coeffs), modulus)
+        return HomogeneousForm(n, d, tuple(coeffs))
 
     @property
     def basis(self):
         return _basis(self.n, self.d)
-
-    def reduce(self, modulus: int) -> "HomogeneousForm":
-        """Coefficient-wise reduction; refines an existing modulus only."""
-        if self.modulus is not None and self.modulus % modulus != 0:
-            raise ValueError(f"cannot reduce mod {modulus} from mod {self.modulus}")
-        return HomogeneousForm(self.n, self.d, self.coeffs, modulus)
 
     def partial(self, i: int) -> "HomogeneousForm":
         """Formal partial derivative with respect to X_i, degree drops by one."""
         if not 0 <= i <= self.n:
             raise ValueError("variable index out of range")
         if self.d == 0:
-            return HomogeneousForm.zero(self.n, 0, self.modulus)
+            return HomogeneousForm(self.n, 0, (0,))
         terms = []
         for exps, c in zip(self.basis, self.coeffs):
             if exps[i] > 0:
                 lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
                 terms.append((lowered, c * exps[i]))
-        return HomogeneousForm.from_monomials(self.n, self.d - 1, terms, self.modulus)
+        return HomogeneousForm.from_monomials(self.n, self.d - 1, terms)
 
     # -- evaluation over the supported coordinate rings
-
-    def eval_int(self, point, modulus=None):
-        """Evaluate at integer coordinates, optionally modulo ``modulus``."""
-        self._check_point_len(point)
-        m = modulus if modulus is not None else self.modulus
-        acc = 0
-        for exps, c in zip(self.basis, self.coeffs):
-            if c == 0:
-                continue
-            term = c
-            for x, e in zip(point, exps):
-                if e:
-                    term *= x ** e
-            acc += term
-        return acc % m if m is not None else acc
 
     def eval_gf(self, field: GF, point):
         """Evaluate at coordinates encoded in GF(p^e); coefficients embed mod p."""
         self._check_point_len(point)
-        self._check_char(field.p)
         acc = 0
         for exps, c in zip(self.basis, self.coeffs):
             cp = c % field.p
@@ -150,8 +125,6 @@ class HomogeneousForm:
     def eval_gr(self, ring: GaloisRing, point):
         """Evaluate at Galois-ring coordinates; coefficients embed mod p^2."""
         self._check_point_len(point)
-        if self.modulus is not None and self.modulus % ring.p2 != 0:
-            raise ValueError("coefficients do not embed into GR(p^2, e)")
         acc = ring.zero()
         for exps, c in zip(self.basis, self.coeffs):
             cc = c % ring.p2
@@ -167,10 +140,6 @@ class HomogeneousForm:
     def _check_point_len(self, point):
         if len(point) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coordinates")
-
-    def _check_char(self, p):
-        if self.modulus is not None and self.modulus % p != 0:
-            raise ValueError(f"coefficients mod {self.modulus} do not embed mod {p}")
 
 
 def default_variable_names(n: int) -> list[str]:
@@ -212,8 +181,6 @@ class ProjectiveScheme:
         for f in self.defining_forms:
             if f.n != n:
                 raise ValueError("defining forms must live on the same P^n")
-            if f.modulus is not None:
-                raise ValueError("defining forms must have integer coefficients")
 
     def fiber(self, p: int) -> "SchemeFiber":
         return SchemeFiber(self, p)
@@ -232,7 +199,7 @@ class SchemeFiber:
         self.p = p
         self.n = scheme.n
         self.m = scheme.m
-        self.forms = tuple(f.reduce(p) for f in scheme.defining_forms)
+        self.forms = scheme.defining_forms
         self._fields = {}
         self._points_cache = {}
 
@@ -344,7 +311,8 @@ class SchemeFiber:
 
     @cached_property
     def _partials(self):
-        """The partials of the defining forms mod p: [i][j] is dF_i/dX_j."""
+        """The partials of the defining forms, read mod p by ``eval_gf``:
+        [i][j] is dF_i/dX_j."""
         return tuple(tuple(f.partial(j) for j in range(self.n + 1)) for f in self.forms)
 
     def jacobian_rows(self, field: GF, coords, chart: int, forms=None):
@@ -382,7 +350,7 @@ class SchemeFiber:
 
     def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint,
                           chart: int | None = None, conjugate: int = 0) -> str:
-        """Classify the divisor of sigma (a form mod p) at the closed point x.
+        """Classify the divisor of sigma's reduction mod p at the closed point x.
 
         Returns one of NOT_ON_DIVISOR, SMOOTH, SINGULAR.
         """
@@ -451,18 +419,6 @@ def _vanishing(field: GF, forms):
 # Scheme description files and the form-string grammar.
 
 
-def scheme_to_dict(scheme: ProjectiveScheme) -> dict:
-    return {
-        "name": scheme.name,
-        "n": scheme.n,
-        "m": scheme.m,
-        "defining_forms": [
-            [[list(e), c] for e, c in zip(f.basis, f.coeffs) if c != 0]
-            for f in scheme.defining_forms
-        ],
-    }
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -499,13 +455,7 @@ def load_scheme(path) -> ProjectiveScheme:
         return scheme_from_dict(json.load(fh))
 
 
-def save_scheme(path, scheme: ProjectiveScheme):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(scheme), fh, indent=2)
-        fh.write("\n")
-
-
-def parse_form(text: str, n: int, modulus: int | None = None) -> HomogeneousForm:
+def parse_form(text: str, n: int) -> HomogeneousForm:
     """Parse a human-readable form such as ``X^2+5*Y^2-Z^2`` on P^n.
 
     Grammar: an optional leading sign, then terms joined by ``+``, ``-``
@@ -541,7 +491,7 @@ def parse_form(text: str, n: int, modulus: int | None = None) -> HomogeneousForm
     if len(degrees) > 1:
         raise ValueError(f"{text!r} is not homogeneous (degrees {sorted(degrees)})")
     d = degrees.pop() if degrees else 0
-    return HomogeneousForm.from_monomials(n, d, terms, modulus)
+    return HomogeneousForm.from_monomials(n, d, terms)
 
 
 def rational_closed_point(fiber: SchemeFiber, coords) -> ClosedPoint:

@@ -80,11 +80,6 @@ def closed_point_counts(table: PointCountTable) -> tuple:
     return tuple(a)
 
 
-def reconstruct_counts(a: tuple) -> tuple:
-    """Inverse of closed_point_counts: N_e = sum_{f | e} f * a_f."""
-    return tuple(sum(f * a[f - 1] for f in _divisors(e)) for e in range(1, len(a) + 1))
-
-
 def c0_estimate(table: PointCountTable, n: int) -> Fraction:
     """Smallest c with N_e <= c * p^{(n-1)e} on the observed range.
 

@@ -629,7 +629,7 @@ def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
         for row in sampling.uniform_box(rng, size, 6, 50).tolist():
             good = True
             for p, (fib, pts) in points.items():
-                sec = HomogeneousForm(2, 2, tuple(row), p * p)
+                sec = HomogeneousForm(2, 2, tuple(row))
                 verdicts = [classify_point_detail(sec, x, fib) for x in pts]
                 rescued += sum(f == "SingularPoint" and a != "SingularPoint"
                                for a, f in verdicts)

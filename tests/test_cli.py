@@ -13,8 +13,7 @@ from bertinilab import cli, sampling, zetas
 from bertinilab.arithlab import equidistribution_audit
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
-from bertinilab.projgeom import (ProjectiveScheme, SchemeFiber, load_scheme,
-                                 save_scheme, scheme_from_dict)
+from bertinilab.projgeom import SchemeFiber, load_scheme, scheme_from_dict
 from bertinilab.zetas import (PointCountTable, local_zeta_inverse, primes_up_to,
                               projective_counts)
 
@@ -22,15 +21,11 @@ SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
 
 @pytest.fixture(scope="module")
-def scheme_files(tmp_path_factory, conic):
-    root = tmp_path_factory.mktemp("schemes")
-    p1 = root / "p1z.json"
-    p2 = root / "p2z.json"
-    conic_file = root / "conic.json"
-    save_scheme(p1, ProjectiveScheme(1, 1, name="P1_Z"))
-    save_scheme(p2, ProjectiveScheme(2, 2, name="P2_Z"))
-    save_scheme(conic_file, conic)
-    return {"p1": str(p1), "p2": str(p2), "conic": str(conic_file)}
+def scheme_files():
+    """The shipped P^1, P^2 and conic files; test_projgeom pins them to the
+    p1, p2 and conic fixtures."""
+    files = {"p1": "p1z.json", "p2": "p2z.json", "conic": "conic_f2.json"}
+    return {key: str(SCHEMES / name) for key, name in files.items()}
 
 
 def invoke(argv):
@@ -74,17 +69,14 @@ def test_shipped_scheme_files_run(tmp_path):
             path.name
 
 
-def test_zeta_refuses_a_singular_fiber(elliptic, conic, tmp_path):
+def test_zeta_refuses_a_singular_fiber(tmp_path):
     """zeta checks the fiber's smoothness up to its depth before the table,
     as fiber-density does through its jets: the elliptic curve is singular
     at (1, 1, 1) mod 2 and (1, 0, 20) mod 31, and the conic
     X^2 + Y^2 + Z^2 is the double line (X + Y + Z)^2 mod 2."""
-    conic_path = tmp_path / "conic.json"
-    save_scheme(conic_path, conic)
-    assert main(["zeta", "--scheme", str(conic_path), "--p", "2", "--s", "2",
-                 "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
-    path = tmp_path / "elliptic.json"
-    save_scheme(path, elliptic)
+    assert main(["zeta", "--scheme", str(SCHEMES / "conic_f2.json"), "--p", "2",
+                 "--s", "2", "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    path = SCHEMES / "elliptic_a1_b1.json"
     for p, r in (("2", "3"), ("31", "1")):
         assert main(["zeta", "--scheme", str(path), "--p", p, "--s", "2",
                      "--r", r, "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
@@ -220,6 +212,20 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
         assert main(["multi-fiber", "--n", n, "--d", "-1", "--B", "10",
                      "--prime-bound", "3", "--r", "2", "--samples", "100"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_census_budget_refusal_is_short(scheme_files, capsys):
+    """An exhaustive census past the budget exits 3 with a short message:
+    the count 9^2500001 is named, never formed or printed (its 2.4 million
+    digits would pass the int-to-string limit)."""
+    capsys.readouterr()
+    for d in ("2000", "2500000"):
+        assert main(["fiber-density", "--scheme", scheme_files["p1"], "--p", "3",
+                     "--d", d, "--r", "1"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err == (f"budget exceeded: 9^{int(d) + 1} sections exceed "
+                       "the exhaustive budget\n")
+        assert len(err.encode()) < 200
 
 
 def test_digit_cap_is_checked_before_computing(scheme_files, capsys):

@@ -204,12 +204,12 @@ def test_galois_ring_units_exhaustive(p, e):
     ring = GaloisRing(GF(p, e))
     assert p ** (2 * e) <= 1 << 16
     elements = list(itertools.product(range(p * p), repeat=e))
-    units = [a for a in elements if ring.reduce_mod_p(a) != 0]
+    units = [a for a in elements if any(c % p for c in a)]
     assert len(units) == p ** (2 * e) - p ** e
     unit_order = (p ** e - 1) * p
     rng = random.Random(p ** e)
     for a in rng.sample(elements, 200):
-        expected = ring.one() if ring.reduce_mod_p(a) != 0 else ring.zero()
+        expected = ring.one() if any(c % p for c in a) else ring.zero()
         assert ring.pow(a, unit_order) == expected, a
 
 
@@ -235,15 +235,18 @@ def test_galois_ring_mul_matches_polynomial_remainder(p, e):
 def test_galois_ring_reduction_and_lift():
     ring = GaloisRing(GF(3, 2))
     field = ring.field
+
+    def reduce_mod_p(a):
+        return field.encode(c % 3 for c in a)
+
     for x in range(field.q):
-        assert ring.reduce_mod_p(ring.lift(x)) == x
+        assert reduce_mod_p(ring.lift(x)) == x
     # reduction is a ring homomorphism
     rng = random.Random(3)
     for _ in range(200):
         a = tuple(rng.randrange(9) for _ in range(2))
         b = tuple(rng.randrange(9) for _ in range(2))
-        assert ring.reduce_mod_p(ring.mul(a, b)) == \
-            field.mul(ring.reduce_mod_p(a), ring.reduce_mod_p(b))
+        assert reduce_mod_p(ring.mul(a, b)) == field.mul(reduce_mod_p(a), reduce_mod_p(b))
 
 
 def test_divide_by_p():

@@ -33,7 +33,7 @@ def test_worked_example_mod_25(p2):
     """The quadric X^2+5Y^2-Z^2 at [0:1:0] over p=5: the fiber divisor is
     singular there, the arithmetic divisor is regular (lifted value 5)."""
     fib = p2.fiber(5)
-    sec = parse_form("X^2+5*Y^2-Z^2", 2, modulus=25)
+    sec = parse_form("X^2+5*Y^2-Z^2", 2)
     x = closed_point(fib, (0, 1, 0))
     arith, fiber_status = classify_point_detail(sec, x, fib)
     assert arith == "RegularPoint"
@@ -43,7 +43,7 @@ def test_worked_example_mod_25(p2):
 def test_xy_always_singular_at_origin_point(p2):
     for p in (2, 3, 5, 7):
         fib = p2.fiber(p)
-        sec = parse_form("X*Y", 2, modulus=p * p)
+        sec = parse_form("X*Y", 2)
         assert classify_point_detail(sec, closed_point(fib, (0, 0, 1)), fib)[0] == \
             "SingularPoint"
 
@@ -51,7 +51,7 @@ def test_xy_always_singular_at_origin_point(p2):
 def test_mod_4_rescue_example(p2):
     # fiber value 0 and fiber partials vanish mod 2, lifted value 6, 6/2 = 3 odd
     fib = p2.fiber(2)
-    sec = parse_form("X^2+5*Y^2-Z^2", 2, modulus=4)
+    sec = parse_form("X^2+5*Y^2-Z^2", 2)
     arith, fiber_status = classify_point_detail(sec, closed_point(fib, (1, 1, 0)), fib)
     assert (arith, fiber_status) == ("RegularPoint", "SingularPoint")
 
@@ -59,11 +59,11 @@ def test_mod_4_rescue_example(p2):
 def test_zero_section_and_p_multiples(p1):
     fib = p1.fiber(2)
     x = closed_point(fib, (0, 1))
-    zero = HomogeneousForm(1, 2, (0, 0, 0), 4)
+    zero = HomogeneousForm(1, 2, (0, 0, 0))
     assert classify_point_detail(zero, x, fib)[0] == "SingularPoint"
     # 2 * (X^2 + XY + Y^2): tau never vanishes on P^1(F_2), divisor is the
     # doubled fiber but stays regular at every rational point
-    twice = HomogeneousForm(1, 2, (2, 2, 2), 4)
+    twice = HomogeneousForm(1, 2, (2, 2, 2))
     for rep in [(0, 1), (1, 0), (1, 1)]:
         assert classify_point_detail(twice, closed_point(fib, rep), fib)[0] == \
             "RegularPoint"
@@ -73,7 +73,7 @@ def test_classify_rejects_singular_fiber_points():
     cusp = ProjectiveScheme(2, 1, [parse_form("Y^2*Z-X^3", 2)], name="cusp")
     fib = cusp.fiber(5)
     x = rational_closed_point(fib, (0, 0, 1))
-    sec = parse_form("X", 2, modulus=25)
+    sec = parse_form("X", 2)
     with pytest.raises(ValueError):
         classify_point_detail(sec, x, fib)
 
@@ -88,7 +88,7 @@ def test_classify_on_curve_in_p2():
         assert points
         for _ in range(40):
             coeffs = tuple(rng.randrange(p * p) for _ in range(6))
-            sec = HomogeneousForm(2, 2, coeffs, p * p)
+            sec = HomogeneousForm(2, 2, coeffs)
             for x in points:
                 base = classify_point_detail(sec, x, fib)
                 for conj in range(x.degree):
@@ -108,7 +108,7 @@ def test_lift_conjugate_chart_independence(p1):
         while pairs < quota:
             d = rng.randint(1, 5)
             coeffs = tuple(rng.randrange(p * p) for _ in range(d + 1))
-            sec = HomogeneousForm(1, d, coeffs, p * p)
+            sec = HomogeneousForm(1, d, coeffs)
             for x in points:
                 base = classify_point_detail(sec, x, fib)
                 for _ in range(10):
@@ -134,7 +134,7 @@ def test_consistency_with_fiber_test(p1):
     for _ in range(300):
         d = rng.randint(1, 4)
         coeffs = tuple(rng.randrange(4) for _ in range(d + 1))
-        sec = HomogeneousForm(1, d, coeffs, 4)
+        sec = HomogeneousForm(1, d, coeffs)
         for x in points:
             arith, fiber_status = classify_point_detail(sec, x, fib)
             if arith == "NotOnDivisor":
@@ -274,20 +274,55 @@ def test_singular_at_point_matches_kernel_count(p1):
 
 
 def test_classify_reads_the_section_mod_p2(p1):
-    """classify_point_detail reads the section mod p^2 off its form: an
-    integer form is reduced, a form mod 8 refines to mod 4 at p = 2, and a
-    form mod 10 (at p = 3) or mod 6 (at p = 2) does not determine one."""
+    """classify_point_detail reads the section mod p^2 off its integer form."""
     for p, form, reduced in ((3, parse_form("10*X^2-Y^2", 1), (1, 0, 8)),
-                             (2, parse_form("7*X^2+5*X*Y", 1, modulus=8), (3, 1, 0))):
+                             (2, parse_form("7*X^2+5*X*Y", 1), (3, 1, 0))):
         fib = p1.fiber(p)
         for x in fib.closed_points_up_to(2):
             assert classify_point_detail(form, x, fib) == classify_point_detail(
-                HomogeneousForm(1, 2, reduced, p * p), x, fib)
-    for p, modulus in ((3, 10), (2, 6)):
-        fib = p1.fiber(p)
-        with pytest.raises(ValueError):
-            classify_point_detail(parse_form("X^2+Y^2", 1, modulus=modulus),
-                                  closed_point(fib, (0, 1)), fib)
+                HomogeneousForm(1, 2, reduced), x, fib)
+
+
+_fibers = {}
+
+
+def _outcome(form, x, fib):
+    """classify_point_detail's verdicts, or the refusal at a singular
+    fiber point (the conic mod 2 is a double line)."""
+    try:
+        return classify_point_detail(form, x, fib)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["P1", "P2", "conic"]), st.sampled_from([2, 3, 5]),
+       st.integers(1, 3), st.integers(1, 2), st.data())
+def test_forms_are_reduced_where_evaluated(p1, p2, conic, name, p, d, e, data):
+    """An integer form of any sign and size reads as its reduction: eval_gf
+    over GF(p^e) as the form mod p, eval_gr over GR(p^2, e) and
+    classify_point_detail as the form mod p^2."""
+    scheme = {"P1": p1, "P2": p2, "conic": conic}[name]
+    if (name, p) not in _fibers:
+        fib = scheme.fiber(p)
+        _fibers[name, p] = fib, fib.closed_points_up_to(2)
+    fib, points = _fibers[name, p]
+    n = scheme.n
+    h = len(monomial_basis(n, d))
+    coeffs = data.draw(st.lists(st.integers(), min_size=h, max_size=h))
+    form = HomogeneousForm(n, d, tuple(coeffs))
+    mod_p = HomogeneousForm(n, d, tuple(c % p for c in coeffs))
+    mod_p2 = HomogeneousForm(n, d, tuple(c % (p * p) for c in coeffs))
+    field = fib.extension(e)
+    ring = GaloisRing(field)
+    coords = st.integers(0, field.q - 1)
+    point = data.draw(st.tuples(*[coords] * (n + 1)))
+    assert form.eval_gf(field, point) == mod_p.eval_gf(field, point)
+    digits = st.tuples(*[st.integers(0, p * p - 1)] * e)
+    lift = data.draw(st.tuples(*[digits] * (n + 1)))
+    assert form.eval_gr(ring, lift) == mod_p2.eval_gr(ring, lift)
+    for x in data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=6)):
+        assert _outcome(form, x, fib) == _outcome(mod_p2, x, fib)
 
 
 def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
@@ -305,6 +340,17 @@ def test_budget_refused_before_points_and_jets(p1, p2, monkeypatch):
         singular_at_point_proportion(fib, x, 9)
     with pytest.raises(BudgetExceeded):
         squarefree_binary_census(2, 26)
+
+
+def test_census_size_refused_before_the_count_is_formed():
+    """The exhaustive budget compares at most modulus^27 (every modulus is
+    >= 2 and the budget is 2^26), so h = 10^9 is refused at once, and the
+    refusal names the count as modulus^h."""
+    assert fiberlab._census_size(26, 2) == fiberlab.EXHAUSTIVE_BUDGET
+    assert fiberlab._census_size(16, 3) == 3 ** 16
+    for h, modulus in ((27, 2), (17, 3), (10 ** 9, 3)):
+        with pytest.raises(BudgetExceeded, match=rf"^{modulus}\^{h} sections exceed"):
+            fiberlab._census_size(h, modulus)
 
 
 def test_ring_cap_refused_before_points(p1, p2, monkeypatch):
@@ -419,7 +465,7 @@ def _check_pointwise(cls, p, d, rng):
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
     for j, coeffs in enumerate(rows):
-        sec = HomogeneousForm(fib.n, d, tuple(int(c) for c in coeffs), p * p)
+        sec = HomogeneousForm(fib.n, d, tuple(int(c) for c in coeffs))
         verdicts = [classify_point_detail(sec, x, fib) for x in cls.points]
         arith = any(a == "SingularPoint" for a, _ in verdicts)
         fiber = any(f == "SingularPoint" for _, f in verdicts)
@@ -706,7 +752,7 @@ def test_census_matches_pointwise_definition(p2, conic, case):
     any_arith, any_fiber, rescued = cls.census(batch)
     total_rescued = 0
     for j, coeffs in enumerate(rows):
-        sec = HomogeneousForm(2, d, tuple(coeffs), p * p)
+        sec = HomogeneousForm(2, d, tuple(coeffs))
         verdicts = [classify_point_detail(sec, x, cls.fiber) for x in cls.points]
         row_rescued = sum(f == "SingularPoint" and a != "SingularPoint"
                           for a, f in verdicts)

@@ -1,6 +1,9 @@
 """Dead functions get deleted: every top-level function and class of the
-package, and every method and property of its classes, is referenced
-somewhere outside its own definition, and every parameter is read."""
+package, and every method and property of its classes, is referenced by
+the package or the demos outside its own definition, or is public (the
+package ``__init__`` imports it), and every parameter is read.  Reads
+from the tests do not count: a name that only tests read is package code
+that nothing runs."""
 
 import ast
 from collections import Counter
@@ -22,10 +25,12 @@ def references(node) -> Counter:
 
 def _package_trees():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in ("src", "demos", "tests")
+             for folder in ("src", "demos")
              for path in sorted((ROOT / folder).rglob("*.py"))}
     total = sum((references(tree) for tree in trees.values()), Counter())
     package = ROOT / "src" / "bertinilab"
+    total.update(alias.name for node in trees[package / "__init__.py"].body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
     return total, [(path.name, tree) for path, tree in trees.items()
                    if path.is_relative_to(package)]
 

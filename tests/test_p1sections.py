@@ -66,7 +66,7 @@ def test_report_matches_pointwise_classifier(p1):
         coeffs = tuple(rng.randrange(p * p) for _ in range(d + 1))
         rep = binary_section_report(coeffs, p, r)
         fib = p1.fiber(p)
-        sec = HomogeneousForm(1, d, coeffs, p * p)
+        sec = HomogeneousForm(1, d, coeffs)
         fiber_ct = arith_ct = 0
         for pt in fib.closed_points_up_to(r):
             arith, fiber_status = classify_point_detail(sec, pt, fib)
@@ -178,7 +178,7 @@ def test_mod_p2_test_is_not_cached(p1):
         for _ in range(3):
             coeffs = tuple(c + p * rng.randrange(p) for c in base)
             rep = binary_section_report(coeffs, p, r)
-            sec = HomogeneousForm(1, d, coeffs, p * p)
+            sec = HomogeneousForm(1, d, coeffs)
             arith_ct = sum(classify_point_detail(sec, pt, fib)[0] == "SingularPoint"
                            for pt in fib.closed_points_up_to(r))
             assert rep.arith_singular == arith_ct, (coeffs, p, d, r)
@@ -211,7 +211,7 @@ def test_mod_p2_count_outcomes(p1, aff, p, r, expected):
     coeffs = tuple(reversed(aff))            # aff is little-endian in t = X/Y
     rep = binary_section_report(coeffs, p, r)
     fib = p1.fiber(p)
-    sec = HomogeneousForm(1, d, coeffs, p * p)
+    sec = HomogeneousForm(1, d, coeffs)
     verdicts = [classify_point_detail(sec, pt, fib)
                 for pt in fib.closed_points_up_to(r)]
     pointwise = (sum(f == "SingularPoint" for _, f in verdicts),
@@ -268,7 +268,7 @@ def test_census_matches_itertools_oracle(p1):
         for coeffs in itertools.product(range(p), repeat=d + 1):
             if all(c == 0 for c in coeffs):
                 continue
-            form = HomogeneousForm(1, d, coeffs, p)
+            form = HomogeneousForm(1, d, coeffs)
             if all(fib.divisor_smooth_at(form, pt) != "SingularPoint"
                    for pt in pts):
                 expected += 1

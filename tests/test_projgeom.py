@@ -1,9 +1,11 @@
 """Forms, schemes, point enumeration, smoothness tests."""
 
+import json
 import random
 from collections import Counter
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +13,9 @@ from bertinilab.ffield import GF, GaloisRing
 from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
                                  ProjectiveScheme, load_scheme, monomial_basis,
                                  parse_form, parse_point,
-                                 rational_closed_point, save_scheme,
-                                 scheme_from_dict, scheme_to_dict)
+                                 rational_closed_point, scheme_from_dict)
+
+SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
 
 def test_monomial_basis_examples():
@@ -33,47 +36,46 @@ def test_monomial_basis_shape():
 def test_form_validation():
     with pytest.raises(ValueError):
         HomogeneousForm(1, 2, (1, 2))        # wrong length
-    f = HomogeneousForm(1, 2, (5, 6, 7), modulus=4)
-    assert f.coeffs == (1, 2, 3)
 
 
 def test_eval_examples():
     f = parse_form("X^2+5*Y^2-Z^2", 2)
-    assert f.eval_int((0, 1, 0), 25) == 5
-    assert f.eval_int((0, 0, 0)) == 0
-    g = parse_form("X*Y", 1, modulus=2)
+    assert f.eval_gr(GaloisRing(GF(5)), ((0,), (1,), (0,))) == (5,)
+    assert f.eval_gf(GF(5), (0, 1, 0)) == 0
+    g = parse_form("X*Y", 1)
     assert g.eval_gf(GF(2), (1, 1)) == 1
-
-
-def test_eval_ring_mismatch():
-    f = parse_form("X^2+Y^2", 1, modulus=9)
-    with pytest.raises(ValueError):
-        f.eval_gf(GF(2), (1, 1))
-    with pytest.raises(ValueError):
-        f.eval_gr(GaloisRing(GF(2, 1)), ((1,), (1,)))
 
 
 def test_partial_examples():
     f = parse_form("X^2+5*Y^2-Z^2", 2)
     assert f.partial(0).coeffs == (2, 0, 0)         # 2*X
     assert f.partial(1).coeffs == (0, 10, 0)        # 10*Y
-    assert parse_form("X^2", 1, modulus=2).partial(0).coeffs == (0, 0)
+    assert parse_form("X^2", 1).partial(0).eval_gf(GF(2), (1, 1)) == 0
+    assert parse_form("X", 1).partial(1).coeffs == (0,)
 
 
 def test_euler_relation_random():
-    # d*F = sum_i X_i * dF/dX_i, identically over F_p and Z/p^2
+    """d*F = sum_i X_i * dF/dX_i, identically over F_p (eval_gf) and over
+    Z/p^2 = GR(p^2, 1) (eval_gr), for integer forms of any sign and size."""
     rng = random.Random(10)
-    for modulus in (2, 3, 5, 4, 9, 25):
+    for p in (2, 3, 5):
+        field = GF(p)
+        ring = GaloisRing(field)
         for _ in range(170):
             n = rng.randint(1, 2)
             d = rng.randint(1, 4)
-            coeffs = tuple(rng.randrange(modulus) for _ in range(comb(n + d, n)))
-            f = HomogeneousForm(n, d, coeffs, modulus)
-            point = tuple(rng.randrange(modulus) for _ in range(n + 1))
-            lhs = d * f.eval_int(point, modulus) % modulus
-            rhs = sum(point[i] * f.partial(i).eval_int(point, modulus)
-                      for i in range(n + 1)) % modulus
-            assert lhs == rhs
+            coeffs = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(comb(n + d, n)))
+            f = HomogeneousForm(n, d, coeffs)
+            point = tuple(rng.randrange(p) for _ in range(n + 1))
+            rhs = 0
+            for i in range(n + 1):
+                rhs = field.add(rhs, field.mul(point[i], f.partial(i).eval_gf(field, point)))
+            assert field.mul(d % p, f.eval_gf(field, point)) == rhs
+            point = tuple((rng.randrange(p * p),) for _ in range(n + 1))
+            rhs = ring.zero()
+            for i in range(n + 1):
+                rhs = ring.add(rhs, ring.mul(point[i], f.partial(i).eval_gr(ring, point)))
+            assert ring.mul_int(f.eval_gr(ring, point), d) == rhs
 
 
 def test_rational_point_counts(p1, p2):
@@ -90,7 +92,7 @@ def test_conic_points(conic):
     # X^2+Y^2+Z^2 = (X+Y+Z)^2 over F_2: the line X+Y+Z = 0
     pts = conic.fiber(2).rational_points(1)
     assert len(pts) == 3
-    line = parse_form("X+Y+Z", 2, modulus=2)
+    line = parse_form("X+Y+Z", 2)
     assert all(line.eval_gf(GF(2), pt) == 0 for pt in pts)
 
 
@@ -172,18 +174,15 @@ def test_closed_point_orbits_lie_on_scheme(conic):
 def test_divisor_smooth_examples(p1, p2):
     fib = p1.fiber(2)
     pts = {x.rep: x for x in fib.closed_points_up_to(1)}
-    assert fib.divisor_smooth_at(parse_form("X*Y", 1, modulus=2),
-                                 pts[(1, 0)]) == "SmoothPoint"
-    assert fib.divisor_smooth_at(parse_form("X^2*Y^2", 1, modulus=2),
+    assert fib.divisor_smooth_at(parse_form("X*Y", 1), pts[(1, 0)]) == "SmoothPoint"
+    assert fib.divisor_smooth_at(parse_form("X^2*Y^2", 1),
                                  pts[(1, 0)]) == "SingularPoint"
     fib5 = p2.fiber(5)
     # [3:4:0] normalizes to (1, 3, 0); sigma(3,4,0) = 25 = 0 mod 5, partials nonzero
     x = {x.rep: x for x in fib5.closed_points_up_to(1)}[(1, 3, 0)]
-    assert fib5.divisor_smooth_at(parse_form("X^2+Y^2-Z^2", 2, modulus=5),
-                                  x) == "SmoothPoint"
+    assert fib5.divisor_smooth_at(parse_form("X^2+Y^2-Z^2", 2), x) == "SmoothPoint"
     # 1 + 2*9 = 19 = 4 mod 5, off the divisor
-    assert fib5.divisor_smooth_at(parse_form("X^2+2*Y^2+Z^2", 2, modulus=5),
-                                  x) == "NotOnDivisor"
+    assert fib5.divisor_smooth_at(parse_form("X^2+2*Y^2+Z^2", 2), x) == "NotOnDivisor"
 
 
 def test_divisor_smooth_invariance(p1, p2):
@@ -194,7 +193,7 @@ def test_divisor_smooth_invariance(p1, p2):
         for _ in range(60):
             d = rng.randint(1, 4)
             coeffs = tuple(rng.randrange(p) for _ in range(comb(scheme.n + d, scheme.n)))
-            sigma = HomogeneousForm(scheme.n, d, coeffs, p)
+            sigma = HomogeneousForm(scheme.n, d, coeffs)
             if not any(sigma.coeffs):
                 continue
             for x in points:
@@ -212,7 +211,7 @@ def test_divisor_smooth_rejects_singular_fiber_point():
     fib = cusp.fiber(5)
     x = rational_closed_point(fib, (0, 0, 1))
     with pytest.raises(ValueError):
-        fib.divisor_smooth_at(parse_form("X", 2, modulus=5), x)
+        fib.divisor_smooth_at(parse_form("X", 2), x)
 
 
 def test_validate_smooth(conic):
@@ -300,19 +299,16 @@ def test_parse_point():
         parse_point("[0:1]", 2)
 
 
-def test_scheme_file_roundtrip(tmp_path, conic):
-    path = tmp_path / "conic.json"
-    save_scheme(path, conic)
-    loaded = load_scheme(path)
-    assert loaded.n == conic.n and loaded.m == conic.m
-    assert [f.coeffs for f in loaded.defining_forms] == \
-        [f.coeffs for f in conic.defining_forms]
-    doc = scheme_to_dict(conic)
+def test_scheme_file_roundtrip(p1, p2, conic):
+    """The shipped P^1, P^2 and conic files load to the fixtures' schemes,
+    and the conic also with the legacy "p" key in its document."""
+    for name, scheme in (("p1z", p1), ("p2z", p2), ("conic_f2", conic)):
+        loaded = load_scheme(SCHEMES / f"{name}.json")
+        assert (loaded.n, loaded.m) == (scheme.n, scheme.m)
+        assert [f.coeffs for f in loaded.defining_forms] == \
+            [f.coeffs for f in scheme.defining_forms]
+    doc = json.loads((SCHEMES / "conic_f2.json").read_text(encoding="utf-8"))
     assert "p" not in doc
-    again = scheme_from_dict(doc)
-    assert [f.coeffs for f in again.defining_forms] == \
-        [f.coeffs for f in conic.defining_forms]
-    # a document with the legacy "p" key still loads to the same forms
     legacy = scheme_from_dict({**doc, "p": 2})
     assert [f.coeffs for f in legacy.defining_forms] == \
         [f.coeffs for f in conic.defining_forms]
