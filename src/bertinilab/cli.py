@@ -250,10 +250,25 @@ def render_report(args, results: dict, duration: float) -> str:
     return _PLACEHOLDER.sub(lambda m: texts[int(m.group(1))], text)
 
 
+def _signed_values_joined(argv) -> list:
+    """argv with ``--section V`` and ``--point V`` spelled ``--section=V``
+    and ``--point=V`` where V starts with a minus sign (a negative leading
+    coefficient or coordinate), which argparse would read as an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in ("--section", "--point")
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_signed_values_joined(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config status
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

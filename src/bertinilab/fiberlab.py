@@ -45,7 +45,8 @@ EXHAUSTIVE_BUDGET = 1 << 26
 _CHUNK = 1 << 14
 # entries of one census value-pass block (packed value rows x rows); the
 # largest divisibility table, one byte per packed value: k digit sums of
-# spread R share a value row while R^k stays within it; and the gathered
+# spread R share a value row while R^k stays within it, which must stay
+# <= 2^24 for the float32 value pass to be exact; and the gathered
 # digits of one pair-pass block
 _VALUE_BLOCK = 1 << 14
 _RESIDUE_TABLE_CAP = 1 << 20
@@ -53,19 +54,19 @@ _PAIR_BLOCK = 1 << 16
 
 
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
-                 conjugate: int = 0, perturbation=None,
-                 ring: GaloisRing | None = None):
+                 conjugate: int = 0, perturbation=None):
     """Chart-normalized lift of x into GR(p^2, deg x), landed on the scheme.
 
     The coordinates are scaled so the chart coordinate is exactly 1,
     lifted digit-wise, then (when the scheme has defining forms) moved by
     one Newton step so every defining form vanishes mod p^2.  An optional
     perturbation (a field vector, applied as + p * delta) exercises the
-    lift-independence of downstream classifications.  A caller that
-    already holds the ring GR(p^2, deg x) passes it as ``ring``.
+    lift-independence of downstream classifications.  The census lifts
+    its points a degree run at a time in ``_point_jets``; this is the
+    lift of one point, for ``classify_point_detail``.
     """
     fld = x.field
-    ring = GaloisRing(fld) if ring is None else ring
+    ring = GaloisRing(fld)
     chart = x.chart() if chart is None else chart
     scaled = fiber._scaled_coords(fld, x.orbit[conjugate], chart)
     lift = [ring.lift(c) for c in scaled]
@@ -189,26 +190,40 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     tangent: (K, h, m e) digits of the tangential derivatives mod p, one
     block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
 
-    Each point has its tangent basis and its Newton lift x~
-    (``lifted_point``, into the one ring GR(p^2, e) of the run), both in
-    the chart of x.rep; the lifts x~ + p t along the tangent vectors t and
-    the monomial values at all of them are then numpy products in the ring.
+    Each point is read in the chart of x.rep, whose chart coordinate is
+    already 1, and its Jacobian rows are taken once, for both its tangent
+    basis and its Newton step.  The run shares one ring GR(p^2, e): the
+    residuals g(x^)/p of the defining forms at the digit lifts x^ of all
+    its points are one ``_monomial_values`` evaluation per form degree,
+    and x~ = x^ + p delta solves J delta = -g(x^)/p per point, as
+    ``lifted_point`` does for one point.  The lifts x~ + p t along the
+    tangent vectors t and the monomial values at all of them are then
+    numpy products in the ring.
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
     runs = []
     for e, run in groupby(points, key=lambda x: x.degree):
         run = list(run)
-        ring = GaloisRing(run[0].field)
-        lifts, moves = [], []
-        for x in run:
+        fld = run[0].field
+        ring = GaloisRing(fld)
+        digits = fld.digit_array().astype(np.int64)
+        lifts = digits[np.array([x.rep for x in run], dtype=np.int64)]  # (K, n + 1, e)
+        # the right-hand sides -g(x^)/p of the Newton steps, negated digit
+        # by digit mod p: elements of GF(p^e) in its base-p encoding
+        residuals = _form_values(ring, lifts, fiber.forms) // p
+        rhs = (-residuals % p @ p ** np.arange(e)).tolist()
+        moves = []
+        for x, lift, row in zip(run, lifts, rhs):
             chart = x.chart()
-            tangent = fiber.tangent_basis(x)    # rejects singular fiber points
-            lifts.append(lifted_point(fiber, x, ring=ring)[1])
+            jac, tangent = fiber.tangent_space(x)   # rejects singular fiber points
+            if fiber.forms:
+                cols = [j for j in range(fiber.n + 1) if j != chart]
+                lift[cols] += p * digits[solve_linear(jac, row, fiber.n, fld)]
             # tangent vectors skip the chart coordinate
             moves.append([vec[:chart] + [0] + vec[chart:] for vec in tangent])
-        lifts = np.array(lifts, dtype=np.int64)[:, None]       # (K, 1, n + 1, e)
-        moves = ring.field.digit_array()[np.array(moves, dtype=np.int64)]
+        moves = digits[np.array(moves, dtype=np.int64)]
+        lifts = lifts[:, None]                                  # (K, 1, n + 1, e)
         moved = (lifts + p * moves.reshape(len(run), -1, fiber.n + 1, e)) % p2
         values = _monomial_values(ring, np.concatenate([lifts, moved], axis=1),
                                   basis, d)                   # (K, 1 + m, h, e)
@@ -217,6 +232,20 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
         runs.append((run, value_p2,
                      tangent.transpose(0, 2, 1, 3).reshape(len(run), len(basis), -1)))
     return runs
+
+
+def _form_values(ring: GaloisRing, coords: np.ndarray, forms) -> np.ndarray:
+    """Digits of every form of ``forms`` at ring points, its coefficients
+    read mod p^2: coords (K, n + 1, e) -> values (K, F, e), one
+    ``_monomial_values`` evaluation per degree among the forms."""
+    out = np.empty((len(coords), len(forms), ring.e), dtype=np.int64)
+    for d in {g.d for g in forms}:
+        at = [i for i, g in enumerate(forms) if g.d == d]
+        coeffs = np.array([[c % ring.p2 for c in forms[i].coeffs] for i in at],
+                          dtype=np.int64)
+        basis = np.array(monomial_basis(forms[0].n, d), dtype=np.int64)
+        out[:, at] = coeffs @ _monomial_values(ring, coords, basis, d) % ring.p2
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -292,13 +321,19 @@ class FiberClassifier:
     """
 
     def __init__(self, fiber: SchemeFiber, d: int, points):
+        """Build the jets of the points once (``_point_jets``, one ring and
+        one Newton residual evaluation per degree run) and from them the
+        census arrays: the packed value rows, float32 under a divisibility
+        table and float64 without one, and per degree run the balanced
+        tangent digits and the value_p2 digits of the pair pass."""
         self.fiber = fiber
         self.d = d
         self.p = fiber.p
         self.p2 = fiber.p ** 2
         self.h = comb(fiber.n + d, fiber.n)
         # census sums: h products below (p^2 - 1)^2 in int64, and in the
-        # value pass h products below (p - 1)^2 in float64, exact below 2^53.
+        # unpacked value pass h products below (p - 1)^2 in float64, exact
+        # below 2^53 (packed sums stay below 2^20, see _values).
         # The first bound implies the second for p >= 31; for smaller p the
         # second fails only at h >= 2^43 coefficients
         if (self.h * (self.p2 - 1) ** 2 >= 1 << 63
@@ -330,10 +365,16 @@ class FiberClassifier:
         weights = spread ** np.arange(width)
         # value row j of point i is row j P + i, for every point and every j
         # below the most value rows a point needs; a point of lower degree
-        # has zero digits there, whose sums p divides
+        # has zero digits there, whose sums p divides.  Packed rows are
+        # float32: any partial sum of the value pass, in any order, packs k
+        # partial digit sums of magnitude below R, so it lies strictly
+        # between -R^k and R^k, within 2^21 integers around 0 (R^k <= 2^20),
+        # and float32 is exact below 2^24.  Unpacked sums reach h (p - 1)^2
+        # and keep float64
         points = len(self.points)
         rows = -(-top // width)
-        values = np.zeros((rows, points, h))
+        values = np.zeros((rows, points, h),
+                          dtype=np.float64 if self._table is None else np.float32)
         self._runs, first = [], 0
         for run, value_p2, tangent in runs:
             k, e = len(run), run[0].degree
@@ -395,10 +436,12 @@ class FiberClassifier:
         The rows (entries in [0, p^2)) are reduced once to balanced digits
         mod p.  The value pass then finds the (point, row) pairs on the
         divisor.  Each block of _block rows costs the same fixed-shape
-        steps: the block times the packed ``_values`` in float64 (one BLAS
-        matmul, exact since every packed sum is below 2^20, or below 2^53
-        without packing), one lookup in the divisibility table (or an int64
-        remainder), and one logical_and per value row index past the first.
+        steps: the block, cast to the dtype of ``_values``, times the packed
+        ``_values`` (one BLAS matmul: float32, exact since every partial
+        sum lies within 2^21 < 2^24 integers around 0, or float64 without
+        packing, exact below 2^53), one lookup in the divisibility table
+        (or an int64 remainder), and one logical_and per value row index
+        past the first.
         The pair pass then runs once per degree run, on blocks of its
         on-divisor pairs: the tangent test mod p on the balanced digits,
         then the value_p2 test mod p^2 on the pairs singular on the fiber
@@ -415,7 +458,8 @@ class FiberClassifier:
         on_div = np.empty((points, n), dtype=bool)
         for start in range(0, n, self._block):
             stop = start + self._block
-            sums = self._values @ digits[start:stop].T.astype(np.float64, order="C")
+            sums = self._values @ digits[start:stop].T.astype(self._values.dtype,
+                                                              order="C")
             divisible = (self._table[sums.astype(np.intp)] if self._table is not None
                          else sums.astype(np.int64) % self.p == 0)
             for j in range(points, len(divisible), points):

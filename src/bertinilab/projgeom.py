@@ -326,16 +326,18 @@ class SchemeFiber:
             partials = [[f.partial(j) for j in cols] for f in forms]
         return [[g.eval_gf(field, coords) for g in row] for row in partials]
 
-    def tangent_basis(self, x: ClosedPoint):
-        """A basis of the tangent space of the fiber at x, in the coordinates
-        of the chart ``x.chart()``, where x.rep already has coordinate 1."""
+    def tangent_space(self, x: ClosedPoint):
+        """(Jacobian rows, basis of their kernel) at x: the rows of the
+        defining forms and a basis of the tangent space of the fiber, both
+        in the coordinates of the chart ``x.chart()``, where x.rep already
+        has coordinate 1.  Refused where the kernel is not m-dimensional."""
         chart = x.chart()
         rows = self.jacobian_rows(x.field, x.rep, chart)
         basis = kernel_basis(rows, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
                              f"at {x.rep}; declared dimension {self.m}")
-        return basis
+        return rows, basis
 
     def validate_smooth(self, r: int = 1) -> int:
         """Check the Jacobian rank n - m at every closed point of degree <= r.
@@ -345,7 +347,7 @@ class SchemeFiber:
         """
         points = self.closed_points_up_to(r)
         for x in points:
-            self.tangent_basis(x)       # raises unless the kernel has dimension m
+            self.tangent_space(x)       # raises unless the kernel has dimension m
         return len(points)
 
     def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint,
@@ -377,16 +379,24 @@ def _vanishing(field: GF, forms):
     ``field`` (one per row) and says at which rows every form vanishes.
 
     Each form is evaluated at every row at once.  Over F_p (e = 1) a term
-    is a product of integers mod p.  Over GF(p^e) it is exp of the sum of
-    the logs (0 when a coordinate raised to a positive power is 0), and
-    the terms are summed digit-wise mod p.
+    is a product of integers mod p.  Over GF(p^e) a term is its log, the
+    log of its coefficient plus the weighted logs of its coordinates, and
+    a flag for a coordinate 0 raised to a positive power.  The terms are
+    added in the log domain with the field's Zech logarithms,
+    log(a + b) = log a + Z(log b - log a) where Z(k) = log(1 + g^k): a
+    zero term adds Z = 0 (1 + 0 = 1), a zero sum takes the next term as
+    it is, and 1 + g^k = 0 makes the sum zero.
     """
     p, e = field.p, field.e
     terms = [[(exps, c % p) for exps, c in zip(f.basis, f.coeffs) if c % p]
              for f in forms]
     if e > 1:
+        q1 = field.q - 1
         exp, log = field.log_arrays()
-        digits = field.digit_array()
+        # 1 + g^k changes only the constant digit of g^k; it is 0 for one k,
+        # where the Zech log is a sentinel, and entry q - 1 is 1 + 0 = 1
+        one_plus = exp - exp % p + (exp + 1) % p
+        zech = np.append(np.where(one_plus, log[one_plus], -1), 0)
 
     def test(block):
         ok = np.ones(len(block), dtype=bool)
@@ -394,22 +404,29 @@ def _vanishing(field: GF, forms):
             logs = log[block]
             zero = block == 0
         for form in terms:
-            acc = np.zeros((len(block), e), dtype=np.int64)
+            if e == 1:
+                acc = np.zeros(len(block), dtype=np.int64)
+                for exps, c in form:
+                    term = np.full(len(block), c, dtype=np.int64)
+                    for i, a in enumerate(exps):
+                        for _ in range(a):
+                            term = term * block[:, i] % p
+                    acc += term
+                ok &= acc % p == 0
+                continue
+            # the sum so far: its log (unreduced) and whether it is zero
+            total, vanishes = 0, np.ones(len(block), dtype=bool)
             for exps, c in form:
                 used = [i for i, a in enumerate(exps) if a]
-                if e == 1:
-                    term = np.full(len(block), c, dtype=np.int64)
-                    for i in used:
-                        for _ in range(exps[i]):
-                            term = term * block[:, i] % p
-                    acc[:, 0] += term
-                else:
-                    term = exp[(log[c] + sum(exps[i] * logs[:, i] for i in used))
-                               % (field.q - 1)]
-                    if used:
-                        term[zero[:, used].any(axis=1)] = 0
-                    acc += digits[term]
-            ok &= ~(acc % p).any(axis=1)
+                term = sum((exps[i] * logs[:, i] for i in used),
+                           np.full(len(block), log[c]))
+                off = zero[:, used].any(axis=1)
+                step = (term - total) % q1
+                step[off] = q1
+                shift = zech[step]
+                total = np.where(vanishes, term, total + shift)
+                vanishes = np.where(vanishes, off, shift < 0)
+            ok &= vanishes
         return ok
 
     return test

@@ -98,6 +98,26 @@ def test_classify_subcommand(scheme_files):
     assert results["rescued"] is True
 
 
+def test_classify_accepts_values_with_a_leading_minus(scheme_files, tmp_path):
+    """A section with a negative leading coefficient and a point with a
+    negative coordinate, given as the next argument or after '=': both
+    spellings exit 0 with the same report."""
+    reports = []
+    for joined in (False, True):
+        flags = [("--section", "-7*X^2+5*X*Y"), ("--point", "-1:1")]
+        argv = ["classify", "--scheme", scheme_files["p1"], "--p", "3"]
+        for flag, value in flags:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        out = tmp_path / f"joined-{joined}.json"
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        report.pop("duration_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["section"] == "-7*X^2+5*X*Y"
+    assert reports[0]["results"]["point"] == [1, 2]
+
+
 def test_fiber_density_subcommand(scheme_files):
     _, results = invoke(["fiber-density", "--scheme", scheme_files["p1"],
                          "--p", "2", "--d", "5", "--r", "1"])

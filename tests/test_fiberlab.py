@@ -433,6 +433,43 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     assert again[2] == rescued
 
 
+@pytest.mark.parametrize("p, d, r, k", [(2, 14, 5, 5), (5, 126, 2, 2)])
+def test_float32_value_pass_at_the_packing_cap(p1, monkeypatch, p, d, r, k):
+    """The float32 value pass where the packed sums come closest to 2^20.
+    On P^1, h = d + 1 coefficients give digit sums of spread
+    R = h (low high + high^2) + 1, and R^k is the largest such power
+    <= 2^20: R = 16, R^5 = 2^20 mod 2 (d = 14) and R = 1017,
+    R^2 = 1,034,289 mod 5 (d = 126).  Each value row gets two rows of
+    extreme balanced digits, high or -low, signed with its packed values
+    to make the sum largest and smallest; the census equals the
+    float64 pass without a table."""
+    low, high = (p - 1) // 2, p // 2
+    spread = (d + 1) * (low * high + high * high) + 1
+    assert spread ** k <= 1 << 20 < (spread + low * high + high * high) ** k
+    fib = p1.fiber(p)
+    points = fib.closed_points_up_to(r)
+    cls = FiberClassifier(fib, d, points)
+    assert cls._pack == k and len(cls._table) == spread ** k
+    assert cls._values.dtype == np.float32
+    packed = cls._values.astype(np.int64)
+    digits = np.concatenate([np.where(packed > 0, high, -low),
+                             np.where(packed > 0, -low, high)])
+    sums = np.concatenate([packed, packed]) * digits
+    # the sums of the extreme rows reach past a quarter of the bound 2^20
+    assert 1 << 18 < np.abs(sums.sum(axis=1)).max() < 1 << 20
+    rng = np.random.default_rng(13)
+    rows = digits % p + p * rng.integers(0, p, size=digits.shape)
+    rows = np.concatenate([rows, rng.integers(0, p * p, size=(64, cls.h))])
+    got = cls.census(rows)
+    monkeypatch.setattr(fiberlab, "_RESIDUE_TABLE_CAP", 0)
+    without_table = FiberClassifier(fib, d, points)
+    assert without_table._table is None
+    assert without_table._values.dtype == np.float64
+    expected = without_table.census(rows)
+    assert (got[0] == expected[0]).all() and (got[1] == expected[1]).all()
+    assert got[2] == expected[2]
+
+
 def _rows_through(value_p2, tangent, p, rng, first_order):
     """A row mod p^2 whose reduction vanishes at a point, and with
     ``first_order`` is singular on the fiber there: a random F_p-kernel
@@ -515,6 +552,8 @@ def test_padded_census_matches_pointwise_definition(p1, p2, conic, elliptic,
             for _, _, tangent, value_p2 in cls._runs} == {fib.m}
     k, value_rows = _PACKING_EDGES[name, p, r, d]
     assert cls._pack == k and (cls._table is None) == (k == 0)
+    # float32 rows exactly when they are packed under a table
+    assert cls._values.dtype == (np.float64 if k == 0 else np.float32)
     assert len(cls._values) == value_rows
     _check_pointwise(cls, p, d, np.random.default_rng(11))
 
@@ -553,9 +592,10 @@ def test_census_memory_is_bounded(conic):
 
 def test_classifier_builds_one_ring_per_degree_run(p2, conic, monkeypatch):
     """_point_jets lifts every point of a degree run into one GaloisRing,
-    scales each point to its chart once, and the fiber takes the partials
-    of its defining forms once."""
-    counts = {"ring": 0, "scale": 0, "partial": 0}
+    takes the Jacobian rows of each point once (for its tangent basis and
+    its Newton step), never rescales a point (x.rep is already in its
+    chart), and the fiber takes the partials of its defining forms once."""
+    counts = {"ring": 0, "jacobian": 0, "scale": 0, "partial": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -564,6 +604,8 @@ def test_classifier_builds_one_ring_per_degree_run(p2, conic, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(GaloisRing, "__init__", counting("ring", GaloisRing.__init__))
+    monkeypatch.setattr(SchemeFiber, "jacobian_rows",
+                        counting("jacobian", SchemeFiber.jacobian_rows))
     monkeypatch.setattr(SchemeFiber, "_scaled_coords",
                         counting("scale", SchemeFiber._scaled_coords))
     monkeypatch.setattr(HomogeneousForm, "partial",
@@ -574,7 +616,7 @@ def test_classifier_builds_one_ring_per_degree_run(p2, conic, monkeypatch):
         for key in counts:
             counts[key] = 0
         FiberClassifier(fib, d, points)
-        assert counts == {"ring": r, "scale": len(points),
+        assert counts == {"ring": r, "jacobian": len(points), "scale": 0,
                           "partial": len(fib.forms) * (fib.n + 1)}
 
 
@@ -608,9 +650,12 @@ def test_unknown_count_rejected(p1):
                                classification="residue")
 
 
-def test_one_jet_build_per_point(p1, monkeypatch):
+def test_one_jet_build_per_point(p1, conic, monkeypatch):
     """The census and the certificate share the classifier's jets: one
-    _point_jets call per classifier, one lift per point."""
+    _point_jets call per classifier, which builds each point's jet once,
+    lifting the points by degree run and never one at a time through
+    lifted_point, on P^1 and on the conic, whose points need the Newton
+    step."""
     built, lifted = [], []
     point_jets, lift = fiberlab._point_jets, fiberlab.lifted_point
 
@@ -628,12 +673,20 @@ def test_one_jet_build_per_point(p1, monkeypatch):
     points = fib.closed_points_up_to(2)
     assert len(points) == 4
     est = fiber_density_exhaustive(p1, 2, 5, 2)
-    assert built == [[x.rep for x in points]] and lifted == built[0]
+    assert built == [[x.rep for x in points]] and lifted == []
     assert est.extras["certificate"].target_dim == 3 * 5
     built.clear()
-    lifted.clear()
     singular_at_point_proportion(fib, points[0], 3)
-    assert built == [[points[0].rep]] and lifted == built[0]
+    assert built == [[points[0].rep]] and lifted == []
+    built.clear()
+    fib = conic.fiber(3)
+    points = fib.closed_points_up_to(3)
+    est = fiber_density_mc(conic, 3, 2, 3, 100, seed=0)
+    assert built == [[x.rep for x in points]] and lifted == []
+    # classify's single-point lift still goes through lifted_point
+    sec = HomogeneousForm.from_monomials(2, 1, [((1, 0, 0), 3)])
+    classify_point_detail(sec, points[0], fib)
+    assert lifted == [points[0].rep]
 
 
 def test_unsorted_points_match_sorted(conic, monkeypatch):
@@ -669,14 +722,17 @@ def test_unsorted_points_match_sorted(conic, monkeypatch):
 
 
 @pytest.mark.parametrize("name, p", [("P1", 2), ("P1", 3), ("P2", 2),
-                                     ("conic", 3), ("conic", 5)])
-def test_jets_match_form_evaluation(p1, p2, conic, name, p):
+                                     ("conic", 3), ("conic", 5),
+                                     ("elliptic", 3), ("elliptic", 5)])
+def test_jets_match_form_evaluation(p1, p2, conic, elliptic, name, p):
     """Every jet array of each degree run against HomogeneousForm on each
     monomial, at every closed point of degree <= r (5 on the conic mod 3,
     else 3), the jets built for all those points at once: value_p2 mod p by
-    eval_gf at x.rep, value_p2 by eval_gr at the scheme lift, each tangent
-    block by sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
-    fib = {"P1": p1, "P2": p2, "conic": conic}[name].fiber(p)
+    eval_gf at x.rep, value_p2 by eval_gr at the scheme lift (lifted_point,
+    one point at a time, against the batched Newton residual of the
+    quadric and of the elliptic cubic), each tangent block by
+    sum_j t_j * partial_j(sigma)(x) over the chart coordinates j."""
+    fib = {"P1": p1, "P2": p2, "conic": conic, "elliptic": elliptic}[name].fiber(p)
     r = 5 if (name, p) == ("conic", 3) else 3
     points = fib.closed_points_up_to(r)
     assert max(x.degree for x in points) == r
@@ -692,7 +748,7 @@ def test_jets_match_form_evaluation(p1, p2, conic, name, p):
                 fld = x.field
                 ring, lift = lifted_point(fib, x)
                 cols = [j for j in range(fib.n + 1) if j != x.chart()]
-                tangent = fib.tangent_basis(x)
+                tangent = fib.tangent_space(x)[1]
                 assert jet.shape == (len(monomials), len(tangent) * x.degree)
                 for k, mono in enumerate(monomials):
                     assert list(values[k] % p) == fld.decode(mono.eval_gf(fld, x.rep))

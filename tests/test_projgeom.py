@@ -132,6 +132,20 @@ def test_rational_points_match_pointwise_scan(conic, elliptic):
     assert len(two_forms.fiber(2).rational_points(4)) == 16 + 1 + 1
 
 
+@pytest.mark.parametrize("name, p", [("conic", 2), ("conic", 3), ("conic", 5),
+                                     ("elliptic", 3), ("elliptic", 5)])
+def test_zech_scan_matches_pointwise_scan(conic, elliptic, name, p):
+    """The scan's Zech-log sums against one eval_gf call per tuple, same
+    points in the same order, at every e that scan_fits allows: the conic
+    mod 2 (the double line (X + Y + Z)^2, where the Zech sentinel is
+    1 + 1 = 0), 3 and 5, and the elliptic curve mod 3 and 5."""
+    fib = {"conic": conic, "elliptic": elliptic}[name].fiber(p)
+    depth = {2: 8, 3: 5, 5: 3}[p]
+    assert fib.scan_fits(depth) and not fib.scan_fits(depth + 1)
+    for e in range(1, depth + 1):
+        assert fib.rational_points(e) == _scan_by_eval_gf(fib, e), e
+
+
 @pytest.mark.parametrize("p, r, counts", [(3, 5, (4, 16, 28, 64, 244)),
                                           (5, 3, (9, 27, 108)),
                                           (7, 3, (5, 55, 380))])
