@@ -253,10 +253,13 @@ def render_report(args, results: dict, duration: float) -> str:
 def _signed_values_joined(argv) -> list:
     """argv with ``--section V`` and ``--point V`` spelled ``--section=V``
     and ``--point=V`` where V starts with a minus sign (a negative leading
-    coefficient or coordinate), which argparse would read as an option."""
+    coefficient or coordinate), which argparse would read as an option;
+    also after ``--se``/``--po`` and the longer abbreviations argparse
+    resolves to them (``--s`` is ambiguous, ``--p`` is the prime)."""
     out = []
     for arg in argv:
-        if (out and out[-1] in ("--section", "--point")
+        flag = out[-1] if out else ""
+        if (len(flag) >= 4 and ("--section".startswith(flag) or "--point".startswith(flag))
                 and arg.startswith("-") and not arg.startswith("--")):
             out[-1] += "=" + arg
         else:

@@ -3,8 +3,8 @@ off the divisor, regular, or singular in the arithmetic sense.
 
 A section sigma over Z/p^2 is singular at a closed point x of the fiber
 exactly when its local equation falls into the square of the maximal
-ideal at x.  Concretely, with the point scaled so the chart coordinate
-is 1 and lifted to the Galois ring GR(p^2, deg x):
+ideal at x.  Concretely, at the normalized representative of x (chart
+coordinate 1), lifted to the Galois ring GR(p^2, deg x):
 
 * the value of sigma at the lift must vanish mod p^2, and
 * every tangential derivative along the fiber must vanish mod p.
@@ -53,59 +53,38 @@ _RESIDUE_TABLE_CAP = 1 << 20
 _PAIR_BLOCK = 1 << 16
 
 
-def lifted_point(fiber: SchemeFiber, x: ClosedPoint, chart: int | None = None,
-                 conjugate: int = 0, perturbation=None):
-    """Chart-normalized lift of x into GR(p^2, deg x), landed on the scheme.
-
-    The coordinates are scaled so the chart coordinate is exactly 1,
-    lifted digit-wise, then (when the scheme has defining forms) moved by
-    one Newton step so every defining form vanishes mod p^2.  An optional
-    perturbation (a field vector, applied as + p * delta) exercises the
-    lift-independence of downstream classifications.  The census lifts
-    its points a degree run at a time in ``_point_jets``; this is the
-    lift of one point, for ``classify_point_detail``.
-    """
+def lifted_point(fiber: SchemeFiber, x: ClosedPoint):
+    """Lift of x.rep (chart coordinate 1) into GR(p^2, deg x), landed on
+    the scheme: digit-wise, then one Newton step so every defining form
+    vanishes mod p^2.  The census lifts a degree run at a time in
+    ``_point_jets``; this is the lift of one point, for ``classify_point_detail``."""
     fld = x.field
     ring = GaloisRing(fld)
-    chart = x.chart() if chart is None else chart
-    scaled = fiber._scaled_coords(fld, x.orbit[conjugate], chart)
-    lift = [ring.lift(c) for c in scaled]
+    lift = [ring.lift(c) for c in x.rep]
     if fiber.forms:
+        chart = x.chart()
         tangent_cols = [j for j in range(fiber.n + 1) if j != chart]
-        jac = fiber.jacobian_rows(fld, scaled, chart)
-        rhs = []
-        for g in fiber.forms:
-            rhs.append(fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))))
-        delta = solve_linear(jac, rhs, len(tangent_cols), fld)
+        rhs = [fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))) for g in fiber.forms]
+        delta = solve_linear(fiber.jacobian_rows(x), rhs, len(tangent_cols), fld)
         for j, col in enumerate(tangent_cols):
             lift[col] = ring.add(lift[col], ring.mul_int(ring.lift(delta[j]), fiber.p))
-    if perturbation is not None:
-        for j in range(fiber.n + 1):
-            if perturbation[j]:
-                lift[j] = ring.add(lift[j],
-                                   ring.mul_int(ring.lift(perturbation[j]), fiber.p))
     return ring, tuple(lift)
 
 
-def classify_point_detail(form: HomogeneousForm, x: ClosedPoint, fiber: SchemeFiber,
-                          chart: int | None = None, conjugate: int = 0,
-                          perturbation=None):
+def classify_point_detail(form: HomogeneousForm, x: ClosedPoint, fiber: SchemeFiber):
     """(arithmetic classification, residue-field classification) at x of the
-    section mod p^2 that the integer form ``form`` defines; the fiber test
-    reads it mod p, the lifted value mod p^2."""
+    section mod p^2 that the integer form ``form`` defines, read at x.rep in
+    its chart; the fiber test reads it mod p, the lifted value mod p^2."""
     if form.n != fiber.n:
         raise ValueError("section and scheme live on different projective spaces")
-    fiber_status = fiber.divisor_smooth_at(form, x, chart=chart, conjugate=conjugate)
+    fiber_status = fiber.divisor_smooth_at(form, x)
     if fiber_status == NOT_ON_DIVISOR:
         return NOT_ON_DIVISOR, NOT_ON_DIVISOR
     if fiber_status == SMOOTH:
         return REGULAR, SMOOTH
-    ring, lift = lifted_point(fiber, x, chart=chart, conjugate=conjugate,
-                              perturbation=perturbation)
-    value = form.eval_gr(ring, lift)
-    unit_over_p = ring.divide_by_p(value)   # sigma on the divisor: p | value
-    arith = REGULAR if unit_over_p != 0 else SINGULAR
-    return arith, fiber_status
+    ring, lift = lifted_point(fiber, x)
+    unit_over_p = ring.divide_by_p(form.eval_gr(ring, lift))   # sigma on the divisor: p | value
+    return (REGULAR if unit_over_p != 0 else SINGULAR), fiber_status
 
 
 # ----------------------------------------------------------------------

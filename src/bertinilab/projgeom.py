@@ -303,36 +303,30 @@ class SchemeFiber:
 
     # -- smoothness
 
-    def _scaled_coords(self, field: GF, coords, chart: int):
-        if coords[chart] == 0:
-            raise ValueError("chart coordinate vanishes at the point")
-        inv = field.inv(coords[chart])
-        return tuple(field.mul(inv, c) for c in coords)
-
     @cached_property
     def _partials(self):
         """The partials of the defining forms, read mod p by ``eval_gf``:
         [i][j] is dF_i/dX_j."""
         return tuple(tuple(f.partial(j) for j in range(self.n + 1)) for f in self.forms)
 
-    def jacobian_rows(self, field: GF, coords, chart: int, forms=None):
-        """Rows of partials (all variables except the chart one) at the point,
-        one row per form of ``forms``; None means the defining forms, whose
-        partials the fiber computes once."""
+    def jacobian_rows(self, x: ClosedPoint, forms=None):
+        """Rows of partials at x.rep (all variables except the chart one,
+        ``x.chart()``), one row per form of ``forms``; None means the
+        defining forms, whose partials the fiber computes once."""
+        chart = x.chart()
         cols = [j for j in range(self.n + 1) if j != chart]
         if forms is None:
             partials = [[row[j] for j in cols] for row in self._partials]
         else:
             partials = [[f.partial(j) for j in cols] for f in forms]
-        return [[g.eval_gf(field, coords) for g in row] for row in partials]
+        return [[g.eval_gf(x.field, x.rep) for g in row] for row in partials]
 
     def tangent_space(self, x: ClosedPoint):
         """(Jacobian rows, basis of their kernel) at x: the rows of the
         defining forms and a basis of the tangent space of the fiber, both
         in the coordinates of the chart ``x.chart()``, where x.rep already
         has coordinate 1.  Refused where the kernel is not m-dimensional."""
-        chart = x.chart()
-        rows = self.jacobian_rows(x.field, x.rep, chart)
+        rows = self.jacobian_rows(x)
         basis = kernel_basis(rows, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
@@ -350,25 +344,19 @@ class SchemeFiber:
             self.tangent_space(x)       # raises unless the kernel has dimension m
         return len(points)
 
-    def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint,
-                          chart: int | None = None, conjugate: int = 0) -> str:
-        """Classify the divisor of sigma's reduction mod p at the closed point x.
+    def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint) -> str:
+        """Classify the divisor of sigma's reduction mod p at the closed point x,
+        read at x.rep in the chart ``x.chart()``.
 
         Returns one of NOT_ON_DIVISOR, SMOOTH, SINGULAR.
         """
-        field = x.field
-        coords = x.orbit[conjugate]
-        if sigma.eval_gf(field, coords) != 0:
+        if sigma.eval_gf(x.field, x.rep) != 0:
             return NOT_ON_DIVISOR
-        chart = (next(i for i, c in enumerate(coords) if c != 0)
-                 if chart is None else chart)
-        coords = self._scaled_coords(field, coords, chart)
-        rows = self.jacobian_rows(field, coords, chart)
-        if matrix_rank(rows, field) != self.n - self.m:
+        rows = self.jacobian_rows(x)
+        if matrix_rank(rows, x.field) != self.n - self.m:
             raise ValueError(f"fiber is singular at {x.rep}; smoothness test refused")
-        rows.extend(self.jacobian_rows(field, coords, chart, [sigma]))
-        full = matrix_rank(rows, field)
-        return SMOOTH if full == self.n - self.m + 1 else SINGULAR
+        rows.extend(self.jacobian_rows(x, [sigma]))
+        return SMOOTH if matrix_rank(rows, x.field) == self.n - self.m + 1 else SINGULAR
 
     def __repr__(self):
         return f"{self.scheme.name} mod {self.p}"

@@ -100,20 +100,21 @@ def test_classify_subcommand(scheme_files):
 
 def test_classify_accepts_values_with_a_leading_minus(scheme_files, tmp_path):
     """A section with a negative leading coefficient and a point with a
-    negative coordinate, given as the next argument or after '=': both
-    spellings exit 0 with the same report."""
+    negative coordinate, given as the next argument or after '=', under
+    the full flag names or the abbreviations that argparse resolves to
+    them: every spelling exits 0 with the same report."""
     reports = []
-    for joined in (False, True):
-        flags = [("--section", "-7*X^2+5*X*Y"), ("--point", "-1:1")]
-        argv = ["classify", "--scheme", scheme_files["p1"], "--p", "3"]
-        for flag, value in flags:
-            argv += [f"{flag}={value}"] if joined else [flag, value]
-        out = tmp_path / f"joined-{joined}.json"
-        assert main(argv + ["--output", str(out)]) == EXIT_OK
-        report = json.loads(out.read_text(encoding="utf-8"))
-        report.pop("duration_s")
-        reports.append(report)
-    assert reports[0] == reports[1]
+    for flags in (("--section", "--point"), ("--sec", "--poi"), ("--se", "--po")):
+        for joined in (False, True):
+            argv = ["classify", "--scheme", scheme_files["p1"], "--p", "3"]
+            for flag, value in zip(flags, ("-7*X^2+5*X*Y", "-1:1")):
+                argv += [f"{flag}={value}"] if joined else [flag, value]
+            out = tmp_path / f"report-{len(reports)}.json"
+            assert main(argv + ["--output", str(out)]) == EXIT_OK, argv
+            report = json.loads(out.read_text(encoding="utf-8"))
+            report.pop("duration_s")
+            reports.append(report)
+    assert all(report == reports[0] for report in reports)
     assert reports[0]["config"]["section"] == "-7*X^2+5*X*Y"
     assert reports[0]["results"]["point"] == [1, 2]
 
@@ -209,6 +210,19 @@ def test_exit_codes(scheme_files, tmp_path, capsys):
                  "--r", "2000", "--samples", "10"]) == EXIT_BUDGET
     assert main(["equidist", "--h", str(10 ** 400), "--B", "100",
                  "--N", "3"]) == EXIT_BUDGET
+    # the elliptic curve mod 2 is singular at [1:1:1]: classify refuses a
+    # section through it, but reports a section off it, because the value
+    # test runs before the smoothness test
+    elliptic = str(SCHEMES / "elliptic_a1_b1.json")
+    capsys.readouterr()
+    assert main(["classify", "--scheme", elliptic, "--p", "2", "--section", "X+Y",
+                 "--point", "1:1:1"]) == EXIT_CONFIG
+    assert "fiber is singular at (1, 1, 1); smoothness test refused" in \
+        capsys.readouterr().err
+    assert main(["classify", "--scheme", elliptic, "--p", "2", "--section", "X",
+                 "--point", "1:1:1", "--output", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert results["arithmetic"] == results["fiber"] == "NotOnDivisor"
     # bsw checks no prime below 2, so T < 2 leaves no reference
     for T in ("0", "-5", "1"):
         assert main(["bsw", "--d", "3", "--R", "10", "--T", T,

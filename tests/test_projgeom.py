@@ -178,11 +178,21 @@ def test_closed_points_moebius_consistency(p, p1, p2, conic):
             assert total == len(fib.rational_points(e)), (scheme.name, p, e)
 
 
-def test_closed_point_orbits_lie_on_scheme(conic):
-    fib = conic.fiber(3)
-    for x in fib.closed_points_up_to(2):
-        for conj in x.orbit:
-            assert all(f.eval_gf(x.field, conj) == 0 for f in fib.forms)
+def test_closed_point_orbits_lie_on_scheme(p1, p2, conic, elliptic):
+    """Every conjugate lies on the scheme and is normalized (first nonzero
+    coordinate 1); rep is orbit[0], the least conjugate, and the orbit
+    runs along the Frobenius, wrapping from its last conjugate to rep:
+    P^1, P^2, the conic and E mod 3."""
+    for scheme, r in [(p1, 3), (p2, 2), (conic, 3), (elliptic, 3)]:
+        fib = scheme.fiber(3)
+        for x in fib.closed_points_up_to(r):
+            assert x.rep == x.orbit[0] == min(x.orbit)
+            for k, conj in enumerate(x.orbit):
+                assert all(f.eval_gf(x.field, conj) == 0 for f in fib.forms)
+                assert next(c for c in conj if c) == 1
+                assert tuple(x.field.frobenius(c) for c in conj) == \
+                    x.orbit[(k + 1) % x.degree]
+    assert rational_closed_point(p2.fiber(5), (3, 4, 0)).rep == (1, 3, 0)
 
 
 def test_divisor_smooth_examples(p1, p2):
@@ -199,24 +209,23 @@ def test_divisor_smooth_examples(p1, p2):
     assert fib5.divisor_smooth_at(parse_form("X^2+2*Y^2+Z^2", 2), x) == "NotOnDivisor"
 
 
-def test_divisor_smooth_invariance(p1, p2):
+def test_divisor_smooth_invariance(p1, p2, conic, relabelings):
+    """The verdict reads the same at every conjugate of a point and in
+    every chart: P^1 mod 2, 3, 5, P^2 mod 2 and the conic mod 3, 5."""
     rng = random.Random(11)
-    for scheme, p in [(p1, 2), (p1, 3), (p2, 2)]:
+    for scheme, p in [(p1, 2), (p1, 3), (p1, 5), (p2, 2), (conic, 3), (conic, 5)]:
         fib = scheme.fiber(p)
-        points = fib.closed_points_up_to(2)
+        readings = [(x, list(relabelings(fib, x))) for x in fib.closed_points_up_to(2)]
         for _ in range(60):
             d = rng.randint(1, 4)
             coeffs = tuple(rng.randrange(p) for _ in range(comb(scheme.n + d, scheme.n)))
             sigma = HomogeneousForm(scheme.n, d, coeffs)
             if not any(sigma.coeffs):
                 continue
-            for x in points:
+            for x, views in readings:
                 base = fib.divisor_smooth_at(sigma, x)
-                for conj in range(x.degree):
-                    coords = x.orbit[conj]
-                    for chart in [i for i, c in enumerate(coords) if c != 0]:
-                        assert fib.divisor_smooth_at(
-                            sigma, x, chart=chart, conjugate=conj) == base
+                for fib_k, x_k, move in views:
+                    assert fib_k.divisor_smooth_at(move(sigma), x_k) == base
 
 
 def test_divisor_smooth_rejects_singular_fiber_point():
