@@ -44,10 +44,10 @@ REGULAR = "RegularPoint"
 EXHAUSTIVE_BUDGET = 1 << 26
 _CHUNK = 1 << 14
 # entries of one census value-pass block (packed value rows x rows); the
-# largest divisibility table, one byte per packed value: k digit sums of
-# spread R share a value row while R^k stays within it, which must stay
-# <= 2^24 for the float32 value pass to be exact; and the gathered
-# digits of one pair-pass block
+# largest divisibility table, one byte per packed value: k value or
+# tangent digit sums of spread R share a value row while R^k stays within
+# it, which must stay <= 2^24 for the float32 value pass to be exact; and
+# the gathered digits of one pair-pass block
 _VALUE_BLOCK = 1 << 14
 _RESIDUE_TABLE_CAP = 1 << 20
 _PAIR_BLOCK = 1 << 16
@@ -304,7 +304,11 @@ class FiberClassifier:
         one Newton residual evaluation per degree run) and from them the
         census arrays: the packed value rows, float32 under a divisibility
         table and float64 without one, and per degree run the balanced
-        tangent digits and the value_p2 digits of the pair pass."""
+        tangent digits and the value_p2 digits of the pair pass.  Every
+        point has the value slots of a point of the top degree; a point of
+        degree e fills them with its e balanced value digits, then with
+        the first of its m e balanced tangent digits that fit, so the value
+        pass also tests those tangent conditions."""
         self.fiber = fiber
         self.d = d
         self.p = fiber.p
@@ -343,29 +347,32 @@ class FiberClassifier:
         width = max(self._pack, 1)
         weights = spread ** np.arange(width)
         # value row j of point i is row j P + i, for every point and every j
-        # below the most value rows a point needs; a point of lower degree
-        # has zero digits there, whose sums p divides.  Packed rows are
-        # float32: any partial sum of the value pass, in any order, packs k
-        # partial digit sums of magnitude below R, so it lies strictly
-        # between -R^k and R^k, within 2^21 integers around 0 (R^k <= 2^20),
-        # and float32 is exact below 2^24.  Unpacked sums reach h (p - 1)^2
-        # and keep float64
+        # below the most value rows a point of the top degree needs; the
+        # slots past a point's value and folded tangent digits hold zeros,
+        # whose sums p divides.  Packed rows are float32: any partial sum of
+        # the value pass, in any order, packs k partial value or tangent
+        # digit sums of magnitude below R, so it lies strictly between -R^k
+        # and R^k, within 2^21 integers around 0 (R^k <= 2^20), and float32
+        # is exact below 2^24.  Unpacked sums reach h (p - 1)^2 and keep
+        # float64
         points = len(self.points)
         rows = -(-top // width)
+        slots = rows * width
         values = np.zeros((rows, points, h),
                           dtype=np.float64 if self._table is None else np.float32)
         self._runs, first = [], 0
         for run, value_p2, tangent in runs:
             k, e = len(run), run[0].degree
-            per_point = -(-e // width)
-            digits = np.zeros((k, h, per_point * width), dtype=np.int64)
+            tangent = _balanced(tangent, p, self._digit_type)
+            folded = min(tangent.shape[2], slots - e)
+            digits = np.zeros((k, h, slots), dtype=np.int64)
             digits[..., :e] = _balanced(value_p2, p, np.int64)
-            values[:per_point, first:first + k] = (
-                digits.reshape(k, h, per_point, width) @ weights).transpose(2, 0, 1)
+            digits[..., e:e + folded] = tangent[..., :folded]
+            values[:, first:first + k] = (
+                digits.reshape(k, h, rows, width) @ weights).transpose(2, 0, 1)
             # the pair pass: the run's points, their balanced tangent digits
             # (K, h, m e) and their value_p2 digits (K, h, e)
-            self._runs.append((first, first + k,
-                               _balanced(tangent, p, self._digit_type),
+            self._runs.append((first, first + k, tangent,
                                value_p2.astype(self._square_type)))
             first += k
         self._values = values.reshape(rows * points, h)
@@ -413,18 +420,20 @@ class FiberClassifier:
         rescue count across the batch.
 
         The rows (entries in [0, p^2)) are reduced once to balanced digits
-        mod p.  The value pass then finds the (point, row) pairs on the
-        divisor.  Each block of _block rows costs the same fixed-shape
-        steps: the block, cast to the dtype of ``_values``, times the packed
-        ``_values`` (one BLAS matmul: float32, exact since every partial
-        sum lies within 2^21 < 2^24 integers around 0, or float64 without
-        packing, exact below 2^53), one lookup in the divisibility table
-        (or an int64 remainder), and one logical_and per value row index
-        past the first.
+        mod p.  The value pass then finds the candidate (point, row) pairs:
+        those on the divisor that also meet the tangent conditions folded
+        into the point's free value slots (all of them for a point of low
+        enough degree).  Each block of _block rows costs the same
+        fixed-shape steps: the block, cast to the dtype of ``_values``,
+        times the packed ``_values`` (one BLAS matmul: float32, exact since
+        every partial sum lies within 2^21 < 2^24 integers around 0, or
+        float64 without packing, exact below 2^53), one lookup in the
+        divisibility table (or an int64 remainder), and one logical_and per
+        value row index past the first.
         The pair pass then runs once per degree run, on blocks of its
-        on-divisor pairs: the tangent test mod p on the balanced digits,
-        then the value_p2 test mod p^2 on the pairs singular on the fiber
-        only, each in the smallest integer type that holds its sums.
+        candidate pairs: the full tangent test mod p on the balanced
+        digits, then the value_p2 test mod p^2 on the pairs singular on the
+        fiber only, each in the smallest integer type that holds its sums.
         """
         n = rows.shape[0]
         any_arith = np.zeros(n, dtype=bool)
@@ -434,7 +443,7 @@ class FiberClassifier:
         digits = (self._residues[rows] if self._residues is not None
                   else _balanced(rows, self.p, self._digit_type))
         points = len(self.points)
-        on_div = np.empty((points, n), dtype=bool)
+        candidates = np.empty((points, n), dtype=bool)
         for start in range(0, n, self._block):
             stop = start + self._block
             sums = self._values @ digits[start:stop].T.astype(self._values.dtype,
@@ -443,10 +452,10 @@ class FiberClassifier:
                          else sums.astype(np.int64) % self.p == 0)
             for j in range(points, len(divisible), points):
                 divisible[:points] &= divisible[j:j + points]
-            on_div[:, start:stop] = divisible[:points]
+            candidates[:, start:stop] = divisible[:points]
         rescued_points = 0
         for first, last, tangent, value_p2 in self._runs:
-            hits = np.flatnonzero(on_div[first:last])      # point * n + row
+            hits = np.flatnonzero(candidates[first:last])  # point * n + row
             pairs = max(1, _PAIR_BLOCK // tangent[0].size)
             for lo in range(0, hits.size, pairs):
                 at, idx = np.divmod(hits[lo:lo + pairs], n)

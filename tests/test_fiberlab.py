@@ -431,7 +431,7 @@ def test_census_blocks_match_row_by_row(conic, monkeypatch):
     without_table = FiberClassifier(fib, 2, points)
     assert without_table._pack == 0 and without_table._table is None
     assert without_table._residues is None
-    # one value row per digit, padded to the top degree for every point
+    # one value row per digit, as many as the top degree has for every point
     assert len(without_table._values) == 3 * len(points)
     again = without_table.census(rows)
     assert (again[0] == any_arith).all() and (again[1] == any_fiber).all()
@@ -530,6 +530,10 @@ _PACKING_EDGES = {
     # p = 2: digits {0, 1}, sums in [0, h], R = h + 1 = 11; two tangent
     # vectors per point
     ("P2", 2, 3, 3): (3, 7 + 7 + 22),
+    # R = 121, k = 2: two value rows, four slots; a degree-1 point folds
+    # both its tangent digits, across the two rows, a degree-2 point two
+    # of its four and a degree-3 point one of its six, in its second row
+    ("P2", 2, 3, 14): (2, 2 * (7 + 7 + 22)),
     # R = 15 * 128 * 256 + 1 = 491,521: one digit sum per value row
     ("P1", 257, 1, 14): (1, 258),
     # R = 2 * 515 * 1030 + 1 > 2^20: no table, int64 remainders; p^2 > 2^20
@@ -541,12 +545,14 @@ _PACKING_EDGES = {
 
 
 @pytest.mark.parametrize("name, p, r, d", [("conic", 3, 5, 6), ("P2", 2, 3, 3),
+                                           ("P2", 2, 3, 14),
                                            ("P1", 257, 1, 14), ("P1", 1031, 1, 1),
                                            ("elliptic", 3, 5, 3)])
 def test_padded_census_matches_pointwise_definition(p1, p2, conic, elliptic,
                                                     name, p, r, d):
     """The packed value pass against classify_point_detail at every point,
-    at the edges of the packing: value rows padded with zero digits, p = 2,
+    at the edges of the packing: value slots filled with tangent digits
+    and then zeros, partly folded runs with two tangent vectors, p = 2,
     one digit per row, the int64 path of a prime past the table, and the
     elliptic fiber."""
     fib = {"P1": p1, "P2": p2, "conic": conic, "elliptic": elliptic}[name].fiber(p)
@@ -563,24 +569,103 @@ def test_padded_census_matches_pointwise_definition(p1, p2, conic, elliptic,
     _check_pointwise(cls, p, d, np.random.default_rng(11))
 
 
-def test_unpacked_census_matches_pointwise_definition(conic, monkeypatch):
-    """With the table cap at 0, the conic mod 3 takes the unpacked int64
-    path (one value row per digit, rows reduced by remainders), against
-    the pointwise definition."""
+@pytest.mark.parametrize("name, p, r, d", [("conic", 3, 4, 3), ("P2", 2, 3, 3)])
+def test_unpacked_census_matches_pointwise_definition(p2, conic, monkeypatch,
+                                                      name, p, r, d):
+    """With the table cap at 0, the conic mod 3 and P^2 mod 2 take the
+    unpacked float64 path (one value row per digit, rows reduced by
+    remainders), against the pointwise definition."""
     monkeypatch.setattr(fiberlab, "_RESIDUE_TABLE_CAP", 0)
-    fib = conic.fiber(3)
-    cls = FiberClassifier(fib, 3, fib.closed_points_up_to(4))
+    fib = {"P2": p2, "conic": conic}[name].fiber(p)
+    cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
     assert cls._pack == 0 and cls._table is None and cls._residues is None
-    # one value row per digit, padded to the top degree 4 for every point
-    assert len(cls._values) == 4 * len(cls.points)
-    _check_pointwise(cls, 3, 3, np.random.default_rng(12))
+    # one value row per digit, r for every point: the value rows of a point
+    # of lower degree, then whole rows of its tangent digits, then zeros
+    assert len(cls._values) == r * len(cls.points)
+    _check_pointwise(cls, p, d, np.random.default_rng(12))
+
+
+# (scheme, p, r, d) -> the degrees whose m e tangent digits all fit next to
+# their e value digits in a point's value slots, and per other degree how
+# many of them do
+_FOLDS = {
+    # k = 3, two value rows: six slots per point
+    ("conic", 3, 5, 6): ({1, 2, 3}, {4: 2, 5: 1}),
+    # R = 15, k = 5: one value row of five slots
+    ("P1", 3, 5, 6): ({1, 2}, {3: 2, 4: 1, 5: 0}),
+    # m = 2, R = 11, k = 3: three slots
+    ("P2", 2, 3, 3): ({1}, {2: 1, 3: 0}),
+}
+
+
+@pytest.mark.parametrize("name, p, r, d", sorted(_FOLDS))
+def test_value_pass_folds_tangent_conditions(p1, p2, conic, monkeypatch,
+                                             name, p, r, d):
+    """Each point's value slots hold its balanced value digit sums, then
+    as many of its balanced tangent digit sums as fit, and are zero only
+    past (m + 1) e.  So the value pass hands the pair pass's tangent test
+    only pairs that meet the folded tangent conditions: every pair of a
+    fully folded run is singular on the fiber there.  The rows include,
+    per run, rows through its first point that are on the divisor only,
+    and rows that also meet the folded conditions only."""
+    fib = {"P1": p1, "P2": p2, "conic": conic}[name].fiber(p)
+    cls = FiberClassifier(fib, d, fib.closed_points_up_to(r))
+    k, spread, _ = fiberlab._packing(p, cls.h, r)
+    width = max(k, 1)
+    slots = len(cls._values) // len(cls.points) * width
+    values = cls._values.reshape(-1, len(cls.points), cls.h)
+    full, partial = _FOLDS[name, p, r, d]
+    folds, first = {}, 0
+    for run, value_p2, tangent in fiberlab._point_jets(fib, cls.points, d):
+        e, size = run[0].degree, len(run)
+        folds[e] = min(fib.m * e, slots - e)
+        assert (e in full) == (folds[e] == fib.m * e)
+        assert partial.get(e, folds[e]) == folds[e]
+        digits = np.zeros((size, cls.h, slots), dtype=np.int64)
+        digits[..., :e] = value_p2 % p
+        digits[..., e:e + folds[e]] = tangent[..., :folds[e]]
+        digits = (digits + (p - 1) // 2) % p - (p - 1) // 2
+        assert (digits[..., :e + folds[e]] != 0).any(axis=(0, 1)).all()
+        packed = digits.reshape(size, cls.h, -1, width) @ spread ** np.arange(width)
+        assert (values[:, first:first + size] == packed.transpose(2, 0, 1)).all()
+        first += size
+    rng = np.random.default_rng(21)
+    rows = [rng.integers(0, p * p, size=cls.h) for _ in range(16)]
+    rows += [p * rng.integers(0, p, size=cls.h) for _ in range(4)]
+    for _, _, tangent, value_p2 in cls._runs:
+        e = value_p2.shape[2]
+        rows += [_rows_through(value_p2[0], tangent[0][:, :folded], p, rng, True)
+                 for folded in (0, folds[e]) for _ in range(4)]
+    # the tangent test is the first _pair_sums call of a pair-pass block;
+    # the value_p2 test follows when it leaves a pair singular on the fiber
+    handed, value_test = [], [False]
+    pair_sums = fiberlab._pair_sums
+
+    def recording(a, b):
+        out = pair_sums(a, b)
+        if value_test[0]:
+            value_test[0] = False
+        else:
+            handed.append(out % p)
+            value_test[0] = not (out % p).any(axis=1).all()
+        return out
+
+    monkeypatch.setattr(fiberlab, "_pair_sums", recording)
+    cls.census(np.array(rows, dtype=np.int64))
+    unmet = dict.fromkeys(folds, False)     # some handed pair not fiber-singular
+    for sums in handed:
+        e = sums.shape[1] // fib.m
+        assert not sums[:, :folds[e]].any()
+        unmet[e] |= bool(sums.any())
+    assert {sums.shape[1] // fib.m for sums in handed} == set(folds)
+    assert unmet == {e: e not in full for e in folds}
 
 
 def test_census_memory_is_bounded(conic):
     """One 1,563-row call on the conic mod 3 (d = 6, r = 5: the chunk of a
     10^5-sample Monte Carlo run) allocates at most 640 KiB above its
-    inputs; 525-540 KB was measured (the whole-batch residue lookup, the
-    on-divisor grid, and the pair-pass gathers)."""
+    inputs; about 420 KB was measured (the whole-batch residue lookup, the
+    grid of candidate pairs, and the pair-pass gathers)."""
     fib = conic.fiber(3)
     cls = FiberClassifier(fib, 6, fib.closed_points_up_to(5))
     rows = np.random.default_rng(3).integers(0, 9, size=(1563, cls.h))
