@@ -13,7 +13,8 @@ monic polynomials the geometric classification is equivalent to
 Dedekind's criterion: Z[x]/(f) is maximal at p exactly
 when the homogenized divisor has no arithmetically singular point on
 the fiber at p, and the experiments assert that equivalence sample by
-sample.
+sample.  ``multi_fiber_experiment`` hands one census per prime, of the
+same shape on P^1 and on P^n, to the lab's one loop ``fiberlab._tally``.
 
 In ``bsw_experiment`` each sample's verdict comes from
 ``maximality_scan``.  It trial-divides the discriminant by blocks of
@@ -31,17 +32,15 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, log10, prod
 from typing import NamedTuple
 
-import numpy as np
-
 from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
                      poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim)
-from .fiberlab import DensityEstimate, FiberClassifier, reading_exponent
+from .fiberlab import DensityEstimate, FiberClassifier, _tally, reading_exponent
 from .projgeom import ProjectiveScheme
-from .p1sections import binary_section_report, radical_fp
+from .p1sections import binary_census, binary_section_report, radical_fp
 from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
                     exact_context, global_zeta_inverse, primes_up_to)
 from . import sampling
@@ -349,9 +348,9 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     <= r on any fiber p <= prime_bound; the reference is
     ``global_zeta_inverse`` at the exponent of the reading
     ``classification``, with the sum of the fibers' tail bounds as
-    reference error.  n = 1 runs the P^1 gcd path
-    (``binary_section_report``); n > 1 runs the batched
-    ``FiberClassifier.census``.
+    reference error.  ``fiberlab._tally`` runs one census per prime on the
+    rows mod p^2: ``p1sections.binary_census`` (no point scan) on P^1,
+    the batched ``FiberClassifier.census`` on P^n, n > 1.
     """
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
@@ -373,38 +372,17 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     streams = sampling.chunks(seed, samples)
-    classifiers = {fib.p: FiberClassifier(fib, d, fib.closed_points_up_to(r))
-                   for fib in fibers} if n > 1 else {}
-
-    arithmetic = classification == "arithmetic"
-    hits = 0
-    singular_by_prime = {p: 0 for p in primes}
-    rescued = 0
-    for rng, size in streams:
-        rows = sampling.uniform_box(rng, size, h, B)
-        good = np.ones(size, dtype=bool)
-        for p in primes:
-            if n == 1:
-                counts = []
-                for crow in (rows % (p * p)).tolist():
-                    rep = binary_section_report(crow, p, r)
-                    rescued += rep.rescued
-                    counts.append(rep.arith_singular if arithmetic
-                                  else rep.fiber_singular)
-                bad = np.array(counts, dtype=bool)
-            else:
-                any_arith, any_fiber, resc = classifiers[p].census(rows % (p * p))
-                rescued += resc
-                bad = any_arith if arithmetic else any_fiber
-            singular_by_prime[p] += int(bad.sum())
-            good &= ~bad
-        hits += int(good.sum())
-
+    censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census if n > 1
+                else partial(binary_census, p=fib.p, r=r) for fib in fibers]
+    *hits, singular, rescued = _tally(censuses, (
+        [rows % (p * p) for p in primes]
+        for rows in (sampling.uniform_box(rng, size, h, B) for rng, size in streams)))
+    reading = 0 if classification == "arithmetic" else 1
     return DensityEstimate.monte_carlo(
-        hits, samples, seed, reference, reference.local_error,
+        hits[reading], samples, seed, reference, reference.local_error,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
-                "singular_by_prime": singular_by_prime,
+                "singular_by_prime": {p: c[reading] for p, c in zip(primes, singular)},
                 "rescued_points": rescued, "prng": sampling.PRNG_NAME})
 
 
@@ -441,6 +419,9 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     report of ``binary_section_report``, reads only f mod p^2, so it is
     memoized per class (f mod p^2, p) in a ``_section_table`` at the
     primes with p^(2d) <= samples, and computed per sample at the others.
+    Its loop stays outside ``fiberlab._tally``: its rows are height-ball
+    tuples that can pass int64, its verdict is a per-sample discriminant
+    scan, and its geometric side a raising cross-check, not a tally.
     """
     if d < 2:
         raise ValueError("need degree >= 2")

@@ -520,9 +520,10 @@ def _pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def _enumerate_rows(h, modulus, start, stop):
-    idx = np.arange(start, stop, dtype=np.int64)
-    rows = np.empty((stop - start, h), dtype=np.int64)
+def _enumerate_rows(h, modulus, start):
+    """The coefficient vectors mod ``modulus`` of indices [start, start + _CHUNK)."""
+    idx = np.arange(start, min(start + _CHUNK, modulus ** h), dtype=np.int64)
+    rows = np.empty((idx.size, h), dtype=np.int64)
     for k in range(h):
         rows[:, k] = idx // (modulus ** k) % modulus
     return rows
@@ -540,25 +541,31 @@ def _census_size(h: int, modulus: int) -> int:
     return modulus ** h
 
 
-def _tally(cls: FiberClassifier, row_batches):
-    """The census of each batch of coefficient rows, summed: the number of
-    sections with no arithmetically singular point, the number with no
-    fiber-singular point, and the rescued point count."""
+def _tally(censuses, batches):
+    """The lab's one census loop.  A census maps rows to (any_arith,
+    any_fiber, rescued), as ``FiberClassifier.census`` does; a batch holds one
+    row array per census, all for the same sections.  Returns the sections
+    singular under no census, arithmetically and on the fiber, each census's
+    [arithmetic, fiber] singular-row counts, and the rescued point count."""
     hits_arith = hits_fiber = rescued = 0
-    for rows in row_batches:
-        any_arith, any_fiber, resc = cls.census(rows)
-        hits_arith += int((~any_arith).sum())
-        hits_fiber += int((~any_fiber).sum())
-        rescued += resc
-    return hits_arith, hits_fiber, rescued
+    singular = [[0, 0] for _ in censuses]
+    for batch in batches:
+        bad_arith = bad_fiber = False
+        for census, rows, counts in zip(censuses, batch, singular):
+            any_arith, any_fiber, resc = census(rows)
+            counts[0] += int(any_arith.sum())
+            counts[1] += int(any_fiber.sum())
+            bad_arith, bad_fiber = bad_arith | any_arith, bad_fiber | any_fiber
+            rescued += resc
+        hits_arith += int((~bad_arith).sum())
+        hits_fiber += int((~bad_fiber).sum())
+    return hits_arith, hits_fiber, singular, rescued
 
 
 def _exhaustive_census(cls: FiberClassifier, modulus: int):
     """``_tally`` of every coefficient vector mod ``modulus`` (p or p^2)."""
-    total = modulus ** cls.h
-    return _tally(cls, (_enumerate_rows(cls.h, modulus, start,
-                                        min(start + _CHUNK, total))
-                        for start in range(0, total, _CHUNK)))
+    return _tally([cls.census], ((_enumerate_rows(cls.h, modulus, start),)
+                                 for start in range(0, modulus ** cls.h, _CHUNK)))
 
 
 def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
@@ -576,7 +583,7 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     fiber.check_census(r)
     reference = reference_truncation(fiber, r, count)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
-    hits_arith, hits_fiber, rescued = _exhaustive_census(cls, p * p)
+    hits_arith, hits_fiber, _, rescued = _exhaustive_census(cls, p * p)
     certificate = cls.certificate(count)
     hits = hits_arith if count == "arithmetic" else hits_fiber
     value = Fraction(hits, total)
@@ -608,9 +615,9 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     reference = reference_truncation(fiber, r, count)
     streams = sampling.chunks(seed, samples)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(r))
-    hits_arith, hits_fiber, rescued = _tally(
-        cls, (sampling.uniform_residues(rng, size, cls.h, cls.p2)
-              for rng, size in streams))
+    hits_arith, hits_fiber, _, rescued = _tally(
+        [cls.census], ((sampling.uniform_residues(rng, size, cls.h, cls.p2),)
+                       for rng, size in streams))
     return DensityEstimate.monte_carlo(
         hits_arith if count == "arithmetic" else hits_fiber,
         samples, seed, reference, reference.error_bound,
@@ -628,8 +635,7 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
     p = fiber.p
     total = _census_size(comb(fiber.n + d, fiber.n), p)
     cls = FiberClassifier(fiber, d, [x])
-    _, smooth, _ = _exhaustive_census(cls, p)
-    hits = total - smooth
+    _, _, [(_, hits)], _ = _exhaustive_census(cls, p)     # rows singular at x
     certificate = cls.certificate("fiber")
     expected = Fraction(1, p ** certificate.target_dim)
     return DensityEstimate(
@@ -650,5 +656,5 @@ def squarefree_binary_census(p: int, d: int):
     total = _census_size(d + 1, p)
     fiber = ProjectiveScheme(1, 1).fiber(p)
     cls = FiberClassifier(fiber, d, fiber.closed_points_up_to(max(1, d // 2)))
-    _, hits, _ = _exhaustive_census(cls, p)
+    _, hits, _, _ = _exhaustive_census(cls, p)
     return hits, total

@@ -21,9 +21,10 @@ Grouping the repeated irreducible factors by degree (distinct-degree
 splitting of the radical) answers "is any point of degree <= r singular"
 with gcd computations only, never factoring into individual points; the
 counts deg/k per degree k recover the number of affected points.  This
-is what makes 10^5-sample experiments over several fibers cheap.  It
-serves the per-sample path of ``multi-fiber`` on P^1 and the ``bsw``
-cross-check; exhaustive counts run through ``fiberlab.FiberClassifier``.
+is what makes 10^5-sample experiments over several fibers cheap.  As
+``binary_census``, a census of one report per row, it serves ``multi-fiber``
+on P^1 through ``fiberlab._tally``; the ``bsw`` cross-check calls the
+report itself, and exhaustive counts run through ``FiberClassifier``.
 
 The mod-p factor structure repeats from row to row, so it is memoized in
 two bounded least-recently-used caches: the distinct-degree split of the
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
                      poly_mul, poly_powmod, poly_sub, poly_trim)
@@ -180,3 +183,12 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
         if coeffs[0] % p2 == 0:
             arith_ct += 1
     return FiberReport(fiber_ct, arith_ct)
+
+
+def binary_census(rows, p: int, r: int):
+    """``FiberClassifier.census`` on P^1 at p by the gcd path, degrees <= r:
+    one ``binary_section_report`` per row of coefficients mod p^2."""
+    reports = [binary_section_report(row, p, r) for row in rows.tolist()]
+    return (np.array([rep.arith_singular for rep in reports], dtype=bool),
+            np.array([rep.fiber_singular for rep in reports], dtype=bool),
+            sum(rep.rescued for rep in reports))

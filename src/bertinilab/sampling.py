@@ -1,10 +1,9 @@
 """Seeded, reproducible random sampling.
 
 All Monte Carlo experiments draw from counter-based Philox streams (the
-numpy implementation), with one substream per worker chunk keyed by
-(master seed, chunk index).  The chunk layout is fixed (independent of
-thread count or platform), so a report is byte-identical for identical
-configuration and seed.
+numpy implementation), one substream per chunk of the samples, keyed by
+(master seed, chunk index) and drawn in order; the layout is fixed on every
+platform, so identical configuration and seed give a byte-identical report.
 """
 
 from __future__ import annotations

@@ -84,7 +84,9 @@ def c0_estimate(table: PointCountTable, n: int) -> Fraction:
     """Smallest c with N_e <= c * p^{(n-1)e} on the observed range.
 
     n is the absolute dimension of the arithmetic model (fiber dimension
-    n-1).  A lower estimate of any globally valid constant.
+    n-1).  A lower estimate of any globally valid constant, except on a
+    ``projective_counts`` table, where N_e / p^{(n-1)e} = sum_{j <= n-1}
+    p^{-je} decreases in e and the e = 1 value is the proven constant.
     """
     if n < 1:
         raise ValueError("absolute dimension must be >= 1")

@@ -550,13 +550,13 @@ def test_multi_fiber_determinism_and_reference():
 def test_multi_fiber_reports_once_per_row_and_prime(monkeypatch):
     """The P^1 path classifies every (sample, prime) pair with its own
     ``binary_section_report`` call: no batching, skipping or prefilter."""
-    from bertinilab import arithlab
+    from bertinilab import p1sections
     calls = []
 
     def counting(coeffs, p, r):
         calls.append(p)
         return binary_section_report(coeffs, p, r)
-    monkeypatch.setattr(arithlab, "binary_section_report", counting)
+    monkeypatch.setattr(p1sections, "binary_section_report", counting)
     samples = 300
     est = multi_fiber_experiment(8, 10 ** 4, 7, 4, samples, seed=5, n=1)
     assert est.extras["primes"] == [2, 3, 5, 7]
@@ -594,23 +594,30 @@ def test_multi_fiber_p1_reference_is_closed_form(monkeypatch, n, d, prime_bound,
 
 
 def test_multi_fiber_generic_engine_matches_fast_path():
-    fast = multi_fiber_experiment(5, 3000, 3, 2, 2000, seed=91, n=1)
-    # the generic pointwise engine on the same seed must agree exactly
-    from bertinilab.fiberlab import FiberClassifier
+    """The two P^1 engines agree on every tally in both readings: the
+    FiberClassifier censuses, run through fiberlab._tally on the same seed
+    and rows, give multi-fiber's gcd-path mean, singular_by_prime and
+    rescued_points."""
+    from bertinilab.fiberlab import FiberClassifier, _tally
     from bertinilab.projgeom import ProjectiveScheme
     scheme = ProjectiveScheme(1, 1)
-    fibers = {p: scheme.fiber(p) for p in (2, 3)}
-    classifiers = {p: FiberClassifier(fib, 5, fib.closed_points_up_to(2))
-                   for p, fib in fibers.items()}
-    hits = 0
-    for rng, size in sampling.chunks(91, 2000):
-        rows = sampling.uniform_box(rng, size, 6, 3000)
-        good = np.ones(size, dtype=bool)
-        for p in (2, 3):
-            any_arith, _, _ = classifiers[p].census(rows % (p * p))
-            good &= ~any_arith
-        hits += int(good.sum())
-    assert hits / 2000 == fast.mean
+    samples, B, seed = 1000, 3000, 91
+    for d, prime_bound, r in ((5, 3, 2), (8, 7, 4), (4, 5, 4), (6, 2, 6)):
+        primes = primes_up_to(prime_bound)
+        censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census
+                    for fib in map(scheme.fiber, primes)]
+        *hits, singular, rescued = _tally(censuses, (
+            [rows % (p * p) for p in primes]
+            for rows in (sampling.uniform_box(rng, size, d + 1, B)
+                         for rng, size in sampling.chunks(seed, samples))))
+        assert rescued > 0 and hits[0] > hits[1]
+        for reading, classification in enumerate(("arithmetic", "fiber")):
+            fast = multi_fiber_experiment(d, B, prime_bound, r, samples, seed=seed,
+                                          n=1, classification=classification)
+            assert fast.mean == hits[reading] / samples
+            assert fast.extras["singular_by_prime"] == \
+                {p: counts[reading] for p, counts in zip(primes, singular)}
+            assert fast.extras["rescued_points"] == rescued
 
 
 @pytest.mark.parametrize("classification", ["arithmetic", "fiber"])

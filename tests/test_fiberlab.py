@@ -244,6 +244,22 @@ def test_exhaustive_census_p3(p1):
         assert est.value != expected
 
 
+def test_tally_counts_joint_hits_and_each_census():
+    """A section is a hit of a reading when no census of its batch finds a
+    singular point in that reading; each census keeps its own singular-row
+    counts, and the rescues add up.  The toy census reads its rows as
+    (arithmetically singular, fiber singular) flags."""
+    def census(rows):
+        return rows[:, 0], rows[:, 1], int((rows[:, 1] & ~rows[:, 0]).sum())
+    a = np.array([[0, 0], [1, 1], [0, 1], [0, 0]], dtype=bool)
+    b = np.array([[0, 1], [0, 0], [0, 0], [0, 0]], dtype=bool)
+    hits_arith, hits_fiber, singular, rescued = fiberlab._tally(
+        [census, census], [(a, b), (b, a)])
+    assert (hits_arith, hits_fiber) == (6, 2)
+    assert singular == [[1, 3], [1, 3]]
+    assert rescued == 4
+
+
 def test_mc_determinism_and_reference(p1):
     a = fiber_density_mc(p1, 2, 12, 3, 4000, seed=123)
     b = fiber_density_mc(p1, 2, 12, 3, 4000, seed=123)

@@ -56,6 +56,19 @@ def test_c0_estimate_examples():
     assert c0_estimate(projective_counts(3, 2, 5), 3) == Fraction(13, 9)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_c0_of_projective_counts_is_its_depth_one_value(p, m):
+    """On P^m, N_e / p^(m e) = sum_{j <= m} p^(-j e) never grows with e, so
+    c0 of a table of any depth is its e = 1 value, a proven constant."""
+    table = projective_counts(p, m, 8)
+    ratios = [Fraction(n_e, p ** (m * e)) for e, n_e in enumerate(table.counts, 1)]
+    assert ratios == sorted(ratios, reverse=True)
+    assert ratios[-1] < ratios[0] or m == 0
+    assert c0_estimate(table, m + 1) == ratios[0] == \
+        sum(Fraction(1, p ** j) for j in range(m + 1))
+
+
 def test_local_zeta_inverse_examples():
     table = projective_counts(2, 1, 12)
     assert local_zeta_inverse(table, 2, 1, 1).value == Fraction(27, 64)
