@@ -34,12 +34,24 @@ repeated-part step of a row (derivative, squarefree gcd and split), keyed
 on (fbar, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The radical
 runs only behind them and is not cached itself; nor is the mod-p^2 test
 of each row, which reads f mod p^2.
+
+Rows from ``binary_census`` at p <= 13 are ``bytes``, one coefficient mod
+p^2 per byte (the cut ``_packs``: a residue mod p^2 fits a byte, and so
+does a slot of the packed Euclid, which starts below p and gains at most
+(p - 1)^2 per elimination).  Their fbar stays bytes, top coefficient
+first, and keys the repeated-part memo; its squarefree gcd runs on one
+integer per polynomial, one coefficient per byte slot
+(``_packed_repeated_part``): an elimination is one multiply-add of the
+whole scaled divisor, a reduction of every slot one ``translate``.
+Integer rows key on a tuple and run ``ffield.poly_gcd``; both give the
+same w, so the radical's memo is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -99,13 +111,79 @@ def _radical_split(w: tuple, p: int, r: int) -> tuple:
     return tuple((k, tuple(hk)) for k, hk in distinct_degree_split(radical_fp(w, p), p, r))
 
 
+def _packs(p: int) -> bool:
+    """Whether rows and the squarefree Euclid at p run on bytes, one
+    coefficient per byte.  A row residue mod p^2 must fit a byte, and so
+    must a slot of the Euclid for at least one elimination: it starts below
+    p and an elimination adds at most (p - 1)^2, so p(p - 1) <= 255.  Both
+    hold exactly for the primes p <= 13."""
+    return p * p <= 256 and p * (p - 1) <= 255
+
+
+@lru_cache(maxsize=16)
+def _byte_tables(p: int) -> tuple:
+    """The tables of the packed Euclid at p, built on first use: the
+    translate table b -> b mod p; for each leading coefficient c, the
+    tables b -> b/c and b -> -b/c mod p (read on bytes below p); the
+    derivative weights i mod p, a whole number of periods at least 256
+    long; and the eliminations a slot below p takes before it may pass 255."""
+    inv = [0] + [pow(c, -1, p) for c in range(1, p)]
+    return (bytes(b % p for b in range(256)),
+            [bytes(b * m % p for b in range(256)) for m in inv],
+            [bytes(-b * m % p for b in range(256)) for m in inv],
+            bytes(range(p)) * (256 // p + 1),
+            (256 - p) // (p - 1) ** 2)
+
+
+def _packed_repeated_part(fbar: bytes, p: int) -> tuple:
+    """gcd(fbar, fbar') over F_p, monic, or fbar itself when fbar' = 0, as
+    a tuple from the constant term up; fbar is nonconstant bytes of
+    residues mod p from the top coefficient down, and p ``_packs``.
+
+    Euclid on an integer x holding the dividend from the top coefficient
+    down, one per byte, in the low slots first.  An elimination pops the top
+    slot (c = x mod 256, read mod p), shifts x down a slot and adds c*L, L
+    the divisor's lower coefficients scaled by -lc^-1 mod p.  Slots start
+    below p and gain at most (p - 1)^2 per elimination, so they are reduced
+    (bytes, translate, int) after every ``period`` eliminations and at the
+    end of each division, and no slot ever carries into the next."""
+    mod_p, monic, eliminate, weights, period = _byte_tables(p)
+    n = len(fbar)
+    if n > len(weights):
+        weights *= -(-n // len(weights))
+    a, b = fbar, bytes(map(mul, fbar, weights[n - 1::-1])).translate(mod_p)[:-1].lstrip(b"\0")
+    if not b:
+        return tuple(fbar[::-1])
+    db = len(b) - 1
+    while db > 0:
+        low = int.from_bytes(b[1:].translate(eliminate[b[0]]), "little")
+        x = int.from_bytes(a, "little")
+        fresh = period
+        for _ in range(n - db):
+            c = (x & 255) % p
+            x >>= 8
+            if c:
+                if not fresh:
+                    x = int.from_bytes(x.to_bytes(n, "little").translate(mod_p), "little")
+                    fresh = period
+                x += c * low
+                fresh -= 1
+        a, b = b, x.to_bytes(db, "little").translate(mod_p).lstrip(b"\0")
+        n, db = db + 1, len(b) - 1
+    return (1,) if b else tuple(a.translate(monic[a[0]])[::-1])
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _repeated_split(fbar: tuple, p: int, r: int) -> tuple:
+def _repeated_split(fbar: tuple | bytes, p: int, r: int) -> tuple:
     """The split of the repeated part of fbar (nonconstant, reduced mod p):
     ``_radical_split`` of w = gcd(fbar, fbar'), or of fbar itself when
-    fbar' = 0; () when fbar is squarefree.  Memoized on (fbar, p, r)."""
-    deriv = poly_derivative(fbar, p)
-    w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
+    fbar' = 0; () when fbar is squarefree.  Memoized on (fbar, p, r); a
+    bytes fbar runs the packed Euclid, a tuple ``poly_gcd``."""
+    if isinstance(fbar, bytes):
+        w = _packed_repeated_part(fbar, p)
+    else:
+        deriv = poly_derivative(fbar, p)
+        w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
     return _radical_split(w, p, r) if len(w) > 1 else ()
 
 
@@ -129,15 +207,23 @@ class FiberReport:
 
 def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
     """Classify a binary-form section of degree d = len(coeffs) - 1 (integer
-    or mod-p^2 coefficients) on the fiber at p, over all closed points of
-    degree <= r."""
+    or mod-p^2 coefficients, from X^d down) on the fiber at p, over all
+    closed points of degree <= r.  ``coeffs`` may be ``bytes``, one
+    coefficient per byte, where p ``_packs``; its report is that of the
+    same integers, and its squarefree gcd runs on the packed slots."""
     d = len(coeffs) - 1
     if d < 0:
         raise ValueError("a binary form needs at least one coefficient")
     if r < 1:
         return FiberReport(0, 0)
     p2 = p * p
-    fbar = poly_trim([c % p for c in reversed(coeffs)])   # chart Y = 1, in t = X/Y
+    # chart Y = 1, in t = X/Y
+    if isinstance(coeffs, bytes):
+        if not _packs(p):
+            raise ValueError(f"byte rows do not pack at p = {p}")
+        fbar = coeffs.translate(_byte_tables(p)[0]).lstrip(b"\0")
+    else:
+        fbar = tuple(poly_trim([c % p for c in reversed(coeffs)]))
     fiber_ct = 0
     arith_ct = 0
 
@@ -157,7 +243,7 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
 
     # affine points: repeated irreducible factors of fbar
     if len(fbar) > 1:
-        for k, hk in _repeated_split(tuple(fbar), p, r):
+        for k, hk in _repeated_split(fbar, p, r):
             dh = len(hk) - 1
             fiber_ct += dh // k
             # f mod hk over Z/p^2 in one pass: hk is monic with digits in
@@ -187,8 +273,16 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
 
 def binary_census(rows, p: int, r: int):
     """``FiberClassifier.census`` on P^1 at p by the gcd path, degrees <= r:
-    one ``binary_section_report`` per row of coefficients mod p^2."""
-    reports = [binary_section_report(row, p, r) for row in rows.tolist()]
+    one ``binary_section_report`` per row of coefficients mod p^2 (residues,
+    not reduced again).  Where p ``_packs`` each row goes in as a slice of
+    one ``bytes`` buffer of the whole batch, one coefficient per byte."""
+    if _packs(p):
+        h = rows.shape[1]
+        buf = rows.astype(np.uint8).tobytes()
+        rows = [buf[i:i + h] for i in range(0, len(buf), h)]
+    else:
+        rows = rows.tolist()
+    reports = [binary_section_report(row, p, r) for row in rows]
     return (np.array([rep.arith_singular for rep in reports], dtype=bool),
             np.array([rep.fiber_singular for rep in reports], dtype=bool),
             sum(rep.rescued for rep in reports))

@@ -597,12 +597,14 @@ def test_multi_fiber_generic_engine_matches_fast_path():
     """The two P^1 engines agree on every tally in both readings: the
     FiberClassifier censuses, run through fiberlab._tally on the same seed
     and rows, give multi-fiber's gcd-path mean, singular_by_prime and
-    rescued_points."""
+    rescued_points.  (6, 13, 3) runs byte rows and the packed Euclid up to
+    the cut at p = 13, (4, 17, 2) the integer rows past it at p = 17."""
     from bertinilab.fiberlab import FiberClassifier, _tally
     from bertinilab.projgeom import ProjectiveScheme
     scheme = ProjectiveScheme(1, 1)
     samples, B, seed = 1000, 3000, 91
-    for d, prime_bound, r in ((5, 3, 2), (8, 7, 4), (4, 5, 4), (6, 2, 6)):
+    for d, prime_bound, r in ((5, 3, 2), (8, 7, 4), (4, 5, 4), (6, 2, 6),
+                              (6, 13, 3), (4, 17, 2)):
         primes = primes_up_to(prime_bound)
         censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census
                     for fib in map(scheme.fiber, primes)]

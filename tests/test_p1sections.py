@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from bertinilab import p1sections
-from bertinilab.ffield import poly_mul, poly_trim
+from bertinilab.ffield import poly_derivative, poly_gcd, poly_mul, poly_trim
 from bertinilab.p1sections import (binary_section_report,
                                    distinct_degree_split, radical_fp)
 from bertinilab.projgeom import HomogeneousForm
@@ -130,11 +130,12 @@ def test_p1_caches_are_bounded():
 
 def test_report_verdicts_do_not_depend_on_cache_state():
     """Every row classified with cold caches equals the same row classified
-    with caches warmed by all the others; a third of the rows are p*tau."""
+    with caches warmed by all the others; a third of the rows are p*tau.
+    Each row comes as integers and as bytes, whose reports agree."""
     rng = random.Random(25)
     rows = []
     for i in range(500):
-        p = rng.choice([2, 3, 5, 7])
+        p = rng.choice([2, 3, 5, 7, 11, 13])
         d = rng.randint(1, 8)
         r = rng.randint(1, 4)
         if i % 3 == 0:                   # sigma = p * tau
@@ -146,7 +147,7 @@ def test_report_verdicts_do_not_depend_on_cache_state():
             coeffs = [c + p * rng.randrange(p) for c in reversed(aff)]
         else:
             coeffs = [rng.randrange(p * p) for _ in range(d + 1)]
-        rows.append((tuple(coeffs), p, r))
+        rows += [(tuple(coeffs), p, r), (bytes(coeffs), p, r)]
     cold = []
     for row in rows:
         clear_p1_caches()
@@ -157,7 +158,8 @@ def test_report_verdicts_do_not_depend_on_cache_state():
     assert p1sections._radical_split.cache_info().hits > 0
     assert p1sections._repeated_split.cache_info().hits > 0
     assert warm == cold
-    assert sum(rep.fiber_singular > 0 for rep in cold) > 100
+    assert cold[::2] == cold[1::2]
+    assert sum(rep.fiber_singular > 0 for rep in cold) > 200
 
 
 def test_mod_p2_test_is_not_cached(p1):
@@ -276,14 +278,78 @@ def test_census_matches_itertools_oracle(p1):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]),
-       st.lists(st.integers() | st.integers(-10 ** 6, 10 ** 6).map(lambda k: 210 * k),
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
+       st.lists(st.integers() | st.integers(-10 ** 6, 10 ** 6).map(lambda k: 510510 * k),
                 min_size=1, max_size=9),
        st.integers(1, 4))
 def test_report_reads_only_the_residues_mod_p2(p, coeffs, r):
     """The report of integer coefficients of any sign and size is the report
-    of their residues mod p^2, which lets bsw memoize it per f mod p^2.
-    Multiples of 210 vanish mod every p drawn, so sections p*tau and
+    of their residues mod p^2, which lets bsw memoize it per f mod p^2, and
+    where the residues pack into bytes, the report of those bytes.
+    Multiples of 510510 vanish mod every p drawn, so sections p*tau and
     repeated factors come up too."""
     residues = [c % (p * p) for c in coeffs]
-    assert binary_section_report(coeffs, p, r) == binary_section_report(residues, p, r)
+    report = binary_section_report(coeffs, p, r)
+    assert report == binary_section_report(residues, p, r)
+    if p <= 13:
+        assert report == binary_section_report(bytes(residues), p, r)
+
+
+def test_byte_rows_pack_exactly_up_to_13():
+    """The cut of the packed path: bytes rows and the packed Euclid run at
+    p <= 13 and are refused past it."""
+    assert [p for p in range(2, 30) if sympy.isprime(p) and p1sections._packs(p)] == \
+        [2, 3, 5, 7, 11, 13]
+    with pytest.raises(ValueError):
+        binary_section_report(bytes([1, 0, 1]), 17, 1)
+
+
+def packed_cases(rng, p):
+    """Rows mod p^2 for the packed Euclid, of degree <= 30: planted square
+    factors, fbar = h(t^p) (fbar' = 0), h(t^p) + g with g of degree at most
+    about half of fbar's (low-degree fbar', so long divisions), plain random
+    rows; and three random rows past 256 coefficients, longer than the
+    derivative weights table.  Leading and constant terms are often 0 mod p."""
+    for kind in range(5):
+        for _ in range(60 if kind < 4 else 3):
+            deg = rng.randint(1, 30) if kind < 4 else rng.randint(257, 300)
+            if kind == 0:
+                g = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [1]
+                h = [rng.randrange(p) for _ in range(rng.randint(1, 14))]
+                aff = poly_mul(poly_mul(g, g, p), h, p)
+            elif kind >= 3:
+                aff = [rng.randrange(p) for _ in range(deg + 1)]
+            else:
+                low = rng.randint(2, deg // 2 + 2) if kind == 2 else 0
+                aff = [rng.randrange(p) if i % p == 0 or i < low else 0
+                       for i in range(deg + 1)]
+            aff = aff or [0]
+            if rng.random() < 0.3:
+                aff[0] = 0
+            if rng.random() < 0.3:
+                aff[-1] = 0
+            yield bytes(c % p + p * rng.randrange(p) for c in reversed(aff))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_packed_euclid_matches_poly_gcd(p):
+    """The packed squarefree step against ffield.poly_gcd: the monic
+    gcd(fbar, fbar'), or fbar itself when fbar' = 0, as a tuple from the
+    constant term up, on fbar built as binary_section_report builds it."""
+    rng = random.Random(27 + p)
+    mod_p, _, _, _, period = p1sections._byte_tables(p)
+    seen = {"zero derivative": 0, "square factor": 0, "past the period": 0}
+    for row in packed_cases(rng, p):
+        fbar = poly_trim([c % p for c in reversed(row)])
+        if len(fbar) < 2:
+            continue
+        packed = row.translate(mod_p).lstrip(b"\0")
+        assert list(packed[::-1]) == fbar
+        deriv = poly_derivative(fbar, p)
+        expected = tuple(fbar) if not deriv else tuple(poly_gcd(fbar, deriv, p))
+        assert p1sections._packed_repeated_part(packed, p) == expected, (row, p)
+        seen["zero derivative"] += not deriv
+        seen["square factor"] += bool(deriv) and len(expected) > 1
+        seen["past the period"] += len(fbar) - len(deriv) >= period   # first division
+    assert seen["zero derivative"] and seen["square factor"], seen
+    assert seen["past the period"] or period >= 30, seen
