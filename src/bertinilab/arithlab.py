@@ -369,6 +369,8 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         for fib in fibers:
             fib.check_census(r)
     s = reading_exponent(scheme.m, classification)
+    for fib in fibers:
+        fib.check_truncation(s, r)
     tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     streams = sampling.chunks(seed, samples)

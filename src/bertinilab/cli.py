@@ -155,6 +155,7 @@ def run(args) -> dict:
         r = args.r if args.r is not None else _default_depth(fiber)
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
+        fiber.check_truncation(args.s, r)
         return local_zeta_inverse(fiber.point_table(r), args.s, r, fiber.m).as_report()
     if sub == "fiber-density":
         scheme = _load(args.scheme)
@@ -296,10 +297,14 @@ def main(argv=None) -> int:
     else:
         full = render_report(args, results, time.monotonic() - start)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(full)
-                if not full.endswith("\n"):
-                    fh.write("\n")
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(full)
+                    if not full.endswith("\n"):
+                        fh.write("\n")
+            except OSError as exc:
+                print(f"error: cannot write the report: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
         else:
             print(full)
         return EXIT_OK

@@ -11,9 +11,10 @@ cheap to compare, which keeps exhaustive desk-scale scans fast.
 Prime fields compute with Python integers mod p and are capped at 2^24
 elements.  Extension fields are capped at 2^16 elements, and every
 operation on them is a table lookup: exp/log tables for products,
-Zech logarithms log(1 + g^k) for sums, and a Frobenius table.  The
-digit encoding matters only when those tables are built and at the
-Galois-ring boundary (lifts and reductions mod p).
+Zech logarithms log(1 + g^k) for sums, and a Frobenius table.  A prime
+field builds the same tables when a point scan first asks for its logs
+(``GF.log_arrays``).  The digit encoding matters only when those tables
+are built and at the Galois-ring boundary (lifts and reductions mod p).
 """
 
 from __future__ import annotations
@@ -353,9 +354,9 @@ class GF:
     def _build_tables(self):
         p, q = self.p, self.q
         modulus = list(self.modulus)
-        # a multiplicative generator, by order testing
+        # a multiplicative generator, by order testing: g = 1 in F_2
         factors = _prime_factors(q - 1)
-        g = next(c for c in range(2, q)
+        g = next(c for c in range(1, q)
                  if all(poly_powmod(self.decode(c), (q - 1) // f, modulus, p) != [1]
                         for f in factors))
         # x -> g*x is F_p-linear on the digits.  Row i of its matrix holds the
@@ -440,9 +441,14 @@ class GF:
         return self._frob[a]
 
     def log_arrays(self):
-        """(exp, log) as numpy arrays (e > 1 only), for batched products:
-        a * b = exp[(log a + log b) % (q - 1)] when a, b != 0."""
-        return np.array(self._exp[:self.q - 1]), np.array(self._log)
+        """(log, zech) as numpy arrays, for sums of products in the log
+        domain: log[x] for x != 0, and zech[k] = log(1 + g^k) for k < q - 1,
+        with the sentinel 2(q - 1) where 1 + g^k = 0, then a last entry
+        zech[q - 1] = 0 for adding a zero term (1 + 0 = 1).  A prime field
+        builds its tables here, on first use."""
+        if not hasattr(self, "_zech"):
+            self._build_tables()
+        return np.array(self._log), np.array(self._zech + [0])
 
     def digit_array(self):
         """The q x e int32 array whose row x holds the base-p digits of x."""

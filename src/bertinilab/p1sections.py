@@ -115,9 +115,10 @@ def _packs(p: int) -> bool:
     """Whether rows and the squarefree Euclid at p run on bytes, one
     coefficient per byte.  A row residue mod p^2 must fit a byte, and so
     must a slot of the Euclid for at least one elimination: it starts below
-    p and an elimination adds at most (p - 1)^2, so p(p - 1) <= 255.  Both
-    hold exactly for the primes p <= 13."""
-    return p * p <= 256 and p * (p - 1) <= 255
+    p and an elimination adds at most (p - 1)^2, so p(p - 1) <= 255.  The
+    first bound holds exactly for the primes p <= 13, where p(p - 1) <=
+    156, so it is the only one tested."""
+    return p * p <= 256
 
 
 @lru_cache(maxsize=16)

@@ -18,13 +18,13 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
 from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
                      matrix_rank)
-from .zetas import BudgetExceeded, PointCountTable, projective_counts
+from .zetas import DIGIT_CAP, BudgetExceeded, PointCountTable, projective_counts
 
 POINT_SCAN_BUDGET = 10 ** 8
 # coordinate tuples per batch of a point scan
@@ -236,6 +236,26 @@ class SchemeFiber:
                                  f"2^{FIELD_SIZE_CAP.bit_length() - 1} cap")
         self._check_scan(r)
 
+    def check_truncation(self, s: int, r: int):
+        """Refuse, before its point table exists, a truncation of P^n at
+        depth r and exponent s whose denominator ``zetas._check_digits``
+        would refuse once it did.  Its exponent s sum_{e <= r} e a_e is at
+        least s N_r >= s p^(rn), and this bound passes the cap alone after
+        a few factors p, so a deep r costs nothing and the message names
+        p, s and r, not the exponent.  A fiber with forms, r < 1 and
+        s <= m, which the truncation refuses with a ValueError, pass.
+        """
+        if self.forms or r < 1 or s <= self.m:
+            return
+        cap, bound = DIGIT_CAP / log10(self.p), s
+        for _ in range(r * self.n):
+            if bound >= cap:
+                break
+            bound *= self.p
+        if bound >= cap:
+            raise BudgetExceeded(f"the truncation at p = {self.p}, s = {s}, r = {r} "
+                                 f"has a denominator of more than {DIGIT_CAP} digits")
+
     def table_fits(self, e_max: int) -> bool:
         """Whether ``point_table(e_max)`` passes the scan check (P^n scans nothing)."""
         return not self.forms or self.scan_fits(e_max)
@@ -366,42 +386,25 @@ def _vanishing(field: GF, forms):
     """A function that takes an int64 array of coordinate tuples over
     ``field`` (one per row) and says at which rows every form vanishes.
 
-    Each form is evaluated at every row at once.  Over F_p (e = 1) a term
-    is a product of integers mod p.  Over GF(p^e) a term is its log, the
-    log of its coefficient plus the weighted logs of its coordinates, and
-    a flag for a coordinate 0 raised to a positive power.  The terms are
-    added in the log domain with the field's Zech logarithms,
-    log(a + b) = log a + Z(log b - log a) where Z(k) = log(1 + g^k): a
-    zero term adds Z = 0 (1 + 0 = 1), a zero sum takes the next term as
-    it is, and 1 + g^k = 0 makes the sum zero.
+    Each form is evaluated at every row at once, in the log domain of the
+    field, F_p included.  A term is its log, the log of its coefficient
+    plus the weighted logs of its coordinates, and a flag for a coordinate
+    0 raised to a positive power.  The terms are added with the field's
+    Zech logarithms (``GF.log_arrays``), log(a + b) = log a + Z(log b -
+    log a) where Z(k) = log(1 + g^k): a zero term reads the last entry
+    Z = 0 (1 + 0 = 1), a zero sum takes the next term as it is, and the
+    sentinel Z = 2(q - 1), where 1 + g^k = 0, makes the sum zero.
     """
-    p, e = field.p, field.e
+    p, q1 = field.p, field.q - 1
+    log, zech = field.log_arrays()
     terms = [[(exps, c % p) for exps, c in zip(f.basis, f.coeffs) if c % p]
              for f in forms]
-    if e > 1:
-        q1 = field.q - 1
-        exp, log = field.log_arrays()
-        # 1 + g^k changes only the constant digit of g^k; it is 0 for one k,
-        # where the Zech log is a sentinel, and entry q - 1 is 1 + 0 = 1
-        one_plus = exp - exp % p + (exp + 1) % p
-        zech = np.append(np.where(one_plus, log[one_plus], -1), 0)
 
     def test(block):
         ok = np.ones(len(block), dtype=bool)
-        if e > 1:
-            logs = log[block]
-            zero = block == 0
+        logs = log[block]
+        zero = block == 0
         for form in terms:
-            if e == 1:
-                acc = np.zeros(len(block), dtype=np.int64)
-                for exps, c in form:
-                    term = np.full(len(block), c, dtype=np.int64)
-                    for i, a in enumerate(exps):
-                        for _ in range(a):
-                            term = term * block[:, i] % p
-                    acc += term
-                ok &= acc % p == 0
-                continue
             # the sum so far: its log (unreduced) and whether it is zero
             total, vanishes = 0, np.ones(len(block), dtype=bool)
             for exps, c in form:
@@ -413,7 +416,7 @@ def _vanishing(field: GF, forms):
                 step[off] = q1
                 shift = zech[step]
                 total = np.where(vanishes, term, total + shift)
-                vanishes = np.where(vanishes, off, shift < 0)
+                vanishes = np.where(vanishes, off, shift == 2 * q1)
             ok &= vanishes
         return ok
 

@@ -33,20 +33,12 @@ def exact_context() -> decimal.Context:
 
 
 class InconsistentTable(Exception):
-    """Point counts that cannot come from a scheme (Mobius inversion fails)."""
+    """Point counts that cannot come from a scheme (some closed-point
+    count a_e is negative or not an integer)."""
 
 
 class BudgetExceeded(Exception):
     """A computation would overrun one of the desk-scale budgets."""
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def mobius(n: int) -> int:
-    primes = _prime_factors(n)
-    return 0 if prod(primes) != n else (-1) ** len(primes)
 
 
 @dataclass(frozen=True)
@@ -66,17 +58,23 @@ class PointCountTable:
 
 
 def closed_point_counts(table: PointCountTable) -> tuple:
-    """Closed points by degree: a_e = (1/e) * sum_{f | e} mu(e/f) N_f.
+    """Closed points by degree, from N_e = sum_{f | e} f a_f: each f a_f is
+    added to the running sums of the multiples of f as soon as it is
+    known, so a_e = (N_e - sum_{f | e, f < e} f a_f) / e, in
+    O(e_max log e_max) additions.
 
-    Rejects tables whose inversion is negative or non-integral, since no
+    Rejects tables whose a_e is negative or non-integral, since no
     scheme can produce them.
     """
+    below = [0] * (table.e_max + 1)
     a = []
-    for e in range(1, table.e_max + 1):
-        total = sum(mobius(e // f) * table.counts[f - 1] for f in _divisors(e))
+    for e, n_e in enumerate(table.counts, 1):
+        total = n_e - below[e]
         if total % e != 0 or total < 0:
             raise InconsistentTable(f"a_{e} = {total}/{e} is not a nonnegative integer")
         a.append(total // e)
+        for multiple in range(2 * e, table.e_max + 1, e):
+            below[multiple] += total
     return tuple(a)
 
 
@@ -188,7 +186,7 @@ def _check_digits(exponents):
 def _truncation(table: PointCountTable, s: int, r: int,
                 fiber_dim: int) -> ZetaTruncation:
     """The truncation of the table at depth r and exponent s, past their checks
-    and the Mobius inversion; its value and bounds are formed when read."""
+    and ``closed_point_counts``; its value and bounds are formed when read."""
     if not 0 <= r <= table.e_max or table.e_max < 1:
         raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
                          f"got r = {r} on a table of depth {table.e_max} "
@@ -276,16 +274,17 @@ def _roots_of_unity(q: int, exponents) -> set:
     """The z in F_q with z^k = 1 for some k in exponents: the union of the
     subgroups of order g = gcd(k, q - 1) of the cyclic group F_q^*.  For
     g <= 2 that is {1} or {1, q - 1}; otherwise the powers of
-    x^((q - 1) / g) for the first x = 1, 2, ... at which that element has
-    order exactly g (a primitive root always does)."""
+    z = x^((q - 1) / g) for the first x = 1, 2, ... at which z has order
+    exactly g, z^(g / l) != 1 for every prime l | g (a primitive root
+    always does)."""
     roots = set()
     for g in {gcd(k, q - 1) for k in exponents}:
         if g <= 2:
             roots.update((1, q - 1)[:g])
             continue
-        proper = _divisors(g)[:-1]
+        cofactors = [g // ell for ell in _prime_factors(g)]
         z = next(z for z in (pow(x, (q - 1) // g, q) for x in range(1, q))
-                 if all(pow(z, c, q) != 1 for c in proper))
+                 if all(pow(z, c, q) != 1 for c in cofactors))
         power = 1
         for _ in range(g):
             roots.add(power)

@@ -262,6 +262,66 @@ def test_census_budget_refusal_is_short(scheme_files, capsys):
         assert len(err.encode()) < 200
 
 
+def test_deep_projective_truncation_refused_before_its_table(scheme_files, monkeypatch,
+                                                           capsys):
+    """A truncation of P^n whose denominator, at least s p^(rn) powers of p,
+    passes the digit cap is refused from p, s and r before any point
+    table exists, with a message that names them and not the exponent
+    (at r = 60000 that has 18,000 digits)."""
+    def refuse(*args):
+        raise AssertionError("a point table was built")
+    monkeypatch.setattr(SchemeFiber, "point_table", refuse)
+    capsys.readouterr()
+    for argv, head in ((["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
+                         "--r", "60000"], "p = 2, s = 3, r = 60000"),
+                       (["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
+                         "--r", "20000", "--samples", "100"], "p = 2, s = 3, r = 20000")):
+        assert main(argv) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err == (f"budget exceeded: the truncation at {head} has a "
+                       f"denominator of more than {zetas.DIGIT_CAP} digits\n")
+        assert len(err) < 300
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projective_truncation_check_refuses_only_what_the_cap_refuses(n):
+    """Wherever ``check_truncation`` refuses, the exact exponent of the
+    truncation passes the digit cap too, so no accepted report changes;
+    at r = 0, for s <= m (a ValueError of the truncation) and on a
+    fiber with forms it passes."""
+    scheme = scheme_from_dict({"n": n, "m": n})
+    refused = 0
+    for p in (2, 3, 5, 7):
+        fiber = scheme.fiber(p)
+        for s in (n + 1, n + 2):
+            fiber.check_truncation(s, 0)
+            for r in range(1, 30):
+                try:
+                    fiber.check_truncation(s, r)
+                except zetas.BudgetExceeded:
+                    refused += 1
+                    table = projective_counts(p, n, r)
+                    x = zetas.truncation_exponent(zetas.closed_point_counts(table), s, r)
+                    with pytest.raises(zetas.BudgetExceeded):
+                        zetas._check_digits([(p, x)])
+                    break
+        fiber.check_truncation(n, 10 ** 9)
+    assert refused == 8
+    load_scheme(SCHEMES / "conic_f2.json").fiber(3).check_truncation(3, 10 ** 9)
+
+
+def test_unwritable_output_is_a_config_error(scheme_files, tmp_path, capsys):
+    """--output into a missing directory or onto a directory exits 2 with
+    one error line, no traceback."""
+    argv = ["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3", "--r", "2"]
+    capsys.readouterr()
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(argv + ["--output", str(target)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_digit_cap_is_checked_before_computing(scheme_files, capsys):
     """Long integers are printed through decimal, which ignores
     sys.set_int_max_str_digits: the DIGIT_CAP check inside

@@ -197,6 +197,31 @@ def test_tables_are_pinned(p, e, digest):
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_prime_field_log_arrays_match_integers(p):
+    """A prime field builds its tables when a scan first reads its logs:
+    g^log[x] = x, and zech[k] is the log of 1 + g^k mod p, the sentinel
+    2(p - 1) where 1 + g^k = 1 + (p - 1) = 0, then 0 for adding a zero
+    term; every sum of nonzero elements read through them is a + b mod p.
+    In F_2 the generator is g = 1."""
+    log, zech = GF(p).log_arrays()
+    assert len(log) == p and len(zech) == p and zech[p - 1] == 0
+    g = next(x for x in range(1, p) if log[x] == 1 % (p - 1))
+    assert sorted(pow(g, k, p) for k in range(p - 1)) == list(range(1, p))
+    for x in range(1, p):
+        assert pow(g, int(log[x]), p) == x
+    for k in range(p - 1):
+        one_plus = (1 + pow(g, k, p)) % p
+        if one_plus:
+            assert zech[k] < p - 1 and pow(g, int(zech[k]), p) == one_plus, k
+        else:
+            assert zech[k] == 2 * (p - 1) and pow(g, k, p) == p - 1
+    for a, b in itertools.product(range(1, p), repeat=2):
+        shift = zech[(log[b] - log[a]) % (p - 1)]
+        assert (a + b) % p == (0 if shift == 2 * (p - 1)
+                               else pow(g, int(log[a] + shift), p))
+
+
 @pytest.mark.parametrize("p,e", [(2, 4), (2, 8), (3, 3), (5, 2), (7, 2)])
 def test_galois_ring_units_exhaustive(p, e):
     """a is a unit exactly when a mod p is nonzero: then a^((q-1)p) = 1,

@@ -1,6 +1,7 @@
 """Point-count tables, truncated zeta values, convergence bounds."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from math import gcd, log10, prod
 from pathlib import Path
 
 import pytest
+from sympy import divisors
+from sympy.ntheory import mobius
 
 import bertinilab
 from bertinilab import projgeom, zetas
@@ -16,15 +19,52 @@ from bertinilab.cli import _default_depth
 from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
                               PointCountTable, ZetaTruncation, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
-                              local_zeta_inverse, mobius, primes_up_to,
+                              local_zeta_inverse, primes_up_to,
                               projective_counts, projective_zeta_inverse_exact,
                               truncation_exponent,
                               verify_section_bounds)
 
 
-def test_mobius():
-    assert [mobius(n) for n in range(1, 13)] == \
-        [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+def _mobius_counts(counts) -> tuple:
+    """a_e = (1/e) sum_{f | e} mu(e/f) N_f with sympy's Mobius function,
+    raising as closed_point_counts does at the first bad e."""
+    a = []
+    for e in range(1, len(counts) + 1):
+        total = sum(int(mobius(e // f)) * counts[f - 1] for f in divisors(e))
+        if total % e != 0 or total < 0:
+            raise InconsistentTable(f"a_{e} = {total}/{e} is not a nonnegative integer")
+        a.append(total // e)
+    return tuple(a)
+
+
+def _outcome(inversion, counts):
+    try:
+        return inversion(counts)
+    except InconsistentTable as exc:
+        return str(exc)
+
+
+def test_closed_point_counts_match_mobius_inversion():
+    """The running sums over multiples against Mobius inversion (sympy's
+    mu): the same a_e on random consistent tables, and on tables with one
+    count moved the same result or the same InconsistentTable message, so
+    the same e and numerator."""
+    rng = random.Random(33)
+    raised = 0
+    for _ in range(300):
+        depth = rng.randint(1, 40)
+        a = [rng.choice((0, rng.randrange(10), rng.randrange(10 ** 30)))
+             for _ in range(depth)]
+        counts = tuple(sum(f * a[f - 1] for f in divisors(e)) for e in range(1, depth + 1))
+        assert closed_point_counts(PointCountTable(2, counts)) == _mobius_counts(counts) \
+            == tuple(a)
+        broken = list(counts)
+        e = rng.randint(1, depth)
+        broken[e - 1] = max(0, broken[e - 1] + rng.randint(-3 * e, 3 * e))
+        ours = _outcome(lambda c: closed_point_counts(PointCountTable(2, c)), tuple(broken))
+        assert ours == _outcome(_mobius_counts, broken)
+        raised += isinstance(ours, str)
+    assert raised > 200
 
 
 def test_closed_point_counts_examples():
