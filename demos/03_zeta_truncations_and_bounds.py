@@ -2,8 +2,10 @@
 
 Every truncation is an exact rational; the convergence to the closed
 form is controlled by 4*c0*p^{-2(r+1)}, where c0 is the observed
-point-count constant (N_e <= c0 p^{(n-1)e}).  The audit grid checks
-each inequality at 160-bit precision and reports any violation.
+point-count constant (N_e <= c0 p^{(n-1)e}).  A product over several
+primes is the same kind of truncation, and its error bound is the sum
+of the local ones.  The audit grid checks each inequality at 160-bit
+precision and reports any violation.
 """
 
 from bertinilab.zetas import (c0_estimate, closed_point_counts,
@@ -32,8 +34,8 @@ for s in (2, 3):
     g = global_zeta_inverse(tables, s, 7, 5, 1)
     tail = "n/a (diverges over all primes)" if g.tail_bound is None \
         else f"{float(g.tail_bound):.4f}"
-    print(f"  s={s}: value {float(g.value):.6f}, local error "
-          f"{float(g.local_error):.2e}, prime tail bound {tail}")
+    print(f"  s={s}: value {float(g.value):.6f}, error bound "
+          f"{float(g.error_bound):.2e}, prime tail bound {tail}")
 
 report = verify_section_bounds([2, 3, 5, 7, 11], 10, 10)
 print(f"\ninequality audit: {report.checks} checks, "

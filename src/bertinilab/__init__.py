@@ -13,8 +13,7 @@ from .zetas import (PointCountTable, closed_point_counts, c0_estimate,  # noqa: 
                     verify_section_bounds, projective_counts)
 from .fiberlab import (classify_point_detail, reference_truncation,  # noqa: F401
                        FiberClassifier, fiber_density_exhaustive, fiber_density_mc,
-                       singular_at_point_proportion, medium_degree_tail_bound,
-                       DensityEstimate)
+                       singular_at_point_proportion, DensityEstimate)
 from .arithlab import (MonicPoly, discriminant, dedekind_p_maximal,  # noqa: F401
                        maximality_scan, equidistribution_audit,
                        multi_fiber_experiment, bsw_experiment)

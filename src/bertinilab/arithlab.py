@@ -40,7 +40,7 @@ from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
                      poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim)
 from .fiberlab import DensityEstimate, FiberClassifier, _tally, reading_exponent
 from .projgeom import ProjectiveScheme
-from .p1sections import binary_census, binary_section_report, radical_fp
+from .p1sections import CACHE_SIZE, binary_census, binary_section_report, radical_fp
 from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
                     exact_context, global_zeta_inverse, primes_up_to)
 from . import sampling
@@ -221,9 +221,6 @@ def dedekind_p_maximal(f: MonicPoly, p: int, disc: int | None = None) -> bool:
     return _dedekind_criterion(f, p, disc)
 
 
-DEDEKIND_CACHE_SIZE = 2048   # entries in the memo of Dedekind's criterion
-
-
 def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
     """``dedekind_p_maximal`` for a prime p and disc = disc(f) != 0, unchecked."""
     p2 = p * p
@@ -234,7 +231,7 @@ def _dedekind_criterion(f: MonicPoly, p: int, disc: int) -> bool:
     return _dedekind_mod_p2(tuple(fle), p)
 
 
-@lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _dedekind_mod_p2(fle: tuple, p: int) -> bool:
     """Dedekind's criterion at p from f mod p^2 (little-endian) alone, for a
     monic f with p^2 | disc(f); memoized on (f mod p^2, p).  Every f' = f
@@ -249,7 +246,7 @@ def _dedekind_mod_p2(fle: tuple, p: int) -> bool:
     return len(poly_gcd(g1, hbar, p)) == 1
 
 
-@lru_cache(maxsize=DEDEKIND_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _dedekind_split(fbar: tuple, p: int) -> tuple:
     """(g, f / g) with g the radical of f over F_p, memoized on (f mod p, p)."""
     gbar = radical_fp(fbar, p)
@@ -381,7 +378,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         for rows in (sampling.uniform_box(rng, size, h, B) for rng, size in streams)))
     reading = 0 if classification == "arithmetic" else 1
     return DensityEstimate.monte_carlo(
-        hits[reading], samples, seed, reference, reference.local_error,
+        hits[reading], samples, seed, reference, reference.error_bound,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
                 "singular_by_prime": {p: c[reading] for p, c in zip(primes, singular)},

@@ -153,10 +153,14 @@ def run(args) -> dict:
         scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
         r = args.r if args.r is not None else _default_depth(fiber)
+        fiber.check_truncation(args.s, r)
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
-        fiber.check_truncation(args.s, r)
-        return local_zeta_inverse(fiber.point_table(r), args.s, r, fiber.m).as_report()
+        t = local_zeta_inverse(fiber.point_table(r), args.s, r, fiber.m)
+        num, den = t.decimal_digits()
+        return {"p": fiber.p, "s": args.s, "r": r, "value_num": num, "value_den": den,
+                "error_bound_num": t.error_bound.numerator,
+                "error_bound_den": t.error_bound.denominator, "a_e": list(t.a[0])}
     if sub == "fiber-density":
         scheme = _load(args.scheme)
         if args.mode == "exhaustive":

@@ -36,7 +36,7 @@ from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
 from .projgeom import (NOT_ON_DIVISOR, SINGULAR, SMOOTH, BudgetExceeded,
                        ClosedPoint, HomogeneousForm, ProjectiveScheme,
                        SchemeFiber, monomial_basis)
-from .zetas import GlobalZetaTruncation, ZetaTruncation, local_zeta_inverse
+from .zetas import ZetaTruncation, local_zeta_inverse
 from . import sampling
 
 REGULAR = "RegularPoint"
@@ -111,18 +111,6 @@ def reference_truncation(fiber: SchemeFiber, r: int, reading: str) -> ZetaTrunca
     tail bound: the reference of every density in the given reading."""
     return local_zeta_inverse(fiber.point_table(r),
                               reading_exponent(fiber.m, reading), r, fiber.m)
-
-
-def medium_degree_tail_bound(c0: Fraction, p: int, r: int,
-                             reading: str = "arithmetic") -> Fraction:
-    """Tolerance band for points of degree beyond the truncation.
-
-    Arithmetic reading: 2 c0 p^{-2(r+1)}; fiber reading: 2 c0 p^{-r}.
-    """
-    if c0 < 0:
-        raise ValueError("c0 must be nonnegative")
-    arithmetic = reading_exponent(0, reading) == 2     # s - m: 2 or 1
-    return 2 * c0 * Fraction(1, p ** (2 * (r + 1) if arithmetic else r))
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +233,7 @@ class DensityEstimate:
     samples: int | None = None
     seed: int | None = None
     ci_halfwidth: float | None = None
-    reference: Fraction | ZetaTruncation | GlobalZetaTruncation | None = None
+    reference: Fraction | ZetaTruncation | None = None
     reference_error: Fraction | None = None
     extras: dict = field(default_factory=dict)
 

@@ -59,7 +59,8 @@ from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
                      poly_mul, poly_powmod, poly_sub, poly_trim)
 from .zetas import closed_point_counts, projective_counts
 
-CACHE_SIZE = 2048          # entries in each memo of this module
+# entries in each memo of this module and in arithlab's Dedekind memos
+CACHE_SIZE = 2048
 
 
 def radical_fp(f, p: int) -> list:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
                      matrix_rank)
-from .zetas import DIGIT_CAP, BudgetExceeded, PointCountTable, projective_counts
+from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _check_convergence,
+                    projective_counts)
 
 POINT_SCAN_BUDGET = 10 ** 8
 # coordinate tuples per batch of a point scan
@@ -237,15 +238,18 @@ class SchemeFiber:
         self._check_scan(r)
 
     def check_truncation(self, s: int, r: int):
-        """Refuse, before its point table exists, a truncation of P^n at
-        depth r and exponent s whose denominator ``zetas._check_digits``
-        would refuse once it did.  Its exponent s sum_{e <= r} e a_e is at
-        least s N_r >= s p^(rn), and this bound passes the cap alone after
-        a few factors p, so a deep r costs nothing and the message names
-        p, s and r, not the exponent.  A fiber with forms, r < 1 and
-        s <= m, which the truncation refuses with a ValueError, pass.
+        """Refuse, before its point table exists, a truncation at depth r and
+        exponent s that the truncation would refuse once it did: r < 0 and
+        s <= m (the truncation's ValueError) on every fiber, and on P^n a
+        denominator that ``zetas._check_digits`` refuses.  Its exponent
+        s sum_{e <= r} e a_e is at least s N_r >= s p^(rn), and this bound
+        passes the cap alone after a few factors p, so a deep r costs
+        nothing and the message names p, s and r, not the exponent.
         """
-        if self.forms or r < 1 or s <= self.m:
+        if r < 0:
+            raise ValueError(f"need r >= 0, got r = {r}")
+        _check_convergence(s, self.m)
+        if self.forms or r < 1:
             return
         cap, bound = DIGIT_CAP / log10(self.p), s
         for _ in range(r * self.n):

@@ -1,6 +1,11 @@
 """Point-count tables, closed-point counts, truncated inverse zeta values
 and the explicit convergence bounds they obey.
 
+One type, ``ZetaTruncation``, is every truncated product: over one fiber
+(``local_zeta_inverse``) or over the fibers at the primes up to a bound
+(``global_zeta_inverse``), with ``error_bound`` the sum of the local
+tail bounds.
+
 All truncation values are exact rationals; floating arithmetic appears
 only inside the numeric inequality audit, which runs at a guard
 precision well beyond the gap of each inequality.
@@ -111,57 +116,64 @@ def _valuation(n: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class ZetaTruncation:
-    """A truncated local inverse zeta value with its tail bound, kept as its
-    inputs: the point table, s, r, fiber_dim and the counts a_e for e <= r.
+    """The product over distinct primes p of the degree-truncated local
+    inverse zeta values prod_{e <= r} (1 - p^{-se})^{a_e}: over one fiber
+    for ``local_zeta_inverse``, over the primes p <= prime_bound for
+    ``global_zeta_inverse``.  It is kept as its inputs: a point table per
+    prime, each table's counts a_e for e <= r, s, r, fiber_dim and the
+    prime bound.
 
-    The value is num / p^x with num = prod_{e <= r} (p^{se} - 1)^{a_e} and
-    x = sum_{e <= r} s e a_e (``truncation_exponent``), kept in this
-    factored form: ``value`` forms the exact Fraction on first use, and
-    ``decimal_digits`` (which ``as_report`` prints) multiplies the two
-    integers from their factors in decimal.  The count constant ``c0`` and
-    the tail bound ``error_bound`` are formed on first use too.
+    The factor at p is num_p / p^x_p with num_p = prod_{e <= r}
+    (p^{se} - 1)^{a_e} and x_p = sum_{e <= r} s e a_e
+    (``truncation_exponent``), kept in this factored form: ``value`` forms
+    the exact Fraction on first use, and ``decimal_digits`` multiplies its
+    numerator and denominator from their factors in decimal.  Each table's
+    count constant (``c0s``) is estimated when a bound is first read, and
+    ``error_bound`` and ``tail_bound`` share it.
     """
 
-    table: PointCountTable
+    tables: tuple                # one PointCountTable per prime, at distinct primes
+    a: tuple                     # each table's closed-point counts a_e, e <= r
     s: int
     r: int
     fiber_dim: int
-    a: tuple
-
-    @property
-    def p(self) -> int:
-        return self.table.p
+    prime_bound: int
 
     @cached_property
-    def c0(self) -> Fraction:
-        """The observed count constant of the table (``c0_estimate``)."""
-        return c0_estimate(self.table, self.fiber_dim + 1)
+    def powers(self) -> tuple:
+        """The (p, x_p) of the denominator prod p^x_p, one per table."""
+        return tuple((table.p, truncation_exponent(a, self.s, self.r))
+                     for table, a in zip(self.tables, self.a))
+
+    @cached_property
+    def c0s(self) -> tuple:
+        """The observed count constant of each table (``c0_estimate``)."""
+        return tuple(c0_estimate(table, self.fiber_dim + 1) for table in self.tables)
 
     @cached_property
     def error_bound(self) -> Fraction:
-        """4*c0*p^{-delta*(r+1)} with delta = s - fiber_dim."""
-        return 4 * self.c0 * Fraction(1, self.p ** ((self.s - self.fiber_dim) * (self.r + 1)))
+        """sum_p 4*c0_p*p^{-delta*(r+1)} with delta = s - fiber_dim: the sum
+        of the local tail bounds."""
+        depth = (self.s - self.fiber_dim) * (self.r + 1)
+        return sum(4 * c0 * Fraction(1, table.p ** depth)
+                   for table, c0 in zip(self.tables, self.c0s))
+
+    @cached_property
+    def tail_bound(self) -> Fraction | None:
+        """8*c0*value/R, c0 the largest of the tables' and R the prime bound,
+        for s in the integral range, else None: the bound of the primes past
+        R for a product over every prime up to R (``global_zeta_inverse``)."""
+        if self.s < self.fiber_dim + 2:
+            return None
+        return 8 * max(self.c0s) * self.value / self.prime_bound
 
     @cached_property
     def value(self) -> Fraction:
-        return _product_value([self])
+        return _product_value(self)
 
     def decimal_digits(self) -> tuple:
         """``value``'s numerator and denominator as exact integral Decimals."""
-        return _decimal_digits([self])
-
-    def as_report(self) -> dict:
-        num, den = self.decimal_digits()
-        return {
-            "p": self.p,
-            "s": self.s,
-            "r": self.r,
-            "value_num": num,
-            "value_den": den,
-            "error_bound_num": self.error_bound.numerator,
-            "error_bound_den": self.error_bound.denominator,
-            "a_e": list(self.a),
-        }
+        return _decimal_digits(self)
 
 
 def truncation_exponent(a: tuple, s: int, r: int) -> int:
@@ -183,23 +195,36 @@ def _check_digits(exponents):
                              f"has more than {DIGIT_CAP} digits")
 
 
-def _truncation(table: PointCountTable, s: int, r: int,
-                fiber_dim: int) -> ZetaTruncation:
-    """The truncation of the table at depth r and exponent s, past their checks
-    and ``closed_point_counts``; its value and bounds are formed when read."""
-    if not 0 <= r <= table.e_max or table.e_max < 1:
-        raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
-                         f"got r = {r} on a table of depth {table.e_max} "
-                         f"at p = {table.p}")
+def _check_convergence(s: int, fiber_dim: int):
+    """Refuse an s outside the convergence region s >= fiber_dim + 1."""
     if s - fiber_dim < 1:
         raise ValueError(f"s = {s} is outside the convergence region for a "
                          f"{fiber_dim}-dimensional fiber")
-    return ZetaTruncation(table, s, r, fiber_dim, closed_point_counts(table)[:r])
+
+
+def _truncated_product(tables, s: int, r: int, fiber_dim: int,
+                       prime_bound: int) -> ZetaTruncation:
+    """The truncation over the tables at depth r and exponent s, each table
+    checked and passed through ``closed_point_counts`` in turn, and its
+    denominator then through ``_check_digits``; its value and bounds are
+    formed when read."""
+    a = []
+    for table in tables:
+        if not 0 <= r <= table.e_max or table.e_max < 1:
+            raise ValueError(f"need 0 <= r <= table depth and a table depth >= 1, "
+                             f"got r = {r} on a table of depth {table.e_max} "
+                             f"at p = {table.p}")
+        _check_convergence(s, fiber_dim)
+        a.append(closed_point_counts(table)[:r])
+    t = ZetaTruncation(tuple(tables), tuple(a), s, r, fiber_dim, prime_bound)
+    _check_digits(t.powers)
+    return t
 
 
 def local_zeta_inverse(table: PointCountTable, s: int, r: int,
                        fiber_dim: int) -> ZetaTruncation:
-    """prod_{e <= r} (1 - p^{-se})^{a_e}, the degree-truncated local 1/zeta.
+    """prod_{e <= r} (1 - p^{-se})^{a_e}, the degree-truncated local 1/zeta,
+    with the prime bound p.
 
     Requires s >= fiber_dim + 1 (convergence of the full product).  The
     tail bound is 4*c0*p^{-delta*(r+1)} with delta = s - fiber_dim,
@@ -208,56 +233,21 @@ def local_zeta_inverse(table: PointCountTable, s: int, r: int,
     s = fiber_dim + 2 this is the 4*c0*p^{-2(r+1)} bound.  A value whose
     denominator has DIGIT_CAP or more digits is refused before the product.
     """
-    t = _truncation(table, s, r, fiber_dim)
-    _check_digits([(t.p, truncation_exponent(t.a, s, r))])
-    return t
-
-
-@dataclass(frozen=True)
-class GlobalZetaTruncation:
-    """prod_{p <= R} of local truncations, with accumulated error bounds; it
-    keeps the local factors and forms ``value`` and the bounds when read."""
-
-    prime_bound: int
-    truncations: tuple           # the local ZetaTruncations, one per prime
-
-    @property
-    def local_error(self) -> Fraction:
-        """The sum of the per-fiber truncation bounds."""
-        return sum(t.error_bound for t in self.truncations)
-
-    @cached_property
-    def value(self) -> Fraction:
-        return _product_value(self.truncations)
-
-    @cached_property
-    def tail_bound(self) -> Fraction | None:
-        """8*c0*value/R (c0 the largest of the fibers') for s in the integral
-        range, else None."""
-        t = self.truncations[0]
-        if t.s < t.fiber_dim + 2:
-            return None
-        return 8 * max(u.c0 for u in self.truncations) * self.value / self.prime_bound
-
-    def decimal_digits(self) -> tuple:
-        """``value``'s numerator and denominator as exact integral Decimals."""
-        return _decimal_digits(self.truncations)
+    return _truncated_product([table], s, r, fiber_dim, table.p)
 
 
 def global_zeta_inverse(tables: dict, s: int, prime_bound: int, r: int,
-                        fiber_dim: int) -> GlobalZetaTruncation:
+                        fiber_dim: int) -> ZetaTruncation:
     """Product of the local truncations of depth r over the primes p <= prime_bound.
 
     ``tables`` maps each prime to its PointCountTable; a missing prime or
     a table of another prime is an error, and so is prime_bound < 2, a
-    product over no fibers.  A
-    product whose denominator has DIGIT_CAP or more digits is refused
-    before the first local product.  Each table is inverted once, and its
-    c0 estimated only when a bound is read: ``local_error`` and
-    ``tail_bound`` share it.  The prime tail bound 8*c0*value/R applies
-    only when s >= fiber_dim + 2, i.e. when the product over all primes
-    converges; below that the product diverges to 0 and only the
-    truncated value is meaningful.
+    product over no fibers.  A product whose denominator has DIGIT_CAP or
+    more digits is refused before the first local product.  Its
+    ``error_bound`` is the sum of the local ones.  The prime tail bound
+    8*c0*value/R applies only when s >= fiber_dim + 2, i.e. when the
+    product over all primes converges; below that the product diverges
+    to 0 and only the truncated value is meaningful.
     """
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} leaves no fiber")
@@ -265,9 +255,7 @@ def global_zeta_inverse(tables: dict, s: int, prime_bound: int, r: int,
     for p in primes:
         if p not in tables or tables[p].p != p:
             raise ValueError(f"need the point counts of the fiber at p = {p}")
-    truncations = tuple(_truncation(tables[p], s, r, fiber_dim) for p in primes)
-    _check_digits([(t.p, truncation_exponent(t.a, s, r)) for t in truncations])
-    return GlobalZetaTruncation(prime_bound, truncations)
+    return _truncated_product([tables[p] for p in primes], s, r, fiber_dim, prime_bound)
 
 
 def _roots_of_unity(q: int, exponents) -> set:
@@ -292,9 +280,9 @@ def _roots_of_unity(q: int, exponents) -> set:
     return roots
 
 
-def _shared_exponents(truncations) -> list:
+def _shared_exponents(t: ZetaTruncation) -> list:
     """The exponent of each q shared by the numerator prod num_u and the
-    denominator prod u^x_u of a product of local truncations at distinct
+    denominator prod u^x_u of the truncation, a product over distinct
     primes u.  Each num_u = prod_{e <= r} (u^{se} - 1)^{a_e} is prime to
     u, so the exponent of q is the least of x_q and v_q(prod num_u).
     For u != q, q divides u^k - 1 exactly when u mod q is a k-th root of
@@ -302,40 +290,43 @@ def _shared_exponents(truncations) -> list:
     exponents k = se in play the walk visits only the primes u = z (mod q),
     sum_q (number of roots) * R / q steps for the largest prime R, and
     reads a valuation only off a factor that q divides."""
-    by_prime = {t.p: t for t in truncations}
+    by_prime = {table.p: a for table, a in zip(t.tables, t.a)}
     present = bytearray(max(by_prime, default=0) + 1)
     for u in by_prime:
         present[u] = 1
-    exponents = {t.s * e for t in truncations for e, a_e in enumerate(t.a, 1) if a_e}
+    exponents = {t.s * e for a in t.a for e, a_e in enumerate(a, 1) if a_e}
     shared = []
-    for t in truncations:
-        q, v = t.p, 0
+    for q, x in t.powers:
+        v = 0
         for z in _roots_of_unity(q, exponents):
             for u in compress(range(z, len(present), q), present[z::q]):
-                w = by_prime[u]
-                v += sum(a_e * _valuation(u ** (w.s * e) - 1, q)
-                         for e, a_e in enumerate(w.a, 1)
-                         if a_e and pow(z, w.s * e, q) == 1)
-        shared.append(min(truncation_exponent(t.a, t.s, t.r), v))
+                v += sum(a_e * _valuation(u ** (t.s * e) - 1, q)
+                         for e, a_e in enumerate(by_prime[u], 1)
+                         if a_e and pow(z, t.s * e, q) == 1)
+        shared.append(min(x, v))
     return shared
 
 
-def _product_value(truncations) -> Fraction:
-    """The value of a product of local truncations at distinct primes,
-    multiplied as integers from the factors, with one exact division by
-    the ``_shared_exponents`` powers and no gcd: Fraction's product would
-    renormalize at every factor, and that gcd dominates deep truncations."""
+def _factors(t: ZetaTruncation) -> list:
+    """The (p^{se} - 1, a_e) of the numerator prod (p^{se} - 1)^{a_e}."""
+    return [(table.p ** (t.s * e) - 1, a_e)
+            for table, a in zip(t.tables, t.a) for e, a_e in enumerate(a, 1)]
+
+
+def _product_value(t: ZetaTruncation) -> Fraction:
+    """The truncation's value, multiplied as integers from the factors,
+    with one exact division by the ``_shared_exponents`` powers and no
+    gcd: Fraction's product would renormalize at every factor, and that
+    gcd dominates deep truncations."""
     num = 1
-    for t in truncations:
-        for e, a_e in enumerate(t.a, 1):
-            num *= (t.p ** (t.s * e) - 1) ** a_e
-    shared = _shared_exponents(truncations)
-    num //= prod(t.p ** k for t, k in zip(truncations, shared))
-    return _coprime_fraction(num, prod(t.p ** (truncation_exponent(t.a, t.s, t.r) - k)
-                                       for t, k in zip(truncations, shared)))
+    for f, a_e in _factors(t):
+        num *= f ** a_e
+    shared = _shared_exponents(t)
+    num //= prod(p ** k for (p, _), k in zip(t.powers, shared))
+    return _coprime_fraction(num, prod(p ** (x - k) for (p, x), k in zip(t.powers, shared)))
 
 
-def _decimal_digits(truncations) -> tuple:
+def _decimal_digits(t: ZetaTruncation) -> tuple:
     """The numerator and denominator of ``_product_value`` as exact integral
     Decimals multiplied from the factors by libmpdec, whose products and
     str are subquadratic, without forming the int product.  The numerator
@@ -344,19 +335,17 @@ def _decimal_digits(truncations) -> tuple:
     ``exact_context`` a remainder of its division by the shared powers
     raises Inexact instead of printing a wrong digit.  Every product of
     many factors is taken pairwise (``_balanced_product``)."""
-    factors = [(t.p ** (t.s * e) - 1, a_e)
-               for t in truncations for e, a_e in enumerate(t.a, 1)]
-    shared = _shared_exponents(truncations)
+    factors = _factors(t)
+    shared = _shared_exponents(t)
     with decimal.localcontext(exact_context()):
         num = decimal.Decimal(1)
         for bit in reversed(range(max((a_e for _, a_e in factors), default=0).bit_length())):
             num = num * num * _balanced_product(
                 decimal.Decimal(f) for f, a_e in factors if a_e >> bit & 1)
-        num /= _balanced_product(decimal.Decimal(t.p) ** k
-                                 for t, k in zip(truncations, shared))
-        den = _balanced_product(
-            decimal.Decimal(t.p) ** (truncation_exponent(t.a, t.s, t.r) - k)
-            for t, k in zip(truncations, shared))
+        num /= _balanced_product(decimal.Decimal(p) ** k
+                                 for (p, _), k in zip(t.powers, shared))
+        den = _balanced_product(decimal.Decimal(p) ** (x - k)
+                                for (p, x), k in zip(t.powers, shared))
     return num, den
 
 

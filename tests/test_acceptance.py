@@ -32,7 +32,6 @@ from bertinilab.arithlab import (MonicPoly, bsw_experiment, dedekind_p_maximal,
                                  multi_fiber_experiment)
 from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  fiber_density_exhaustive,
-                                 medium_degree_tail_bound,
                                  reference_truncation,
                                  singular_at_point_proportion,
                                  squarefree_binary_census)
@@ -146,7 +145,8 @@ def test_criterion_03_squarefree_density_band(p1):
                 rd = r
             else:
                 break
-        band = medium_degree_tail_bound(c0, 2, rd, reading="fiber")
+        band = reference_truncation(fib, rd, "fiber").error_bound
+        ok &= band == 2 * c0 * Fraction(1, 2 ** rd)     # 4 c0 2^-(r(d)+1)
         hits, total = squarefree_binary_census(2, d)
         density = Fraction(hits, total)
         rows.append((d, density, rd, band))

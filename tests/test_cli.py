@@ -267,11 +267,21 @@ def test_deep_projective_truncation_refused_before_its_table(scheme_files, monke
     """A truncation of P^n whose denominator, at least s p^(rn) powers of p,
     passes the digit cap is refused from p, s and r before any point
     table exists, with a message that names them and not the exponent
-    (at r = 60000 that has 18,000 digits)."""
+    (at r = 60000 that has 18,000 digits).  An s <= m or a negative r is
+    refused the same way, as the truncation's configuration error, on
+    every fiber."""
     def refuse(*args):
         raise AssertionError("a point table was built")
     monkeypatch.setattr(SchemeFiber, "point_table", refuse)
     capsys.readouterr()
+    for name, s, r, head in (("p1", 1, 60000, "s = 1 is outside the convergence region"),
+                             ("p2", 2, 30000, "s = 2 is outside the convergence region"),
+                             ("conic", 1, 60000, "s = 1 is outside the convergence region"),
+                             ("p1", 3, -1, "need r >= 0"),
+                             ("p2", 4, -1, "need r >= 0")):
+        assert main(["zeta", "--scheme", scheme_files[name], "--p", "2", "--s", str(s),
+                     "--r", str(r)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {head}")
     for argv, head in ((["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "3",
                          "--r", "60000"], "p = 2, s = 3, r = 60000"),
                        (["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
@@ -287,8 +297,8 @@ def test_deep_projective_truncation_refused_before_its_table(scheme_files, monke
 def test_projective_truncation_check_refuses_only_what_the_cap_refuses(n):
     """Wherever ``check_truncation`` refuses, the exact exponent of the
     truncation passes the digit cap too, so no accepted report changes;
-    at r = 0, for s <= m (a ValueError of the truncation) and on a
-    fiber with forms it passes."""
+    at r = 0 and on a fiber with forms it passes, and s <= m is the
+    truncation's ValueError at any depth."""
     scheme = scheme_from_dict({"n": n, "m": n})
     refused = 0
     for p in (2, 3, 5, 7):
@@ -305,7 +315,8 @@ def test_projective_truncation_check_refuses_only_what_the_cap_refuses(n):
                     with pytest.raises(zetas.BudgetExceeded):
                         zetas._check_digits([(p, x)])
                     break
-        fiber.check_truncation(n, 10 ** 9)
+        with pytest.raises(ValueError, match="outside the convergence region"):
+            fiber.check_truncation(n, 10 ** 9)
     assert refused == 8
     load_scheme(SCHEMES / "conic_f2.json").fiber(3).check_truncation(3, 10 ** 9)
 
@@ -559,15 +570,14 @@ def test_zeta_never_forms_the_int_product(scheme_files, tmp_path, monkeypatch):
 def test_references_never_form_the_int_product(scheme_files, tmp_path, monkeypatch,
                                                argv):
     """Density reports print their truncation references from the factored
-    products too: with the value of every local and global truncation
-    refusing, each command still exits 0 with the same report."""
+    products too: with the value of every truncation, over one prime or
+    many, refusing, each command still exits 0 with the same report."""
     argv = [scheme_files.get(a, a) for a in argv]
     before = _report_lines(argv, tmp_path / "before")
 
     def refuse(self):
         raise RuntimeError("the int product was formed")
     monkeypatch.setattr(zetas.ZetaTruncation, "value", property(refuse))
-    monkeypatch.setattr(zetas.GlobalZetaTruncation, "value", property(refuse))
     assert _report_lines(argv, tmp_path / "after") == before
 
 

@@ -18,7 +18,6 @@ from bertinilab.projgeom import (BudgetExceeded, HomogeneousForm,
 from bertinilab.fiberlab import (FiberClassifier, classify_point_detail,
                                  fiber_density_exhaustive, fiber_density_mc,
                                  lifted_point,
-                                 medium_degree_tail_bound,
                                  reference_truncation,
                                  singular_at_point_proportion,
                                  squarefree_binary_census)
@@ -168,18 +167,6 @@ def test_reference_truncation_examples(p1, p2):
     for reading, s in (("arithmetic", 4), ("fiber", 3)):
         t = reference_truncation(fib2, 2, reading)
         assert t == local_zeta_inverse(projective_counts(3, 2, 2), s, 2, 2)
-
-
-def test_medium_degree_tail_bound_examples():
-    assert medium_degree_tail_bound(Fraction(3, 2), 2, 3) == Fraction(3, 256)
-    for r in range(1, 6):
-        assert medium_degree_tail_bound(Fraction(3, 2), 2, r + 1) == \
-            medium_degree_tail_bound(Fraction(3, 2), 2, r) / 4
-    assert medium_degree_tail_bound(Fraction(0), 5, 2) == 0
-    assert medium_degree_tail_bound(Fraction(3, 2), 2, 3, "fiber") == \
-        Fraction(3, 8)
-    with pytest.raises(ValueError):
-        medium_degree_tail_bound(Fraction(3, 2), 2, 3, "finite-field")
 
 
 def certificate(fiber, points, d, reading):

@@ -16,7 +16,7 @@ from sympy.ntheory import mobius
 import bertinilab
 from bertinilab import projgeom, zetas
 from bertinilab.cli import _default_depth
-from bertinilab.zetas import (GlobalZetaTruncation, InconsistentTable,
+from bertinilab.zetas import (InconsistentTable,
                               PointCountTable, ZetaTruncation, c0_estimate,
                               closed_point_counts, global_zeta_inverse,
                               local_zeta_inverse, primes_up_to,
@@ -155,8 +155,31 @@ def test_global_zeta_single_factor():
     tables = {2: projective_counts(2, 1, 6)}
     g = global_zeta_inverse(tables, 2, 2, 4, 1)
     assert g.value == local_zeta_inverse(tables[2], 2, 4, 1).value
-    assert isinstance(g, GlobalZetaTruncation)
     assert g.tail_bound is None          # s = m+1 diverges over all primes
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_global_product_is_its_local_truncations(p, m):
+    """The product over the primes up to p holds, prime by prime, the table
+    and counts of the local truncation there; its value is the product of
+    theirs and its error bound the sum of theirs.  Over the one prime 2 it
+    is the local truncation itself: the same ZetaTruncation, with the same
+    value and digits."""
+    primes = primes_up_to(p)
+    tables = {q: projective_counts(q, m, 4) for q in primes}
+    for s in (m + 1, m + 2):
+        for r in range(5):
+            g = global_zeta_inverse(tables, s, p, r, m)
+            local = [local_zeta_inverse(tables[q], s, r, m) for q in primes]
+            assert g.tables == tuple(t.tables[0] for t in local), (s, r)
+            assert g.a == tuple(t.a[0] for t in local), (s, r)
+            assert g.value == prod(t.value for t in local), (s, r)
+            assert g.error_bound == sum(t.error_bound for t in local), (s, r)
+            if p == 2:
+                t, = local
+                assert g == t, (s, r)
+                assert g.decimal_digits() == t.decimal_digits()
 
 
 def test_global_zeta_truncated_product_value():
@@ -165,7 +188,7 @@ def test_global_zeta_truncated_product_value():
     exact = Fraction(1)
     for p in (2, 3, 5, 7):
         exact *= projective_zeta_inverse_exact(p, 1, 2)
-    assert abs(g.value - exact) <= g.local_error
+    assert abs(g.value - exact) <= g.error_bound
     assert abs(float(exact) - 0.14330) < 5e-5
     g3 = global_zeta_inverse(tables, 3, 7, 5, 1)
     assert g3.tail_bound is not None and g3.tail_bound > 0
@@ -210,7 +233,7 @@ def _fraction_text(value):
 
 @pytest.mark.parametrize("name", ["p1", "p2", "conic"])
 def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
-    """as_report's value_num and value_den, multiplied in decimal from the
+    """The truncation's decimal_digits, multiplied in decimal from the
     factors, are the numerator and denominator of ``value``, the int
     product, for p in {2, 3, 5, 7}, s in {2, 3, 4} (from m + 1) and every
     r <= 6 the scan check admits.  They are compared as decimal text:
@@ -226,8 +249,7 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
         for s in range(max(2, fiber.m + 1), 5):
             for r in range(depth + 1):
                 t = local_zeta_inverse(table, s, r, fiber.m)
-                doc = t.as_report()
-                assert (str(doc["value_num"]), str(doc["value_den"])) == \
+                assert tuple(map(str, t.decimal_digits())) == \
                     _fraction_text(t.value), (p, s, r)
     if name != "p1":
         return
@@ -239,7 +261,7 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
                 g = global_zeta_inverse(tables, s, bound, r, 1)
                 assert tuple(map(str, g.decimal_digits())) == \
                     _fraction_text(g.value), (bound, s, r)
-                stripped += any(zetas._shared_exponents(g.truncations))
+                stripped += any(zetas._shared_exponents(g))
     assert stripped
 
 
@@ -251,22 +273,23 @@ def _plain_valuation(n, q):
     return k
 
 
-def _shared_oracle(truncations, literal):
-    """v_q(gcd(N, D)) for each truncation's prime q, with plain ints, where
-    N = prod_u prod_e (u^(se) - 1)^(a_e) and D = prod_u u^(x_u).  With
+def _shared_oracle(t, literal):
+    """v_q(gcd(N, D)) for each prime q of the truncation, with plain ints,
+    where N = prod_u prod_e (u^(se) - 1)^(a_e) and D = prod_u u^(x_u).  With
     ``literal`` N, D and their gcd are formed; otherwise, for products of
     millions of digits, v_q(N) is summed over every factor of every prime."""
-    x = [truncation_exponent(t.a, t.s, t.r) for t in truncations]
-    factors = [(t.p ** (t.s * e) - 1, a_e) for t in truncations
-               for e, a_e in enumerate(t.a, 1)]
+    primes = [table.p for table in t.tables]
+    x = [truncation_exponent(a, t.s, t.r) for a in t.a]
+    factors = [(u ** (t.s * e) - 1, a_e) for u, a in zip(primes, t.a)
+               for e, a_e in enumerate(a, 1)]
     if literal:
         num = 1
         for f, a_e in factors:
             num *= f ** a_e
-        common = gcd(num, prod(t.p ** x_t for t, x_t in zip(truncations, x)))
-        return [_plain_valuation(common, t.p) for t in truncations]
-    return [min(x_t, sum(a_e * _plain_valuation(f, t.p) for f, a_e in factors))
-            for t, x_t in zip(truncations, x)]
+        common = gcd(num, prod(q ** x_q for q, x_q in zip(primes, x)))
+        return [_plain_valuation(common, q) for q in primes]
+    return [min(x_q, sum(a_e * _plain_valuation(f, q) for f, a_e in factors))
+            for q, x_q in zip(primes, x)]
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -282,9 +305,11 @@ def test_shared_exponents_oracle(m):
         for s in (2, 3, 4):
             for r in range(7):
                 tables = [projective_counts(p, m, max(r, 1)) for p in primes]
-                truncations = [ZetaTruncation(table, s, r, m, closed_point_counts(table)[:r])
-                               for table in tables]
-                exponents = [(t.p, truncation_exponent(t.a, s, r)) for t in truncations]
+                t = ZetaTruncation(tuple(tables),
+                                   tuple(closed_point_counts(table)[:r] for table in tables),
+                                   s, r, m, primes[-1])
+                exponents = [(table.p, truncation_exponent(a, s, r))
+                             for table, a in zip(tables, t.a)]
                 digits = sum(x * log10(p) for p, x in exponents)
                 try:
                     zetas._check_digits(exponents)
@@ -292,8 +317,8 @@ def test_shared_exponents_oracle(m):
                     checked["refused"] += 1
                 literal = digits < 20_000
                 checked["gcd"] += literal
-                assert zetas._shared_exponents(truncations) == \
-                    _shared_oracle(truncations, literal), (primes, s, r)
+                assert zetas._shared_exponents(t) == \
+                    _shared_oracle(t, literal), (primes, s, r)
     assert checked["gcd"] and (checked["refused"] or m == 0)
 
 
@@ -326,7 +351,7 @@ def test_shared_exponents_are_near_linear(monkeypatch, unlimited_int_digits):
     primes = primes_up_to(30_000)
     g = global_zeta_inverse({p: PointCountTable(p, (1,)) for p in primes},
                             2, 30_000, 1, 0)
-    factors = sum(1 for t in g.truncations for a_e in t.a if a_e)
+    factors = sum(1 for a in g.a for a_e in a if a_e)
     num, den = g.decimal_digits()
     assert factors == len(primes) == 3245
     assert 0 < calls <= 8 * factors
