@@ -496,7 +496,8 @@ class GaloisRing:
     @cached_property
     def _power_table(self):
         """Row i * e + j: the digits of T^(i+j), for ``mul_arrays``; built on
-        first use, since most rings (one per lifted point) never need it."""
+        first use, since the ring of ``lifted_point`` (one per classified
+        point) never needs it."""
         e = self.e
         powers = np.eye(e, dtype=np.int64).tolist() + [list(f) for f in self._fold]
         return np.array([powers[i + j] for i in range(e) for j in range(e)],
@@ -611,36 +612,33 @@ def matrix_rank(rows, field: GF) -> int:
     return len(row_reduce(rows, len(rows[0]), field)[1])
 
 
-def kernel_basis(rows, ncols: int, field: GF):
-    """Basis of the kernel of a matrix over a finite field, one vector per
-    non-pivot column (that coordinate 1, the other free ones 0)."""
-    pivot_rows, pivot_cols = row_reduce(rows, ncols, field)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(pivot_rows, pivot_cols):
-            v[pc] = field.neg(row[fc])
-        basis.append(v)
-    return basis
-
-
 def solve_linear(rows, rhs, ncols: int, field: GF):
-    """One solution of rows * x = rhs over a finite field, free coordinates 0.
-
-    Raises ValueError when the system is inconsistent, i.e. when the
-    right-hand side column of the augmented matrix holds a pivot.
-    """
+    """(x, kernel) from one row reduction of the augmented matrix
+    [rows | rhs] over a finite field: x one solution of rows * x = rhs,
+    its free coordinates 0, or None when the system is inconsistent (the
+    right-hand side column holds a pivot); kernel a basis of the kernel of
+    rows, one vector per non-pivot column (that coordinate 1, the other
+    free ones 0)."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivot_rows, pivot_cols = row_reduce(aug, ncols + 1, field)
-    if ncols in pivot_cols:
-        raise ValueError("inconsistent linear system")
-    x = [0] * ncols
-    for row, col in zip(pivot_rows, pivot_cols):
-        x[col] = row[-1]
-    return x
+    x = None
+    if pivot_cols[-1:] == [ncols]:
+        # the last row of the reduced form reads 0 = 1; the others are
+        # the reduced form of rows
+        pivot_rows, pivot_cols = pivot_rows[:-1], pivot_cols[:-1]
+    else:
+        x = [0] * ncols
+        for row, col in zip(pivot_rows, pivot_cols):
+            x[col] = row[-1]
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivot_cols:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(pivot_rows, pivot_cols):
+                v[pc] = field.neg(row[fc])
+            kernel.append(v)
+    return x, kernel
 
 
 def image_size_mod_p2(rows, ncols: int, p: int) -> int:
@@ -654,7 +652,7 @@ def image_size_mod_p2(rows, ncols: int, p: int) -> int:
     field = GF(p)
     p2 = p * p
     reduced = [[c % p for c in r] for r in rows]
-    kernel = kernel_basis(reduced, ncols, field)
+    kernel = solve_linear(reduced, [0] * len(rows), ncols, field)[1]
     augmented = [red + [sum(c * v for c, v in zip(r, vec)) % p2 // p
                         for vec in kernel]
                  for r, red in zip(rows, reduced)]

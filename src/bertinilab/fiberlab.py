@@ -31,8 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .ffield import (GF, GaloisRing, image_size_mod_p2, matrix_rank,
-                     solve_linear)
+from .ffield import GF, GaloisRing, image_size_mod_p2, matrix_rank
 from .projgeom import (NOT_ON_DIVISOR, SINGULAR, SMOOTH, BudgetExceeded,
                        ClosedPoint, HomogeneousForm, ProjectiveScheme,
                        SchemeFiber, monomial_basis)
@@ -55,20 +54,17 @@ _PAIR_BLOCK = 1 << 16
 
 def lifted_point(fiber: SchemeFiber, x: ClosedPoint):
     """Lift of x.rep (chart coordinate 1) into GR(p^2, deg x), landed on
-    the scheme: digit-wise, then one Newton step so every defining form
-    vanishes mod p^2.  The census lifts a degree run at a time in
-    ``_point_jets``; this is the lift of one point, for ``classify_point_detail``."""
+    the scheme: digit-wise, then the Newton step of ``tangent_space`` so
+    every defining form vanishes mod p^2.  The census lifts a degree run
+    at a time in ``_point_jets``; this is the lift of one point, for
+    ``classify_point_detail``."""
     fld = x.field
     ring = GaloisRing(fld)
     lift = [ring.lift(c) for c in x.rep]
-    if fiber.forms:
-        chart = x.chart()
-        tangent_cols = [j for j in range(fiber.n + 1) if j != chart]
-        rhs = [fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))) for g in fiber.forms]
-        delta = solve_linear(fiber.jacobian_rows(x), rhs, len(tangent_cols), fld)
-        for j, col in enumerate(tangent_cols):
-            lift[col] = ring.add(lift[col], ring.mul_int(ring.lift(delta[j]), fiber.p))
-    return ring, tuple(lift)
+    rhs = [fld.neg(ring.divide_by_p(g.eval_gr(ring, lift))) for g in fiber.forms]
+    step = fiber.tangent_space(x, rhs)[0]
+    return ring, tuple(ring.add(c, ring.mul_int(ring.lift(s), fiber.p))
+                       for c, s in zip(lift, step))
 
 
 def classify_point_detail(form: HomogeneousForm, x: ClosedPoint, fiber: SchemeFiber):
@@ -158,14 +154,14 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     block per tangent vector t, from sigma(x~ + p t) - sigma(x~) = p dsigma(t).
 
     Each point is read in the chart of x.rep, whose chart coordinate is
-    already 1, and its Jacobian rows are taken once, for both its tangent
-    basis and its Newton step.  The run shares one ring GR(p^2, e): the
-    residuals g(x^)/p of the defining forms at the digit lifts x^ of all
-    its points are one ``_monomial_values`` evaluation per form degree,
-    and x~ = x^ + p delta solves J delta = -g(x^)/p per point, as
-    ``lifted_point`` does for one point.  The lifts x~ + p t along the
-    tangent vectors t and the monomial values at all of them are then
-    numpy products in the ring.
+    already 1.  The run shares one ring GR(p^2, e): the residuals g(x^)/p
+    of the defining forms at the digit lifts x^ of all its points are one
+    ``_monomial_values`` evaluation per form degree, and one solve per
+    point (``tangent_space``) gives both its Newton step delta, with
+    J delta = -g(x^)/p as in ``lifted_point``, and its tangent basis.  The
+    scheme lifts x~ = x^ + p delta and the lifts x~ + p t along the
+    tangent vectors t are one numpy sum over the run, and the monomial
+    values at all of them are numpy products in the ring.
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
@@ -180,20 +176,13 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
         # by digit mod p: elements of GF(p^e) in its base-p encoding
         residuals = _form_values(ring, lifts, fiber.forms) // p
         rhs = (-residuals % p @ p ** np.arange(e)).tolist()
-        moves = []
-        for x, lift, row in zip(run, lifts, rhs):
-            chart = x.chart()
-            jac, tangent = fiber.tangent_space(x)   # rejects singular fiber points
-            if fiber.forms:
-                cols = [j for j in range(fiber.n + 1) if j != chart]
-                lift[cols] += p * digits[solve_linear(jac, row, fiber.n, fld)]
-            # tangent vectors skip the chart coordinate
-            moves.append([vec[:chart] + [0] + vec[chart:] for vec in tangent])
-        moves = digits[np.array(moves, dtype=np.int64)]
-        lifts = lifts[:, None]                                  # (K, 1, n + 1, e)
-        moved = (lifts + p * moves.reshape(len(run), -1, fiber.n + 1, e)) % p2
-        values = _monomial_values(ring, np.concatenate([lifts, moved], axis=1),
-                                  basis, d)                   # (K, 1 + m, h, e)
+        # per point its step delta and tangent vectors t, (K, 1 + m, n + 1, e);
+        # tangent_space rejects singular fiber points
+        moves = p * digits[np.array([[step, *tangent] for step, tangent in (
+            fiber.tangent_space(x, row) for x, row in zip(run, rhs))], dtype=np.int64)]
+        moves[:, 1:] += moves[:, :1]                # p (delta + t)
+        values = _monomial_values(ring, (lifts[:, None] + moves) % p2,
+                                  basis, d)         # (K, 1 + m, h, e): x~, x~ + p t
         value_p2 = values[:, 0]
         tangent = (values[:, 1:] - value_p2[:, None]) % p2 // p
         runs.append((run, value_p2,

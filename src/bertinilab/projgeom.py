@@ -22,8 +22,8 @@ from math import comb, log10
 
 import numpy as np
 
-from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, kernel_basis,
-                     matrix_rank)
+from .ffield import (FIELD_SIZE_CAP, GF, GaloisRing, is_prime, matrix_rank,
+                     solve_linear)
 from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _check_convergence,
                     projective_counts)
 
@@ -162,7 +162,8 @@ class ClosedPoint:
         return len(self.orbit)
 
     def chart(self) -> int:
-        return next(i for i, c in enumerate(self.rep) if c != 0)
+        """The index of the first nonzero coordinate of rep, which is 1."""
+        return self.rep.index(1)
 
 
 class ProjectiveScheme:
@@ -345,17 +346,26 @@ class SchemeFiber:
             partials = [[f.partial(j) for j in cols] for f in forms]
         return [[g.eval_gf(x.field, x.rep) for g in row] for row in partials]
 
-    def tangent_space(self, x: ClosedPoint):
-        """(Jacobian rows, basis of their kernel) at x: the rows of the
-        defining forms and a basis of the tangent space of the fiber, both
-        in the coordinates of the chart ``x.chart()``, where x.rep already
-        has coordinate 1.  Refused where the kernel is not m-dimensional."""
-        rows = self.jacobian_rows(x)
-        basis = kernel_basis(rows, self.n, x.field)
+    def tangent_space(self, x: ClosedPoint, rhs):
+        """One solve of the Jacobian system J v = rhs at x, J the rows of the
+        defining forms in the chart ``x.chart()``, where x.rep already has
+        coordinate 1: (step, basis), a solution v with its free coordinates
+        0 (the Newton step when rhs holds -g(x^)/p at the digit lift x^ of
+        x.rep) and a basis of the kernel of J, the tangent space of the
+        fiber, each in all n + 1 coordinates with 0 at the chart.  Refused
+        where the kernel is not m-dimensional, then where J v = rhs has no
+        solution."""
+        step, basis = solve_linear(self.jacobian_rows(x), rhs, self.n, x.field)
         if len(basis) != self.m:
             raise ValueError(f"fiber of {self.scheme.name} mod {self.p} is singular "
                              f"at {x.rep}; declared dimension {self.m}")
-        return rows, basis
+        if step is None:
+            raise ValueError(f"{self.scheme.name} has no point mod {self.p}^2 "
+                             f"over {x.rep}")
+        chart = x.chart()
+        for v in (step, *basis):
+            v.insert(chart, 0)
+        return step, basis
 
     def validate_smooth(self, r: int = 1) -> int:
         """Check the Jacobian rank n - m at every closed point of degree <= r.
@@ -365,7 +375,7 @@ class SchemeFiber:
         """
         points = self.closed_points_up_to(r)
         for x in points:
-            self.tangent_space(x)       # raises unless the kernel has dimension m
+            self.tangent_space(x, [0] * len(self.forms))  # refuses singular points
         return len(points)
 
     def divisor_smooth_at(self, sigma: HomogeneousForm, x: ClosedPoint) -> str:

@@ -3,17 +3,25 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+import tomllib
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bertinilab
 from bertinilab import cli, sampling, zetas
 from bertinilab.arithlab import equidistribution_audit
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
-from bertinilab.projgeom import SchemeFiber, load_scheme, scheme_from_dict
+from bertinilab.fiberlab import FiberClassifier
+from bertinilab.projgeom import (SchemeFiber, load_scheme, rational_closed_point,
+                                 scheme_from_dict)
 from bertinilab.zetas import (PointCountTable, local_zeta_inverse, primes_up_to,
                               projective_counts)
 
@@ -627,3 +635,70 @@ def test_csv_dict_cells(scheme_files, capsys, argv, key):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
+
+
+def test_module_entry_point_and_console_script():
+    """``python -m bertinilab.cli --version`` prints the version and exits
+    0, and the ``bertini`` script of pyproject.toml names cli.main."""
+    root = Path(bertinilab.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run([sys.executable, "-m", "bertinilab.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, bertinilab.__version__), \
+        proc.stderr
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bertini"]
+    module, name = target.split(":")
+    assert getattr(import_module(module), name) is main
+
+
+def test_refusals_of_points_off_the_scheme_and_malformed_schemes(scheme_files, tmp_path,
+                                                                 capsys):
+    """Exit 2 with the module's message: a point off the scheme, a declared
+    dimension m > n, and a defining form that is not homogeneous."""
+    assert main(["classify", "--scheme", scheme_files["conic"], "--p", "3",
+                 "--section", "X", "--point", "1:0:0"]) == EXIT_CONFIG
+    assert "does not lie on" in capsys.readouterr().err
+    for changes, message in (({"m": 3}, "need 0 <= m <= n"),
+                             ({"defining_forms": [[[[2, 0, 0], 1], [[0, 1, 0], 1]]]},
+                              "must be homogeneous")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**_CONIC, **changes}))
+        assert main(["zeta", "--scheme", str(path), "--p", "3", "--s", "3",
+                     "--r", "1"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, verdict", [
+    ("7", ("RegularPoint", "SingularPoint", True)),
+    ("0", ("SingularPoint", "SingularPoint", False)),
+    ("49", ("SingularPoint", "SingularPoint", False)),
+    ("3", ("NotOnDivisor", "NotOnDivisor", False))])
+def test_classify_degree_zero_sections(scheme_files, section, verdict):
+    """A constant c on P^1 mod 7 at [1:0]: off the divisor unless 7 | c, and
+    then singular on the fiber (its partials are 0) and arithmetically
+    regular exactly when 49 does not divide c, the rescue.  The census of a
+    degree-0 classifier at that point reads the same on the row (c)."""
+    _, results = invoke(["classify", "--scheme", scheme_files["p1"], "--p", "7",
+                         "--section", section, "--point", "1:0"])
+    assert (results["arithmetic"], results["fiber"], results["rescued"]) == verdict
+    fib = load_scheme(scheme_files["p1"]).fiber(7)
+    cls = FiberClassifier(fib, 0, [rational_closed_point(fib, (1, 0))])
+    any_arith, any_fiber, rescued = cls.census(np.array([[int(section) % 49]]))
+    assert (any_arith[0], any_fiber[0], rescued == 1) == (
+        verdict[0] == "SingularPoint", verdict[1] == "SingularPoint", verdict[2])
+
+
+def test_verify_bounds_reports_violations(monkeypatch, capsys):
+    """With c0 = 0 every bound of the audit is 0 and fails: the report lists
+    violations of boundXp, zetafinite and zetaintegral with ok false, and
+    verify-bounds still exits 0, since violations are report content."""
+    monkeypatch.setattr(zetas, "c0_estimate", lambda table, k: Fraction(0))
+    report = zetas.verify_section_bounds([2, 3], 2, 2, (1,))
+    assert report.ok is False
+    assert {v["check"] for v in report.violations} == {"boundXp", "zetafinite",
+                                                        "zetaintegral"}
+    assert main(["verify-bounds", "--p-list", "2,3", "--e-max", "2", "--r-max", "2",
+                 "--dims", "1"]) == EXIT_OK
+    assert '"ok": false' in capsys.readouterr().out

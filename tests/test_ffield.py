@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from bertinilab import ffield, zetas
 from bertinilab.ffield import (GF, MR_DETERMINISTIC_BOUND, GaloisRing,
                                find_irreducible, is_prime,
-                               image_size_mod_p2, kernel_basis, matrix_rank,
+                               image_size_mod_p2, matrix_rank,
                                poly_divmod, poly_gcd, poly_is_irreducible,
-                               poly_mod, poly_mul, poly_trim, solve_linear)
+                               poly_mod, poly_mul, poly_trim, row_reduce,
+                               solve_linear)
 
 
 def brute_force_irreducible(f, p):
@@ -309,30 +310,36 @@ def _mat_vec(M, v, F):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_row_reduce_engine_against_brute_force(p, e):
-    """kernel_basis, matrix_rank and solve_linear against enumeration of F^ncols."""
+    """matrix_rank and solve_linear, its solution and kernel basis, against
+    enumeration of F^ncols."""
     F = GF(p, e)
     rng = random.Random(100 * p + e)
     for _ in range(40):
         nrows = rng.randint(0, 4)
         ncols = rng.randint(1, 3)
         M = [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]
-        basis = kernel_basis(M, ncols, F)
         zero = [0] * nrows
+        basis = solve_linear(M, zero, ncols, F)[1]
         assert all(_mat_vec(M, v, F) == zero for v in basis)
         vectors = list(itertools.product(range(F.q), repeat=ncols))
         images = [_mat_vec(M, v, F) for v in vectors]
         assert sum(img == zero for img in images) == F.q ** len(basis)
         if nrows:
             assert len(basis) == ncols - matrix_rank(M, F)
-        # a reachable right-hand side is solved exactly
+        # a reachable right-hand side is solved exactly, free coordinates 0,
+        # with the kernel of the zero one
         rhs = rng.choice(images)
-        assert _mat_vec(M, solve_linear(M, rhs, ncols, F), F) == rhs
-        # an unreachable one is refused
+        x, kernel = solve_linear(M, rhs, ncols, F)
+        assert _mat_vec(M, x, F) == rhs and kernel == basis
+        free = sorted(set(range(ncols)) - set(row_reduce(M, ncols, F)[1]))
+        assert [x[j] for j in free] == [0] * len(free)
+        assert [[v[j] for j in free] for v in basis] == \
+            [[int(i == k) for i in range(len(free))] for k in range(len(free))]
+        # an unreachable one has no solution, and still that kernel
         missing = [b for b in itertools.product(range(F.q), repeat=nrows)
                    if list(b) not in images]
         if missing:
-            with pytest.raises(ValueError):
-                solve_linear(M, list(rng.choice(missing)), ncols, F)
+            assert solve_linear(M, list(rng.choice(missing)), ncols, F) == (None, basis)
 
 
 def test_kernel_size_examples():

@@ -248,6 +248,37 @@ def test_validate_smooth(conic):
         bad_dim.fiber(3).validate_smooth(1)
 
 
+def test_tangent_space_solves_once(conic):
+    """tangent_space's step solves J v = rhs and its basis spans the kernel
+    of J, both 0 at the chart coordinate.  A singular point is refused
+    whatever rhs is (the double line mod 2), and so is a system with no
+    solution: Y = Y + 3X = 0 is the line Y = 0 mod 3, but has no point
+    mod 9 over [1:0:0]."""
+    fib = conic.fiber(5)
+    for x in fib.closed_points_up_to(2):
+        fld, chart = x.field, x.chart()
+        step, basis = fib.tangent_space(x, [1])
+        row = fib.jacobian_rows(x)[0]
+        row.insert(chart, 0)
+
+        def dot(v):
+            acc = 0
+            for a, b in zip(row, v):
+                acc = fld.add(acc, fld.mul(a, b))
+            return acc
+
+        assert len(basis) == 1 and step[chart] == basis[0][chart] == 0
+        assert (dot(step), dot(basis[0])) == (1, 0)
+    double = conic.fiber(2)
+    with pytest.raises(ValueError, match="is singular at"):
+        double.tangent_space(rational_closed_point(double, (1, 1, 0)), [1])
+    flat = ProjectiveScheme(2, 1, [parse_form("Y", 2), parse_form("Y+3*X", 2)],
+                            name="line").fiber(3)
+    assert flat.validate_smooth(1) == 4
+    with pytest.raises(ValueError, match="line has no point mod 3\\^2 over"):
+        flat.tangent_space(rational_closed_point(flat, (1, 0, 0)), [0, 2])
+
+
 def test_scan_budget(monkeypatch, p1, conic):
     """One size check, q^(n+1) <= 10^8 at q = p^r, guards every scan; it
     runs before a field of any degree is built."""
@@ -314,6 +345,16 @@ def test_parse_form_grammar(text, n, d, coeffs):
     else:
         f = parse_form(text, n)
         assert (f.d, f.coeffs) == (d, coeffs)
+
+
+def test_parse_form_on_p4():
+    """On P^4 the variables are X0..X4 only: X0*X4 is monomial 4 of the
+    degree-2 basis and X2^2 monomial 9, and X is refused."""
+    f = parse_form("X0*X4-3*X2^2", 4)
+    assert (f.coeffs[4], f.coeffs[9]) == (1, -3)
+    assert [i for i, c in enumerate(f.coeffs) if c] == [4, 9]
+    with pytest.raises(ValueError, match="unknown variable 'X' on P\\^4"):
+        parse_form("X", 4)
 
 
 def test_parse_point():
