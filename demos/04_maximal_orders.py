@@ -31,7 +31,7 @@ print(f"{'x^2 - 5':>12}: Dedekind at 2 -> maximal: "
 print("\nMonte Carlo, cubics in the height ball H(f) <= 60, trial bound 200:")
 start = time.time()
 est = bsw_experiment(3, 60, 200, 20000, seed=11)
-print(f"  mean {est.mean:.5f} +- {est.ci_halfwidth:.5f} (99%), reference "
+print(f"  mean {est.value:.5f} +- {est.ci_halfwidth:.5f} (99%), reference "
       f"{float(est.reference_value):.5f} + tail {float(est.reference_error):.4f} "
       f"[{time.time() - start:.1f}s]")
 print(f"  non-maximal samples by prime: "

@@ -30,7 +30,7 @@ for mode in ("arithmetic", "fiber"):
                                  classification=mode)
     print(f"\n{mode} classification, d=8, primes <= 7, degrees <= 4, "
           f"2*10^4 samples [{time.time() - start:.1f}s]:")
-    print(f"  mean {est.mean:.5f} +- {est.ci_halfwidth:.5f}")
+    print(f"  mean {est.value:.5f} +- {est.ci_halfwidth:.5f}")
     print(f"  truncated product reference {float(est.reference_value):.5f} "
           f"+- {float(est.reference_error):.5f}")
     print(f"  singular samples per fiber: {est.extras['singular_by_prime']}")

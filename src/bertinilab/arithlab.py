@@ -41,8 +41,9 @@ from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
 from .fiberlab import DensityEstimate, FiberClassifier, _tally, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import CACHE_SIZE, binary_census, binary_section_report, radical_fp
-from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _coprime_fraction,
-                    exact_context, global_zeta_inverse, primes_up_to)
+from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _check_digits,
+                    _coprime_fraction, exact_context, global_zeta_inverse,
+                    primes_up_to)
 from . import sampling
 
 
@@ -361,13 +362,14 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
             raise ValueError(f"box [-{B},{B}] does not cover the residues mod {p}^2")
     h = comb(n + d, n)
     scheme = ProjectiveScheme(n, n)
-    fibers = [scheme.fiber(p) for p in primes]
-    if n > 1:
-        for fib in fibers:
-            fib.check_census(r)
     s = reading_exponent(scheme.m, classification)
-    for fib in fibers:
+    fibers = []
+    for p in primes:            # each fiber checked before the next is built
+        fib = scheme.fiber(p)
+        if n > 1:
+            fib.check_census(r)
         fib.check_truncation(s, r)
+        fibers.append(fib)
     tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     streams = sampling.chunks(seed, samples)
@@ -377,7 +379,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         [rows % (p * p) for p in primes]
         for rows in (sampling.uniform_box(rng, size, h, B) for rng, size in streams)))
     reading = 0 if classification == "arithmetic" else 1
-    return DensityEstimate.monte_carlo(
+    return DensityEstimate(
         hits[reading], samples, seed, reference, reference.error_bound,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
@@ -430,9 +432,10 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
         raise ValueError("need at least one sample")
     if trial_bound < 2:
         raise ValueError("need trial bound T >= 2")
-    reference = global_zeta_inverse(
-        {p: PointCountTable(p, (1,)) for p in primes_up_to(trial_bound)},
-        2, trial_bound, 1, 0)
+    primes = primes_up_to(trial_bound)
+    _check_digits([(p, 2) for p in primes])     # the denominator prod p^2, before any table
+    reference = global_zeta_inverse({p: PointCountTable(p, (1,)) for p in primes},
+                                    2, trial_bound, 1, 0)
     checks = [(p, p * p, _section_table(p, d, samples))
               for p in primes_up_to(min(fiber_cap, trial_bound))]
     bounds = [R ** i for i in range(1, d + 1)]
@@ -471,7 +474,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                     raise InternalCheckError(
                         f"Dedekind and the mod-p^2 classifier disagree at "
                         f"p={p} for {f}")
-    return DensityEstimate.monte_carlo(
+    return DensityEstimate(
         hits, samples, seed, reference, Fraction(8, trial_bound),
         extras={"d": d, "R": R, "trial_bound": trial_bound,
                 "degenerate": degenerate, "conditional_verdicts": conditional,
@@ -501,9 +504,6 @@ def quadratic_field_census(R: int):
                 if not verdict.unconditional:
                     raise InternalCheckError("quadratic census verdict not certified")
                 hits += 1
-    value = Fraction(hits, total)
     return DensityEstimate(
-        mode="exact", value=value, hits=hits, total=total,
-        reference=None, reference_error=None,
-        extras={"R": R, "degenerate": degenerate,
-                "bias_vs_zeta2": float(value) - 0.6079271018540267})
+        hits, total, extras={"R": R, "degenerate": degenerate,
+                             "bias_vs_zeta2": hits / total - 0.6079271018540267})

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__, sampling
 from .arithlab import (InternalCheckError, bsw_experiment,
@@ -147,7 +148,10 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def run(args) -> dict:
+def run(args):
+    """The results of the subcommand as exact values: a dict or an object
+    with ``as_report``, holding Fractions and zeta truncations that
+    ``render_report`` prints."""
     sub = args.subcommand
     if sub == "zeta":
         scheme = _load(args.scheme)
@@ -157,28 +161,22 @@ def run(args) -> dict:
         if fiber.forms:
             fiber.validate_smooth(r)        # a bad prime is a ValueError
         t = local_zeta_inverse(fiber.point_table(r), args.s, r, fiber.m)
-        num, den = t.decimal_digits()
-        return {"p": fiber.p, "s": args.s, "r": r, "value_num": num, "value_den": den,
-                "error_bound_num": t.error_bound.numerator,
-                "error_bound_den": t.error_bound.denominator, "a_e": list(t.a[0])}
+        return {"p": fiber.p, "s": args.s, "r": r, "value": t,
+                "error_bound": t.error_bound, "a_e": list(t.a[0])}
     if sub == "fiber-density":
         scheme = _load(args.scheme)
         if args.mode == "exhaustive":
-            est = fiber_density_exhaustive(scheme, args.p, args.d, args.r,
-                                           count=args.count)
-        else:
-            est = fiber_density_mc(scheme, args.p, args.d, args.r,
-                                   args.samples, args.seed, count=args.count)
-        return est.as_report()
+            return fiber_density_exhaustive(scheme, args.p, args.d, args.r,
+                                            count=args.count)
+        return fiber_density_mc(scheme, args.p, args.d, args.r,
+                                args.samples, args.seed, count=args.count)
     if sub == "multi-fiber":
-        est = multi_fiber_experiment(args.d, args.B, args.prime_bound, args.r,
-                                     args.samples, args.seed, n=args.n,
-                                     classification=args.classification)
-        return est.as_report()
+        return multi_fiber_experiment(args.d, args.B, args.prime_bound, args.r,
+                                      args.samples, args.seed, n=args.n,
+                                      classification=args.classification)
     if sub == "bsw":
-        est = bsw_experiment(args.d, args.R, args.T, args.samples, args.seed,
-                             fiber_cap=args.fiber_cap)
-        return est.as_report()
+        return bsw_experiment(args.d, args.R, args.T, args.samples, args.seed,
+                              fiber_cap=args.fiber_cap)
     if sub == "classify":
         scheme = _load(args.scheme)
         fiber = scheme.fiber(args.p)
@@ -189,15 +187,51 @@ def run(args) -> dict:
                 "arithmetic": arith, "fiber": fib,
                 "rescued": fib == SINGULAR and arith == REGULAR}
     if sub == "verify-bounds":
-        rep = verify_section_bounds(args.p_list, args.e_max, args.r_max,
-                                    fiber_dims=tuple(args.dims))
-        return rep.as_report()
+        return verify_section_bounds(args.p_list, args.e_max, args.r_max,
+                                     fiber_dims=tuple(args.dims))
     if sub == "equidist":
-        return equidistribution_audit(args.h, args.B, args.N).as_report()
+        return equidistribution_audit(args.h, args.B, args.N)
     raise ConfigError(f"unknown subcommand {sub!r}")   # pragma: no cover
 
 
+# json.dumps writes the placeholder of _printed, a NUL and then i, as this
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def _printed(value, texts: list | None):
+    """``value``, a result of ``run``, in printable form: the one place that
+    prints exact values.  An object with ``as_report`` is replaced by its
+    report.  Under a key k, a Fraction, or anything with
+    ``decimal_digits()`` (a zeta truncation, printed from its factors),
+    becomes the keys k_num and k_den for JSON, and the text n/d under k for
+    CSV (``texts`` None).  For JSON, each Decimal (an exact integer, which
+    json cannot serialize) becomes a placeholder string, a NUL and then i,
+    where texts[i] (appended here) is its str."""
+    if hasattr(value, "as_report"):
+        value = value.as_report()
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            pair = ((v.numerator, v.denominator) if isinstance(v, Fraction)
+                    else v.decimal_digits() if hasattr(v, "decimal_digits") else None)
+            if pair is None:
+                out[k] = _printed(v, texts)
+            elif texts is None:
+                out[k] = "{}/{}".format(*pair)
+            else:
+                out[f"{k}_num"], out[f"{k}_den"] = (_printed(x, texts) for x in pair)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_printed(v, texts) for v in value]
+    if texts is not None and isinstance(value, decimal.Decimal):
+        texts.append(str(value))
+        return f"\0{len(texts) - 1}"
+    return value
+
+
 def _csv_payload(results: dict) -> str:
+    """One CSV row of the printed results: nested dicts as JSON, lists
+    joined by semicolons."""
     flat = {}
     for key, value in results.items():
         if isinstance(value, dict):
@@ -206,11 +240,6 @@ def _csv_payload(results: dict) -> str:
             flat[key] = ";".join(str(v) for v in value)
         else:
             flat[key] = value
-    num_den = [k[:-4] for k in list(flat) if k.endswith("_num")]
-    for stem in num_den:
-        if f"{stem}_den" in flat:
-            num, den = flat.pop(stem + "_num"), flat.pop(stem + "_den")
-            flat[stem] = f"{num}/{den}"
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=sorted(flat))
     writer.writeheader()
@@ -218,29 +247,10 @@ def _csv_payload(results: dict) -> str:
     return buf.getvalue()
 
 
-# json.dumps writes the placeholder of _spliced, a NUL and then i, as this
-_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
-
-
-def _spliced(value, texts: list):
-    """``value`` ready for json.dumps: each Decimal (an exact integer that
-    zetas or arithlab printed from its factors, which json cannot
-    serialize) becomes a placeholder string, a NUL and then i, where
-    texts[i] (appended here) is its str."""
-    if isinstance(value, dict):
-        return {k: _spliced(v, texts) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_spliced(v, texts) for v in value]
-    if isinstance(value, decimal.Decimal):
-        texts.append(str(value))
-        return f"\0{len(texts) - 1}"
-    return value
-
-
-def render_report(args, results: dict, duration: float) -> str:
+def render_report(args, results, duration: float) -> str:
     """The report text that ``main`` writes, in the chosen format."""
     if args.format == "csv":
-        return _csv_payload(results)
+        return _csv_payload(_printed(results, None))
     texts = []
     report = {
         "tool": "bertinilab",
@@ -248,7 +258,7 @@ def render_report(args, results: dict, duration: float) -> str:
         "subcommand": args.subcommand,
         "config": _config_echo(args),
         "prng": sampling.PRNG_NAME,
-        "results": _spliced(results, texts),
+        "results": _printed(results, texts),
         "duration_s": round(duration, 3),
     }
     text = json.dumps(report, sort_keys=True, indent=2)

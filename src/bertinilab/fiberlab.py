@@ -210,21 +210,27 @@ def _form_values(ring: GaloisRing, coords: np.ndarray, forms) -> np.ndarray:
 
 @dataclass
 class DensityEstimate:
-    """An exact or Monte Carlo density with its reference: a short Fraction
-    or a zeta truncation, which the report prints from its
-    ``decimal_digits`` and ``reference_value`` forms only when read."""
+    """A density with its reference: ``hits`` of ``total`` sections, all of
+    them for a census (``seed`` None), or ``total`` samples drawn from
+    ``seed``.  ``value`` is the exact Fraction of a census or the float mean
+    of a sample.  The reference is a short Fraction or a zeta truncation;
+    the report keeps both exact, and only ``cli`` prints them."""
 
-    mode: str                     # "exact" or "montecarlo"
-    value: Fraction | float
-    hits: int | None = None
-    total: int | None = None
-    mean: float | None = None
-    samples: int | None = None
+    hits: int
+    total: int
     seed: int | None = None
-    ci_halfwidth: float | None = None
     reference: Fraction | ZetaTruncation | None = None
     reference_error: Fraction | None = None
     extras: dict = field(default_factory=dict)
+
+    @property
+    def value(self) -> Fraction | float:
+        return Fraction(self.hits, self.total) if self.seed is None else self.hits / self.total
+
+    @property
+    def ci_halfwidth(self) -> float:
+        """The 99 percent normal halfwidth of a sample's mean; 0 for a census."""
+        return 0.0 if self.seed is None else sampling.confidence_halfwidth(self.value, self.total)
 
     @property
     def reference_value(self) -> Fraction | None:
@@ -232,38 +238,15 @@ class DensityEstimate:
         ref = self.reference
         return ref if ref is None or isinstance(ref, Fraction) else ref.value
 
-    @classmethod
-    def monte_carlo(cls, hits: int, samples: int, seed: int,
-                    reference, reference_error: Fraction,
-                    extras: dict) -> "DensityEstimate":
-        """Mean hits / samples with its 99 percent normal halfwidth."""
-        mean = hits / samples
-        return cls(mode="montecarlo", value=mean, mean=mean, samples=samples,
-                   seed=seed,
-                   ci_halfwidth=sampling.confidence_halfwidth(mean, samples),
-                   reference=reference,
-                   reference_error=reference_error, extras=extras)
-
-    def as_report(self):
-        doc = {"mode": self.mode}
-        if self.mode == "exact":
-            doc.update(hits=self.hits, total=self.total,
-                       value_num=self.value.numerator,
-                       value_den=self.value.denominator)
+    def as_report(self) -> dict:
+        if self.seed is None:
+            doc = {"mode": "exact", "hits": self.hits, "total": self.total,
+                   "value": self.value}
         else:
-            doc.update(mean=self.mean, samples=self.samples, seed=self.seed,
-                       ci_halfwidth=self.ci_halfwidth)
-        ref = self.reference
-        if ref is not None:
-            num, den = ((ref.numerator, ref.denominator) if isinstance(ref, Fraction)
-                        else ref.decimal_digits())
-            doc.update(reference_num=num, reference_den=den)
-        if self.reference_error is not None:
-            doc.update(reference_error_num=self.reference_error.numerator,
-                       reference_error_den=self.reference_error.denominator)
-        doc.update({k: (v.as_report() if hasattr(v, "as_report") else v)
-                    for k, v in self.extras.items()})
-        return doc
+            doc = {"mode": "montecarlo", "mean": self.value, "samples": self.total,
+                   "seed": self.seed, "ci_halfwidth": self.ci_halfwidth}
+        refs = {"reference": self.reference, "reference_error": self.reference_error}
+        return doc | {k: v for k, v in refs.items() if v is not None} | self.extras
 
 
 class FiberClassifier:
@@ -563,13 +546,12 @@ def fiber_density_exhaustive(scheme, p: int, d: int, r: int,
     hits_arith, hits_fiber, _, rescued = _exhaustive_census(cls, p * p)
     certificate = cls.certificate(count)
     hits = hits_arith if count == "arithmetic" else hits_fiber
-    value = Fraction(hits, total)
     return DensityEstimate(
-        mode="exact", value=value, hits=hits, total=total,
-        reference=reference, reference_error=Fraction(0),
+        hits, total, reference=reference, reference_error=Fraction(0),
         extras={
             "certificate": certificate,
-            "certified_equal": certificate.surjective and value == reference.value,
+            "certified_equal": (certificate.surjective
+                                and Fraction(hits, total) == reference.value),
             "rescued_points": rescued,
             "count": count,
             "no_fiber_singular_hits": hits_fiber,
@@ -595,9 +577,9 @@ def fiber_density_mc(scheme, p: int, d: int, r: int, samples: int, seed: int,
     hits_arith, hits_fiber, _, rescued = _tally(
         [cls.census], ((sampling.uniform_residues(rng, size, cls.h, cls.p2),)
                        for rng, size in streams))
-    return DensityEstimate.monte_carlo(
-        hits_arith if count == "arithmetic" else hits_fiber,
-        samples, seed, reference, reference.error_bound,
+    return DensityEstimate(
+        hits_arith if count == "arithmetic" else hits_fiber, samples, seed,
+        reference, reference.error_bound,
         extras={"rescued_points": rescued, "count": count, "p": p, "d": d, "r": r})
 
 
@@ -616,8 +598,7 @@ def singular_at_point_proportion(fiber: SchemeFiber, x: ClosedPoint,
     certificate = cls.certificate("fiber")
     expected = Fraction(1, p ** certificate.target_dim)
     return DensityEstimate(
-        mode="exact", value=Fraction(hits, total), hits=hits, total=total,
-        reference=expected, reference_error=Fraction(0),
+        hits, total, reference=expected, reference_error=Fraction(0),
         extras={"certificate": certificate,
                 "certified_equal": certificate.surjective
                 and Fraction(hits, total) == expected})

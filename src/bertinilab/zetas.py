@@ -188,9 +188,10 @@ def _check_digits(exponents):
     the first four powers and the last of a product over many primes."""
     if (any(x >= DIGIT_CAP / log10(p) for p, x in exponents)
             or sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP):
-        powers = [f"{p}^{x}" for p, x in exponents]
-        if len(powers) > 8:
-            powers[4:-1] = [f"... ({len(powers) - 5} more)"]
+        named = exponents if len(exponents) <= 8 else [*exponents[:4], exponents[-1]]
+        powers = [f"{p}^{x}" for p, x in named]
+        if len(named) < len(exponents):
+            powers[4:4] = [f"... ({len(exponents) - 5} more)"]
         raise BudgetExceeded(f"the truncation's denominator {' * '.join(powers)} "
                              f"has more than {DIGIT_CAP} digits")
 
@@ -368,7 +369,7 @@ def primes_up_to(n: int) -> list:
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p:: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i, v in enumerate(sieve) if v]
+    return list(compress(range(n + 1), sieve))
 
 
 # ----------------------------------------------------------------------

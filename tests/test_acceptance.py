@@ -235,10 +235,10 @@ def bsw_run():
 def test_criterion_07_maximal_order_density(bsw_run):
     est = bsw_run
     reference, tail = est.reference_value, est.reference_error
-    gap = abs(est.mean - float(reference))
+    gap = abs(est.value - float(reference))
     tolerance = est.ci_halfwidth + float(tail)
     ok = gap <= tolerance and est.extras["elapsed"] < 600.0
-    report(7, ok, f"mean {est.mean:.5f} vs {float(reference):.5f} "
+    report(7, ok, f"mean {est.value:.5f} vs {float(reference):.5f} "
                   f"(gap {gap:.5f} <= {tolerance:.5f}; full 1/zeta(2) = 0.60793) "
                   f"[{est.extras['elapsed']:.0f}s]")
     assert ok
@@ -283,10 +283,10 @@ def _stated_reference_and_bounds():
 def test_criterion_08_as_stated(multifiber_arithmetic):
     est = multifiber_arithmetic
     reference, bounds = _stated_reference_and_bounds()
-    gap = abs(est.mean - float(reference))
+    gap = abs(est.value - float(reference))
     tolerance = est.ci_halfwidth + float(bounds)
     ok = gap <= tolerance and est.extras["elapsed"] < 600.0
-    report(8, ok, f"arithmetic mean {est.mean:.5f} vs stated 0.14330 "
+    report(8, ok, f"arithmetic mean {est.value:.5f} vs stated 0.14330 "
                   f"(gap {gap:.5f} vs tolerance {tolerance:.5f}) "
                   f"[{est.extras['elapsed']:.0f}s]", documented=True)
     assert ok
@@ -295,10 +295,10 @@ def test_criterion_08_as_stated(multifiber_arithmetic):
 def test_criterion_08_residue_field_reading(multifiber_residue):
     est = multifiber_residue
     reference, bounds = _stated_reference_and_bounds()
-    gap = abs(est.mean - float(reference))
+    gap = abs(est.value - float(reference))
     tolerance = est.ci_halfwidth + float(bounds)
     ok = gap <= tolerance and est.extras["elapsed"] < 600.0
-    report(8, ok, f"residue-field mean {est.mean:.5f} vs 0.14330 "
+    report(8, ok, f"residue-field mean {est.value:.5f} vs 0.14330 "
                   f"(gap {gap:.5f} <= {tolerance:.5f}) "
                   f"[{est.extras['elapsed']:.0f}s]")
     assert ok
@@ -308,10 +308,10 @@ def test_criterion_08_arithmetic_reference(multifiber_arithmetic):
     """The arithmetic run against its own truncated product (s = 3), with the
     documented 0.01 allowance for the jet degrees d=8 cannot certify."""
     est = multifiber_arithmetic
-    gap = abs(est.mean - float(est.reference_value))
+    gap = abs(est.value - float(est.reference_value))
     tolerance = est.ci_halfwidth + float(est.reference_error) + 0.01
     ok = gap <= tolerance
-    report(8, ok, f"arithmetic mean {est.mean:.5f} vs truncated s=3 product "
+    report(8, ok, f"arithmetic mean {est.value:.5f} vs truncated s=3 product "
                   f"{float(est.reference_value):.5f} (gap {gap:.5f} <= "
                   f"{tolerance:.5f})")
     assert ok
@@ -356,7 +356,7 @@ def test_criterion_10_convergence_table_reported(p1):
     lines = []
     for d in (6, 10, 14, 18):
         est = fiber_density_mc(p1, 2, d, 4, 20000, seed=SEED)
-        lines.append(f"d={d}: |mean-21/32| = {abs(est.mean - target):.4f}")
+        lines.append(f"d={d}: |mean-21/32| = {abs(est.value - target):.4f}")
     report(10, True, "convergence table (reported, not asserted): "
                      + "; ".join(lines))
     assert lines                  # presence of the table is the contract

@@ -94,6 +94,7 @@ def test_bareiss_determinant():
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert bareiss_determinant(M) == int(sympy.Matrix(M).det())
+    assert bareiss_determinant([]) == 1        # the empty product
 
 
 # ----------------------------------------------------------------------
@@ -357,11 +358,11 @@ def test_equidistribution_digit_cap():
 
 def test_bsw_small_run_and_determinism():
     est = bsw_experiment(3, 100, 100, 2500, seed=77)
-    assert est.samples == 2500
-    assert abs(est.mean - float(est.reference_value)) <= \
+    assert est.total == 2500
+    assert abs(est.value - float(est.reference_value)) <= \
         est.ci_halfwidth + float(est.reference_error) + 0.03
     est2 = bsw_experiment(3, 100, 100, 2500, seed=77)
-    assert est.mean == est2.mean
+    assert est.value == est2.value
     with pytest.raises(ValueError):
         bsw_experiment(1, 100, 100, 100, seed=0)
     with pytest.raises(ValueError):
@@ -377,7 +378,7 @@ def test_bsw_counts_degenerate_samples():
     squares = sum(row == (0, 0) for rng, size in sampling.chunks(4, samples)
                   for row in sampling.uniform_height_ball(rng, size, [1, 1]))
     assert est.extras["degenerate"] == squares == 101
-    hits = round(est.mean * samples)
+    hits = round(est.value * samples)
     assert hits + squares + sum(est.extras["not_maximal_at"].values()) == samples
 
 
@@ -403,7 +404,7 @@ def test_bsw_results_are_pinned(config):
     d, R, T, seed = config
     est = bsw_experiment(d, R, T, 300, seed=seed)
     hits, conditional, not_maximal_at = _BSW_PINS[config]
-    assert est.mean == hits / 300
+    assert est.value == hits / 300
     assert est.extras["conditional_verdicts"] == conditional
     assert est.extras["not_maximal_at"] == not_maximal_at
     assert est.extras["degenerate"] == 0
@@ -437,7 +438,7 @@ def test_bsw_section_tables_only_where_classes_recur(monkeypatch):
     calls = _count_section_reports(monkeypatch)
     est = bsw_experiment(4, 50, 500, 300, seed=7)
     hits, conditional, not_maximal_at = _BSW_PINS[(4, 50, 500, 7)]
-    assert (est.mean, est.extras["conditional_verdicts"],
+    assert (est.value, est.extras["conditional_verdicts"],
             est.extras["not_maximal_at"]) == (hits / 300, conditional, not_maximal_at)
     assert calls[3] == calls[5] == calls[7] == 300 and calls[2] <= 256
 
@@ -526,9 +527,9 @@ def test_multi_fiber_matches_single_fiber_mc(p1):
     from bertinilab.fiberlab import fiber_density_mc
     mf = multi_fiber_experiment(6, 2000, 2, 3, 4000, seed=55)
     mc = fiber_density_mc(p1, 2, 6, 3, 4000, seed=55)
-    tol = 3 * ((mf.mean * (1 - mf.mean) / 4000) ** 0.5
-               + (mc.mean * (1 - mc.mean) / 4000) ** 0.5)
-    assert abs(mf.mean - mc.mean) <= tol
+    tol = 3 * ((mf.value * (1 - mf.value) / 4000) ** 0.5
+               + (mc.value * (1 - mc.value) / 4000) ** 0.5)
+    assert abs(mf.value - mc.value) <= tol
 
 
 def test_multi_fiber_preconditions():
@@ -541,9 +542,9 @@ def test_multi_fiber_preconditions():
 def test_multi_fiber_determinism_and_reference():
     a = multi_fiber_experiment(8, 10 ** 4, 3, 3, 3000, seed=42)
     b = multi_fiber_experiment(8, 10 ** 4, 3, 3, 3000, seed=42)
-    assert a.mean == b.mean
+    assert a.value == b.value
     assert a.extras["singular_by_prime"] == b.extras["singular_by_prime"]
-    assert abs(a.mean - float(a.reference_value)) <= \
+    assert abs(a.value - float(a.reference_value)) <= \
         a.ci_halfwidth + float(a.reference_error) + 0.02
 
 
@@ -616,7 +617,7 @@ def test_multi_fiber_generic_engine_matches_fast_path():
         for reading, classification in enumerate(("arithmetic", "fiber")):
             fast = multi_fiber_experiment(d, B, prime_bound, r, samples, seed=seed,
                                           n=1, classification=classification)
-            assert fast.mean == hits[reading] / samples
+            assert fast.value == hits[reading] / samples
             assert fast.extras["singular_by_prime"] == \
                 {p: counts[reading] for p, counts in zip(primes, singular)}
             assert fast.extras["rescued_points"] == rescued
@@ -649,7 +650,7 @@ def test_multi_fiber_p2_matches_pointwise_classifier(p2, classification):
             hits += good
     assert est.extras["singular_by_prime"] == singular_by_prime
     assert est.extras["rescued_points"] == rescued
-    assert est.mean == hits / 300
+    assert est.value == hits / 300
     assert min(singular_by_prime.values()) > 0 and rescued > 0
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from decimal import Decimal
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -37,9 +38,11 @@ def scheme_files():
 
 
 def invoke(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args, run(args)
+    """The parsed argv and the results of ``run`` as the JSON report prints
+    them; integers are read through Decimal, which has no digit limit."""
+    args = build_parser().parse_args(argv)
+    text = render_report(args, run(args), 0.0)
+    return args, json.loads(text, parse_int=lambda t: int(Decimal(t)))["results"]
 
 
 def test_zeta_subcommand_value(scheme_files):
@@ -393,6 +396,37 @@ def test_bsw_digit_cap(monkeypatch, capsys):
     assert drawn
 
 
+def test_refused_references_build_nothing_past_the_refusal(monkeypatch, capsys):
+    """bsw checks the digits of its denominator prod_{p <= T} p^2 before it
+    builds any point table, and multi-fiber checks each fiber as its prime
+    comes: a refused reference builds no table, and no fiber past the prime
+    that refuses (p = 130,337 on P^1 at s = 3, r = 1)."""
+    tables, fibers = [], []
+    post_init, fiber_init = PointCountTable.__post_init__, SchemeFiber.__init__
+
+    def table_spy(self):
+        tables.append(self.p)
+        post_init(self)
+
+    def fiber_spy(self, scheme, p):
+        fibers.append(p)
+        fiber_init(self, scheme, p)
+    monkeypatch.setattr(PointCountTable, "__post_init__", table_spy)
+    monkeypatch.setattr(SchemeFiber, "__init__", fiber_spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(zetas, "DIGIT_CAP", 1000)
+        assert main(["bsw", "--d", "3", "--R", "10", "--T", "2000",
+                     "--samples", "1"]) == EXIT_BUDGET
+    assert "... (298 more) * 1999^2 has more than 1000 digits" in capsys.readouterr().err
+    assert tables == []
+    assert main(["multi-fiber", "--d", "1", "--B", str(10 ** 15), "--prime-bound",
+                 "200000", "--r", "1", "--samples", "1"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: the truncation at p = 130337, s = 3, r = 1 has a "
+        f"denominator of more than {zetas.DIGIT_CAP} digits\n")
+    assert tables == [] and fibers == primes_up_to(130337)
+
+
 def test_multi_fiber_inverts_each_table_once(monkeypatch, capsys):
     """The reference of multi-fiber inverts each prime's point table and
     estimates its c0 once: the digit guard, the local truncations and the
@@ -488,6 +522,27 @@ def test_malformed_scheme_files_are_config_errors(tmp_path, capsys, changes):
     for r in ("1", "2"):
         assert main(["zeta", "--scheme", str(path), "--p", "3", "--s", "3",
                      "--r", r]) == EXIT_CONFIG
+    capsys.readouterr()
+
+
+def test_point_schemes_and_oversized_boxes_are_config_errors(tmp_path, capsys):
+    """A scheme file on P^0 loads, but a census or a classification on it
+    has no monomial basis (exit 2).  A box bound of 2^62, past the int64
+    sampler's range, exits 2; 2^62 - 1 runs."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": 0, "m": 0}))
+    for argv in (["fiber-density", "--scheme", str(path), "--p", "3", "--d", "2",
+                  "--r", "1"],
+                 ["classify", "--scheme", str(path), "--p", "3", "--section", "1",
+                  "--point", "1"]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: need n >= 1 and d >= 0\n"
+    box = ["multi-fiber", "--d", "2", "--prime-bound", "7", "--r", "1",
+           "--samples", "10", "--B"]
+    assert main(box + [str(2 ** 62)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: box bound too large for the int64 sampler\n"
+    assert main(box + [str(2 ** 62 - 1)]) == EXIT_OK
     capsys.readouterr()
 
 

@@ -143,6 +143,21 @@ def test_field_axioms_random():
     assert GF(16777213).q == 16777213      # prime fields keep the 2^24 cap
 
 
+@pytest.mark.parametrize("p, e", [(7, 1), (3, 2)])
+def test_inverse_and_negative_powers(p, e):
+    """inv(0), and so every negative power of 0, is a ZeroDivisionError;
+    pow(x, -k) is the k-th power of the inverse."""
+    field = GF(p, e)
+    for k in (1, 2, 5):
+        with pytest.raises(ZeroDivisionError):
+            field.pow(0, -k)
+        for x in range(1, field.q):
+            assert field.pow(x, -k) == field.pow(field.inv(x), k)
+            assert field.mul(field.pow(x, -k), field.pow(x, k)) == 1
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
 def _digitwise(field, a, b, sign):
     """a + sign*b computed digit by digit on the base-p encodings."""
     return field.encode(x + sign * y for x, y in zip(field.decode(a), field.decode(b)))
@@ -553,6 +568,8 @@ def test_poly_mul_mod_consistency():
         assert all((x - y - z) % m == 0 for x, y, z in terms), (a, b, m)
         assert poly_mod(a, b, m) == r
         assert poly_divmod(a, b, m, quotient=False) == (None, r)
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([1, 2, 3], [], 5)
 
 
 def test_poly_gcd_against_sympy():

@@ -250,10 +250,10 @@ def test_tally_counts_joint_hits_and_each_census():
 def test_mc_determinism_and_reference(p1):
     a = fiber_density_mc(p1, 2, 12, 3, 4000, seed=123)
     b = fiber_density_mc(p1, 2, 12, 3, 4000, seed=123)
-    assert a.mean == b.mean and a.ci_halfwidth == b.ci_halfwidth
+    assert a.value == b.value and a.ci_halfwidth == b.ci_halfwidth
     c = fiber_density_mc(p1, 2, 12, 3, 4000, seed=124)
-    assert a.mean != c.mean             # astronomically unlikely to collide
-    assert abs(a.mean - float(a.reference_value)) <= \
+    assert a.value != c.value             # astronomically unlikely to collide
+    assert abs(a.value - float(a.reference_value)) <= \
         a.ci_halfwidth + float(a.reference_error) + 0.02
     with pytest.raises(ValueError):
         fiber_density_mc(p1, 2, 12, 3, 99, seed=1)

@@ -88,6 +88,8 @@ def test_inconsistent_table_rejected():
         closed_point_counts(PointCountTable(2, (3, 4)))   # (4-3)/2 not integral
     with pytest.raises(InconsistentTable):
         closed_point_counts(PointCountTable(2, (3, 1)))   # negative a_2
+    with pytest.raises(InconsistentTable, match="negative point count"):
+        PointCountTable(2, (3, -1))
 
 
 def test_c0_estimate_examples():
