@@ -33,7 +33,8 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, gcd, log10, prod
+from itertools import count
+from math import comb, gcd, isqrt, prod
 from typing import NamedTuple
 
 from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
@@ -41,9 +42,8 @@ from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
 from .fiberlab import DensityEstimate, FiberClassifier, _tally, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import CACHE_SIZE, binary_census, binary_section_report, radical_fp
-from .zetas import (DIGIT_CAP, BudgetExceeded, PointCountTable, _check_digits,
-                    _coprime_fraction, exact_context, global_zeta_inverse,
-                    primes_up_to)
+from .zetas import (PointCountTable, _check_digits, _coprime_fraction, exact_context,
+                    global_zeta_inverse, primes_up_to)
 from . import sampling
 
 
@@ -117,10 +117,8 @@ def equidistribution_audit(h: int, B: int, N: int) -> EquidistributionAudit:
         raise ValueError("need h >= 1, B >= 1, N >= 2")
     k, s = divmod(2 * B + 1, N)
     audit = EquidistributionAudit(h, B, N, k, s, covered=k >= 1, exact=s == 0)
-    # compared exactly: h * log10(top) overflows a float for a long h
-    if audit.top > 1 and h >= DIGIT_CAP / log10(audit.top):
-        raise BudgetExceeded(f"the class count {audit.top}^{h} has more than "
-                             f"{DIGIT_CAP} digits")
+    if audit.top > 1:
+        _check_digits([(audit.top, h)], "the class count")
     return audit
 
 
@@ -345,10 +343,10 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     Measures the proportion of sections with no singular point of degree
     <= r on any fiber p <= prime_bound; the reference is
     ``global_zeta_inverse`` at the exponent of the reading
-    ``classification``, with the sum of the fibers' tail bounds as
-    reference error.  ``fiberlab._tally`` runs one census per prime on the
-    rows mod p^2: ``p1sections.binary_census`` (no point scan) on P^1,
-    the batched ``FiberClassifier.census`` on P^n, n > 1.
+    ``classification``, and the sum of the fibers' tail bounds, read before
+    any sample, as reference error.  ``fiberlab._tally`` runs one census per
+    prime on the rows mod p^2: ``p1sections.binary_census`` (no point scan)
+    on P^1, the batched ``FiberClassifier.census`` on P^n, n > 1.
     """
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
@@ -356,10 +354,11 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         raise ValueError("need a degree d >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
+    # the least prime p with p^2 > 2B + 1, found before the sieve
+    p = next(q for q in count(isqrt(max(2 * B + 1, 0)) + 1) if is_prime(q))
+    if p <= prime_bound:
+        raise ValueError(f"box [-{B},{B}] does not cover the residues mod {p}^2")
     primes = primes_up_to(prime_bound)
-    for p in primes:
-        if p * p > 2 * B + 1:
-            raise ValueError(f"box [-{B},{B}] does not cover the residues mod {p}^2")
     h = comb(n + d, n)
     scheme = ProjectiveScheme(n, n)
     s = reading_exponent(scheme.m, classification)
@@ -372,6 +371,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         fibers.append(fib)
     tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
+    reference_error = reference.error_bound     # its digits checked before any sample
     streams = sampling.chunks(seed, samples)
     censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census if n > 1
                 else partial(binary_census, p=fib.p, r=r) for fib in fibers]
@@ -380,7 +380,7 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
         for rows in (sampling.uniform_box(rng, size, h, B) for rng, size in streams)))
     reading = 0 if classification == "arithmetic" else 1
     return DensityEstimate(
-        hits[reading], samples, seed, reference, reference.error_bound,
+        hits[reading], samples, seed, reference, reference_error,
         extras={"primes": primes, "d": d, "B": B, "r": r,
                 "classification": classification,
                 "singular_by_prime": {p: c[reading] for p, c in zip(primes, singular)},

@@ -28,8 +28,8 @@ from .fiberlab import (REGULAR, classify_point_detail, fiber_density_exhaustive,
                        fiber_density_mc)
 from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (DIGIT_CAP, BudgetExceeded, InconsistentTable,
-                    local_zeta_inverse, verify_section_bounds)
+from .zetas import (BudgetExceeded, InconsistentTable, local_zeta_inverse,
+                    verify_section_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,7 +204,8 @@ def _printed(value, texts: list | None):
     report.  Under a key k, a Fraction, or anything with
     ``decimal_digits()`` (a zeta truncation, printed from its factors),
     becomes the keys k_num and k_den for JSON, and the text n/d under k for
-    CSV (``texts`` None).  For JSON, each Decimal (an exact integer, which
+    CSV (``texts`` None), both parts as exact integral Decimals, whose str
+    ignores sys.set_int_max_str_digits.  For JSON, each Decimal (which
     json cannot serialize) becomes a placeholder string, a NUL and then i,
     where texts[i] (appended here) is its str."""
     if hasattr(value, "as_report"):
@@ -212,7 +213,7 @@ def _printed(value, texts: list | None):
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
-            pair = ((v.numerator, v.denominator) if isinstance(v, Fraction)
+            pair = (tuple(map(decimal.Decimal, v.as_integer_ratio())) if isinstance(v, Fraction)
                     else v.decimal_digits() if hasattr(v, "decimal_digits") else None)
             if pair is None:
                 out[k] = _printed(v, texts)
@@ -290,12 +291,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config status
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    # json and csv print the plain ints of a report with int.__str__, which
-    # obeys the digit limit; a reference_error over many primes (multi-fiber
-    # at --r 0 over thousands of primes) passes the default 4,300 digits.
-    # The raised limit holds for run, render and write
-    old_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(DIGIT_CAP)
     start = time.monotonic()
     try:
         results = run(args)
@@ -308,22 +303,17 @@ def main(argv=None) -> int:
     except (InternalCheckError, InconsistentTable) as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    else:
-        full = render_report(args, results, time.monotonic() - start)
-        if args.output:
-            try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(full)
-                    if not full.endswith("\n"):
-                        fh.write("\n")
-            except OSError as exc:
-                print(f"error: cannot write the report: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-        else:
-            print(full)
+    full = render_report(args, results, time.monotonic() - start)
+    if not args.output:
+        print(full)
         return EXIT_OK
-    finally:
-        sys.set_int_max_str_digits(old_limit)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(full if full.endswith("\n") else full + "\n")
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":       # pragma: no cover

@@ -22,8 +22,8 @@ from math import gcd, log10, prod
 
 from .ffield import _prime_factors, is_prime
 
-# a truncation's denominator must have fewer decimal digits: reports print
-# long integers through decimal, which sys.set_int_max_str_digits ignores
+# every integer of a report has fewer decimal digits: reports print them
+# through decimal, which ignores sys.set_int_max_str_digits
 DIGIT_CAP = 2_000_000
 
 
@@ -152,11 +152,16 @@ class ZetaTruncation:
 
     @cached_property
     def error_bound(self) -> Fraction:
-        """sum_p 4*c0_p*p^{-delta*(r+1)} with delta = s - fiber_dim: the sum
-        of the local tail bounds."""
+        """sum_p 4*c0_p*p^{-delta*(r+1)} with delta = s - fiber_dim, the sum of
+        the local tail bounds, its denominator checked before any power is
+        formed.  Terms reduced over powers of distinct primes (``_tail_term``)
+        sum, in pairs by cross-multiplication, to a reduced fraction: no gcd."""
         depth = (self.s - self.fiber_dim) * (self.r + 1)
-        return sum(4 * c0 * Fraction(1, table.p ** depth)
-                   for table, c0 in zip(self.tables, self.c0s))
+        terms = [_tail_term(table.p, c0, depth) for table, c0 in zip(self.tables, self.c0s)]
+        _check_digits([(p, x) for p, _, x in terms], "the error bound's denominator")
+        return _coprime_fraction(*_balanced_product(
+            ((num, p ** x) for p, num, x in terms),
+            lambda f, g: (f[0] * g[1] + g[0] * f[1], f[1] * g[1])))
 
     @cached_property
     def tail_bound(self) -> Fraction | None:
@@ -181,19 +186,28 @@ def truncation_exponent(a: tuple, s: int, r: int) -> int:
     return s * sum(e * a[e - 1] for e in range(1, r + 1))
 
 
-def _check_digits(exponents):
-    """Refuse a denominator prod p^x of (p, x) pairs with DIGIT_CAP digits or
-    more.  An x past DIGIT_CAP / log10(p), compared exactly, passes alone:
-    x * log10(p) would overflow a float for a long x.  The message names
-    the first four powers and the last of a product over many primes."""
+def _tail_term(p: int, c0: Fraction, depth: int) -> tuple:
+    """4*c0/p^depth, for c0 over a power of p, as (p, num, x) with num / p^x
+    reduced, formed without p^depth."""
+    num, x = 4 * c0.numerator, depth + _valuation(c0.denominator, p)
+    if not num:
+        return p, 0, 0
+    j = min(_valuation(num, p), x)
+    return p, num // p ** j, x - j
+
+
+def _check_digits(exponents, what: str = "the truncation's denominator"):
+    """Refuse ``what``, a product prod p^x of (p, x) pairs, of DIGIT_CAP digits
+    or more.  An x past DIGIT_CAP / log10(p), compared exactly, passes alone:
+    x * log10(p) would overflow a float for a long x.  The message names the
+    first four powers and the last of a product over many primes."""
     if (any(x >= DIGIT_CAP / log10(p) for p, x in exponents)
             or sum(x * log10(p) for p, x in exponents) >= DIGIT_CAP):
         named = exponents if len(exponents) <= 8 else [*exponents[:4], exponents[-1]]
         powers = [f"{p}^{x}" for p, x in named]
         if len(named) < len(exponents):
             powers[4:4] = [f"... ({len(exponents) - 5} more)"]
-        raise BudgetExceeded(f"the truncation's denominator {' * '.join(powers)} "
-                             f"has more than {DIGIT_CAP} digits")
+        raise BudgetExceeded(f"{what} {' * '.join(powers)} has more than {DIGIT_CAP} digits")
 
 
 def _check_convergence(s: int, fiber_dim: int):
@@ -350,14 +364,14 @@ def _decimal_digits(t: ZetaTruncation) -> tuple:
     return num, den
 
 
-def _balanced_product(values) -> decimal.Decimal:
-    """The product of the Decimals, multiplied in pairs, then pairs of
-    pairs: the long products meet operands of equal length, where
-    libmpdec's are subquadratic, while a running product over n factors
-    is quadratic in n."""
+def _balanced_product(values, op=lambda a, b: a * b):
+    """The values combined by ``op``, multiplied by default, in pairs, then
+    pairs of pairs: the long products meet operands of equal length, where
+    libmpdec's and int's are subquadratic, while a running product over n
+    factors is quadratic in n.  No values give Decimal 1."""
     values = list(values) or [decimal.Decimal(1)]
     while len(values) > 1:
-        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+        values = [op(a, b) for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
     return values[0]
 
 
@@ -444,9 +458,7 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
     # command line call a noticeable share of its start-up
     from mpmath import mp, mpf, log, exp, zeta as mp_zeta
     report = BoundReport()
-    old_prec = mp.prec
-    mp.prec = 160
-    try:
+    with mp.workprec(160):
         for p in p_list:
             for e in range(1, e_max + 1):
                 lhs = -log(1 - mpf(p) ** (-e))
@@ -485,6 +497,4 @@ def verify_section_bounds(p_list, e_max: int, r_max: int,
                 lhs = abs(prod - 1 / zeta_global)
                 rhs = 8 * mpf(c0_glob.numerator) / c0_glob.denominator / (R * zeta_global)
                 report.record(lhs < rhs, "zetaintegral", {"m": m, "R": R})
-    finally:
-        mp.prec = old_prec
     return report

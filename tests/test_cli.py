@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import bertinilab
-from bertinilab import cli, sampling, zetas
+from bertinilab import arithlab, cli, sampling, zetas
 from bertinilab.arithlab import equidistribution_audit
 from bertinilab.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
                             build_parser, main, render_report, run)
@@ -396,6 +396,55 @@ def test_bsw_digit_cap(monkeypatch, capsys):
     assert drawn
 
 
+def test_error_bound_digit_cap(monkeypatch, capsys):
+    """The digit cap covers the error bound too: multi-fiber reads it, and
+    refuses one whose denominator has DIGIT_CAP digits or more, before it
+    draws a sample (at a cap of 1,000 digits, the bound over the primes up
+    to 2000 at r = 0, whose truncation is 1); zeta at s = 10^7, r = 0,
+    which exited 1 on the int-to-text limit, exits 3."""
+    drawn = []
+    monkeypatch.setattr(sampling, "uniform_box", lambda *args: drawn.append(args))
+    with monkeypatch.context() as patch:
+        patch.setattr(zetas, "DIGIT_CAP", 1000)
+        assert main(["multi-fiber", "--d", "1", "--B", "10000000", "--prime-bound",
+                     "2000", "--r", "0", "--samples", "10"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: the error bound's denominator 2^1 * 3^3 * 5^3 * 7^3 * "
+        "... (298 more) * 1999^3 has more than 1000 digits\n")
+    assert not drawn
+    assert main(["zeta", "--scheme", str(SCHEMES / "p1z.json"), "--p", "2",
+                 "--s", "10000000", "--r", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: the error bound's denominator 2^9999998 has more "
+        f"than {zetas.DIGIT_CAP} digits\n")
+
+
+def test_uncovered_box_refused_before_the_sieve(monkeypatch, capsys):
+    """multi-fiber names the least prime p with p^2 > 2B + 1 (2 for a
+    negative B), as the first sieved prime with that property did, and
+    refuses a box that does not cover the residues mod p^2 before it sieves
+    up to the prime bound: --B 100 --prime-bound 10^8 exits 2 at once."""
+    sieve = arithlab.primes_up_to
+    expected = {B: next(p for p in sieve(100) if p * p > 2 * B + 1)
+                for B in range(-3, 1200)}
+
+    def refuse(n):
+        raise AssertionError("sieved")
+    monkeypatch.setattr(arithlab, "primes_up_to", refuse)
+    for B, p in expected.items():
+        with pytest.raises(ValueError, match=rf"^box \[-{B},{B}\] does not cover the "
+                                             rf"residues mod {p}\^2$"):
+            arithlab.multi_fiber_experiment(1, B, p, 1, 1, 0)
+    assert expected[100] == 17 and expected[-3] == 2
+    assert main(["multi-fiber", "--d", "1", "--B", "100", "--prime-bound", "100000000",
+                 "--r", "1", "--samples", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: box [-100,100] does not cover the residues mod 17^2\n"
+    monkeypatch.setattr(arithlab, "primes_up_to", sieve)
+    assert arithlab.multi_fiber_experiment(1, 100, 13, 1, 1, 0).extras["primes"] == \
+        [2, 3, 5, 7, 11, 13]
+
+
 def test_refused_references_build_nothing_past_the_refusal(monkeypatch, capsys):
     """bsw checks the digits of its denominator prod_{p <= T} p^2 before it
     builds any point table, and multi-fiber checks each fiber as its prime
@@ -546,9 +595,11 @@ def test_point_schemes_and_oversized_boxes_are_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, capsys):
-    """main raises sys.set_int_max_str_digits to DIGIT_CAP for run, render
-    and write only; the caller's limit is back after success and failure."""
+def test_main_keeps_the_callers_int_digit_limit(tmp_path, monkeypatch, capsys):
+    """main leaves sys.set_int_max_str_digits alone: render_report runs
+    under the caller's limit, which is the same after a success and after a
+    failure.  Every integer of a report prints through decimal, so a
+    reference_error of about 2,500 digits prints under a limit of 640."""
     seen = []
     render = cli.render_report
 
@@ -557,18 +608,43 @@ def test_main_restores_int_digit_limit(scheme_files, tmp_path, monkeypatch, caps
         return render(*args)
     monkeypatch.setattr(cli, "render_report", spy)
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(5000)
+    sys.set_int_max_str_digits(640)
+    mf = ["multi-fiber", "--d", "1", "--B", "10000000", "--prime-bound", "2000",
+          "--r", "0", "--samples", "10"]
     try:
-        assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2", "--s", "2",
-                     "--r", "3", "--output", str(tmp_path / "r.json")]) == EXIT_OK
-        assert sys.get_int_max_str_digits() == 5000
-        assert main(["zeta", "--scheme", scheme_files["p1"], "--p", "2",
-                     "--s", "1", "--r", "3"]) == EXIT_CONFIG
-        assert sys.get_int_max_str_digits() == 5000
+        for fmt in ("json", "csv"):
+            assert main(mf + ["--format", fmt, "--output", str(tmp_path / fmt)]) == EXIT_OK
+            assert sys.get_int_max_str_digits() == 640
+        assert main(mf[:-1] + ["0"]) == EXIT_CONFIG
+        assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(old)
-    assert seen == [cli.DIGIT_CAP]
+    assert seen == [640, 640]
+    results = json.loads((tmp_path / "json").read_text(),
+                         parse_int=lambda t: int(Decimal(t)))["results"]
+    assert len(str(Decimal(results["reference_error_den"]))) > 640
+    row = next(csv.DictReader(io.StringIO((tmp_path / "csv").read_text())))
+    num, den = (int(Decimal(t)) for t in row["reference_error"].split("/"))
+    assert Fraction(num, den) == Fraction(results["reference_error_num"],
+                                          results["reference_error_den"])
     capsys.readouterr()
+
+
+def test_module_entry_point_under_the_strictest_int_digit_limit():
+    """``python -X int_max_str_digits=640 -m bertinilab.cli multi-fiber``
+    prints a reference_error whose denominator has about 2,500 digits and
+    exits 0: no report relies on a lifted int-to-text limit."""
+    root = Path(bertinilab.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "bertinilab.cli",
+         "multi-fiber", "--d", "1", "--B", "10000000", "--prime-bound", "2000",
+         "--r", "0", "--samples", "10"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    den = json.loads(proc.stdout, parse_int=Decimal)["results"]["reference_error_den"]
+    assert len(str(den)) > 640
 
 
 def _report_lines(argv, path):

@@ -76,6 +76,8 @@ def test_classify_rejects_singular_fiber_points():
     sec = parse_form("X", 2)
     with pytest.raises(ValueError):
         classify_point_detail(sec, x, fib)
+    with pytest.raises(ValueError, match="different projective spaces"):
+        classify_point_detail(parse_form("X", 1), x, fib)
 
 
 def test_classify_on_curve_in_p2(relabelings):

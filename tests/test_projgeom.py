@@ -36,6 +36,17 @@ def test_monomial_basis_shape():
 def test_form_validation():
     with pytest.raises(ValueError):
         HomogeneousForm(1, 2, (1, 2))        # wrong length
+    f = parse_form("X^2+5*Y^2-Z^2", 2)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            f.partial(i)
+    for point in ((0, 1), (0, 1, 0, 0)):
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            f.eval_gf(GF(5), point)
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            f.eval_gr(GaloisRing(GF(5)), tuple((c,) for c in point))
+    with pytest.raises(ValueError, match="defining forms must live on the same P"):
+        ProjectiveScheme(2, 1, [parse_form("X^2+Y^2", 1)])
 
 
 def test_eval_examples():

@@ -58,6 +58,15 @@ def test_uniform_height_ball_rows(bound):
     assert len({row[0] for row in rows}) > 1
 
 
+def test_confidence_halfwidth():
+    """The 99 percent halfwidth 2.5758 sqrt(m(1 - m)/n); n <= 0 is refused."""
+    assert sampling.confidence_halfwidth(0.5, 100) == pytest.approx(2.5758 * 0.05)
+    assert sampling.confidence_halfwidth(0.0, 10) == 0.0
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            sampling.confidence_halfwidth(0.5, samples)
+
+
 def test_uniform_bigint():
     rng = sampling.substream(9, 0)
     assert [sampling.uniform_bigint(rng, 0) for _ in range(5)] == [0] * 5

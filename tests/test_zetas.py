@@ -96,6 +96,8 @@ def test_c0_estimate_examples():
     assert c0_estimate(projective_counts(2, 1, 6), 2) == Fraction(3, 2)
     assert c0_estimate(PointCountTable(5, (0, 0, 0)), 2) == 0
     assert c0_estimate(projective_counts(3, 2, 5), 3) == Fraction(13, 9)
+    with pytest.raises(ValueError, match="absolute dimension must be >= 1"):
+        c0_estimate(projective_counts(2, 1, 2), 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -151,6 +153,49 @@ def test_truncation_error_bound_closed_form():
             t = local_zeta_inverse(table, s, r, m)
             assert abs(t.value - exact) <= t.error_bound, (p, m, r)
             assert 0 < t.value <= 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_error_bound_is_the_fraction_sum(seed):
+    """error_bound, summed in pairs by cross-multiplication with no gcd, is
+    the plain Fraction sum of the local tail bounds, numerator and
+    denominator alike: on projective, empty and random tables at up to 40
+    primes from 2, at depths 0..5 and exponents s = m + 1..m + 3.  At p = 2
+    a term can be an integer: 4 * 3/2 / 2 on P^1 at s = 2, r = 0."""
+    rng = random.Random(seed)
+    primes = primes_up_to(200)
+    for _ in range(60):
+        chosen = rng.sample(primes, rng.randint(1, 40))
+        if rng.random() < 0.5 and 2 not in chosen:
+            chosen.append(2)
+        m, r = rng.randint(0, 2), rng.randint(0, 5)
+        s = m + rng.randint(1, 3)
+        tables = [projective_counts(p, m, max(r, 1)) if rng.random() < 0.4
+                  else PointCountTable(p, (0,) * max(r, 1)) if rng.random() < 0.1
+                  else PointCountTable(p, tuple(rng.randint(0, 2 * p ** (m * e))
+                                                for e in range(1, max(r, 1) + 1)))
+                  for p in chosen]
+        t = ZetaTruncation(tuple(tables), tuple(() for _ in tables), s, r, m, max(chosen))
+        depth = (s - m) * (r + 1)
+        plain = sum(4 * c0_estimate(table, m + 1) / table.p ** depth for table in tables)
+        assert t.error_bound.as_integer_ratio() == plain.as_integer_ratio()
+    assert local_zeta_inverse(projective_counts(2, 1, 1), 2, 0, 1).error_bound == 3
+
+
+def test_error_bound_digit_cap(monkeypatch):
+    """An error bound whose denominator has DIGIT_CAP digits or more is
+    refused, naming the error bound, before any power of its primes is
+    formed: at s = 10^12, r = 0 on P^1 it would be 2^(10^12 - 2)."""
+    t = local_zeta_inverse(projective_counts(2, 1, 1), 10 ** 12, 0, 1)
+    with pytest.raises(zetas.BudgetExceeded, match=re.escape(
+            "the error bound's denominator 2^999999999998 has more than 2000000 digits")):
+        t.error_bound
+    monkeypatch.setattr(zetas, "DIGIT_CAP", 1000)
+    tables = {p: projective_counts(p, 1, 1) for p in primes_up_to(2000)}
+    g = global_zeta_inverse(tables, 3, 2000, 0, 1)       # the value passes: 1
+    with pytest.raises(zetas.BudgetExceeded, match=re.escape(
+            "2^1 * 3^3 * 5^3 * 7^3 * ... (298 more) * 1999^3 has more than 1000 digits")):
+        g.error_bound
 
 
 def test_global_zeta_single_factor():
