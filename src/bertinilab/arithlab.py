@@ -16,15 +16,17 @@ the fiber at p, and the experiments assert that equivalence sample by
 sample.  ``multi_fiber_experiment`` hands one census per prime, of the
 same shape on P^1 and on P^n, to the lab's one loop ``fiberlab._tally``.
 
-In ``bsw_experiment`` each sample's verdict comes from
+In ``bsw_experiment`` each sample's verdict comes from the trial step of
 ``maximality_scan``.  It trial-divides the discriminant by blocks of
 primes, one gcd g per block, dividing each prime of the block that
 divides g out of the discriminant and out of g until g is 1.  The odd
-cofactor left is proved prime, or not, by ``ffield._is_prime_past_trial``,
-``is_prime`` past its own trial division.  The cross-check runs
-Dedekind's criterion on every sample with the exact discriminant; its
-geometric side reads only f mod p^2, so it is memoized per class
-(f mod p^2, p) at the primes p with p^(2d) <= samples, where classes recur.
+cofactors left are proved prime, or not, ``PROOF_BATCH`` at a time by
+``ffield._is_prime_past_trial_batch``, ``is_prime`` past its own trial
+division, whose base-2 tests below 2^63 are one numpy pass.  The
+cross-check runs Dedekind's criterion on every sample with the exact
+discriminant; its geometric side reads only f mod p^2, so it is memoized
+per class (f mod p^2, p) at the primes p with p^(2d) <= samples, where
+classes recur.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from itertools import count
 from math import comb, gcd, isqrt, prod
 from typing import NamedTuple
 
-from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial, is_prime,
-                     poly_divmod, poly_gcd, poly_mul, poly_sub, poly_trim)
+from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial,
+                     _is_prime_past_trial_batch, is_prime, poly_divmod, poly_gcd,
+                     poly_mul, poly_sub, poly_trim)
 from .fiberlab import DensityEstimate, FiberClassifier, _tally, reading_exponent
 from .projgeom import ProjectiveScheme
 from .p1sections import CACHE_SIZE, binary_census, binary_section_report, radical_fp
@@ -275,6 +278,9 @@ class MaximalityVerdict(NamedTuple):
 
 
 TRIAL_BLOCK = 64             # trial primes per gcd in maximality_scan
+# cofactors per proof in bsw_experiment: one batch for the few thousand of a
+# desk run, and a bounded list on a run of millions of samples
+PROOF_BATCH = 4096
 
 
 @lru_cache(maxsize=8)
@@ -290,19 +296,33 @@ def _trial_blocks(trial_bound: int) -> tuple:
 def maximality_scan(f: MonicPoly, trial_bound: int,
                     disc: int | None = None) -> MaximalityVerdict:
     """Trial-divide disc(f) by the primes <= trial_bound and run Dedekind
-    where a prime square divides it.
+    where a prime square divides it (``_trial_verdict``), then prove the
+    cofactor of a 'maximal_up_to' verdict prime or not: with
+    trial_bound >= 2 it is odd, and ``ffield._is_prime_past_trial`` tests
+    it, a proof below ``MR_DETERMINISTIC_BOUND``.
+    """
+    if trial_bound < 2:
+        raise ValueError("need trial bound T >= 2")
+    disc = discriminant(f) if disc is None else disc
+    verdict = _trial_verdict(f, trial_bound, disc)
+    if verdict.kind == "maximal_up_to" and not verdict.unconditional:
+        c = verdict.cofactor
+        return verdict._replace(
+            unconditional=c < MR_DETERMINISTIC_BOUND and _is_prime_past_trial(c))
+    return verdict
+
+
+def _trial_verdict(f: MonicPoly, trial_bound: int, disc: int) -> MaximalityVerdict:
+    """``maximality_scan`` up to the proof of its cofactor, for
+    trial_bound >= 2 and disc = disc(f): a 'maximal_up_to' verdict is
+    unconditional here only when the cofactor is 1.
 
     Trial division goes by blocks of ``TRIAL_BLOCK`` primes: one gcd g of
     the cofactor with the block's product; when g > 1 the block's primes
     are tried in order, each one that divides g is divided out of the
     cofactor and of g, and the block ends when g reaches 1.  It stops once
-    the next block starts past the cofactor.  With trial_bound >= 2 the
-    cofactor is odd, and ``ffield._is_prime_past_trial`` tests it, a proof
-    below ``MR_DETERMINISTIC_BOUND``.
+    the next block starts past the cofactor.
     """
-    if trial_bound < 2:
-        raise ValueError("need trial bound T >= 2")
-    disc = discriminant(f) if disc is None else disc
     if disc == 0:
         return MaximalityVerdict("degenerate", trial_bound)
     c = abs(disc)
@@ -326,9 +346,17 @@ def maximality_scan(f: MonicPoly, trial_bound: int,
                                          unconditional=True)
             if g == 1:
                 break
-    unconditional = c == 1 or (c < MR_DETERMINISTIC_BOUND and _is_prime_past_trial(c))
     return MaximalityVerdict("maximal_up_to", trial_bound,
-                             unconditional=unconditional, cofactor=c)
+                             unconditional=c == 1, cofactor=c)
+
+
+def _unproved(cofactors) -> int:
+    """How many of the cofactors > 1 of 'maximal_up_to' verdicts
+    ``maximality_scan`` leaves conditional: those at or past
+    ``MR_DETERMINISTIC_BOUND``, and those that
+    ``ffield._is_prime_past_trial_batch`` finds composite."""
+    below = [c for c in cofactors if c < MR_DETERMINISTIC_BOUND]
+    return len(cofactors) - sum(_is_prime_past_trial_batch(below))
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +442,14 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     prime-tail bound as reference error.  It is built, and its digit
     budget checked, before the first sample.  Each sample is also pushed
     through the geometric classifier on the fibers p <= fiber_cap and the
-    two routes are required to agree exactly.  ``maximality_scan`` gives
-    the verdict.  The cross-check runs Dedekind's criterion on every
-    sample and prime with the exact discriminant.  Its geometric side, the
-    report of ``binary_section_report``, reads only f mod p^2, so it is
-    memoized per class (f mod p^2, p) in a ``_section_table`` at the
-    primes with p^(2d) <= samples, and computed per sample at the others.
+    two routes are required to agree exactly.  ``maximality_scan``'s
+    trial step gives the verdict, and the cofactors of its 'maximal_up_to'
+    verdicts are proved ``PROOF_BATCH`` at a time.  The cross-check runs
+    Dedekind's criterion on every sample and prime with the exact
+    discriminant.  Its geometric side, the report of
+    ``binary_section_report``, reads only f mod p^2, so it is memoized per
+    class (f mod p^2, p) in a ``_section_table`` at the primes with
+    p^(2d) <= samples, and computed per sample at the others.
     Its loop stays outside ``fiberlab._tally``: its rows are height-ball
     tuples that can pass int64, its verdict is a per-sample discriminant
     scan, and its geometric side a raising cross-check, not a tally.
@@ -443,11 +473,12 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
     degenerate = 0
     not_maximal_at = {}
     conditional = 0
+    pending = []                # cofactors > 1 awaiting their proof
     for rng, size in sampling.chunks(seed, samples):
         for a in sampling.uniform_height_ball(rng, size, bounds):
             f = MonicPoly(a)
             disc = discriminant(f)
-            verdict = maximality_scan(f, trial_bound, disc=disc)
+            verdict = _trial_verdict(f, trial_bound, disc)
             if verdict.kind == "degenerate":
                 degenerate += 1
                 continue
@@ -456,7 +487,10 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
             else:
                 hits += 1
                 if not verdict.unconditional:
-                    conditional += 1
+                    pending.append(verdict.cofactor)
+                    if len(pending) == PROOF_BATCH:
+                        conditional += _unproved(pending)
+                        pending.clear()
             hom = (1,) + f.a
             for p, p2, table in checks:     # primes, and disc != 0 past 'degenerate'
                 if table is None:
@@ -474,6 +508,7 @@ def bsw_experiment(d: int, R: int, trial_bound: int, samples: int, seed: int,
                     raise InternalCheckError(
                         f"Dedekind and the mod-p^2 classifier disagree at "
                         f"p={p} for {f}")
+    conditional += _unproved(pending)
     return DensityEstimate(
         hits, samples, seed, reference, Fraction(8, trial_bound),
         extras={"d": d, "R": R, "trial_bound": trial_bound,

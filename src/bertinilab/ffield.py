@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import compress, product
 from math import isqrt
 
 import numpy as np
@@ -73,6 +73,93 @@ def _is_prime_past_trial(n: int) -> bool:
     else:
         bases = _MR_BASES
     return all(_strong_probable_prime(n, a) for a in bases)
+
+
+def _is_prime_past_trial_batch(ns) -> list:
+    """``_is_prime_past_trial`` of each n of ns, odd n > 2, in order.  The
+    strong base-2 tests of the n in [psi_5, 2^63) run as one numpy pass
+    (``_strong_base2_batch``), and only the n that pass it take the scalar
+    strong Lucas test; every other n goes through ``_is_prime_past_trial``."""
+    wide = [_MR_PSI[-1] <= n < 1 << 63 for n in ns]
+    base2 = iter(_strong_base2_batch(list(compress(ns, wide))))
+    return [(next(base2) and _strong_lucas_probable_prime(n)) if w
+            else _is_prime_past_trial(n) for n, w in zip(ns, wide)]
+
+
+def _strong_base2_batch(ns) -> list:
+    """``_strong_probable_prime(n, 2)`` for each odd n, 2 < n < 2^63, of the
+    list ns, in exact uint64 Montgomery arithmetic with R = 2^64.
+
+    Products.  A 64x64-bit product's high word is formed from the 32-bit
+    halves: with a = a1 2^32 + a0 and b = b1 2^32 + b0, every partial
+    product a_i b_j is below 2^64, and mid = (a0 b0 >> 32) + lo32(a0 b1) +
+    lo32(a1 b0) < 3 2^32, so the high word a1 b1 + (a0 b1 >> 32) +
+    (a1 b0 >> 32) + (mid >> 32) is exact; the low word is the wrapping
+    product.  No float takes part, and every constant is an np.uint64.
+
+    Montgomery.  n' = -n^-1 mod 2^64 comes from Newton's iteration
+    y <- y (2 - n y) started at y = n, which is n^-1 mod 2^3 for odd n;
+    each step doubles the correct bits, 3 -> 96 in five.  For a, b < n the
+    reduction of T = a b < n R is t = (T + m n) / R with m = T_lo n' mod R:
+    T + m n = 0 mod R, so the low words T_lo + lo(m n) sum to 0 or to R,
+    and to R exactly when T_lo != 0, which is the carry into the high
+    words.  t < (n^2 + R n) / R < 2n < 2^64 because n < 2^63, so one
+    conditional subtraction of n gives a b R^-1 mod n.
+
+    The test.  1 is R mod n = ((2^64 - 1) mod n + 1) mod n in Montgomery
+    form, and -1 is n minus that.  Multiplying by the base 2 is a doubling,
+    x + x < 2n < 2^64, then a conditional subtraction.  d = (n - 1) / 2^s
+    differs per n, so the ladder walks the bits of the longest d from the
+    top: each n squares, and doubles where its own bit is set; below its
+    top bit an n squares 1 to 1.  x = 2^d then passes at 1 or -1, and the
+    s - 1 squarings after it, masked by each n's own s, pass at -1.
+    """
+    if not ns:
+        return []
+    zero, one, two, half = np.uint64(0), np.uint64(1), np.uint64(2), np.uint64(32)
+    low = np.uint64(0xFFFFFFFF)
+    n = np.array(ns, dtype=np.uint64)
+    n0, n1 = n & low, n >> half
+
+    def high(a0, a1, b0, b1):
+        """The high word of (a1 2^32 + a0)(b1 2^32 + b0), from the halves."""
+        cross0, cross1 = a0 * b1, a1 * b0
+        mid = (a0 * b0 >> half) + (cross0 & low) + (cross1 & low)
+        return a1 * b1 + (cross0 >> half) + (cross1 >> half) + (mid >> half)
+
+    y = n.copy()
+    for _ in range(5):
+        y *= two - n * y
+    n_neg_inv = zero - y
+
+    def reduce(t):
+        """t mod n for t < 2n: t - n wraps past t when t < n."""
+        return np.minimum(t, t - n)
+
+    def square(x):
+        x0, x1 = x & low, x >> half
+        t_lo = x * x
+        m = t_lo * n_neg_inv
+        return reduce(high(x0, x1, x0, x1) + high(m & low, m >> half, n0, n1)
+                      + (t_lo != zero))
+
+    mont_one = (np.uint64(0xFFFFFFFFFFFFFFFF) % n + one) % n
+    minus_one = n - mont_one
+    d, s = n - one, np.zeros_like(n)
+    for k in (32, 16, 8, 4, 2, 1):      # s = the trailing zeros of n - 1
+        k = np.uint64(k)
+        even = (d & ((one << k) - one)) == 0
+        d = np.where(even, d >> k, d)
+        s += even * k
+    x = mont_one
+    for k in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = square(x)
+        x = reduce(x + x * ((d >> np.uint64(k)) & one))
+    passed = (x == mont_one) | (x == minus_one)
+    for j in range(1, int(s.max())):
+        x = square(x)
+        passed |= (x == minus_one) & (s > np.uint64(j))
+    return passed.tolist()
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -158,13 +158,20 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
     of the defining forms at the digit lifts x^ of all its points are one
     ``_monomial_values`` evaluation per form degree, and one solve per
     point (``tangent_space``) gives both its Newton step delta, with
-    J delta = -g(x^)/p as in ``lifted_point``, and its tangent basis.  The
+    J delta = -g(x^)/p as in ``lifted_point``, and its tangent basis.  On
+    P^n (no forms, m = n) there is nothing to solve: delta is 0 and the
+    basis is the unit vectors off the chart, one frame per chart.  The
     scheme lifts x~ = x^ + p delta and the lifts x~ + p t along the
     tangent vectors t are one numpy sum over the run, and the monomial
     values at all of them are numpy products in the ring.
     """
     p, p2 = fiber.p, fiber.p ** 2
     basis = np.array(monomial_basis(fiber.n, d), dtype=np.int64)
+    # on P^n, per chart c: the step 0 and the unit vectors off c, in the
+    # encodings 0 and 1 of the field elements
+    eye = np.eye(fiber.n + 1, dtype=np.int64)
+    chart_frames = np.array([[0 * eye[0], *np.delete(eye, c, axis=0)]
+                             for c in range(fiber.n + 1)])
     runs = []
     for e, run in groupby(points, key=lambda x: x.degree):
         run = list(run)
@@ -172,14 +179,18 @@ def _point_jets(fiber: SchemeFiber, points, d: int) -> list:
         ring = GaloisRing(fld)
         digits = fld.digit_array().astype(np.int64)
         lifts = digits[np.array([x.rep for x in run], dtype=np.int64)]  # (K, n + 1, e)
-        # the right-hand sides -g(x^)/p of the Newton steps, negated digit
-        # by digit mod p: elements of GF(p^e) in its base-p encoding
-        residuals = _form_values(ring, lifts, fiber.forms) // p
-        rhs = (-residuals % p @ p ** np.arange(e)).tolist()
-        # per point its step delta and tangent vectors t, (K, 1 + m, n + 1, e);
-        # tangent_space rejects singular fiber points
-        moves = p * digits[np.array([[step, *tangent] for step, tangent in (
-            fiber.tangent_space(x, row) for x, row in zip(run, rhs))], dtype=np.int64)]
+        if not fiber.forms and fiber.m == fiber.n:
+            frame = chart_frames[[x.chart() for x in run]]
+        else:
+            # the right-hand sides -g(x^)/p of the Newton steps, negated digit
+            # by digit mod p: elements of GF(p^e) in its base-p encoding
+            residuals = _form_values(ring, lifts, fiber.forms) // p
+            rhs = (-residuals % p @ p ** np.arange(e)).tolist()
+            # per point its step delta and tangent vectors t, (K, 1 + m, n + 1);
+            # tangent_space rejects singular fiber points and a wrong m
+            frame = np.array([[step, *tangent] for step, tangent in (
+                fiber.tangent_space(x, row) for x, row in zip(run, rhs))], dtype=np.int64)
+        moves = p * digits[frame]                       # (K, 1 + m, n + 1, e)
         moves[:, 1:] += moves[:, :1]                # p (delta + t)
         values = _monomial_values(ring, (lifts[:, None] + moves) % p2,
                                   basis, d)         # (K, 1 + m, h, e): x~, x~ + p t

@@ -304,7 +304,8 @@ def _shared_exponents(t: ZetaTruncation) -> list:
     unity in F_q, one of gcd(k, q - 1); so for each such root z of the
     exponents k = se in play the walk visits only the primes u = z (mod q),
     sum_q (number of roots) * R / q steps for the largest prime R, and
-    reads a valuation only off a factor that q divides."""
+    reads a valuation only off a factor that q divides.  The walk for q
+    stops once the valuation reaches x_q, past which it only grows."""
     by_prime = {table.p: a for table, a in zip(t.tables, t.a)}
     present = bytearray(max(by_prime, default=0) + 1)
     for u in by_prime:
@@ -313,11 +314,14 @@ def _shared_exponents(t: ZetaTruncation) -> list:
     shared = []
     for q, x in t.powers:
         v = 0
-        for z in _roots_of_unity(q, exponents):
-            for u in compress(range(z, len(present), q), present[z::q]):
-                v += sum(a_e * _valuation(u ** (t.s * e) - 1, q)
-                         for e, a_e in enumerate(by_prime[u], 1)
-                         if a_e and pow(z, t.s * e, q) == 1)
+        for dv in (a_e * _valuation(u ** (t.s * e) - 1, q)
+                   for z in _roots_of_unity(q, exponents)
+                   for u in compress(range(z, len(present), q), present[z::q])
+                   for e, a_e in enumerate(by_prime[u], 1)
+                   if a_e and pow(z, t.s * e, q) == 1):
+            v += dv
+            if v >= x:
+                break
         shared.append(min(x, v))
     return shared
 

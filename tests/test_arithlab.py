@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly
 from sympy.polys.numberfields.basis import round_two
 
-from bertinilab import arithlab, sampling
+from bertinilab import arithlab, ffield, sampling
 from bertinilab.arithlab import (InternalCheckError, MaximalityVerdict,
                                  MonicPoly, bareiss_determinant, bsw_experiment,
                                  dedekind_p_maximal, discriminant,
@@ -289,6 +289,16 @@ def test_blocked_trial_division_matches_the_prime_loop():
     assert verdicts == {True, False}
 
 
+def test_batched_proof_matches_the_scalar_one_at_the_edges():
+    """The batched proof bsw runs gives _is_prime_past_trial's answer on
+    every edge cofactor: below psi_5 and from 2^63 one by one, in
+    [psi_5, 2^63) through the numpy base-2 pass."""
+    ns = _edge_cofactors()
+    assert any(ffield._MR_PSI[-1] <= n < 2 ** 63 for n in ns)
+    assert ffield._is_prime_past_trial_batch(ns) == \
+        [ffield._is_prime_past_trial(n) for n in ns]
+
+
 def test_geometric_oracle_equivalence():
     """Dedekind at p iff no arithmetically singular point on the fiber at p."""
     rng = random.Random(34)
@@ -408,6 +418,26 @@ def test_bsw_results_are_pinned(config):
     assert est.extras["conditional_verdicts"] == conditional
     assert est.extras["not_maximal_at"] == not_maximal_at
     assert est.extras["degenerate"] == 0
+
+
+def test_bsw_pins_hold_in_batches_of_seven(monkeypatch):
+    """With PROOF_BATCH = 7 every pinned run proves its cofactors in many
+    batches of at most seven and keeps its pinned results."""
+    monkeypatch.setattr(arithlab, "PROOF_BATCH", 7)
+    batch = arithlab._is_prime_past_trial_batch
+    sizes = []
+
+    def spy(ns):
+        sizes.append(len(ns))
+        return batch(ns)
+
+    monkeypatch.setattr(arithlab, "_is_prime_past_trial_batch", spy)
+    for (d, R, T, seed), (hits, conditional, not_maximal_at) in _BSW_PINS.items():
+        sizes.clear()
+        est = bsw_experiment(d, R, T, 300, seed=seed)
+        assert (est.value, est.extras["conditional_verdicts"],
+                est.extras["not_maximal_at"]) == (hits / 300, conditional, not_maximal_at)
+        assert len(sizes) > 10 and max(sizes) <= 7
 
 
 def _count_section_reports(monkeypatch):

@@ -636,3 +636,26 @@ def test_primality_past_trial_division_matches_sympy_at_the_edges():
             primes += expected
     assert past_trial(MR_DETERMINISTIC_BOUND) and not sympy.isprime(MR_DETERMINISTIC_BOUND)
     assert checked > 3000 and 0 < primes < checked
+
+
+def test_batched_base2_test_matches_the_scalar_one():
+    """The numpy Montgomery pass gives _strong_probable_prime(n, 2) on the
+    base-2 strong pseudoprimes 2047 .. 3511^2, on every psi_k below 2^63,
+    on n - 1 = k 2^s for s up to 62 (the longest run of masked
+    squarings), on the odd n within 400 of 2^63, primes and composites,
+    and on 10^4 random odd n, all in one batch of mixed sizes."""
+    rng = random.Random(63)
+    top = 2 ** 63
+    pseudoprimes = [2047, 3277, 4033, 4681, 8321, 1093 ** 2, 3511 ** 2]
+    ns = pseudoprimes + [n for n in _PSI if n < top]
+    ns += [(k << s) + 1 for s in range(1, 63) for k in (1, 3, 5, 7) if k << s < top]
+    ns += list(range(top - 399, top, 2))
+    ns += [rng.randrange(3, 2 ** rng.randint(2, 63), 2) for _ in range(10 ** 4)]
+    expected = [ffield._strong_probable_prime(n, 2) for n in ns]
+    assert ffield._strong_base2_batch(ns) == expected
+    assert expected == [_strong_probable_prime(n, 2) for n in ns]
+    assert all(expected[:len(pseudoprimes)])
+    near_top = [sympy.isprime(n) for n in range(top - 399, top, 2)]
+    assert any(near_top) and not all(near_top)
+    assert 0 < sum(expected) < len(ns)
+    assert ffield._strong_base2_batch([]) == []

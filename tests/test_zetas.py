@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd, log10, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from sympy import divisors
 from sympy.ntheory import mobius
@@ -404,6 +405,32 @@ def test_shared_exponents_are_near_linear(monkeypatch, unlimited_int_digits):
     assert 0 < calls <= 8 * factors
     value = Fraction(prod(p * p - 1 for p in primes), prod(p * p for p in primes))
     assert (str(num), str(den)) == _fraction_text(value)
+
+
+def test_shared_exponents_stop_at_the_denominator(monkeypatch):
+    """On bsw's reference at T = 10^4 (a point per prime, s = 2, so each
+    x_q = 2), the walk for q stops once v_q reaches x_q: at most two
+    valuations per prime, where the full walk reads one off every
+    u = +-1 (mod q).  The exponents are min(2, v_q(prod (u^2 - 1))),
+    counted with numpy from each factor's divisibility by q and q^2."""
+    primes = primes_up_to(10 ** 4)
+    calls = {}
+
+    def counted(n, q):
+        calls[q] = calls.get(q, 0) + 1
+        return valuation(n, q)
+
+    valuation = zetas._valuation
+    monkeypatch.setattr(zetas, "_valuation", counted)
+    t = global_zeta_inverse({p: PointCountTable(p, (1,)) for p in primes},
+                            2, 10 ** 4, 1, 0)
+    shared = zetas._shared_exponents(t)
+    assert set(calls) <= set(primes) and max(calls.values()) <= 2
+    assert t.powers == tuple((p, 2) for p in primes)
+    factors = np.array(primes, dtype=np.int64) ** 2 - 1
+    assert shared == [min(2, int((factors % q == 0).sum() + (factors % (q * q) == 0).sum()))
+                      for q in primes]
+    assert shared[:3] == [2, 2, 2] and 0 in shared
 
 
 def test_truncation_needs_a_table_of_depth_one():
