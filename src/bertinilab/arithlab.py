@@ -39,6 +39,8 @@ from itertools import count
 from math import comb, gcd, isqrt, prod
 from typing import NamedTuple
 
+import numpy as np
+
 from .ffield import (MR_DETERMINISTIC_BOUND, _is_prime_past_trial,
                      _is_prime_past_trial_batch, is_prime, poly_divmod, poly_gcd,
                      poly_mul, poly_sub, poly_trim)
@@ -362,6 +364,25 @@ def _unproved(cofactors) -> int:
 # ----------------------------------------------------------------------
 # Multi-fiber density experiment.
 
+# rows per P^1 census batch in multi_fiber_experiment: enough that numpy's
+# per-call cost in binary_census's Euclid is small against its gcds, and
+# bounded, so that a run of 10^5 samples still takes one chunk per batch
+CENSUS_BATCH_ROWS = 2 ** 10
+
+
+def _batches(chunks, budget: int) -> list:
+    """Consecutive sampling chunks (generator, size), grouped in order into
+    batches of at least ``budget`` rows; only the last batch may have
+    fewer, and a batch closes at the chunk that reaches the budget."""
+    out, batch, rows = [], [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        rows += chunk[1]
+        if rows >= budget:
+            out.append(batch)
+            batch, rows = [], 0
+    return out + [batch] if batch else out
+
 
 def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
                            samples: int, seed: int, n: int = 1,
@@ -373,8 +394,11 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     ``global_zeta_inverse`` at the exponent of the reading
     ``classification``, and the sum of the fibers' tail bounds, read before
     any sample, as reference error.  ``fiberlab._tally`` runs one census per
-    prime on the rows mod p^2: ``p1sections.binary_census`` (no point scan)
-    on P^1, the batched ``FiberClassifier.census`` on P^n, n > 1.
+    prime on the rows mod p^2: ``p1sections.binary_census`` (no point
+    scan) on ``_batches`` of consecutive sampling chunks of at least
+    ``CENSUS_BATCH_ROWS`` rows on P^1, ``FiberClassifier.census`` on each
+    chunk on P^n, n > 1 (its (points, rows) candidate array grows with the
+    rows).
     """
     if n < 1:
         raise ValueError("need a projective dimension n >= 1")
@@ -400,12 +424,14 @@ def multi_fiber_experiment(d: int, B: int, prime_bound: int, r: int,
     tables = {fib.p: fib.point_table(r) for fib in fibers}
     reference = global_zeta_inverse(tables, s, prime_bound, r, scheme.m)
     reference_error = reference.error_bound     # its digits checked before any sample
-    streams = sampling.chunks(seed, samples)
+    batches = _batches(sampling.chunks(seed, samples),
+                       CENSUS_BATCH_ROWS if n == 1 else 1)
     censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census if n > 1
                 else partial(binary_census, p=fib.p, r=r) for fib in fibers]
     *hits, singular, rescued = _tally(censuses, (
         [rows % (p * p) for p in primes]
-        for rows in (sampling.uniform_box(rng, size, h, B) for rng, size in streams)))
+        for rows in (np.concatenate([sampling.uniform_box(rng, size, h, B)
+                                     for rng, size in batch]) for batch in batches)))
     reading = 0 if classification == "arithmetic" else 1
     return DensityEstimate(
         hits[reading], samples, seed, reference, reference_error,

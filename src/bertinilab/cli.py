@@ -28,8 +28,8 @@ from .fiberlab import (REGULAR, classify_point_detail, fiber_density_exhaustive,
                        fiber_density_mc)
 from .projgeom import (SINGULAR, load_scheme, parse_form, parse_point,
                        rational_closed_point)
-from .zetas import (BudgetExceeded, InconsistentTable, local_zeta_inverse,
-                    verify_section_bounds)
+from .zetas import (BudgetExceeded, InconsistentTable, exact_context,
+                    local_zeta_inverse, verify_section_bounds)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,6 +197,30 @@ def run(args):
 # json.dumps writes the placeholder of _printed, a NUL and then i, as this
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
+# past this many bits an int becomes a Decimal by halves (``_decimal``)
+_SPLIT_BITS = 1 << 12
+
+
+def _decimal(n: int) -> decimal.Decimal:
+    """n as an exact integral Decimal.  Decimal(n) is quadratic in the
+    digits of n, so past ``_SPLIT_BITS`` bits n is split as hi * 2^k + lo,
+    k the largest power of two below its bit length, and each half is
+    converted the same way: the work goes to libmpdec's subquadratic
+    products, and each power 2^k is formed once."""
+    powers = {}
+
+    def convert(n):
+        bits = n.bit_length()
+        if bits <= _SPLIT_BITS:
+            return decimal.Decimal(n)
+        k = 1 << (bits - 1).bit_length() - 1
+        if k not in powers:
+            powers[k] = decimal.Decimal(2) ** k
+        return convert(n >> k) * powers[k] + convert(n & (1 << k) - 1)
+
+    with decimal.localcontext(exact_context()):
+        return convert(n) if n >= 0 else -convert(-n)
+
 
 def _printed(value, texts: list | None):
     """``value``, a result of ``run``, in printable form: the one place that
@@ -204,8 +228,9 @@ def _printed(value, texts: list | None):
     report.  Under a key k, a Fraction, or anything with
     ``decimal_digits()`` (a zeta truncation, printed from its factors),
     becomes the keys k_num and k_den for JSON, and the text n/d under k for
-    CSV (``texts`` None), both parts as exact integral Decimals, whose str
-    ignores sys.set_int_max_str_digits.  For JSON, each Decimal (which
+    CSV (``texts`` None), both parts as exact integral Decimals (a
+    Fraction's through ``_decimal``), whose str ignores
+    sys.set_int_max_str_digits.  For JSON, each Decimal (which
     json cannot serialize) becomes a placeholder string, a NUL and then i,
     where texts[i] (appended here) is its str."""
     if hasattr(value, "as_report"):
@@ -213,7 +238,7 @@ def _printed(value, texts: list | None):
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
-            pair = (tuple(map(decimal.Decimal, v.as_integer_ratio())) if isinstance(v, Fraction)
+            pair = (tuple(map(_decimal, v.as_integer_ratio())) if isinstance(v, Fraction)
                     else v.decimal_digits() if hasattr(v, "decimal_digits") else None)
             if pair is None:
                 out[k] = _printed(v, texts)

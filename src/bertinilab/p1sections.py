@@ -26,32 +26,33 @@ is what makes 10^5-sample experiments over several fibers cheap.  As
 on P^1 through ``fiberlab._tally``; the ``bsw`` cross-check calls the
 report itself, and exhaustive counts run through ``FiberClassifier``.
 
+The squarefree step w = gcd(fbar, fbar') is the sieve condition of
+Poonen's Bertini theorem over finite fields.  ``binary_census`` takes it
+for a whole batch from one numpy Euclid (``_repeated_parts``) over the
+batch's reductions fbar, and hands each row its w; the report
+reads the split of w from a memo.  Called without w (the ``bsw``
+cross-check), the report runs ``ffield.poly_gcd`` on its own fbar.
+
 The mod-p factor structure repeats from row to row, so it is memoized in
 two bounded least-recently-used caches: the distinct-degree split of the
 radical of a repeated part w (gcd(fbar, fbar'), or tau mod p when
-sigma = p*tau), keyed on (w, p, r); and, in front of it, the whole
-repeated-part step of a row (derivative, squarefree gcd and split), keyed
-on (fbar, p, r).  Each holds at most ``CACHE_SIZE`` entries.  The radical
-runs only behind them and is not cached itself; nor is the mod-p^2 test
-of each row, which reads f mod p^2.
+sigma = p*tau), keyed on (w, p, r); and, in front of it for reports
+without w, the whole repeated-part step of a row (derivative, squarefree
+gcd and split), keyed on (fbar, p, r).  Each holds at most
+``CACHE_SIZE`` entries.  The radical runs only behind them and is not
+cached itself; nor is the mod-p^2 test of each row, which reads f mod
+p^2.
 
-Rows from ``binary_census`` at p <= 13 are ``bytes``, one coefficient mod
-p^2 per byte (the cut ``_packs``: a residue mod p^2 fits a byte, and so
-does a slot of the packed Euclid, which starts below p and gains at most
-(p - 1)^2 per elimination).  Their fbar stays bytes, top coefficient
-first, and keys the repeated-part memo; its squarefree gcd runs on one
-integer per polynomial, one coefficient per byte slot
-(``_packed_repeated_part``): an elimination is one multiply-add of the
-whole scaled divisor, a reduction of every slot one ``translate``.
-Integer rows key on a tuple and run ``ffield.poly_gcd``; both give the
-same w, so the radical's memo is shared.
+Rows from ``binary_census`` at p <= 13 (``_packs``: a residue mod p^2
+fits a byte) are slices of one ``bytes`` buffer, one coefficient per
+byte, whose fbar is one ``translate``; other rows are integer lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
 
 import numpy as np
 
@@ -113,79 +114,118 @@ def _radical_split(w: tuple, p: int, r: int) -> tuple:
 
 
 def _packs(p: int) -> bool:
-    """Whether rows and the squarefree Euclid at p run on bytes, one
-    coefficient per byte.  A row residue mod p^2 must fit a byte, and so
-    must a slot of the Euclid for at least one elimination: it starts below
-    p and an elimination adds at most (p - 1)^2, so p(p - 1) <= 255.  The
-    first bound holds exactly for the primes p <= 13, where p(p - 1) <=
-    156, so it is the only one tested."""
+    """Whether rows at p may be ``bytes``, one coefficient per byte: a
+    residue mod p^2 fits a byte exactly at the primes p <= 13."""
     return p * p <= 256
 
 
 @lru_cache(maxsize=16)
-def _byte_tables(p: int) -> tuple:
-    """The tables of the packed Euclid at p, built on first use: the
-    translate table b -> b mod p; for each leading coefficient c, the
-    tables b -> b/c and b -> -b/c mod p (read on bytes below p); the
-    derivative weights i mod p, a whole number of periods at least 256
-    long; and the eliminations a slot below p takes before it may pass 255."""
-    inv = [0] + [pow(c, -1, p) for c in range(1, p)]
-    return (bytes(b % p for b in range(256)),
-            [bytes(b * m % p for b in range(256)) for m in inv],
-            [bytes(-b * m % p for b in range(256)) for m in inv],
-            bytes(range(p)) * (256 // p + 1),
-            (256 - p) // (p - 1) ** 2)
+def _mod_p_table(p: int) -> bytes:
+    """The translate table b -> b mod p of byte rows."""
+    return bytes(b % p for b in range(256))
 
 
-def _packed_repeated_part(fbar: bytes, p: int) -> tuple:
-    """gcd(fbar, fbar') over F_p, monic, or fbar itself when fbar' = 0, as
-    a tuple from the constant term up; fbar is nonconstant bytes of
-    residues mod p from the top coefficient down, and p ``_packs``.
+def _top_aligned(x: np.ndarray, width: int, dtype) -> tuple:
+    """Each row of x moved left past its leading zeros into ``width``
+    columns of ``dtype``, returned transposed (column i of every row is
+    one contiguous row), and the number of its columns left in play (0 for
+    a zero row)."""
+    rows, n = x.shape
+    nonzero = x != 0
+    lead = nonzero.argmax(axis=1)
+    padded = np.zeros((rows, n + width), dtype)
+    padded[:, :n] = x
+    aligned = np.take_along_axis(padded, lead[:, None] + np.arange(width), axis=1)
+    return np.ascontiguousarray(aligned.T), np.where(nonzero.any(axis=1), n - lead, 0)
 
-    Euclid on an integer x holding the dividend from the top coefficient
-    down, one per byte, in the low slots first.  An elimination pops the top
-    slot (c = x mod 256, read mod p), shifts x down a slot and adds c*L, L
-    the divisor's lower coefficients scaled by -lc^-1 mod p.  Slots start
-    below p and gain at most (p - 1)^2 per elimination, so they are reduced
-    (bytes, translate, int) after every ``period`` eliminations and at the
-    end of each division, and no slot ever carries into the next."""
-    mod_p, monic, eliminate, weights, period = _byte_tables(p)
-    n = len(fbar)
-    if n > len(weights):
-        weights *= -(-n // len(weights))
-    a, b = fbar, bytes(map(mul, fbar, weights[n - 1::-1])).translate(mod_p)[:-1].lstrip(b"\0")
-    if not b:
-        return tuple(fbar[::-1])
-    db = len(b) - 1
-    while db > 0:
-        low = int.from_bytes(b[1:].translate(eliminate[b[0]]), "little")
-        x = int.from_bytes(a, "little")
-        fresh = period
-        for _ in range(n - db):
-            c = (x & 255) % p
-            x >>= 8
-            if c:
-                if not fresh:
-                    x = int.from_bytes(x.to_bytes(n, "little").translate(mod_p), "little")
-                    fresh = period
-                x += c * low
-                fresh -= 1
-        a, b = b, x.to_bytes(db, "little").translate(mod_p).lstrip(b"\0")
-        n, db = db + 1, len(b) - 1
-    return (1,) if b else tuple(a.translate(monic[a[0]])[::-1])
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, by floor division: numpy divides by a scalar
+    several times faster than it takes the remainder."""
+    x -= x // p * p
+    return x
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p elementwise: the inverse of each nonzero x."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = _reduce(out * x, p)
+        x = _reduce(x * x, p)
+        e >>= 1
+    return out
+
+
+def _repeated_parts(fbar: np.ndarray, p: int) -> list:
+    """w = gcd(f, f') over F_p for each row f of ``fbar`` (residues mod p,
+    top coefficient first, at least two columns), monic, or f itself when
+    f' = 0, () for the zero row: one Euclid over all rows at once, each w
+    a tuple from the constant term up, as ``_repeated_split`` takes it.
+
+    Each row holds its dividend A and divisor B top-aligned, leading
+    coefficient in column 0, with la and lb columns in play; B's leading
+    coefficient b0 is never 0.  A step of every row is A <- b0*A - a0*B,
+    which drops A's leading term with no shift when a0 != 0 and la >= lb,
+    and only scales A when a0 = 0; A then moves one column left.  Before
+    it, a row whose A leads with a nonzero coefficient (or is zero) but has
+    fewer columns than B swaps A and B (by xor, in place), and a row whose
+    B is zero is done: w = A, and lb = -1 keeps it from swapping or being
+    done again while the step zeroes its A.  Every value stays within
+    (p - 1)^2 of 0, so the arithmetic is int16 while (p - 1)^2 < 2^15 and
+    int64 past that."""
+    if (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"the batch Euclid needs (p - 1)^2 < 2^63, not p = {p}")
+    rows, n = fbar.shape
+    dtype = np.int16 if (p - 1) ** 2 < 2 ** 15 else np.int64
+    fbar = fbar.astype(dtype)
+    weights = (np.arange(n - 1, 0, -1) % p).astype(dtype)
+    A, la = _top_aligned(fbar, n, dtype)
+    B, lb = _top_aligned(_reduce(fbar[:, :-1] * weights, p), n, dtype)
+    euclid = lb > 0                      # rows whose w is made monic
+    w, lw = np.empty_like(A), np.empty_like(la)
+    left = rows
+    while True:
+        swap = (la < lb) & ((A[0] != 0) | (la == 0))
+        mask = -swap.astype(dtype)                # all ones where swapping
+        flip = (A ^ B) & mask
+        A ^= flip
+        B ^= flip
+        flip = (la ^ lb) & mask
+        la ^= flip
+        lb ^= flip
+        done = np.flatnonzero(lb == 0)
+        if done.size:
+            w[:, done], lw[done] = A[:, done], la[done]
+            lb[done] = -1
+            left -= done.size
+            if not left:
+                break
+        a0 = A[0].copy()
+        A *= B[0]
+        A -= a0 * B
+        A[:-1] = _reduce(A[1:], p)
+        A[-1] = 0
+        la -= 1
+    # most rows are squarefree, with w = (1,): only the others are read out
+    other = np.flatnonzero(~euclid | (lw != 1))
+    w, monic = w.T[other], euclid[other]
+    w[monic] = _reduce(w[monic] * _inverses(w[monic, :1], p), p)
+    parts = [(1,)] * rows
+    for i, c, k in zip(other.tolist(), w.tolist(), lw[other].tolist()):
+        parts[i] = tuple(reversed(c[:k]))
+    return parts
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _repeated_split(fbar: tuple | bytes, p: int, r: int) -> tuple:
-    """The split of the repeated part of fbar (nonconstant, reduced mod p):
-    ``_radical_split`` of w = gcd(fbar, fbar'), or of fbar itself when
-    fbar' = 0; () when fbar is squarefree.  Memoized on (fbar, p, r); a
-    bytes fbar runs the packed Euclid, a tuple ``poly_gcd``."""
-    if isinstance(fbar, bytes):
-        w = _packed_repeated_part(fbar, p)
-    else:
-        deriv = poly_derivative(fbar, p)
-        w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
+def _repeated_split(fbar: tuple, p: int, r: int) -> tuple:
+    """The split of the repeated part of fbar (nonconstant, reduced mod p,
+    from the constant term up): ``_radical_split`` of w = gcd(fbar,
+    fbar'), or of fbar itself when fbar' = 0; () when fbar is squarefree.
+    Memoized on (fbar, p, r)."""
+    deriv = poly_derivative(fbar, p)
+    w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
     return _radical_split(w, p, r) if len(w) > 1 else ()
 
 
@@ -207,12 +247,15 @@ class FiberReport:
         return self.fiber_singular - self.arith_singular
 
 
-def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
+def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> FiberReport:
     """Classify a binary-form section of degree d = len(coeffs) - 1 (integer
     or mod-p^2 coefficients, from X^d down) on the fiber at p, over all
     closed points of degree <= r.  ``coeffs`` may be ``bytes``, one
     coefficient per byte, where p ``_packs``; its report is that of the
-    same integers, and its squarefree gcd runs on the packed slots."""
+    same integers.  ``w``, when given, is the repeated part of fbar as
+    ``_repeated_parts`` computes it (``binary_census`` passes one per row),
+    and the report reads its split from ``_radical_split``; without it the
+    report runs its own gcd, memoized by ``_repeated_split``."""
     d = len(coeffs) - 1
     if d < 0:
         raise ValueError("a binary form needs at least one coefficient")
@@ -223,7 +266,7 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
     if isinstance(coeffs, bytes):
         if not _packs(p):
             raise ValueError(f"byte rows do not pack at p = {p}")
-        fbar = coeffs.translate(_byte_tables(p)[0]).lstrip(b"\0")
+        fbar = coeffs.translate(_mod_p_table(p)).lstrip(b"\0")[::-1]
     else:
         fbar = tuple(poly_trim([c % p for c in reversed(coeffs)]))
     fiber_ct = 0
@@ -245,7 +288,9 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
 
     # affine points: repeated irreducible factors of fbar
     if len(fbar) > 1:
-        for k, hk in _repeated_split(fbar, p, r):
+        split = (_repeated_split(tuple(fbar), p, r) if w is None
+                 else _radical_split(w, p, r) if len(w) > 1 else ())
+        for k, hk in split:
             dh = len(hk) - 1
             fiber_ct += dh // k
             # f mod hk over Z/p^2 in one pass: hk is monic with digits in
@@ -274,17 +319,22 @@ def binary_section_report(coeffs, p: int, r: int) -> FiberReport:
 
 
 def binary_census(rows, p: int, r: int):
-    """``FiberClassifier.census`` on P^1 at p by the gcd path, degrees <= r:
-    one ``binary_section_report`` per row of coefficients mod p^2 (residues,
-    not reduced again).  Where p ``_packs`` each row goes in as a slice of
-    one ``bytes`` buffer of the whole batch, one coefficient per byte."""
+    """``FiberClassifier.census`` on P^1 at p by the gcd path, degrees <= r,
+    on rows of coefficients mod p^2 (residues, not reduced again).  The
+    squarefree gcds of the batch come from one ``_repeated_parts`` Euclid
+    over all its reductions fbar; then each row gets its own
+    ``binary_section_report`` with its w.  Where p ``_packs`` each row goes
+    in as a slice of one ``bytes`` buffer of the whole batch, one
+    coefficient per byte."""
+    h = rows.shape[1]
+    ws = ([None] * len(rows) if r < 1 or h < 2 or not len(rows)
+          else _repeated_parts(rows % p, p))
     if _packs(p):
-        h = rows.shape[1]
         buf = rows.astype(np.uint8).tobytes()
         rows = [buf[i:i + h] for i in range(0, len(buf), h)]
     else:
         rows = rows.tolist()
-    reports = [binary_section_report(row, p, r) for row in rows]
+    reports = list(map(binary_section_report, rows, repeat(p), repeat(r), ws))
     return (np.array([rep.arith_singular for rep in reports], dtype=bool),
             np.array([rep.fiber_singular for rep in reports], dtype=bool),
             sum(rep.rescued for rep in reports))

@@ -580,19 +580,63 @@ def test_multi_fiber_determinism_and_reference():
 
 def test_multi_fiber_reports_once_per_row_and_prime(monkeypatch):
     """The P^1 path classifies every (sample, prime) pair with its own
-    ``binary_section_report`` call: no batching, skipping or prefilter."""
+    ``binary_section_report`` call: no skipping or prefilter.  The
+    squarefree gcds may come from one Euclid over the batch."""
     from bertinilab import p1sections
     calls = []
 
-    def counting(coeffs, p, r):
+    def counting(coeffs, p, r, w=None):
         calls.append(p)
-        return binary_section_report(coeffs, p, r)
+        return binary_section_report(coeffs, p, r, w)
     monkeypatch.setattr(p1sections, "binary_section_report", counting)
     samples = 300
     est = multi_fiber_experiment(8, 10 ** 4, 7, 4, samples, seed=5, n=1)
     assert est.extras["primes"] == [2, 3, 5, 7]
     assert len(calls) == samples * len(est.extras["primes"])
     assert {p: calls.count(p) for p in (2, 3, 5, 7)} == dict.fromkeys((2, 3, 5, 7), samples)
+
+
+@pytest.mark.parametrize("samples", [300, 5000, 100000])
+def test_multi_fiber_census_batches_are_bounded(monkeypatch, samples):
+    """multi-fiber hands its P^1 censuses consecutive sampling chunks in
+    batches of at least ``CENSUS_BATCH_ROWS`` rows, the last batch (or a
+    smaller run, whole) excepted, and never a chunk more than it takes to
+    reach that budget; so a run of 10^5 samples has one chunk per batch."""
+    sizes = []
+    real = arithlab.binary_census
+
+    def recording(rows, p, r):
+        sizes.append(len(rows))
+        return real(rows, p, r)
+    monkeypatch.setattr(arithlab, "binary_census", recording)
+    multi_fiber_experiment(8, 10 ** 4, 2, 1, samples, seed=5)
+    budget = arithlab.CENSUS_BATCH_ROWS
+    chunk = -(-samples // sampling.NUM_CHUNKS)
+    assert sum(sizes) == samples
+    assert all(size >= budget for size in sizes[:-1])
+    assert max(sizes) < budget + chunk
+    if samples < budget:
+        assert sizes == [samples]
+    if chunk >= budget:
+        assert len(sizes) == sampling.NUM_CHUNKS
+
+
+def test_multi_fiber_census_on_p2_takes_one_chunk_at_a_time(monkeypatch):
+    """On P^n, n > 1, ``FiberClassifier.census`` holds a (points, rows)
+    array, so multi-fiber hands it one sampling chunk per call."""
+    from bertinilab.fiberlab import FiberClassifier
+    sizes = []
+    real = FiberClassifier.census
+
+    def recording(self, rows):
+        sizes.append(len(rows))
+        return real(self, rows)
+    monkeypatch.setattr(FiberClassifier, "census", recording)
+    samples = 300
+    multi_fiber_experiment(2, 100, 2, 1, samples, seed=5, n=2)
+    chunk = -(-samples // sampling.NUM_CHUNKS)
+    assert sum(sizes) == samples
+    assert len(sizes) == sampling.NUM_CHUNKS and max(sizes) == chunk
 
 
 @pytest.mark.parametrize("n, d, prime_bound, r", [

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tomllib
@@ -628,6 +629,21 @@ def test_main_keeps_the_callers_int_digit_limit(tmp_path, monkeypatch, capsys):
     assert Fraction(num, den) == Fraction(results["reference_error_num"],
                                           results["reference_error_den"])
     capsys.readouterr()
+
+
+def test_long_ints_become_exact_decimals(unlimited_int_digits):
+    """``cli._decimal`` prints the digits of plain str, for both signs, on
+    both sides of its split and several splits past it, at powers of two
+    and all-ones values."""
+    rng = random.Random(7)
+    split = cli._SPLIT_BITS
+    values = [0, 1, 2 ** split, 2 ** split - 1, 2 ** (4 * split), 2 ** (4 * split) - 1]
+    for bits in (2, split - 1, split, split + 1, 3 * split + 5, 200_000):
+        values.append(rng.getrandbits(bits) | 1 << bits - 1)
+    for n in values:
+        for m in (n, -n):
+            got = cli._decimal(m)
+            assert got == int(got) and str(got) == str(m), m.bit_length()
 
 
 def test_module_entry_point_under_the_strictest_int_digit_limit():

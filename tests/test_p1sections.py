@@ -296,20 +296,20 @@ def test_report_reads_only_the_residues_mod_p2(p, coeffs, r):
 
 
 def test_byte_rows_pack_exactly_up_to_13():
-    """The cut of the packed path: bytes rows and the packed Euclid run at
-    p <= 13 and are refused past it."""
+    """The cut of the bytes row format: rows run as bytes at p <= 13 and
+    are refused past it."""
     assert [p for p in range(2, 30) if sympy.isprime(p) and p1sections._packs(p)] == \
         [2, 3, 5, 7, 11, 13]
     with pytest.raises(ValueError):
         binary_section_report(bytes([1, 0, 1]), 17, 1)
 
 
-def packed_cases(rng, p):
-    """Rows mod p^2 for the packed Euclid, of degree <= 30: planted square
-    factors, fbar = h(t^p) (fbar' = 0), h(t^p) + g with g of degree at most
-    about half of fbar's (low-degree fbar', so long divisions), plain random
-    rows; and three random rows past 256 coefficients, longer than the
-    derivative weights table.  Leading and constant terms are often 0 mod p."""
+def euclid_cases(rng, p):
+    """Affine polynomials mod p (from the constant term up) for the batch
+    Euclid, of degree <= 30: planted square factors, h(t^p) (derivative 0),
+    h(t^p) + g with g of degree at most about half the total (low-degree
+    derivative, so long divisions), plain random ones; and three random
+    ones past 256 coefficients.  Leading and constant terms are often 0."""
     for kind in range(5):
         for _ in range(60 if kind < 4 else 3):
             deg = rng.randint(1, 30) if kind < 4 else rng.randint(257, 300)
@@ -328,28 +328,105 @@ def packed_cases(rng, p):
                 aff[0] = 0
             if rng.random() < 0.3:
                 aff[-1] = 0
-            yield bytes(c % p + p * rng.randrange(p) for c in reversed(aff))
+            yield aff
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_packed_euclid_matches_poly_gcd(p):
-    """The packed squarefree step against ffield.poly_gcd: the monic
-    gcd(fbar, fbar'), or fbar itself when fbar' = 0, as a tuple from the
-    constant term up, on fbar built as binary_section_report builds it."""
+def repeated_part(fbar, p):
+    """The oracle: gcd(fbar, fbar') by ffield.poly_gcd, or fbar itself when
+    fbar' = 0, from the constant term up; () for the zero polynomial."""
+    deriv = poly_derivative(fbar, p)
+    return tuple(fbar) if not deriv else tuple(poly_gcd(fbar, deriv, p))
+
+
+LAST_INT64_PRIME = 3037000493
+
+
+# 17 is past the byte rows; 181 is the last int16 prime, 191 the first int64
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 181, 191, LAST_INT64_PRIME])
+def test_batch_euclid_matches_poly_gcd(p):
+    """``_repeated_parts`` against ffield.poly_gcd: the monic gcd(fbar,
+    fbar'), or fbar itself when fbar' = 0, as a tuple from the constant term
+    up.  Each polynomial goes in once in a batch of its own length, and once
+    in one batch of all of them, padded with leading zeros to the longest."""
     rng = random.Random(27 + p)
-    mod_p, _, _, _, period = p1sections._byte_tables(p)
-    seen = {"zero derivative": 0, "square factor": 0, "past the period": 0}
-    for row in packed_cases(rng, p):
-        fbar = poly_trim([c % p for c in reversed(row)])
-        if len(fbar) < 2:
-            continue
-        packed = row.translate(mod_p).lstrip(b"\0")
-        assert list(packed[::-1]) == fbar
-        deriv = poly_derivative(fbar, p)
-        expected = tuple(fbar) if not deriv else tuple(poly_gcd(fbar, deriv, p))
-        assert p1sections._packed_repeated_part(packed, p) == expected, (row, p)
-        seen["zero derivative"] += not deriv
-        seen["square factor"] += bool(deriv) and len(expected) > 1
-        seen["past the period"] += len(fbar) - len(deriv) >= period   # first division
-    assert seen["zero derivative"] and seen["square factor"], seen
-    assert seen["past the period"] or period >= 30, seen
+    cases = list(euclid_cases(rng, p))
+    expected = [repeated_part(poly_trim(list(aff)), p) for aff in cases]
+    width = max(map(len, cases))
+    padded = np.array([[0] * (width - len(aff)) + aff[::-1] for aff in cases])
+    assert p1sections._repeated_parts(padded, p) == expected
+    by_length = {}
+    for aff, want in zip(cases, expected):
+        by_length.setdefault(len(aff), []).append((aff[::-1], want))
+    for length, group in by_length.items():
+        if length > 1:
+            rows = np.array([row for row, _ in group])
+            assert p1sections._repeated_parts(rows, p) == [want for _, want in group]
+    fbars = [poly_trim(list(aff)) for aff in cases]
+    # fbar' = 0 needs an exponent divisible by p within degree 30
+    assert any(len(f) > 1 and not poly_derivative(f, p) for f in fbars) or p > 30
+    assert any(len(w) > 1 and poly_derivative(f, p) for f, w in zip(fbars, expected))
+
+
+def test_batch_euclid_refuses_primes_past_int64():
+    """(p - 1)^2 must fit int64: the prime after the last one that
+    ``test_batch_euclid_matches_poly_gcd`` runs is refused."""
+    p = sympy.nextprime(LAST_INT64_PRIME)
+    assert (LAST_INT64_PRIME - 1) ** 2 < 2 ** 63 <= (p - 1) ** 2
+    with pytest.raises(ValueError):
+        p1sections._repeated_parts(np.array([[1, 0, 1]]), p)
+
+
+def census_rows(rng, p, d):
+    """Rows mod p^2 of degree-d binary forms (from X^d down) that mix every
+    branch of the report: random rows, planted square factors mod p,
+    sigma = p*tau, the zero row, rows vanishing at infinity (X^d, or X^d
+    and X^(d-1)Y, zero mod p; or X^d zero mod p^2), rows with fbar' = 0,
+    and duplicates of all of these."""
+    p2 = p * p
+    rows = [[rng.randrange(p2) for _ in range(d + 1)] for _ in range(120)]
+    for _ in range(60):
+        g = [rng.randrange(p) for _ in range(rng.randint(1, d // 2))] + [1]
+        h = [rng.randrange(p) for _ in range(d - 2 * (len(g) - 1) + 1)]
+        aff = (poly_mul(poly_mul(g, g, p), h, p) + [0] * (d + 1))[:d + 1]
+        rows.append([c + p * rng.randrange(p) for c in reversed(aff)])
+    rows += [[p * rng.randrange(p) for _ in range(d + 1)] for _ in range(20)]
+    rows.append([0] * (d + 1))
+    for top in (1, 2):
+        rows += [[p * rng.randrange(p)] * top + [rng.randrange(p2) for _ in range(d + 1 - top)]
+                 for _ in range(20)]
+    rows += [[0] + [rng.randrange(p2) for _ in range(d)] for _ in range(5)]
+    # fbar = h(t^p): nonzero residues mod p only at exponents divisible by p
+    rows += [[rng.randrange(p2) if (d - i) % p == 0 else p * rng.randrange(p)
+              for i in range(d + 1)] for _ in range(20)]
+    rows += [list(rows[rng.randrange(len(rows))]) for _ in range(150)]
+    rng.shuffle(rows)
+    return rows
+
+
+# 17 is past the byte rows; 191 runs the int64 Euclid
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 191])
+def test_binary_census_matches_per_row_reports(monkeypatch, p):
+    """``binary_census`` gives each row the report that the row alone gets,
+    without w, from the report's own gcd: every report call it makes is
+    checked, in order, and so are its verdicts and rescued count."""
+    rng = random.Random(40 + p)
+    d = 8
+    rows = census_rows(rng, p, d)
+    real = p1sections.binary_section_report
+    checked = []
+
+    def checking(coeffs, p_, r_, w):
+        checked.append(real(coeffs, p_, r_, w))
+        return checked[-1]
+    monkeypatch.setattr(p1sections, "binary_section_report", checking)
+    for r in (1, 4, 8):
+        checked.clear()
+        any_arith, any_fiber, rescued = p1sections.binary_census(np.array(rows), p, r)
+        reports = [real(tuple(row), p, r) for row in rows]
+        assert checked == reports
+        assert any_arith.tolist() == [rep.arith_singular > 0 for rep in reports]
+        assert any_fiber.tolist() == [rep.fiber_singular > 0 for rep in reports]
+        assert rescued == sum(rep.rescued for rep in reports)
+    fbars = [poly_trim([c % p for c in reversed(row)]) for row in rows]
+    assert sum(len(f) > 1 and not poly_derivative(f, p) for f in fbars) >= (p <= d)
+    assert sum(len(repeated_part(f, p)) > 1 for f in fbars if len(f) > 1) > 20
