@@ -27,25 +27,22 @@ on P^1 through ``fiberlab._tally``; the ``bsw`` cross-check calls the
 report itself, and exhaustive counts run through ``FiberClassifier``.
 
 The squarefree step w = gcd(fbar, fbar') is the sieve condition of
-Poonen's Bertini theorem over finite fields.  ``binary_census`` takes it
-for a whole batch from one numpy Euclid (``_repeated_parts``) over the
-batch's reductions fbar, and hands each row its w; the report
-reads the split of w from a memo.  Called without w (the ``bsw``
-cross-check), the report runs ``ffield.poly_gcd`` on its own fbar.
+Poonen's Bertini theorem over finite fields, and the report reads only
+w off the mod-p side of a row.  ``binary_census`` takes w for a whole
+batch from one numpy Euclid (``_repeated_parts``) over the batch's
+reductions fbar, and hands each row its w; a report called without w
+(the ``bsw`` cross-check, rows of one coefficient) takes it from
+``ffield.poly_gcd`` on its own fbar.  Either way the same report body
+follows.  Rows are integer sequences, residues mod p^2 or any integers.
 
 The mod-p factor structure repeats from row to row, so it is memoized in
 two bounded least-recently-used caches: the distinct-degree split of the
 radical of a repeated part w (gcd(fbar, fbar'), or tau mod p when
-sigma = p*tau), keyed on (w, p, r); and, in front of it for reports
-without w, the whole repeated-part step of a row (derivative, squarefree
-gcd and split), keyed on (fbar, p, r).  Each holds at most
-``CACHE_SIZE`` entries.  The radical runs only behind them and is not
-cached itself; nor is the mod-p^2 test of each row, which reads f mod
-p^2.
-
-Rows from ``binary_census`` at p <= 13 (``_packs``: a residue mod p^2
-fits a byte) are slices of one ``bytes`` buffer, one coefficient per
-byte, whose fbar is one ``translate``; other rows are integer lists.
+sigma = p*tau), keyed on (w, p, r); and, for reports without w, w
+itself, keyed on (fbar, p).  Each holds at most ``CACHE_SIZE`` entries.
+``radical_fp`` is not cached itself: it runs behind the split memo here
+and behind ``arithlab._dedekind_split``, a memo of its own.  The mod-p^2
+test of each row, which reads f mod p^2, is not cached.
 """
 
 from __future__ import annotations
@@ -113,18 +110,6 @@ def _radical_split(w: tuple, p: int, r: int) -> tuple:
     return tuple((k, tuple(hk)) for k, hk in distinct_degree_split(radical_fp(w, p), p, r))
 
 
-def _packs(p: int) -> bool:
-    """Whether rows at p may be ``bytes``, one coefficient per byte: a
-    residue mod p^2 fits a byte exactly at the primes p <= 13."""
-    return p * p <= 256
-
-
-@lru_cache(maxsize=16)
-def _mod_p_table(p: int) -> bytes:
-    """The translate table b -> b mod p of byte rows."""
-    return bytes(b % p for b in range(256))
-
-
 def _top_aligned(x: np.ndarray, width: int, dtype) -> tuple:
     """Each row of x moved left past its leading zeros into ``width``
     columns of ``dtype``, returned transposed (column i of every row is
@@ -162,7 +147,7 @@ def _repeated_parts(fbar: np.ndarray, p: int) -> list:
     """w = gcd(f, f') over F_p for each row f of ``fbar`` (residues mod p,
     top coefficient first, at least two columns), monic, or f itself when
     f' = 0, () for the zero row: one Euclid over all rows at once, each w
-    a tuple from the constant term up, as ``_repeated_split`` takes it.
+    a tuple from the constant term up, as ``_repeated_part`` gives it.
 
     Each row holds its dividend A and divisor B top-aligned, leading
     coefficient in column 0, with la and lb columns in play; B's leading
@@ -219,14 +204,13 @@ def _repeated_parts(fbar: np.ndarray, p: int) -> list:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _repeated_split(fbar: tuple, p: int, r: int) -> tuple:
-    """The split of the repeated part of fbar (nonconstant, reduced mod p,
-    from the constant term up): ``_radical_split`` of w = gcd(fbar,
-    fbar'), or of fbar itself when fbar' = 0; () when fbar is squarefree.
-    Memoized on (fbar, p, r)."""
+def _repeated_part(fbar: tuple, p: int) -> tuple:
+    """w = gcd(fbar, fbar') for fbar reduced mod p and trimmed, from the
+    constant term up: monic, or fbar itself when fbar' = 0 (so () for the
+    zero polynomial), as ``_repeated_parts`` gives it.  Memoized on
+    (fbar, p)."""
     deriv = poly_derivative(fbar, p)
-    w = fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
-    return _radical_split(w, p, r) if len(w) > 1 else ()
+    return fbar if not deriv else tuple(poly_gcd(fbar, deriv, p))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -250,29 +234,24 @@ class FiberReport:
 def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> FiberReport:
     """Classify a binary-form section of degree d = len(coeffs) - 1 (integer
     or mod-p^2 coefficients, from X^d down) on the fiber at p, over all
-    closed points of degree <= r.  ``coeffs`` may be ``bytes``, one
-    coefficient per byte, where p ``_packs``; its report is that of the
-    same integers.  ``w``, when given, is the repeated part of fbar as
-    ``_repeated_parts`` computes it (``binary_census`` passes one per row),
-    and the report reads its split from ``_radical_split``; without it the
-    report runs its own gcd, memoized by ``_repeated_split``."""
+    closed points of degree <= r.  ``w``, when given, is the repeated part
+    of fbar as ``_repeated_parts`` computes it (``binary_census`` passes
+    one per row), and no fbar is built; without it the report takes w
+    from ``_repeated_part``.  Either way the split of w comes from
+    ``_radical_split``."""
     d = len(coeffs) - 1
     if d < 0:
         raise ValueError("a binary form needs at least one coefficient")
     if r < 1:
         return FiberReport(0, 0)
     p2 = p * p
-    # chart Y = 1, in t = X/Y
-    if isinstance(coeffs, bytes):
-        if not _packs(p):
-            raise ValueError(f"byte rows do not pack at p = {p}")
-        fbar = coeffs.translate(_mod_p_table(p)).lstrip(b"\0")[::-1]
-    else:
-        fbar = tuple(poly_trim([c % p for c in reversed(coeffs)]))
+    if w is None:
+        # chart Y = 1, in t = X/Y
+        w = _repeated_part(tuple(poly_trim([c % p for c in reversed(coeffs)])), p)
     fiber_ct = 0
     arith_ct = 0
 
-    if not fbar:
+    if not w:
         # sigma = p * tau: every point of the fiber is on the reduced divisor
         fiber_ct = _p1_closed_point_count(p, r)
         tbar = poly_trim([c % p2 // p for c in reversed(coeffs)])
@@ -287,10 +266,8 @@ def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> Fib
         return FiberReport(fiber_ct, arith_ct)
 
     # affine points: repeated irreducible factors of fbar
-    if len(fbar) > 1:
-        split = (_repeated_split(tuple(fbar), p, r) if w is None
-                 else _radical_split(w, p, r) if len(w) > 1 else ())
-        for k, hk in split:
+    if len(w) > 1:
+        for k, hk in _radical_split(w, p, r):
             dh = len(hk) - 1
             fiber_ct += dh // k
             # f mod hk over Z/p^2 in one pass: hk is monic with digits in
@@ -310,8 +287,8 @@ def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> Fib
             elif len(q) > 1:
                 arith_ct += (len(poly_gcd(hk, q, p)) - 1) // k
     # the point at infinity, reverse chart u = Y/X at u = 0: X^d and X^(d-1)Y
-    # vanish mod p
-    if len(fbar) < d:
+    # vanish mod p (at d < 2 they would make fbar zero)
+    if d >= 2 and coeffs[0] % p == coeffs[1] % p == 0:
         fiber_ct += 1
         if coeffs[0] % p2 == 0:
             arith_ct += 1
@@ -320,21 +297,15 @@ def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> Fib
 
 def binary_census(rows, p: int, r: int):
     """``FiberClassifier.census`` on P^1 at p by the gcd path, degrees <= r,
-    on rows of coefficients mod p^2 (residues, not reduced again).  The
-    squarefree gcds of the batch come from one ``_repeated_parts`` Euclid
-    over all its reductions fbar; then each row gets its own
-    ``binary_section_report`` with its w.  Where p ``_packs`` each row goes
-    in as a slice of one ``bytes`` buffer of the whole batch, one
-    coefficient per byte."""
-    h = rows.shape[1]
-    ws = ([None] * len(rows) if r < 1 or h < 2 or not len(rows)
+    on an integer array of rows of coefficients mod p^2 (residues, not
+    reduced again).  The squarefree gcds of the batch come from one
+    ``_repeated_parts`` Euclid over all its reductions fbar; then each row,
+    as a list of ints, gets its own ``binary_section_report`` with its w.
+    Rows of one coefficient have no Euclid: their reports take w
+    themselves."""
+    ws = ([None] * len(rows) if r < 1 or rows.shape[1] < 2 or not len(rows)
           else _repeated_parts(rows % p, p))
-    if _packs(p):
-        buf = rows.astype(np.uint8).tobytes()
-        rows = [buf[i:i + h] for i in range(0, len(buf), h)]
-    else:
-        rows = rows.tolist()
-    reports = list(map(binary_section_report, rows, repeat(p), repeat(r), ws))
+    reports = list(map(binary_section_report, rows.tolist(), repeat(p), repeat(r), ws))
     return (np.array([rep.arith_singular for rep in reports], dtype=bool),
             np.array([rep.fiber_singular for rep in reports], dtype=bool),
             sum(rep.rescued for rep in reports))

@@ -672,14 +672,17 @@ def test_multi_fiber_generic_engine_matches_fast_path():
     """The two P^1 engines agree on every tally in both readings: the
     FiberClassifier censuses, run through fiberlab._tally on the same seed
     and rows, give multi-fiber's gcd-path mean, singular_by_prime and
-    rescued_points.  (6, 13, 3) runs byte rows and the packed Euclid up to
-    the cut at p = 13, (4, 17, 2) the integer rows past it at p = 17."""
+    rescued_points.  The gcd path takes each row's w from one batch
+    Euclid at d >= 1, up to p = 17 in (4, 17, 2); (1, 5, 3) runs that
+    Euclid on two columns, and (0, 7, 2) rows of one column, which have
+    no batch w, so each report takes its own.  At d < 2 the gcd path
+    skips its test at infinity, where the census still tests the point."""
     from bertinilab.fiberlab import FiberClassifier, _tally
     from bertinilab.projgeom import ProjectiveScheme
     scheme = ProjectiveScheme(1, 1)
     samples, B, seed = 1000, 3000, 91
     for d, prime_bound, r in ((5, 3, 2), (8, 7, 4), (4, 5, 4), (6, 2, 6),
-                              (6, 13, 3), (4, 17, 2)):
+                              (6, 13, 3), (4, 17, 2), (1, 5, 3), (0, 7, 2)):
         primes = primes_up_to(prime_bound)
         censuses = [FiberClassifier(fib, d, fib.closed_points_up_to(r)).census
                     for fib in map(scheme.fiber, primes)]
@@ -687,7 +690,10 @@ def test_multi_fiber_generic_engine_matches_fast_path():
             [rows % (p * p) for p in primes]
             for rows in (sampling.uniform_box(rng, size, d + 1, B)
                          for rng, size in sampling.chunks(seed, samples))))
-        assert rescued > 0 and hits[0] > hits[1]
+        assert rescued > 0
+        # at d = 1 the readings agree: p*tau is arithmetically singular at
+        # the rational zero of tau, and the zero section everywhere
+        assert hits[0] > hits[1] if d != 1 else hits[0] == hits[1]
         for reading, classification in enumerate(("arithmetic", "fiber")):
             fast = multi_fiber_experiment(d, B, prime_bound, r, samples, seed=seed,
                                           n=1, classification=classification)

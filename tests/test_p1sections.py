@@ -96,7 +96,7 @@ def test_report_degenerate_sections(p1):
 
 def clear_p1_caches():
     p1sections._radical_split.cache_clear()
-    p1sections._repeated_split.cache_clear()
+    p1sections._repeated_part.cache_clear()
 
 
 def test_radical_reads_the_reduced_polynomial():
@@ -123,15 +123,14 @@ def test_radical_returns_a_fresh_list():
 
 def test_p1_caches_are_bounded():
     caches = [fn for fn in vars(p1sections).values() if hasattr(fn, "cache_info")]
-    assert {p1sections._radical_split, p1sections._repeated_split} <= set(caches)
+    assert {p1sections._radical_split, p1sections._repeated_part} <= set(caches)
     for fn in caches:
         assert 0 < fn.cache_info().maxsize < 10 ** 5, fn
 
 
 def test_report_verdicts_do_not_depend_on_cache_state():
     """Every row classified with cold caches equals the same row classified
-    with caches warmed by all the others; a third of the rows are p*tau.
-    Each row comes as integers and as bytes, whose reports agree."""
+    with caches warmed by all the others; a third of the rows are p*tau."""
     rng = random.Random(25)
     rows = []
     for i in range(500):
@@ -147,7 +146,7 @@ def test_report_verdicts_do_not_depend_on_cache_state():
             coeffs = [c + p * rng.randrange(p) for c in reversed(aff)]
         else:
             coeffs = [rng.randrange(p * p) for _ in range(d + 1)]
-        rows += [(tuple(coeffs), p, r), (bytes(coeffs), p, r)]
+        rows.append((tuple(coeffs), p, r))
     cold = []
     for row in rows:
         clear_p1_caches()
@@ -156,9 +155,8 @@ def test_report_verdicts_do_not_depend_on_cache_state():
         binary_section_report(*row)
     warm = [binary_section_report(*row) for row in rows]
     assert p1sections._radical_split.cache_info().hits > 0
-    assert p1sections._repeated_split.cache_info().hits > 0
+    assert p1sections._repeated_part.cache_info().hits > 0
     assert warm == cold
-    assert cold[::2] == cold[1::2]
     assert sum(rep.fiber_singular > 0 for rep in cold) > 200
 
 
@@ -187,7 +185,7 @@ def test_mod_p2_test_is_not_cached(p1):
             reports.append(rep)
         assert len({rep.fiber_singular for rep in reports}) == 1
         differ += len({rep.arith_singular for rep in reports}) > 1
-    assert p1sections._repeated_split.cache_info().hits > 0
+    assert p1sections._repeated_part.cache_info().hits > 0
     assert differ > 10
 
 
@@ -284,24 +282,12 @@ def test_census_matches_itertools_oracle(p1):
        st.integers(1, 4))
 def test_report_reads_only_the_residues_mod_p2(p, coeffs, r):
     """The report of integer coefficients of any sign and size is the report
-    of their residues mod p^2, which lets bsw memoize it per f mod p^2, and
-    where the residues pack into bytes, the report of those bytes.
+    of their residues mod p^2, which lets bsw memoize it per f mod p^2.
     Multiples of 510510 vanish mod every p drawn, so sections p*tau and
     repeated factors come up too."""
     residues = [c % (p * p) for c in coeffs]
     report = binary_section_report(coeffs, p, r)
     assert report == binary_section_report(residues, p, r)
-    if p <= 13:
-        assert report == binary_section_report(bytes(residues), p, r)
-
-
-def test_byte_rows_pack_exactly_up_to_13():
-    """The cut of the bytes row format: rows run as bytes at p <= 13 and
-    are refused past it."""
-    assert [p for p in range(2, 30) if sympy.isprime(p) and p1sections._packs(p)] == \
-        [2, 3, 5, 7, 11, 13]
-    with pytest.raises(ValueError):
-        binary_section_report(bytes([1, 0, 1]), 17, 1)
 
 
 def euclid_cases(rng, p):
@@ -341,7 +327,7 @@ def repeated_part(fbar, p):
 LAST_INT64_PRIME = 3037000493
 
 
-# 17 is past the byte rows; 181 is the last int16 prime, 191 the first int64
+# 181 is the last int16 prime, 191 the first int64
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 181, 191, LAST_INT64_PRIME])
 def test_batch_euclid_matches_poly_gcd(p):
     """``_repeated_parts`` against ffield.poly_gcd: the monic gcd(fbar,
@@ -381,17 +367,18 @@ def census_rows(rng, p, d):
     branch of the report: random rows, planted square factors mod p,
     sigma = p*tau, the zero row, rows vanishing at infinity (X^d, or X^d
     and X^(d-1)Y, zero mod p; or X^d zero mod p^2), rows with fbar' = 0,
-    and duplicates of all of these."""
+    and duplicates of all of these.  Square factors need d >= 2, and a
+    row of d + 1 coefficients has at most d + 1 of them zero at the top."""
     p2 = p * p
     rows = [[rng.randrange(p2) for _ in range(d + 1)] for _ in range(120)]
-    for _ in range(60):
+    for _ in range(60 if d >= 2 else 0):
         g = [rng.randrange(p) for _ in range(rng.randint(1, d // 2))] + [1]
         h = [rng.randrange(p) for _ in range(d - 2 * (len(g) - 1) + 1)]
         aff = (poly_mul(poly_mul(g, g, p), h, p) + [0] * (d + 1))[:d + 1]
         rows.append([c + p * rng.randrange(p) for c in reversed(aff)])
     rows += [[p * rng.randrange(p) for _ in range(d + 1)] for _ in range(20)]
     rows.append([0] * (d + 1))
-    for top in (1, 2):
+    for top in (1, 2)[:d + 1]:
         rows += [[p * rng.randrange(p)] * top + [rng.randrange(p2) for _ in range(d + 1 - top)]
                  for _ in range(20)]
     rows += [[0] + [rng.randrange(p2) for _ in range(d)] for _ in range(5)]
@@ -403,14 +390,17 @@ def census_rows(rng, p, d):
     return rows
 
 
-# 17 is past the byte rows; 191 runs the int64 Euclid
+# 191 runs the int64 Euclid
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 191])
-def test_binary_census_matches_per_row_reports(monkeypatch, p):
+@pytest.mark.parametrize("d", [0, 1, 2, 8])
+def test_binary_census_matches_per_row_reports(monkeypatch, p, d):
     """``binary_census`` gives each row the report that the row alone gets,
-    without w, from the report's own gcd: every report call it makes is
-    checked, in order, and so are its verdicts and rescued count."""
-    rng = random.Random(40 + p)
-    d = 8
+    without w, from ``_repeated_part``'s gcd: every report call it makes is
+    checked, in order, and so are its verdicts and rescued count.  At
+    d = 0 the rows have one column and no batch Euclid; at d = 1 the
+    Euclid runs on two columns.  At both, the report's d >= 2 guard keeps
+    its test at infinity from reading a second coefficient."""
+    rng = random.Random(1000 * d + 40 + p)
     rows = census_rows(rng, p, d)
     real = p1sections.binary_section_report
     checked = []
@@ -429,4 +419,5 @@ def test_binary_census_matches_per_row_reports(monkeypatch, p):
         assert rescued == sum(rep.rescued for rep in reports)
     fbars = [poly_trim([c % p for c in reversed(row)]) for row in rows]
     assert sum(len(f) > 1 and not poly_derivative(f, p) for f in fbars) >= (p <= d)
-    assert sum(len(repeated_part(f, p)) > 1 for f in fbars if len(f) > 1) > 20
+    if d >= 2:
+        assert sum(len(repeated_part(f, p)) > 1 for f in fbars if len(f) > 1) > 20
