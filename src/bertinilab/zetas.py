@@ -6,9 +6,11 @@ One type, ``ZetaTruncation``, is every truncated product: over one fiber
 (``global_zeta_inverse``), with ``error_bound`` the sum of the local
 tail bounds.
 
-All truncation values are exact rationals; floating arithmetic appears
-only inside the numeric inequality audit, which runs at a guard
-precision well beyond the gap of each inequality.
+All truncation values are exact rationals, multiplied out by one
+routine, ``_product``: in int for ``value`` and in Decimal for the
+printed digits.  Floating arithmetic appears only inside the numeric
+inequality audit, which runs at a guard precision well beyond the gap
+of each inequality.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd, log10, prod
+from math import gcd, log10
 
 from .ffield import _prime_factors, is_prime
 
@@ -125,9 +127,10 @@ class ZetaTruncation:
 
     The factor at p is num_p / p^x_p with num_p = prod_{e <= r}
     (p^{se} - 1)^{a_e} and x_p = sum_{e <= r} s e a_e
-    (``truncation_exponent``), kept in this factored form: ``value`` forms
-    the exact Fraction on first use, and ``decimal_digits`` multiplies its
-    numerator and denominator from their factors in decimal.  Each table's
+    (``truncation_exponent``), kept in this factored form.  ``_product``
+    multiplies it out, less the primes numerator and denominator share:
+    in int for ``value``, the exact Fraction formed on first use, and in
+    Decimal for ``decimal_digits``, the printed digits.  Each table's
     count constant (``c0s``) is estimated when a bound is first read, and
     ``error_bound`` and ``tail_bound`` share it.
     """
@@ -174,11 +177,12 @@ class ZetaTruncation:
 
     @cached_property
     def value(self) -> Fraction:
-        return _product_value(self)
+        return _coprime_fraction(*_product(self, int))
 
     def decimal_digits(self) -> tuple:
         """``value``'s numerator and denominator as exact integral Decimals."""
-        return _decimal_digits(self)
+        with decimal.localcontext(exact_context()):
+            return _product(self, decimal.Decimal)
 
 
 def truncation_exponent(a: tuple, s: int, r: int) -> int:
@@ -326,54 +330,36 @@ def _shared_exponents(t: ZetaTruncation) -> list:
     return shared
 
 
-def _factors(t: ZetaTruncation) -> list:
-    """The (p^{se} - 1, a_e) of the numerator prod (p^{se} - 1)^{a_e}."""
-    return [(table.p ** (t.s * e) - 1, a_e)
-            for table, a in zip(t.tables, t.a) for e, a_e in enumerate(a, 1)]
-
-
-def _product_value(t: ZetaTruncation) -> Fraction:
-    """The truncation's value, multiplied as integers from the factors,
-    with one exact division by the ``_shared_exponents`` powers and no
-    gcd: Fraction's product would renormalize at every factor, and that
-    gcd dominates deep truncations."""
-    num = 1
-    for f, a_e in _factors(t):
-        num *= f ** a_e
+def _product(t: ZetaTruncation, number) -> tuple:
+    """The truncation's coprime numerator and denominator as ``number``s:
+    int, or Decimal inside ``exact_context``, where libmpdec's products
+    and str are subquadratic.  The numerator prod (p^{se} - 1)^{a_e} is
+    one square-and-multiply over the bits of all the a_e at once (Shamir's
+    trick), half the work of one power per factor, and no gcd: Fraction's
+    product would renormalize at every factor.  It is divided by the
+    ``_shared_exponents`` powers, and a remainder raises ArithmeticError
+    instead of giving a wrong number.  Every product of many factors is
+    taken pairwise (``_balanced_product``)."""
+    factors = [(number(table.p ** (t.s * e) - 1), a_e)
+               for table, a in zip(t.tables, t.a) for e, a_e in enumerate(a, 1) if a_e]
     shared = _shared_exponents(t)
-    num //= prod(p ** k for (p, _), k in zip(t.powers, shared))
-    return _coprime_fraction(num, prod(p ** (x - k) for (p, x), k in zip(t.powers, shared)))
-
-
-def _decimal_digits(t: ZetaTruncation) -> tuple:
-    """The numerator and denominator of ``_product_value`` as exact integral
-    Decimals multiplied from the factors by libmpdec, whose products and
-    str are subquadratic, without forming the int product.  The numerator
-    is one square-and-multiply over the bits of all the a_e at once
-    (Shamir's trick), half the work of one power per factor; in
-    ``exact_context`` a remainder of its division by the shared powers
-    raises Inexact instead of printing a wrong digit.  Every product of
-    many factors is taken pairwise (``_balanced_product``)."""
-    factors = _factors(t)
-    shared = _shared_exponents(t)
-    with decimal.localcontext(exact_context()):
-        num = decimal.Decimal(1)
-        for bit in reversed(range(max((a_e for _, a_e in factors), default=0).bit_length())):
-            num = num * num * _balanced_product(
-                decimal.Decimal(f) for f, a_e in factors if a_e >> bit & 1)
-        num /= _balanced_product(decimal.Decimal(p) ** k
-                                 for (p, _), k in zip(t.powers, shared))
-        den = _balanced_product(decimal.Decimal(p) ** (x - k)
-                                for (p, x), k in zip(t.powers, shared))
-    return num, den
+    num = number(1)
+    for bit in reversed(range(max((a_e for _, a_e in factors), default=0).bit_length())):
+        num = num * num * _balanced_product(f for f, a_e in factors if a_e >> bit & 1)
+    num, rest = divmod(num, _balanced_product(number(p) ** k
+                                              for (p, _), k in zip(t.powers, shared)))
+    if rest:
+        raise ArithmeticError("the shared prime powers do not divide the numerator")
+    return num, _balanced_product(number(p) ** (x - k) for (p, x), k in zip(t.powers, shared))
 
 
 def _balanced_product(values, op=lambda a, b: a * b):
     """The values combined by ``op``, multiplied by default, in pairs, then
     pairs of pairs: the long products meet operands of equal length, where
     libmpdec's and int's are subquadratic, while a running product over n
-    factors is quadratic in n.  No values give Decimal 1."""
-    values = list(values) or [decimal.Decimal(1)]
+    factors is quadratic in n.  No values give 1, which is the empty
+    product in int and Decimal alike."""
+    values = list(values) or [1]
     while len(values) > 1:
         values = [op(a, b) for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
     return values[0]

@@ -362,7 +362,7 @@ def test_multi_fiber_digit_cap(monkeypatch, capsys):
     whose denominator prod_p p^E_p has DIGIT_CAP digits or more."""
     def refuse(*args):
         raise AssertionError("a product or bound was computed")
-    for name in ("_product_value", "_decimal_digits", "c0_estimate"):
+    for name in ("_product", "c0_estimate"):
         monkeypatch.setattr(zetas, name, refuse)
     assert main(["multi-fiber", "--d", "8", "--B", "10000", "--prime-bound", "7",
                  "--r", "7", "--samples", "100"]) == EXIT_BUDGET

@@ -90,3 +90,72 @@ def test_every_parameter_is_read():
     unread = [f"{module}:{where}" for module, tree in modules
               for where in _unread_parameters(tree)]
     assert not unread, f"parameters never read: {unread}"
+
+
+def _locals(fn) -> set:
+    """The names a function or lambda binds: its parameters and, in its
+    own body (nested functions' bodies aside), what it assigns, imports or
+    defines, less what it declares global or nonlocal."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_name(alias) for alias in node.names)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _bound_name(alias) -> str:
+    """The name an import binds: ``import a.b`` binds a."""
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _unread_imports(tree) -> list:
+    """The names imported in the tree, ``from __future__`` aside, that no
+    read resolves to.  A name loaded is looked up from the innermost
+    function out to the module, so a local variable of a function that
+    shares an imported name's spelling does not read the import."""
+    reads, imported = set(), []
+
+    def visit(node, chain):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.extend((chain[-1][0], _bound_name(alias)) for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((next((scope for scope, names in reversed(chain) if node.id in names),
+                            tree), node.id))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = chain + [(node, _locals(node))]
+            # decorators, defaults and annotations belong to the enclosing scope
+            for child in ast.iter_child_nodes(node):
+                visit(child, inner if any(child is b for b in body) else chain)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, chain)
+
+    visit(tree, [(tree, set())])
+    return [name for scope, name in imported if (scope, name) not in reads]
+
+
+def test_every_import_is_read():
+    """Every name a package module imports is read in the scope that
+    imports it, the package ``__init__``, whose imports are its public
+    names, aside: a leftover import is a dead name too."""
+    modules = [(module, tree) for module, tree in _package_trees()[1]
+               if module != "__init__.py"]
+    assert len(modules) >= 8
+    unread = [f"{module}:{name}" for module, tree in modules
+              for name in _unread_imports(tree)]
+    assert not unread, f"imported but never read: {unread}"

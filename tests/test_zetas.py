@@ -286,10 +286,14 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
     product, for p in {2, 3, 5, 7}, s in {2, 3, 4} (from m + 1) and every
     r <= 6 the scan check admits.  They are compared as decimal text:
     Decimal == int converts the int in quadratic time, and the longest
-    here has 406,956 digits.  On P^1 so are the digits of the global
-    products up to 3, 7 and 13 at s in {2, 3} and r <= 4, where the
-    primes shared by numerator and denominator are divided out."""
+    here has 406,956 digits.  One routine forms both, so where the
+    denominator has fewer than 20,000 digits ``value`` is also pinned to
+    the naive product of Fractions prod (1 - p^{-se})^{a_e}.  On P^1 the
+    digits of the global products up to 3, 7 and 13 at s in {2, 3} and
+    r <= 4, where the primes shared by numerator and denominator are
+    divided out, are those of ``value`` too."""
     scheme = request.getfixturevalue(name)
+    naive = 0
     for p in (2, 3, 5, 7):
         fiber = scheme.fiber(p)
         depth = max(r for r in range(7) if fiber.scan_fits(r))
@@ -299,6 +303,11 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
                 t = local_zeta_inverse(table, s, r, fiber.m)
                 assert tuple(map(str, t.decimal_digits())) == \
                     _fraction_text(t.value), (p, s, r)
+                if truncation_exponent(t.a[0], s, r) * log10(p) < 20_000:
+                    naive += 1
+                    assert t.value == prod((1 - Fraction(1, p ** (s * e))) ** a_e
+                                           for e, a_e in enumerate(t.a[0], 1)), (p, s, r)
+    assert naive
     if name != "p1":
         return
     stripped = 0
@@ -311,6 +320,23 @@ def test_report_digits_are_the_fraction(request, unlimited_int_digits, name):
                     _fraction_text(g.value), (bound, s, r)
                 stripped += any(zetas._shared_exponents(g))
     assert stripped
+
+
+def test_a_remainder_of_the_shared_powers_raises(monkeypatch):
+    """The numerator is divided by the prime powers it shares with the
+    denominator, and a remainder raises: on P^1 at p <= 7, s = 3, r = 2,
+    7 divides the numerator 17 times, and with its shared exponent
+    overstated by one, ``value`` and ``decimal_digits`` both raise
+    ArithmeticError where a floor division would return a wrong Fraction."""
+    tables = {p: projective_counts(p, 1, 2) for p in (2, 3, 5, 7)}
+    shared = zetas._shared_exponents(global_zeta_inverse(tables, 3, 7, 2, 1))
+    assert shared[3] == 17
+    overstated = shared[:3] + [18]
+    monkeypatch.setattr(zetas, "_shared_exponents", lambda t: overstated)
+    with pytest.raises(ArithmeticError):
+        global_zeta_inverse(tables, 3, 7, 2, 1).value
+    with pytest.raises(ArithmeticError):
+        global_zeta_inverse(tables, 3, 7, 2, 1).decimal_digits()
 
 
 def _plain_valuation(n, q):
