@@ -12,10 +12,12 @@ affine chart polynomial f:
   g divides R/p over F_p.
 
 For each repeated factor h_k (the product of the degree-k points where
-fbar is singular) the mod-p^2 test is one remainder pass: f mod h_k over
-Z/p^2, which needs no inverse since h_k is monic, then q = R/p mod p.
-All of h_k's points are arithmetically singular when q = 0, none when q
-is a nonzero constant, and otherwise those of gcd(q, h_k).
+fbar is singular) the mod-p^2 test reads R = f mod h_k over Z/p^2 as one
+dot product of f with each of h_k's reduction rows (row j holds
+coefficient j of t^i mod h_k for every exponent i of the row), then
+q = R/p mod p.  All of h_k's points are arithmetically singular when
+q = 0, none when q is a nonzero constant, and otherwise those of
+gcd(q, h_k).
 
 Grouping the repeated irreducible factors by degree (distinct-degree
 splitting of the radical) answers "is any point of degree <= r singular"
@@ -38,11 +40,12 @@ follows.  Rows are integer sequences, residues mod p^2 or any integers.
 The mod-p factor structure repeats from row to row, so it is memoized in
 two bounded least-recently-used caches: the distinct-degree split of the
 radical of a repeated part w (gcd(fbar, fbar'), or tau mod p when
-sigma = p*tau), keyed on (w, p, r); and, for reports without w, w
+sigma = p*tau), with each h_k's reduction rows for rows of n = d + 1
+coefficients, keyed on (w, p, r, n); and, for reports without w, w
 itself, keyed on (fbar, p).  Each holds at most ``CACHE_SIZE`` entries.
 ``radical_fp`` is not cached itself: it runs behind the split memo here
-and behind ``arithlab._dedekind_split``, a memo of its own.  The mod-p^2
-test of each row, which reads f mod p^2, is not cached.
+and behind ``arithlab._dedekind_split``, a memo of its own.  The dot
+products of each row, which read f mod p^2, are not cached.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from operator import mul
 
 import numpy as np
 
-from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mod,
-                     poly_mul, poly_powmod, poly_sub, poly_trim)
+from .ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mul,
+                     poly_powmod, poly_sub, poly_trim)
 from .zetas import closed_point_counts, projective_counts
 
 # entries in each memo of this module and in arithlab's Dedekind memos
@@ -72,7 +76,10 @@ def radical_fp(f, p: int) -> list:
     if not deriv:
         # f = z(x^p); p-th roots of coefficients over F_p are themselves
         return radical_fp(f[::p], p)
-    sep = poly_divmod(f, poly_gcd(f, deriv, p), p)[0]
+    g = poly_gcd(f, deriv, p)
+    if len(g) == 1:
+        return f                         # squarefree: its own radical
+    sep = poly_divmod(f, g, p)[0]
     rest = f
     g = poly_gcd(rest, sep, p)
     while len(g) > 1:
@@ -87,27 +94,47 @@ def radical_fp(f, p: int) -> list:
 def distinct_degree_split(v, p: int, r: int):
     """[(k, product of the degree-k irreducible factors)] for k <= r.
 
-    v must be squarefree.  Standard split by gcd with x^{p^k} - x.
+    v must be monic and squarefree over F_p.  Standard split by gcd with
+    x^{p^k} - x.  At step k every factor left has degree >= k, so once
+    deg v < 2k what is left is one irreducible factor of degree deg v,
+    kept when deg v <= r, and the split stops.
     """
     out = []
     v = list(v)
     t = [0, 1]
     for k in range(1, r + 1):
-        if len(v) - 1 < k:
+        dv = len(v) - 1
+        if dv < 2 * k:
+            if k <= dv <= r:
+                out.append((dv, v))
             break
-        t = poly_powmod(t, p, v, p)
+        t = poly_powmod(t, p, v, p)      # which first reduces t by this v
         hk = poly_gcd(v, poly_sub(t, [0, 1], p), p)
         if len(hk) > 1:
             out.append((k, hk))
             v = poly_divmod(v, hk, p)[0]
-            t = poly_mod(t, v, p) if len(v) > 1 else [0]
     return out
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _radical_split(w: tuple, p: int, r: int) -> tuple:
-    """distinct_degree_split(radical_fp(w, p), p, r), memoized, as tuples."""
-    return tuple((k, tuple(hk)) for k, hk in distinct_degree_split(radical_fp(w, p), p, r))
+def _radical_split(w: tuple, p: int, r: int, n: int) -> tuple:
+    """distinct_degree_split(radical_fp(w, p), p, r) as tuples (k, h_k,
+    rows), memoized on (w, p, r, n).  ``rows`` reduces a row of n
+    coefficients mod h_k over Z/p^2: row j, column i is coefficient j of
+    t^i mod h_k, so row j's dot product with f (from the constant term up)
+    is coefficient j of f mod h_k.  Columns i < deg h_k are unit vectors,
+    and each later one is t times the one before, reduced by h_k, which is
+    monic with digits in [0, p)."""
+    p2 = p * p
+    out = []
+    for k, hk in distinct_degree_split(radical_fp(w, p), p, r):
+        dh = len(hk) - 1
+        cols = [[int(i == j) for j in range(dh)] for i in range(dh)]
+        for _ in range(dh, n):
+            top = cols[-1][-1]
+            cols.append([(a - top * h) % p2 for a, h in zip([0] + cols[-1][:-1], hk)])
+        out.append((k, tuple(hk), tuple(zip(*cols))))
+    return tuple(out)
 
 
 def _top_aligned(x: np.ndarray, width: int, dtype) -> tuple:
@@ -259,7 +286,7 @@ def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> Fib
             return FiberReport(fiber_ct, fiber_ct)   # the zero section
         # arithmetically singular exactly where tau vanishes
         if len(tbar) > 1:
-            for k, hk in _radical_split(tuple(tbar), p, r):
+            for k, hk, _ in _radical_split(tuple(tbar), p, r, d + 1):
                 arith_ct += (len(hk) - 1) // k
         if len(tbar) <= d:
             arith_ct += 1        # the point at infinity: tau has no X^d term
@@ -267,20 +294,13 @@ def binary_section_report(coeffs, p: int, r: int, w: tuple | None = None) -> Fib
 
     # affine points: repeated irreducible factors of fbar
     if len(w) > 1:
-        for k, hk in _radical_split(w, p, r):
+        f = coeffs[::-1]
+        for k, hk, rows in _radical_split(w, p, r, d + 1):
             dh = len(hk) - 1
             fiber_ct += dh // k
-            # f mod hk over Z/p^2 in one pass: hk is monic with digits in
-            # [0, p), so no inverse is taken and only the popped coefficient
-            # is reduced; rem is 0 mod p, since hk divides fbar
-            rem = list(reversed(coeffs))
-            low = hk[:-1]
-            while len(rem) > dh:
-                c = rem.pop() % p2
-                if c:
-                    for i, h in enumerate(low, len(rem) - dh):
-                        rem[i] -= c * h
-            q = poly_trim([c % p2 // p for c in rem])
+            # f mod hk over Z/p^2, one dot product per coefficient; it is
+            # 0 mod p, since hk divides fbar, and q is its quotient by p
+            q = poly_trim([sum(map(mul, row, f)) % p2 // p for row in rows])
             # hk's points where q = rem/p vanishes: all, none, or gcd(q, hk)'s
             if not q:
                 arith_ct += dh // k

@@ -3,6 +3,7 @@ and the squarefree census of binary forms against sympy and brute force."""
 
 import itertools
 import random
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from bertinilab import p1sections
-from bertinilab.ffield import poly_derivative, poly_gcd, poly_mul, poly_trim
+from bertinilab.ffield import (poly_derivative, poly_divmod, poly_gcd, poly_mul,
+                               poly_trim)
 from bertinilab.p1sections import (binary_section_report,
                                    distinct_degree_split, radical_fp)
 from bertinilab.projgeom import HomogeneousForm
@@ -40,21 +42,45 @@ def test_radical_against_sympy():
 
 
 def test_distinct_degree_split_against_sympy():
+    """The split of the radical at every bound r from 1 to deg f holds
+    exactly the degrees k <= r of f's irreducible factors, each h_k with
+    deg h_k / k of them."""
     rng = random.Random(21)
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
         deg = rng.randint(1, 8)
         f = [rng.randrange(p) for _ in range(deg)] + [1]
         rad = radical_fp(f, p)
-        split = dict(distinct_degree_split(rad, p, deg))
         factors = sympy.factor_list(sympy.Poly(to_expr(f), x, modulus=p))[1]
         by_degree = {}
         for fac, _ in factors:
             k = sympy.Poly(fac, x).degree()
             by_degree[k] = by_degree.get(k, 0) + 1
-        for k, cnt in by_degree.items():
-            assert k in split and (len(split[k]) - 1) // k == cnt, (f, p)
-        assert set(split) == set(by_degree)
+        for r in range(1, deg + 1):
+            split = dict(distinct_degree_split(rad, p, r))
+            assert {k: (len(hk) - 1) // k for k, hk in split.items()} == \
+                {k: cnt for k, cnt in by_degree.items() if k <= r}, (f, p, r)
+
+
+@pytest.mark.parametrize("v, p, r, expected", [
+    # (t^2 + 1)(t^2 + t + 2) over F_3: deg v = 2k at k = 2, two quadratics
+    # and not one irreducible quartic
+    ([2, 1, 0, 1, 1], 3, 4, [(2, [2, 1, 0, 1, 1])]),
+    ([2, 1, 0, 1, 1], 3, 2, [(2, [2, 1, 0, 1, 1])]),
+    # t(t^3 + t + 1) over F_2, the cubic irreducible: past r = 2 it stays
+    # out, at r = 3 it is h_3
+    ([0, 1, 1, 0, 1], 2, 2, [(1, [0, 1])]),
+    ([0, 1, 1, 0, 1], 2, 3, [(1, [0, 1]), (3, [1, 1, 0, 1])]),
+    # t^3 + 2t + 1 is irreducible over F_3 and deg v = 3 < 2k already at k = 2
+    ([1, 2, 0, 1], 3, 1, []),
+    ([1, 2, 0, 1], 3, 2, []),
+    ([1, 2, 0, 1], 3, 3, [(3, [1, 2, 0, 1])]),
+])
+def test_distinct_degree_split_exits_early_only_when_irreducible(v, p, r, expected):
+    """Planted splits at the early exit of ``distinct_degree_split``: a
+    product of two irreducibles of degree k with deg v = 2k, and an
+    irreducible v of degree above r."""
+    assert distinct_degree_split(v, p, r) == expected
 
 
 def test_report_matches_pointwise_classifier(p1):
@@ -119,6 +145,12 @@ def test_radical_returns_a_fresh_list():
     got.append(3)
     assert radical_fp(f, 2) == [1, 1]
     assert radical_fp(f, 2) is not radical_fp(f, 2)
+    # squarefree and not monic: 2t^2 + 1 = 2(t - 1)(t + 1) over F_3
+    f = [1, 0, 2]
+    got = radical_fp(f, 3)
+    assert got == [2, 0, 1] and f == [1, 0, 2]
+    got.append(5)
+    assert radical_fp(f, 3) == [2, 0, 1]
 
 
 def test_p1_caches_are_bounded():
@@ -147,6 +179,15 @@ def test_report_verdicts_do_not_depend_on_cache_state():
         else:
             coeffs = [rng.randrange(p * p) for _ in range(d + 1)]
         rows.append((tuple(coeffs), p, r))
+    # one fbar, so one w, at two lengths d + 1: the longer row has two more
+    # leading coefficients, multiples of p, and comes after the shorter
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        aff = poly_mul(poly_mul(g, g, p), [rng.randrange(p), 1], p)
+        short = [c + p * rng.randrange(p) for c in reversed(aff)]
+        rows.append((tuple(short), p, 3))
+        rows.append((tuple([p * rng.randrange(1, p), p * rng.randrange(p)] + short), p, 3))
     cold = []
     for row in rows:
         clear_p1_caches()
@@ -217,6 +258,67 @@ def test_mod_p2_count_outcomes(p1, aff, p, r, expected):
     pointwise = (sum(f == "SingularPoint" for _, f in verdicts),
                  sum(a == "SingularPoint" for a, _ in verdicts))
     assert (rep.fiber_singular, rep.arith_singular) == pointwise == expected
+
+
+def reduction_rows_cases(rng, p, d):
+    """Rows of d + 1 integer coefficients (from X^d down), most far outside
+    [0, p^2) as ``bsw`` may pass them: random ones, planted squares g^2 h
+    mod p with g of degree 1 to 4, sigma = p*tau, and fbar = h(t^p)."""
+    for kind in range(4):
+        for _ in range(12):
+            if kind == 0:
+                aff = [rng.randrange(p) for _ in range(d + 1)]
+            elif kind == 1:
+                if d < 2:
+                    continue
+                g = [rng.randrange(p) for _ in range(rng.randint(1, min(4, d // 2)))] + [1]
+                h = [rng.randrange(p) for _ in range(d - 2 * (len(g) - 1))] + [1]
+                aff = poly_mul(poly_mul(g, g, p), h, p)
+            elif kind == 2:
+                aff = [0] * (d + 1)
+            else:
+                aff = [rng.randrange(p) if i % p == 0 else 0 for i in range(d + 1)]
+            aff = (aff + [0] * (d + 1))[:d + 1]
+            yield [c + p * rng.randint(-10 ** 30, 10 ** 30) for c in reversed(aff)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 191])
+def test_reduction_rows_match_long_division_mod_p2(monkeypatch, p):
+    """Every split the report reads from ``_radical_split`` (its own w, or
+    tau mod p when sigma = p*tau, at its own row length) carries rows whose
+    dot product with the report's row f (from the constant term up, raw
+    integers) is f mod h_k over Z/p^2, by ``ffield.poly_divmod``'s long
+    division; where h_k divides fbar that remainder is 0 mod p, and q is
+    its quotient by p."""
+    rng = random.Random(50 + p)
+    real = p1sections._radical_split
+    splits = []
+
+    def recording(*key):
+        splits.append(real(*key))
+        return splits[-1]
+    monkeypatch.setattr(p1sections, "_radical_split", recording)
+    p2 = p * p
+    seen = set()
+    for d in range(13):
+        for coeffs in reduction_rows_cases(rng, p, d):
+            splits.clear()
+            binary_section_report(coeffs, p, max(1, d))
+            f = coeffs[::-1]
+            fbar = poly_trim([c % p for c in f])
+            for split in splits:
+                for k, hk, rows in split:
+                    assert len(rows) == len(hk) - 1 and {len(row) for row in rows} == {d + 1}
+                    rem = [sum(map(mul, row, f)) % p2 for row in rows]
+                    want = poly_divmod(f, list(hk), p2, quotient=False)[1]
+                    assert poly_trim(list(rem)) == want, (coeffs, p, hk)
+                    if fbar:
+                        assert all(c % p == 0 for c in rem)
+                    seen.add(len(hk) - 1 if fbar else "sigma")
+            if splits and len(fbar) > 1 and not poly_derivative(fbar, p):
+                seen.add("fbar' = 0")
+    assert {1, 2, 3, 4, "sigma"} <= seen
+    assert "fbar' = 0" in seen or p > 12
 
 
 def test_squarefree_predicate_matches_sympy(p1):

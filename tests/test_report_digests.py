@@ -37,7 +37,11 @@ ARGVS = (
     "multi-fiber --n 2 --d 2 --B 100 --prime-bound 5 --r 1 --samples 300 "
     "--classification fiber",
     "multi-fiber --d 3 --B 10 --prime-bound 3 --r 0 --samples 100",
+    "multi-fiber --d 8 --B 10000 --prime-bound 3 --r 8 --samples 2000 --seed 3",
+    "multi-fiber --d 6 --B 1000 --prime-bound 13 --r 3 --samples 2000 --seed 4 "
+    "--classification fiber",
     "bsw --d 3 --R 100 --T 100 --samples 300 --seed 2",
+    "bsw --d 5 --R 30 --T 200 --samples 500 --seed 5",
     "equidist --h 3 --B 10 --N 9",
     "verify-bounds --p-list 2,3 --e-max 3 --r-max 3",
     "classify --scheme schemes/p1z.json --p 7 --section 7 --point 1:0",
